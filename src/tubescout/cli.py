@@ -21,26 +21,18 @@ from tubescout.config import (
     to_echo_dict,
 )
 from tubescout.energy import write_soc_csv
-from tubescout.mission import run_mission
+from tubescout.mission import explore_tube, run_mission
 from tubescout.report import (
     aerostat_section,
     budget_section,
     cost_section,
     dump_json,
-    exploration_section,
     power_section,
     schedule_section,
     thermal_section,
     winch_section,
 )
-from tubescout.rng import derive_seed
-from tubescout.tube_explorer import (
-    ExplorationReport,
-    generate_tube,
-    make_fleet,
-    read_map_file,
-    run_exploration,
-)
+from tubescout.tube_explorer import ExplorationReport
 
 _SUBCOMMANDS = {
     "balloon": "evaluate aerostat buoyancy under both hull-area conventions",
@@ -82,25 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="standalone WBS JSON file (overrides the "
                                 "config's tree)")
     return parser
-
-
-def _explore_once(config: MissionConfig, seed: int):
-    exp = config.exploration
-    if exp.map_file is not None:
-        grid = read_map_file(exp.map_file)
-        tube_seed = None
-    else:
-        tube_seed = derive_seed(seed, 0)
-        gen = exp.generator
-        grid = generate_tube(tube_seed, gen.width, gen.height,
-                             gen.obstacle_density, gen.resolution_m)
-    robots = make_fleet(grid, exp.robot_count, **exp.robot_overrides)
-    result = run_exploration(grid, robots, station=exp.station,
-                             max_steps=exp.max_steps, env=config.env,
-                             sample_sites=exp.sample_sites)
-    section, findings = exploration_section(result, grid)
-    section["tube_seed"] = tube_seed
-    return section, findings, result
 
 
 def _write_robot_csv(path: Path, result: ExplorationReport) -> None:
@@ -147,7 +120,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.format == "csv":
             write_soc_csv(out_dir / "soc_trace.csv", trace)
     elif command == "explore":
-        section, found, result = _explore_once(config, seed)
+        section, found, result = explore_tube(config, seed, 0)
         report["exploration"] = section
         findings += found
         if args.format == "csv":

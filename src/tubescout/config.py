@@ -5,16 +5,27 @@ back to the built-in baseline; unknown keys are rejected everywhere.
 Validation walks the whole file and reports every problem found, each
 tagged with its config path (for example ``balloon.geometry``), rather
 than stopping at the first.
+
+Blocks are read field by field from the model dataclasses they build:
+each key is converted by its field's type hint, and the key names come
+from the fields, or from ``report.JSON_KEYS`` where the two differ. Only
+input that is not a plain field is read by hand.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import json
+import re
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from tubescout.aerostat import REFERENCE_BALLOON, AreaModel, BalloonConfig, BalloonGeometry
+from tubescout.aerostat import REFERENCE_BALLOON, BalloonConfig
 from tubescout.energy import (
     DEFAULT_TIMESTEP_S,
     REFERENCE_WINCH,
@@ -25,7 +36,7 @@ from tubescout.energy import (
     WinchSpec,
 )
 from tubescout.env import MarsEnvironment, make_environment
-from tubescout.mission import MissionEvent, MissionPhase, mission_event_from
+from tubescout.mission import MissionEvent, MissionPhase
 from tubescout.program import (
     DEFAULT_DEADLINE_YEAR,
     DEFAULT_LAUNCH_YEAR,
@@ -34,13 +45,15 @@ from tubescout.program import (
     DEFAULT_WBS,
     BudgetLimits,
     LifecyclePhase,
+    Money,
     PayloadSpec,
     WbsNode,
     parse_money,
-    phase_code_from,
+    rollup_cost,
 )
+from tubescout.report import echo, json_fields
 from tubescout.thermal import REFERENCE_GREENHOUSE, AvionicsEnvelope, GlazedEnclosure
-from tubescout.tube_explorer import SampleSite, Station
+from tubescout.tube_explorer import SampleSite, ScoutRobot, Station, read_map_file
 
 
 class ConfigError(Exception):
@@ -107,6 +120,10 @@ class ExplorationSettings:
     station: Station = Station(winch=REFERENCE_WINCH)
     final_drop_m: float = 0.0
 
+    def __post_init__(self):
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+
 
 @dataclass(frozen=True)
 class ProgramSettings:
@@ -125,6 +142,13 @@ class ProgramSettings:
 class GerminationSettings:
     n_seeds: int = 10_000
     p_germinate: float = 0.7
+
+    def __post_init__(self):
+        if self.n_seeds < 0:
+            raise ValueError(f"n_seeds must be nonnegative, got {self.n_seeds}")
+        if not 0.0 <= self.p_germinate <= 1.0:
+            raise ValueError(
+                f"p_germinate must be in [0, 1], got {self.p_germinate}")
 
 
 def _default_sols() -> dict:
@@ -149,6 +173,10 @@ class MissionSettings:
     seed: int = 42
     germination: GerminationSettings | None = GerminationSettings()
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class MissionConfig:
@@ -171,659 +199,277 @@ class MissionConfig:
     mission: MissionSettings = MissionSettings()
 
 
+#: Marks a value whose problem is already recorded.
+_INVALID = object()
+
+#: How fixed-length arrays are described in errors, by JSON key.
+_SHAPES = {"window_s": "[start_s, end_s]", "cell": "[row, col]"}
+
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            Money: ((int, str), "an integer or money string"),
+            str: (str, "a string"), bool: (bool, "true or false")}
+
+
+@functools.cache
+def _converter(hint, nullable: bool = False):
+    """The function ``(raw, path, errors)`` that converts a JSON value to
+    ``hint``: a scalar, Money, an Enum, a dataclass, a tuple of these or
+    ``X | None``. A problem is recorded in ``errors`` at ``path`` and
+    answered with ``_INVALID``. Built once per type, since dispatching
+    on the type hint costs more than the conversion."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, typing.Union):
+        inner = _converter(args[0], True)
+        return lambda raw, path, errors: (
+            None if raw is None else inner(raw, path, errors))
+
+    def fail(raw, path, errors, what):
+        errors.append((path, f"expected {what}{' or null' if nullable else ''}, "
+                             f"got {raw!r}"))
+        return _INVALID
+
+    if origin is tuple:
+        fixed = args[-1] is not Ellipsis
+        items = [_converter(a) for a in (args if fixed else args[:1])]
+
+        def convert(raw, path, errors):
+            if not isinstance(raw, list) or (fixed and len(raw) != len(items)):
+                return fail(raw, path, errors,
+                            _SHAPES.get(path.rpartition(".")[2], "an array"))
+            values = [items[i if fixed else 0](v, f"{path}[{i}]", errors)
+                      for i, v in enumerate(raw)]
+            return _INVALID if any(v is _INVALID for v in values) else tuple(values)
+    elif dataclasses.is_dataclass(hint):
+        def convert(raw, path, errors):
+            if isinstance(raw, dict):
+                return _parse_dataclass(_Block(raw, path, errors), hint)
+            return fail(raw, path, errors, "an object")
+    elif isinstance(hint, type) and issubclass(hint, enum.Enum):
+        label = re.sub(r"(?<!^)(?=[A-Z])", " ", hint.__name__).lower()
+        known = ", ".join(m.value for m in hint)
+
+        def convert(raw, path, errors):
+            try:
+                return hint(raw)
+            except (ValueError, TypeError):
+                errors.append((path, f"unknown {label} {raw!r} (known: {known})"))
+                return _INVALID
+    elif hint in _SCALARS:
+        kinds, what = _SCALARS[hint]
+
+        def convert(raw, path, errors):
+            if not isinstance(raw, kinds) or (isinstance(raw, bool) and hint is not bool):
+                return fail(raw, path, errors, what)
+            if hint is float and not abs(raw) <= sys.float_info.max:
+                # json.loads accepts NaN and Infinity; no model means them.
+                errors.append((path, f"expected a finite number, got {raw!r}"))
+                return _INVALID
+            if hint is Money and isinstance(raw, str):
+                try:
+                    return parse_money(raw)
+                except ValueError as exc:
+                    errors.append((path, str(exc)))
+                    return _INVALID
+            return float(raw) if hint is float else raw
+    else:
+        return None  # no JSON form: such fields are read by hand
+    return convert
+
+
 class _Block:
-    """One JSON object under validation: typed key access with error
-    accumulation, plus unknown-key detection on close."""
+    """One JSON object under validation. Keys are popped as they are
+    read; any left when the block closes are unknown."""
 
     def __init__(self, data: dict, path: str, errors: list):
-        self._data = dict(data)
+        self.data = dict(data)
         self.path = path
         self.errors = errors
 
     def err(self, message: str, key: str | None = None) -> None:
-        where = f"{self.path}.{key}" if key else self.path
-        self.errors.append((where, message))
+        self.errors.append((f"{self.path}.{key}" if key else self.path, message))
 
-    def has(self, key: str) -> bool:
-        return key in self._data
+    def read(self, key: str, hint, default=None):
+        """The value at ``key`` as ``hint``; ``default`` if absent or invalid."""
+        if key not in self.data:
+            return default
+        value = _converter(hint)(self.data.pop(key), f"{self.path}.{key}",
+                                 self.errors)
+        return default if value is _INVALID else value
 
-    def raw(self, key: str, default=None):
-        return self._data.pop(key) if key in self._data else default
-
-    def number(self, key: str, default=None):
-        if key not in self._data:
-            return default
-        value = self._data.pop(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.err(f"expected a number, got {value!r}", key)
-            return default
-        return float(value)
-
-    def integer(self, key: str, default=None):
-        if key not in self._data:
-            return default
-        value = self._data.pop(key)
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.err(f"expected an integer, got {value!r}", key)
-            return default
-        return value
-
-    def string(self, key: str, default=None):
-        if key not in self._data:
-            return default
-        value = self._data.pop(key)
-        if not isinstance(value, str):
-            self.err(f"expected a string, got {value!r}", key)
-            return default
-        return value
-
-    def boolean(self, key: str, default=None):
-        if key not in self._data:
-            return default
-        value = self._data.pop(key)
-        if not isinstance(value, bool):
-            self.err(f"expected true or false, got {value!r}", key)
-            return default
-        return value
-
-    def obj(self, key: str) -> "_Block | None":
-        if key not in self._data:
-            return None
-        value = self._data.pop(key)
-        if value is None:
-            return None
-        if not isinstance(value, dict):
-            self.err(f"expected an object, got {value!r}", key)
-            return None
-        return _Block(value, f"{self.path}.{key}", self.errors)
-
-    def array(self, key: str, default=None):
-        if key not in self._data:
-            return default
-        value = self._data.pop(key)
-        if not isinstance(value, list):
-            self.err(f"expected an array, got {value!r}", key)
-            return default
-        return value
+    def obj(self, key: str) -> "_Block":
+        """The object at ``key``; an empty block if absent or null."""
+        raw = self.data.pop(key, None)
+        if raw is not None and not isinstance(raw, dict):
+            self.err(f"expected an object, got {raw!r}", key)
+        return _Block(raw if isinstance(raw, dict) else {}, f"{self.path}.{key}",
+                      self.errors)
 
     def close(self) -> None:
-        for key in sorted(self._data):
+        for key in sorted(self.data):
             self.err(f"unknown key {key!r}", key)
+        self.data.clear()
 
 
-def _build(block: _Block, factory, kwargs: dict):
-    """Construct a validated model type, folding its ValueError into the
-    error list at the block's path. Returns None on failure."""
+@functools.cache
+def _schema(cls) -> tuple:
+    """(name, JSON group, JSON key, type hint, converter, required) per
+    field. Resolving type hints is slow, so it happens once per class."""
+    hints = typing.get_type_hints(cls)
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    return tuple((name, group, key, hints[name], _converter(hints[name]),
+                  name in required)
+                 for name, group, key in json_fields(cls))
+
+
+def _parse_dataclass(block: _Block, cls, given: dict | None = None):
+    """Build ``cls`` from a JSON object, one key per field. Fields named
+    in ``given`` were read by hand and are not looked up. Returns
+    ``_INVALID`` once the problems are recorded."""
+    given = given or {}
+    kwargs = {k: v for k, v in given.items() if v is not _INVALID}
+    groups: dict = {}
+    inlined = []
+    complete = True
+    for name, group, key, hint, convert, required in _schema(cls):
+        if name in given:
+            continue
+        if not key:
+            inlined.append((name, hint))
+            continue
+        if group and group not in groups:
+            groups[group] = block.obj(group)
+        source = groups[group] if group else block
+        if key in source.data:
+            value = convert(source.data.pop(key), f"{source.path}.{key}",
+                            block.errors)
+            if value is not _INVALID:
+                kwargs[name] = value
+                continue
+        elif required:
+            block.err(f"missing required key {key!r}")
+        complete = complete and not required
+    for sub in groups.values():
+        sub.close()
+    # An inlined object reads the keys left over, so it goes last.
+    for name, hint in inlined:
+        kwargs[name] = _parse_dataclass(block, hint)
+        complete = complete and kwargs[name] is not _INVALID
+    block.close()
+    if not complete:
+        return _INVALID
     try:
-        return factory(**kwargs)
+        return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         block.err(str(exc))
-        return None
+        return _INVALID
 
 
-def _numbers_into(block: _Block, kwargs: dict, keys) -> None:
-    for key in keys:
-        if block.has(key):
-            value = block.number(key)
-            if value is not None:
-                kwargs[key] = value
-
-
-def _parse_env(block: _Block | None):
-    preset = "nili_fossae_default"
-    overrides: dict = {}
-    if block is not None:
-        preset = block.string("preset", preset)
-        sub = block.obj("overrides")
-        if sub is not None:
-            valid = {f.name for f in dataclasses.fields(MarsEnvironment)}
-            for key in sorted(list(sub._data)):
-                if key not in valid:
-                    sub.err(f"unknown environment field {key!r}", key)
-                    sub.raw(key)
-                    continue
-                value = sub.number(key)
-                if value is not None:
-                    overrides[key] = value
-            sub.close()
-        block.close()
+def _parse_env(top: _Block):
+    block = top.obj("env")
+    preset = block.read("preset", str, MissionConfig.env_preset)
+    sub = block.obj("overrides")
+    overrides = {name: value for name, _, key, hint, _, _ in _schema(MarsEnvironment)
+                 if (value := sub.read(key, hint)) is not None}
+    sub.close()
+    block.close()
     try:
         env = make_environment(preset, **overrides)
     except ValueError as exc:
-        if block is not None:
-            block.err(str(exc))
-        else:
-            raise
+        top.err(str(exc), "env")
         env = MarsEnvironment()
-    return preset, overrides, env
+    return {"env_preset": preset, "env_overrides": overrides, "env": env}
 
 
-def _parse_balloon(block: _Block | None) -> BalloonConfig:
-    if block is None:
-        return REFERENCE_BALLOON
-    kwargs: dict = {}
-    geo = block.obj("geometry")
-    if geo is not None:
-        geo_kwargs: dict = {}
-        _numbers_into(geo, geo_kwargs,
-                      ("outer_radius_m", "inner_radius_m", "tube_length_m"))
-        geo.close()
-        geometry = _build(geo, BalloonGeometry, geo_kwargs)
-        if geometry is not None:
-            kwargs["geometry"] = geometry
-    if block.has("lifting_gas_density_kg_m3"):
-        raw = block.raw("lifting_gas_density_kg_m3")
-        if raw is None or (isinstance(raw, (int, float)) and not isinstance(raw, bool)):
-            kwargs["lifting_gas_density_kg_m3"] = (
-                None if raw is None else float(raw))
-        else:
-            block.err(f"expected a number or null, got {raw!r}",
-                      "lifting_gas_density_kg_m3")
-    _numbers_into(block, kwargs, (
-        "gas_molar_mass_kg_mol", "surface_area_weight_kg_m2",
-        "tether_length_m", "tether_weight_per_length_kg_m",
-        "scientific_payload_weight_kg", "windmill_weight_kg"))
-    if block.has("area_model"):
-        name = block.string("area_model")
-        try:
-            kwargs["area_model"] = AreaModel(name)
-        except ValueError:
-            valid = ", ".join(m.value for m in AreaModel)
-            block.err(f"unknown area model {name!r} (known: {valid})",
-                      "area_model")
-    block.close()
-    balloon = _build(block, BalloonConfig, kwargs)
-    return balloon if balloon is not None else REFERENCE_BALLOON
-
-
-def _parse_winch(block: _Block | None) -> WinchSpec:
-    if block is None:
-        return REFERENCE_WINCH
-    kwargs: dict = {}
-    _numbers_into(block, kwargs, ("payload_mass_kg", "line_speed_mps",
-                                  "depth_m", "motor_margin", "regen_efficiency"))
-    block.close()
-    winch = _build(block, WinchSpec, kwargs)
-    return winch if winch is not None else REFERENCE_WINCH
-
-
-def _parse_enclosure(block: _Block | None) -> GlazedEnclosure:
-    if block is None:
-        return REFERENCE_GREENHOUSE
-    kwargs: dict = {}
-    _numbers_into(block, kwargs,
-                  ("glazed_area_m2", "u_value_w_m2k", "target_temp_c"))
-    block.close()
-    enclosure = _build(block, GlazedEnclosure, kwargs)
-    return enclosure if enclosure is not None else REFERENCE_GREENHOUSE
-
-
-def _parse_avionics(block: _Block | None) -> AvionicsEnvelope:
-    if block is None:
-        return AvionicsEnvelope()
-    kwargs: dict = {}
-    _numbers_into(block, kwargs, ("min_ok_c", "max_ok_c", "heater_power_w",
-                                  "heater_delta_c_per_100w"))
-    block.close()
-    envelope = _build(block, AvionicsEnvelope, kwargs)
-    return envelope if envelope is not None else AvionicsEnvelope()
-
-
-def _parse_source(block: _Block) -> PowerSource | None:
-    kwargs: dict = {"name": block.string("name", "")}
-    if block.has("kind"):
-        name = block.string("kind")
-        try:
-            kwargs["kind"] = SourceKind(name)
-        except ValueError:
-            valid = ", ".join(k.value for k in SourceKind)
-            block.err(f"unknown source kind {name!r} (known: {valid})", "kind")
-    _numbers_into(block, kwargs, ("rating_w", "event_energy_wh"))
-    block.close()
-    return _build(block, PowerSource, kwargs)
-
-
-def _parse_load(block: _Block) -> TaggedLoad | None:
-    kwargs: dict = {"name": block.string("name", "")}
-    _numbers_into(block, kwargs, ("power_w",))
-    if block.has("window_s"):
-        raw = block.raw("window_s")
-        if raw is None:
-            kwargs["window"] = None
-        elif (isinstance(raw, list) and len(raw) == 2
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      for v in raw)):
-            kwargs["window"] = (float(raw[0]), float(raw[1]))
-        else:
-            block.err(f"expected [start_s, end_s] or null, got {raw!r}",
-                      "window_s")
-    if block.has("priority"):
-        kwargs["priority"] = block.integer("priority")
-    if block.has("sheddable"):
-        kwargs["sheddable"] = block.boolean("sheddable")
-    phases = None
-    if block.has("phases"):
-        raw = block.raw("phases")
-        if raw is None:
-            phases = None
-        elif isinstance(raw, list) and all(isinstance(v, str) for v in raw):
-            phases = tuple(raw)
-        else:
-            block.err(f"expected an array of phase names or null, got {raw!r}",
-                      "phases")
-    block.close()
-    kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    load = _build(block, PowerLoad, kwargs)
-    if load is None:
-        return None
-    return _build(block, TaggedLoad, {"load": load, "phases": phases})
-
-
-def _parse_power(block: _Block | None):
-    battery = Battery()
-    timestep = DEFAULT_TIMESTEP_S
-    sources: tuple[PowerSource, ...] = (
-        PowerSource("rtg", SourceKind.CONSTANT, 110.0),)
-    loads: tuple[TaggedLoad, ...] = ()
-    if block is None:
-        return battery, timestep, sources, loads
-    bat = block.obj("battery")
-    if bat is not None:
-        kwargs: dict = {}
-        _numbers_into(bat, kwargs, ("capacity_wh", "initial_soc_wh",
-                                    "charge_efficiency", "discharge_efficiency"))
-        bat.close()
-        built = _build(bat, Battery, kwargs)
-        if built is not None:
-            battery = built
-    timestep = block.number("timestep_s", timestep)
-    raw_sources = block.array("sources")
-    if raw_sources is not None:
-        parsed = []
-        for i, item in enumerate(raw_sources):
-            path = f"{block.path}.sources[{i}]"
-            if not isinstance(item, dict):
-                block.errors.append((path, f"expected an object, got {item!r}"))
-                continue
-            source = _parse_source(_Block(item, path, block.errors))
-            if source is not None:
-                parsed.append(source)
-        sources = tuple(parsed)
-    raw_loads = block.array("loads")
-    if raw_loads is not None:
-        parsed = []
-        for i, item in enumerate(raw_loads):
-            path = f"{block.path}.loads[{i}]"
-            if not isinstance(item, dict):
-                block.errors.append((path, f"expected an object, got {item!r}"))
-                continue
-            tagged = _parse_load(_Block(item, path, block.errors))
-            if tagged is not None:
-                parsed.append(tagged)
-        loads = tuple(parsed)
-    block.close()
-    return battery, timestep, sources, loads
-
-
+#: ScoutRobot fields a config may set for the whole fleet.
 _ROBOT_OVERRIDE_KEYS = ("module_count", "battery_full_s", "speed_mps",
-                        "aux_capacity_kg", "aux_capacity_l", "reserve_factor",
-                        "drop_tolerance_m", "max_obstacle_mm")
+                        "aux_capacity_kg", "reserve_factor", "drop_tolerance_m")
 
 
-def _parse_exploration(block: _Block | None, winch: WinchSpec,
-                       base_dir: Path | None) -> ExplorationSettings:
-    if block is None:
-        return ExplorationSettings(station=Station(winch=winch))
-    kwargs: dict = {}
-
-    map_file = block.string("map_file")
-    gen_block = block.obj("generator")
-    if map_file is not None and gen_block is not None:
-        block.err("map_file and generator are mutually exclusive")
+def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
+    map_file = block.read("map_file", str)
     if map_file is not None:
+        if "generator" in block.data:
+            block.err("map_file and generator are mutually exclusive")
         resolved = Path(map_file)
         if base_dir is not None and not resolved.is_absolute():
             resolved = base_dir / resolved
         if not resolved.is_file():
             block.err(f"map file not found: {resolved}", "map_file")
-        kwargs["map_file"] = str(resolved)
-    if gen_block is not None:
-        gen_kwargs: dict = {}
-        for key in ("width", "height"):
-            if gen_block.has(key):
-                gen_kwargs[key] = gen_block.integer(key)
-        _numbers_into(gen_block, gen_kwargs, ("obstacle_density", "resolution_m"))
-        gen_block.close()
-        generator = _build(gen_block, GeneratorSettings,
-                           {k: v for k, v in gen_kwargs.items() if v is not None})
-        if generator is not None:
-            kwargs["generator"] = generator
+        map_file = str(resolved)
 
     robots = block.obj("robots")
-    overrides: dict = {}
-    if robots is not None:
-        if robots.has("count"):
-            count = robots.integer("count")
-            if count is not None:
-                if count < 1:
-                    robots.err(f"count must be at least 1, got {count}", "count")
-                else:
-                    kwargs["robot_count"] = count
-        if robots.has("module_count"):
-            value = robots.integer("module_count")
-            if value is not None:
-                overrides["module_count"] = value
-        for key in _ROBOT_OVERRIDE_KEYS:
-            if key != "module_count" and robots.has(key):
-                value = robots.number(key)
-                if value is not None:
-                    overrides[key] = value
-        robots.close()
-        kwargs["robot_overrides"] = overrides
+    count = robots.read("count", int, ExplorationSettings.robot_count)
+    if count < 1:
+        robots.err(f"count must be at least 1, got {count}", "count")
+        count = ExplorationSettings.robot_count
+    overrides = {name: value for name, _, key, hint, _, _ in _schema(ScoutRobot)
+                 if name in _ROBOT_OVERRIDE_KEYS
+                 and (value := robots.read(key, hint)) is not None}
+    robots.close()
 
     station_block = block.obj("station")
-    use_winch = True
-    station_kwargs: dict = {}
-    final_drop = 0.0
-    if station_block is not None:
-        _numbers_into(station_block, station_kwargs, ("charge_time_s",))
-        if station_block.has("descents"):
-            station_kwargs["descents"] = station_block.integer("descents")
-        use_winch = station_block.boolean("use_winch", True)
-        final_drop = station_block.number("final_drop_m", 0.0)
-        if final_drop is not None and final_drop < 0:
-            station_block.err(f"final_drop_m must be nonnegative, got {final_drop}",
-                              "final_drop_m")
-        station_block.close()
-        kwargs["final_drop_m"] = final_drop
-    station_kwargs = {k: v for k, v in station_kwargs.items() if v is not None}
-    station_kwargs["winch"] = winch if use_winch else None
-    station = _build(station_block if station_block is not None else block,
-                     Station, station_kwargs)
-    if station is not None:
-        kwargs["station"] = station
-
-    if block.has("max_steps"):
-        max_steps = block.integer("max_steps")
-        if max_steps is not None:
-            if max_steps < 1:
-                block.err(f"max_steps must be positive, got {max_steps}",
-                          "max_steps")
-            else:
-                kwargs["max_steps"] = max_steps
-
-    raw_sites = block.array("sample_sites")
-    if raw_sites is not None:
-        sites = []
-        for i, item in enumerate(raw_sites):
-            path = f"{block.path}.sample_sites[{i}]"
-            if not isinstance(item, dict):
-                block.errors.append((path, f"expected an object, got {item!r}"))
-                continue
-            site_block = _Block(item, path, block.errors)
-            cell = site_block.raw("cell")
-            mass = site_block.number("mass_kg", 0.0)
-            site_block.close()
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(v, int) and not isinstance(v, bool)
-                               for v in cell)):
-                block.errors.append((path, f"cell must be [row, col], got {cell!r}"))
-                continue
-            site = _build(site_block, SampleSite,
-                          {"cell": (cell[0], cell[1]), "mass_kg": mass})
-            if site is not None:
-                sites.append(site)
-        kwargs["sample_sites"] = tuple(sites)
-
+    use_winch = station_block.read("use_winch", bool, True)
+    final_drop = station_block.read("final_drop_m", float, 0.0)
+    if final_drop < 0:
+        station_block.err(f"final_drop_m must be nonnegative, got {final_drop}",
+                          "final_drop_m")
+    station = _parse_dataclass(station_block, Station,
+                               {"winch": winch if use_winch else None})
     # A robot lowered by the winch still free-falls the last stretch;
     # that drop must be survivable for the whole fleet.
-    tolerance = overrides.get("drop_tolerance_m", 1.5)
-    if final_drop is not None and final_drop > tolerance:
+    tolerance = overrides.get("drop_tolerance_m", ScoutRobot.drop_tolerance_m)
+    if final_drop > tolerance:
         block.err(f"station final drop {final_drop} m exceeds the robot drop "
                   f"tolerance {tolerance} m")
 
-    block.close()
-    settings = _build(block, ExplorationSettings, kwargs)
-    return settings if settings is not None else ExplorationSettings(
-        station=Station(winch=winch))
-
-
-def _parse_cost(block: _Block, key: str):
-    """A leaf cost may be written as an integer or a money string."""
-    if not block.has(key):
-        return None
-    raw = block.raw(key)
-    if isinstance(raw, bool):
-        block.err(f"expected an integer or money string, got {raw!r}", key)
-        return None
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, str):
-        try:
-            return parse_money(raw)
-        except ValueError as exc:
-            block.err(str(exc), key)
-            return None
-    block.err(f"expected an integer or money string, got {raw!r}", key)
-    return None
-
-
-def _parse_wbs(data: dict, path: str, errors: list) -> WbsNode | None:
-    block = _Block(data, path, errors)
-    name = block.string("name", "")
-    level = block.integer("level", 0)
-    cost = _parse_cost(block, "cost_usd")
-    note = block.string("note")
-    children_raw = block.array("children")
-    block.close()
-    children = []
-    if children_raw is not None:
-        for i, item in enumerate(children_raw):
-            child_path = f"{path}.children[{i}]"
-            if not isinstance(item, dict):
-                errors.append((child_path, f"expected an object, got {item!r}"))
-                continue
-            child = _parse_wbs(item, child_path, errors)
-            if child is not None:
-                children.append(child)
-    return _build(block, WbsNode, {"name": name, "level": level,
-                                   "cost_usd": cost, "note": note,
-                                   "children": tuple(children)})
+    settings = _parse_dataclass(block, ExplorationSettings, {
+        "map_file": map_file, "robot_count": count, "robot_overrides": overrides,
+        "station": station, "final_drop_m": final_drop})
+    if settings is _INVALID or not settings.sample_sites:
+        return settings
+    try:
+        height, width = (read_map_file(map_file).cells.shape if map_file else
+                         (settings.generator.height, settings.generator.width))
+    except (OSError, ValueError):
+        return settings  # an unreadable map fails the survey itself
+    for i, site in enumerate(settings.sample_sites):
+        row, col = site.cell
+        if not (0 <= row < height and 0 <= col < width):
+            block.err(f"cell {list(site.cell)} is outside the {width}x{height} map",
+                      f"sample_sites[{i}]")
+    return settings
 
 
 def parse_wbs_file(path) -> WbsNode:
     """Load a standalone work-breakdown tree from a JSON file."""
-    data = _read_json(Path(path))
-    if not isinstance(data, dict):
-        raise ConfigError([(str(path), "top level must be a JSON object")])
     errors: list = []
-    wbs = _parse_wbs(data, "wbs", errors)
-    if errors or wbs is None:
-        raise ConfigError(errors or [(str(path), "invalid WBS tree")])
+    wbs = _converter(WbsNode)(_read_json(Path(path)), "wbs", errors)
+    if errors:
+        raise ConfigError(errors)
     return wbs
 
 
-def _parse_program(block: _Block | None) -> ProgramSettings:
-    if block is None:
-        return ProgramSettings()
-    kwargs: dict = {}
-
-    raw_payloads = block.array("payloads")
-    if raw_payloads is not None:
-        payloads = []
-        for i, item in enumerate(raw_payloads):
-            path = f"{block.path}.payloads[{i}]"
-            if not isinstance(item, dict):
-                block.errors.append((path, f"expected an object, got {item!r}"))
-                continue
-            p_block = _Block(item, path, block.errors)
-            p_kwargs: dict = {"name": p_block.string("name", "")}
-            _numbers_into(p_block, p_kwargs, ("mass_kg", "volume_m3", "power_w"))
-            cost = _parse_cost(p_block, "wbs_cost_usd")
-            p_kwargs["wbs_cost_usd"] = cost if cost is not None else 0
-            p_block.close()
-            payload = _build(p_block, PayloadSpec, p_kwargs)
-            if payload is not None:
-                payloads.append(payload)
-        kwargs["payloads"] = tuple(payloads)
-
-    limits_block = block.obj("limits")
-    if limits_block is not None:
-        l_kwargs: dict = {}
-        _numbers_into(limits_block, l_kwargs,
-                      ("payload_mass_limit_kg", "platform_mass_limit_kg",
-                       "volume_limit_m3"))
-        limits_block.close()
-        limits = _build(limits_block, BudgetLimits, l_kwargs)
-        if limits is not None:
-            kwargs["limits"] = limits
-
-    if block.has("wbs"):
-        raw = block.raw("wbs")
-        if not isinstance(raw, dict):
-            block.err(f"expected an object, got {raw!r}", "wbs")
-        else:
-            wbs = _parse_wbs(raw, f"{block.path}.wbs", block.errors)
-            if wbs is not None:
-                kwargs["wbs"] = wbs
-
-    raw_phases = block.array("phases")
-    if raw_phases is not None:
-        phases = []
-        for i, item in enumerate(raw_phases):
-            path = f"{block.path}.phases[{i}]"
-            if not isinstance(item, dict):
-                block.errors.append((path, f"expected an object, got {item!r}"))
-                continue
-            ph_block = _Block(item, path, block.errors)
-            code_name = ph_block.string("code", "")
-            year = ph_block.integer("start_year", 0)
-            ph_block.close()
-            try:
-                code = phase_code_from(code_name)
-            except ValueError as exc:
-                ph_block.err(str(exc), "code")
-                continue
-            phase = _build(ph_block, LifecyclePhase,
-                           {"code": code, "start_year": year})
-            if phase is not None:
-                phases.append(phase)
-        kwargs["phases"] = tuple(phases)
-
-    for key, kw in (("launch_year", "launch_year"),
-                    ("deadline_year", "deadline_year")):
-        if block.has(key):
-            value = block.integer(key)
-            if value is not None:
-                kwargs[kw] = value
-
-    fte_block = block.obj("fte")
-    if fte_block is not None:
-        for key, kw in (("people", "fte_people"), ("years", "fte_years"),
-                        ("fte_per_person_year", "fte_rate")):
-            if fte_block.has(key):
-                value = fte_block.integer(key)
-                if value is not None:
-                    kwargs[kw] = value
-        fte_block.close()
-
-    block.close()
-    settings = _build(block, ProgramSettings, kwargs)
-    return settings if settings is not None else ProgramSettings()
-
-
-def _parse_phase_map(block: _Block, key: str, default: dict, *,
-                     integer: bool) -> dict:
-    sub = block.obj(key)
-    if sub is None:
-        return dict(default)
+def _parse_phase_map(block: _Block, key: str, default: dict, hint) -> dict:
     result = dict(default)
-    for phase in sorted(list(sub._data)):
+    sub = block.obj(key)
+    for phase in sorted(sub.data):
         if phase not in _PHASE_NAMES:
             sub.err(f"unknown phase {phase!r} (known: {', '.join(_PHASE_NAMES)})",
                     phase)
-            sub.raw(phase)
             continue
-        value = sub.integer(phase) if integer else sub.number(phase)
+        value = sub.read(phase, hint)
         if value is None:
             continue
         if value < 0:
             sub.err(f"must be nonnegative, got {value}", phase)
-            continue
-        if not integer and value > 1.0:
+        elif hint is float and value > 1.0:
             sub.err(f"must be in [0, 1], got {value}", phase)
-            continue
-        result[phase] = value
-    sub.close()
-    return result
-
-
-def _parse_mission(block: _Block | None) -> MissionSettings:
-    if block is None:
-        return MissionSettings()
-    kwargs: dict = {}
-
-    raw_events = block.array("events")
-    if raw_events is not None:
-        events = []
-        for i, item in enumerate(raw_events):
-            path = f"{block.path}.events[{i}]"
-            if not isinstance(item, str):
-                block.errors.append((path, f"expected an event name, got {item!r}"))
-                continue
-            try:
-                events.append(mission_event_from(item))
-            except ValueError as exc:
-                block.errors.append((path, str(exc)))
-        kwargs["events"] = tuple(events)
-
-    kwargs["sols_per_phase"] = _parse_phase_map(block, "sols_per_phase",
-                                                _default_sols(), integer=True)
-    kwargs["cave_fraction"] = _parse_phase_map(block, "cave_fraction",
-                                               _default_cave_fraction(),
-                                               integer=False)
-
-    if block.has("seed"):
-        seed = block.integer("seed")
-        if seed is not None:
-            if seed < 0:
-                block.err(f"seed must be nonnegative, got {seed}", "seed")
-            else:
-                kwargs["seed"] = seed
-
-    if block.has("germination"):
-        raw = block.raw("germination")
-        if raw is None:
-            kwargs["germination"] = None
-        elif not isinstance(raw, dict):
-            block.err(f"expected an object or null, got {raw!r}", "germination")
         else:
-            g_block = _Block(raw, f"{block.path}.germination", block.errors)
-            g_kwargs: dict = {}
-            if g_block.has("n_seeds"):
-                n = g_block.integer("n_seeds")
-                if n is not None:
-                    if n < 0:
-                        g_block.err(f"n_seeds must be nonnegative, got {n}",
-                                    "n_seeds")
-                    else:
-                        g_kwargs["n_seeds"] = n
-            if g_block.has("p_germinate"):
-                p = g_block.number("p_germinate")
-                if p is not None:
-                    if not 0.0 <= p <= 1.0:
-                        g_block.err(f"p_germinate must be in [0, 1], got {p}",
-                                    "p_germinate")
-                    else:
-                        g_kwargs["p_germinate"] = p
-            g_block.close()
-            germination = _build(g_block, GerminationSettings, g_kwargs)
-            if germination is not None:
-                kwargs["germination"] = germination
-
-    block.close()
-    settings = _build(block, MissionSettings, kwargs)
-    return settings if settings is not None else MissionSettings()
+            result[phase] = value
+    sub.data.clear()
+    return result
 
 
 def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
@@ -833,43 +479,33 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
         raise ConfigError([("config", "top level must be a JSON object")])
     errors: list = []
     top = _Block(raw, "config", errors)
+    given = _parse_env(top)
+    given["winch"] = top.read("winch", WinchSpec, MissionConfig.winch)
+    given["exploration"] = _parse_exploration(top.obj("exploration"),
+                                              given["winch"], base_dir)
+    mission = top.obj("mission")
+    given["mission"] = _parse_dataclass(mission, MissionSettings, {
+        "sols_per_phase": _parse_phase_map(mission, "sols_per_phase",
+                                           _default_sols(), int),
+        "cave_fraction": _parse_phase_map(mission, "cave_fraction",
+                                          _default_cave_fraction(), float)})
+    config = _parse_dataclass(top, MissionConfig, given)
 
-    env_preset, env_overrides, env = _parse_env(top.obj("env"))
-    balloon = _parse_balloon(top.obj("balloon"))
-    winch = _parse_winch(top.obj("winch"))
-    enclosure = _parse_enclosure(top.obj("enclosure"))
-    avionics = _parse_avionics(top.obj("avionics"))
-    battery, timestep_s, sources, loads = _parse_power(top.obj("power"))
-    exploration = _parse_exploration(top.obj("exploration"), winch, base_dir)
-    program = _parse_program(top.obj("program"))
-    mission = _parse_mission(top.obj("mission"))
-    top.close()
-
-    if timestep_s is not None and timestep_s > 0 and env is not None:
-        steps = env.sol_length_s / timestep_s
-        if abs(steps - round(steps)) > 1e-9 or round(steps) == 0:
-            errors.append(("config.power.timestep_s",
-                           f"timestep {timestep_s} s does not divide the "
-                           f"{env.sol_length_s:.0f} s sol evenly"))
-
+    sol_s, timestep = config.env.sol_length_s, config.timestep_s
+    steps = sol_s / timestep if timestep > 0 else 0.0
+    if abs(steps - round(steps)) > 1e-9 or round(steps) == 0:
+        errors.append(("config.power.timestep_s",
+                       f"timestep {timestep} s does not divide the "
+                       f"{sol_s:.0f} s sol evenly"))
+    for i, tagged in enumerate(config.loads):
+        window = tagged.load.window
+        if window is not None and window[1] > sol_s:
+            errors.append((f"config.power.loads[{i}].window_s",
+                           f"window {list(window)} ends past the "
+                           f"{sol_s:.0f} s sol"))
     if errors:
         raise ConfigError(errors)
-    return MissionConfig(
-        env_preset=env_preset,
-        env_overrides=env_overrides,
-        env=env,
-        balloon=balloon,
-        winch=winch,
-        enclosure=enclosure,
-        avionics=avionics,
-        battery=battery,
-        timestep_s=timestep_s,
-        sources=sources,
-        loads=loads,
-        exploration=exploration,
-        program=program,
-        mission=mission,
-    )
+    return config
 
 
 def _read_json(path: Path):
@@ -900,63 +536,10 @@ def load_config(path) -> MissionConfig:
 def to_echo_dict(config: MissionConfig) -> dict:
     """Normalized configuration echo for reports. The full WBS tree is
     echoed by the program section; here it appears as its rollup."""
-    from tubescout.program import rollup_cost
-
-    return {
-        "env": {"preset": config.env_preset,
-                "overrides": dict(config.env_overrides)},
-        "balloon": dataclasses.asdict(config.balloon)
-        | {"area_model": config.balloon.area_model.value},
-        "winch": dataclasses.asdict(config.winch),
-        "enclosure": dataclasses.asdict(config.enclosure),
-        "avionics": dataclasses.asdict(config.avionics),
-        "power": {
-            "battery": dataclasses.asdict(config.battery),
-            "timestep_s": config.timestep_s,
-            "sources": [dataclasses.asdict(s) | {"kind": s.kind.value}
-                        for s in config.sources],
-            "loads": [{
-                "name": t.load.name,
-                "power_w": t.load.power_w,
-                "window_s": list(t.load.window) if t.load.window else None,
-                "priority": t.load.priority,
-                "sheddable": t.load.sheddable,
-                "phases": list(t.phases) if t.phases is not None else None,
-            } for t in config.loads],
-        },
-        "exploration": {
-            "map_file": config.exploration.map_file,
-            "generator": dataclasses.asdict(config.exploration.generator),
-            "robot_count": config.exploration.robot_count,
-            "robot_overrides": dict(config.exploration.robot_overrides),
-            "max_steps": config.exploration.max_steps,
-            "sample_sites": [{"cell": list(s.cell), "mass_kg": s.mass_kg}
-                             for s in config.exploration.sample_sites],
-            "station": {
-                "charge_time_s": config.exploration.station.charge_time_s,
-                "descents": config.exploration.station.descents,
-                "use_winch": config.exploration.station.winch is not None,
-                "final_drop_m": config.exploration.final_drop_m,
-            },
-        },
-        "program": {
-            "payloads": [dataclasses.asdict(p) for p in config.program.payloads],
-            "limits": dataclasses.asdict(config.program.limits),
-            "wbs_total_usd": rollup_cost(config.program.wbs),
-            "phases": [{"code": p.code.value, "start_year": p.start_year}
-                       for p in config.program.phases],
-            "launch_year": config.program.launch_year,
-            "deadline_year": config.program.deadline_year,
-            "fte": {"people": config.program.fte_people,
-                    "years": config.program.fte_years,
-                    "fte_per_person_year": config.program.fte_rate},
-        },
-        "mission": {
-            "events": [e.value for e in config.mission.events],
-            "sols_per_phase": dict(config.mission.sols_per_phase),
-            "cave_fraction": dict(config.mission.cave_fraction),
-            "seed": config.mission.seed,
-            "germination": (dataclasses.asdict(config.mission.germination)
-                            if config.mission.germination is not None else None),
-        },
-    }
+    out = echo(config, omit=("env", "program"))
+    station = out["exploration"]["station"]
+    station["use_winch"] = station.pop("winch") is not None
+    station["final_drop_m"] = out["exploration"].pop("final_drop_m")
+    out["program"] = echo(config.program, omit=("wbs",))
+    out["program"]["wbs_total_usd"] = rollup_cost(config.program.wbs)
+    return out

@@ -11,23 +11,30 @@ report dictionary. Identical config and seed give identical reports.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from tubescout.energy import PowerSource, SourceKind, simulate_sol
 from tubescout.env import cumulative_dose
 from tubescout.report import (
     Finding,
-    _load_dict,
     aerostat_section,
+    echo,
     env_section,
     exploration_section,
+    power_inputs,
     program_section,
     thermal_section,
     winch_section,
 )
 from tubescout.rng import GERMINATION_STREAM, Rng, derive_seed
-from tubescout.tube_explorer import generate_tube, make_fleet, read_map_file, run_exploration
+from tubescout.tube_explorer import (
+    ExplorationReport,
+    generate_tube,
+    make_fleet,
+    read_map_file,
+    run_exploration,
+)
 
 if TYPE_CHECKING:
     from tubescout.config import MissionConfig
@@ -133,6 +140,29 @@ def germination_trial(n_seeds: int, p_germinate: float, seed: int) -> Germinatio
                             seed=seed, germinated=germinated)
 
 
+def explore_tube(config: "MissionConfig", seed: int,
+                 index: int) -> tuple[dict, list[Finding], ExplorationReport]:
+    """Survey tube ``index``: the configured map file, or else a tube
+    generated from ``derive_seed(seed, index)``. Returns the exploration
+    section (with its ``tube_seed``), its findings and the raw result."""
+    exp = config.exploration
+    if exp.map_file is not None:
+        grid = read_map_file(exp.map_file)
+        tube_seed = None
+    else:
+        gen = exp.generator
+        tube_seed = derive_seed(seed, index)
+        grid = generate_tube(tube_seed, gen.width, gen.height,
+                             gen.obstacle_density, gen.resolution_m)
+    robots = make_fleet(grid, exp.robot_count, **exp.robot_overrides)
+    result = run_exploration(grid, robots, station=exp.station,
+                             max_steps=exp.max_steps, env=config.env,
+                             sample_sites=exp.sample_sites)
+    section, findings = exploration_section(result, grid)
+    section["tube_seed"] = tube_seed
+    return section, findings, result
+
+
 def run_mission(config: "MissionConfig", seed_override: int | None = None) -> dict:
     """Execute the scripted mission and return the consolidated report.
 
@@ -196,27 +226,6 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             battery = replace(battery, initial_soc_wh=carried)
             state = replace(state, sol=state.sol + 1)
 
-    def explore_tube(index: int) -> float:
-        exp = config.exploration
-        if exp.map_file is not None:
-            grid = read_map_file(exp.map_file)
-            tube_seed = None
-        else:
-            gen = exp.generator
-            tube_seed = derive_seed(seed, index)
-            grid = generate_tube(tube_seed, gen.width, gen.height,
-                                 gen.obstacle_density, gen.resolution_m)
-        robots = make_fleet(grid, exp.robot_count, **exp.robot_overrides)
-        result = run_exploration(grid, robots, station=exp.station,
-                                 max_steps=exp.max_steps, env=env,
-                                 sample_sites=exp.sample_sites)
-        section, exp_findings = exploration_section(result, grid)
-        section["tube_index"] = index
-        section["tube_seed"] = tube_seed
-        tube_sections.append(section)
-        findings.extend(exp_findings)
-        return result.energy_regen_wh
-
     simulate_segment(MissionPhase.INITIAL)
     for position, event in enumerate(settings.events, start=1):
         try:
@@ -225,9 +234,13 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             raise IllegalTransition(
                 f"mission event {position} of {len(settings.events)}: {exc}") from exc
         if event is MissionEvent.TUBE_SURVEY_COMPLETE:
-            regen_wh = explore_tube(state.tubes_explored)
-            pending_regen_wh += regen_wh
-            total_regen_wh += regen_wh
+            section, tube_findings, result = explore_tube(
+                config, seed, state.tubes_explored)
+            section["tube_index"] = state.tubes_explored
+            tube_sections.append(section)
+            findings.extend(tube_findings)
+            pending_regen_wh += result.energy_regen_wh
+            total_regen_wh += result.energy_regen_wh
         state = advanced
         phase_log.append(state.phase)
         if (state.phase is MissionPhase.SETTLEMENT and germination is None
@@ -259,13 +272,8 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
     findings.extend(program_findings)
 
     energy_sec = {
-        "inputs": {
-            "battery": asdict(config.battery),
-            "sources": [asdict(s) | {"kind": s.kind.value} for s in config.sources],
-            "loads": [_load_dict(t.load) | {"phases": list(t.phases) if t.phases else None}
-                      for t in config.loads],
-            "timestep_s": config.timestep_s,
-        },
+        "inputs": power_inputs(config.battery, config.sources, config.loads,
+                               config.timestep_s),
         "winch": winch_section(config.winch, env),
         "total_regen_credited_wh": total_regen_wh,
         "infeasible_sols": list(infeasible_sols),
@@ -278,7 +286,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
         "tubes_explored": state.tubes_explored,
         "sols_simulated": state.sol,
         "total_dose_msv": total_dose_msv,
-        "germination": asdict(germination) if germination is not None else None,
+        "germination": echo(germination),
         "sol_log": sol_log,
     }
     return {

@@ -12,6 +12,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import NewType
+
+#: Whole US dollars. A config file may give one as a money string too.
+Money = NewType("Money", int)
 
 
 @dataclass(frozen=True)
@@ -22,7 +26,7 @@ class PayloadSpec:
     mass_kg: float
     volume_m3: float
     power_w: float
-    wbs_cost_usd: int
+    wbs_cost_usd: Money
 
     def __post_init__(self):
         if not self.name:
@@ -57,10 +61,6 @@ DEFAULT_PAYLOADS = (
     PayloadSpec("winch", mass_kg=17.0, volume_m3=0.0063, power_w=1700.0,
                 wbs_cost_usd=700),
 )
-
-#: RTG generator unit mass (not a payload; rides with the platform).
-RTG_UNIT_MASS_KG = 45.0
-
 
 @dataclass(frozen=True)
 class BudgetLimits:
@@ -118,7 +118,7 @@ class WbsNode:
 
     name: str
     level: int
-    cost_usd: int | None = None
+    cost_usd: Money | None = None
     children: tuple["WbsNode", ...] = ()
     note: str | None = None
 

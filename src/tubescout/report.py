@@ -8,17 +8,13 @@ byte-identical output.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from tubescout.aerostat import (
-    AreaModel,
-    BalloonConfig,
-    BuoyancyResult,
-    buoyancy_margin,
-    gas_density_for,
-)
+from tubescout.aerostat import AreaModel, BalloonConfig, buoyancy_margin, gas_density_for
 from tubescout.energy import (
     Battery,
     PowerLoad,
@@ -30,7 +26,7 @@ from tubescout.energy import (
     winch_power,
     winch_regen_energy,
 )
-from tubescout.env import MarsEnvironment, cumulative_dose
+from tubescout.env import MarsEnvironment
 from tubescout.program import (
     BudgetLimits,
     LifecyclePhase,
@@ -84,6 +80,50 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+#: JSON keys that differ from field names, by class name. A dotted key
+#: nests the field in a sub-object; an empty key inlines the field's own
+#: object into its parent. Config parsing and ``echo`` both read this.
+JSON_KEYS = {
+    "PowerLoad": {"window": "window_s"},
+    "TaggedLoad": {"load": ""},
+    "ProgramSettings": {"fte_people": "fte.people", "fte_years": "fte.years",
+                        "fte_rate": "fte.fte_per_person_year"},
+    "MissionConfig": {"env_preset": "env.preset", "env_overrides": "env.overrides",
+                      "battery": "power.battery", "timestep_s": "power.timestep_s",
+                      "sources": "power.sources", "loads": "power.loads"},
+}
+
+
+@functools.cache
+def json_fields(cls) -> tuple:
+    """(field name, JSON group, JSON key) for each field of a dataclass."""
+    keys = JSON_KEYS.get(cls.__name__, {})
+    return tuple((f.name, *keys.get(f.name, f.name).rpartition(".")[::2])
+                 for f in dataclasses.fields(cls))
+
+
+def echo(obj, omit=()):
+    """The JSON form of a model value, keyed as in a config file:
+    dataclasses become objects and tuples arrays. Enums are left for
+    ``dump_json`` to convert. ``omit`` names top-level fields to leave out."""
+    if isinstance(obj, (tuple, list)):
+        return [echo(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: echo(v) for k, v in obj.items()}
+    if not hasattr(obj, "__dataclass_fields__"):
+        return obj
+    out: dict = {}
+    for name, group, key in json_fields(type(obj)):
+        if name in omit:
+            continue
+        value = echo(getattr(obj, name))
+        if not key:
+            out.update(value)
+        else:
+            (out.setdefault(group, {}) if group else out)[key] = value
+    return out
+
+
 def dump_json(payload) -> str:
     """Canonical report serialization: sorted keys, two-space indent,
     trailing newline, numpy scalars and enums coerced to plain JSON."""
@@ -92,16 +132,10 @@ def dump_json(payload) -> str:
 
 
 def env_section(env: MarsEnvironment) -> dict:
-    section = asdict(env)
+    section = echo(env)
     section["day_duration_s"] = env.day_duration_s
     section["night_start_s"] = env.night_start_s
     return section
-
-
-def _buoyancy_dict(result: BuoyancyResult) -> dict:
-    d = asdict(result)
-    d["area_model"] = result.area_model.value
-    return d
 
 
 def aerostat_section(balloon: BalloonConfig, env: MarsEnvironment) -> tuple[dict, list[Finding]]:
@@ -116,10 +150,10 @@ def aerostat_section(balloon: BalloonConfig, env: MarsEnvironment) -> tuple[dict
                 for model in AreaModel}
     configured = by_model[balloon.area_model.value]
     section = {
-        "inputs": _balloon_echo(balloon),
+        "inputs": echo(balloon),
         "ambient_density_kg_m3": env.ambient_density,
         "gas_density_kg_m3": gas_density_for(balloon, env),
-        "by_area_model": {name: _buoyancy_dict(r) for name, r in by_model.items()},
+        "by_area_model": echo(by_model),
         "area_model": balloon.area_model.value,
         "buoyant": configured.buoyant,
         "net_force_n": configured.net_force_n,
@@ -148,16 +182,10 @@ def aerostat_section(balloon: BalloonConfig, env: MarsEnvironment) -> tuple[dict
     return section, findings
 
 
-def _balloon_echo(balloon: BalloonConfig) -> dict:
-    echo = asdict(balloon)
-    echo["area_model"] = balloon.area_model.value
-    return echo
-
-
 def winch_section(winch: WinchSpec, env: MarsEnvironment) -> dict:
     power = winch_power(winch, env)
     return {
-        "inputs": asdict(winch),
+        "inputs": echo(winch),
         "raw_kw": power.raw_kw,
         "with_margin_kw": power.with_margin_kw,
         "regen_wh_per_descent": winch_regen_energy(winch, env),
@@ -173,11 +201,11 @@ def thermal_section(enclosure: GlazedEnclosure, envelope: AvionicsEnvelope,
     night_load = greenhouse_night_load(enclosure, env)
     check = avionics_envelope_check(env, envelope, heater_on=heater_on)
     section = {
-        "inputs": {"enclosure": asdict(enclosure), "avionics": asdict(envelope),
+        "inputs": {"enclosure": echo(enclosure), "avionics": echo(envelope),
                    "heater_on": heater_on},
         "trough_heat_loss_w": heat_loss(enclosure, env.night_low_c),
         "night_energy_kwh": night_heating_energy(enclosure, env),
-        "night_load": _load_dict(night_load),
+        "night_load": echo(night_load),
         "avionics": {
             "ok": check.ok,
             "worst_margin_c": check.worst_margin_c,
@@ -198,17 +226,12 @@ def thermal_section(enclosure: GlazedEnclosure, envelope: AvionicsEnvelope,
     return section, findings
 
 
-def _load_dict(load: PowerLoad) -> dict:
-    d = asdict(load)
-    d["window_s"] = list(load.window) if load.window is not None else None
-    del d["window"]
-    return d
-
-
-def _source_dict(source: PowerSource) -> dict:
-    d = asdict(source)
-    d["kind"] = source.kind.value
-    return d
+def power_inputs(battery: Battery, sources: tuple, loads: tuple,
+                 timestep_s: float) -> dict:
+    """The ``inputs`` echo of a power run. Loads tagged with mission
+    phases echo their phases too."""
+    return {"battery": echo(battery), "sources": echo(sources),
+            "loads": echo(loads), "timestep_s": timestep_s}
 
 
 def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...],
@@ -222,12 +245,7 @@ def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...]
     hard_names = {l.name for l in loads if not l.sheddable}
     hard_violations = [v for v in trace.violations if v.unmet_load_name in hard_names]
     section = {
-        "inputs": {
-            "battery": asdict(battery),
-            "sources": [_source_dict(s) for s in sources],
-            "loads": [_load_dict(l) for l in loads],
-            "timestep_s": timestep_s,
-        },
+        "inputs": power_inputs(battery, sources, loads, timestep_s),
         "final_soc_wh": trace.final_soc_wh,
         "total_shed_wh": trace.total_shed_wh,
         "violation_count": len(trace.violations),
@@ -273,7 +291,7 @@ def exploration_section(report: ExplorationReport,
         "coverage_fraction": report.coverage_fraction,
         "samples_delivered": report.samples_delivered,
         "energy_regen_wh": report.energy_regen_wh,
-        "per_robot": [asdict(s) for s in report.per_robot_stats],
+        "per_robot": echo(report.per_robot_stats),
     }
     findings = []
     if report.coverage_fraction < 1.0:
@@ -286,15 +304,6 @@ def exploration_section(report: ExplorationReport,
                   "steps": report.steps},
         ))
     return section, findings
-
-
-def radiation_section(env: MarsEnvironment, cave_fraction: float) -> dict:
-    return {
-        "inputs": {"dose_surface_msv": env.dose_surface_msv,
-                   "dose_cave_msv": env.dose_cave_msv,
-                   "cave_fraction": cave_fraction},
-        "dose_per_period_msv": cumulative_dose(env, cave_fraction, 1.0),
-    }
 
 
 def _wbs_dict(node: WbsNode) -> dict:
@@ -313,8 +322,7 @@ def budget_section(payloads: tuple[PayloadSpec, ...],
                    limits: BudgetLimits) -> tuple[dict, list[Finding]]:
     result = rollup_budget(payloads, limits)
     section = {
-        "inputs": {"payloads": [asdict(p) for p in payloads],
-                   "limits": asdict(limits)},
+        "inputs": {"payloads": echo(payloads), "limits": echo(limits)},
         "total_mass_kg": result.total_mass_kg,
         "total_volume_m3": result.total_volume_m3,
         "peak_power_w": result.peak_power_w,
@@ -347,8 +355,7 @@ def schedule_section(phases: tuple[LifecyclePhase, ...], launch_year: int,
     check = validate_schedule(phases, launch_year, deadline_year)
     section = {
         "inputs": {
-            "phases": [{"code": p.code.value, "start_year": p.start_year}
-                       for p in phases],
+            "phases": echo(phases),
             "launch_year": launch_year,
             "deadline_year": deadline_year,
         },

@@ -237,9 +237,8 @@ DOUBLE_BATTERY_S = 10.0 * 3600.0
 class ScoutRobot:
     """A modular scout. One module is the head; each of the other
     ``module_count - 1`` aux modules can hold one sample of up to
-    ``aux_capacity_kg``. Drop tolerance and obstacle clearance are
-    capability metadata checked against scenario parameters, not
-    simulated physics."""
+    ``aux_capacity_kg``. Drop tolerance is capability metadata checked
+    against the station's final drop, not simulated physics."""
 
     id: str
     module_count: int = 3
@@ -250,10 +249,8 @@ class ScoutRobot:
     battery_s: float | None = None
     speed_mps: float = 1.7
     aux_capacity_kg: float = 6.0
-    aux_capacity_l: float = 5.0
     reserve_factor: float = 1.2
     drop_tolerance_m: float = 1.5
-    max_obstacle_mm: float = 400.0
     target: tuple[int, int] | None = None
 
     def __post_init__(self):
@@ -272,8 +269,9 @@ class ScoutRobot:
                 f"battery_s must be in [0, {self.battery_full_s}], got {self.battery_s}")
         if self.speed_mps <= 0:
             raise ValueError(f"speed_mps must be positive, got {self.speed_mps}")
-        if self.aux_capacity_kg <= 0 or self.aux_capacity_l <= 0:
-            raise ValueError("aux module capacities must be positive")
+        if self.aux_capacity_kg <= 0:
+            raise ValueError(
+                f"aux_capacity_kg must be positive, got {self.aux_capacity_kg}")
         if self.reserve_factor < 1.0:
             raise ValueError(
                 f"reserve_factor must be >= 1, got {self.reserve_factor}")

@@ -1,6 +1,7 @@
 """Tests for scenario-config loading/validation and the command line."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -424,3 +425,94 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "report.json" in captured
         assert "finding[infeasible]" in captured
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestInputValidation:
+    def test_readme_example_config_parses(self):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        raw = json.loads(re.sub(r"//[^\n]*", "", block))
+        # The example shows both tube sources; they are mutually exclusive.
+        del raw["exploration"]["generator"]
+        config = parse_config(raw, base_dir=SCENARIOS)
+        assert config.program.limits.payload_mass_limit_kg == 1000.0
+        assert config.program.fte_rate == 220
+        assert config.exploration.robot_overrides == {"speed_mps": 1.7}
+
+    @pytest.mark.parametrize("payload, path, shown", [
+        ({"winch": {"payload_mass_kg": float("nan")}},
+         "config.winch.payload_mass_kg", "nan"),
+        ({"env": {"overrides": {"gravity": float("nan")}}},
+         "config.env.overrides.gravity", "nan"),
+        ({"enclosure": {"glazed_area_m2": float("inf")}},
+         "config.enclosure.glazed_area_m2", "inf"),
+        ({"power": {"loads": [{"name": "x", "power_w": 1.0,
+                               "window_s": [0.0, float("-inf")]}]}},
+         "config.power.loads[0].window_s[1]", "-inf"),
+    ])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, payload, path,
+                                       shown):
+        config = write_config(tmp_path, payload)
+        assert run_cli("winch", "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert (f"error: {path}: expected a finite number, got {shown}"
+                in capsys.readouterr().err)
+
+    def test_load_window_past_sol_reported_at_its_path(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config({"power": {"loads": [
+                {"name": "a", "power_w": 1.0, "window_s": [0.0, 100.0]},
+                {"name": "b", "power_w": 1.0, "window_s": [44375.0, 90000.0]}]}})
+        assert error_paths(exc_info) == ["config.power.loads[1].window_s"]
+
+    def test_nonpositive_timestep_rejected(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config({"power": {"timestep_s": -25.0}})
+        assert "config.power.timestep_s" in error_paths(exc_info)
+
+    @pytest.mark.parametrize("command", ["explore", "mission"])
+    @pytest.mark.parametrize("cell", [[-1, 0], [50, 50], [0, 8]])
+    def test_sample_site_outside_map_exits_2(self, tmp_path, capsys, command,
+                                             cell):
+        config = write_config(tmp_path, {"exploration": {
+            "generator": {"width": 8, "height": 8},
+            "sample_sites": [{"cell": [1, 1], "mass_kg": 1.0},
+                             {"cell": cell, "mass_kg": 1.0}]}})
+        assert run_cli(command, "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"error: config.exploration.sample_sites[1]: cell {cell}" in err
+
+    def test_sample_site_checked_against_map_file(self, tmp_path):
+        from tubescout.tube_explorer import generate_tube, write_map_file
+        write_map_file(tmp_path / "t.map", generate_tube(3, 6, 4))
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config({"exploration": {"map_file": "t.map", "sample_sites": [
+                {"cell": [5, 0], "mass_kg": 1.0}]}}, base_dir=tmp_path)
+        assert exc_info.value.errors == [(
+            "config.exploration.sample_sites[0]",
+            "cell [5, 0] is outside the 6x4 map")]
+
+    @pytest.mark.parametrize("key", ["aux_capacity_l", "max_obstacle_mm"])
+    def test_unsimulated_robot_keys_rejected(self, key):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config({"exploration": {"robots": {key: 1.0}}})
+        assert error_paths(exc_info) == [f"config.exploration.robots.{key}"]
+
+    def test_missing_required_key_named(self):
+        with pytest.raises(ConfigError, match="missing required key 'mass_kg'"):
+            parse_config({"program": {"payloads": [
+                {"name": "box", "volume_m3": 0.1, "power_w": 5.0,
+                 "wbs_cost_usd": 100}]}})
+
+    def test_empty_phase_list_echoed_the_same_everywhere(self, tmp_path):
+        config = write_config(tmp_path, {"power": {"loads": [
+            {"name": "idle", "power_w": 5.0, "phases": []}]}})
+        out = tmp_path / "out"
+        assert run_cli("mission", "--config", config, "--out", str(out)) == 0
+        report = read_report(out)
+        assert report["config"]["power"]["loads"][0]["phases"] == []
+        assert report["energy"]["inputs"]["loads"][0]["phases"] == []
