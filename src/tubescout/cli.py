@@ -9,6 +9,7 @@ directory. Exit status: 0 on success, 1 when ``--strict`` is set and an
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -47,7 +48,11 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parser is a web
+    of reference cycles, so a fresh one per ``main`` call would leave tens
+    of kilobytes for the cycle collector. Callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="tubescout",
         description=("Desk-scale engineering models and simulators for a "

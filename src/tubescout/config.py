@@ -53,7 +53,13 @@ from tubescout.program import (
 )
 from tubescout.report import echo, json_fields
 from tubescout.thermal import REFERENCE_GREENHOUSE, AvionicsEnvelope, GlazedEnclosure
-from tubescout.tube_explorer import SampleSite, ScoutRobot, Station, read_map_file
+from tubescout.tube_explorer import (
+    OBSTACLE,
+    SampleSite,
+    ScoutRobot,
+    Station,
+    read_map_file,
+)
 
 
 class ConfigError(Exception):
@@ -149,6 +155,11 @@ class GerminationSettings:
         if not 0.0 <= self.p_germinate <= 1.0:
             raise ValueError(
                 f"p_germinate must be in [0, 1], got {self.p_germinate}")
+
+
+#: Upper bound on ``mission.sols_per_phase`` values: a Martian year is 669
+#: sols, and every sol is a full power simulation of about 10 ms.
+MAX_SOLS_PER_PHASE = 1000
 
 
 def _default_sols() -> dict:
@@ -429,15 +440,21 @@ def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
         "station": station, "final_drop_m": final_drop})
     if settings is _INVALID or not settings.sample_sites:
         return settings
-    try:
-        height, width = (read_map_file(map_file).cells.shape if map_file else
-                         (settings.generator.height, settings.generator.width))
-    except (OSError, ValueError):
-        return settings  # an unreadable map fails the survey itself
+    cells = None
+    if map_file:
+        try:
+            cells = read_map_file(map_file).cells
+        except (OSError, ValueError):
+            return settings  # an unreadable map fails the survey itself
+    height, width = (cells.shape if cells is not None else
+                     (settings.generator.height, settings.generator.width))
     for i, site in enumerate(settings.sample_sites):
         row, col = site.cell
         if not (0 <= row < height and 0 <= col < width):
             block.err(f"cell {list(site.cell)} is outside the {width}x{height} map",
+                      f"sample_sites[{i}]")
+        elif cells is not None and cells[row, col] == OBSTACLE:
+            block.err(f"cell {list(site.cell)} is an obstacle in the map",
                       f"sample_sites[{i}]")
     return settings
 
@@ -451,7 +468,8 @@ def parse_wbs_file(path) -> WbsNode:
     return wbs
 
 
-def _parse_phase_map(block: _Block, key: str, default: dict, hint) -> dict:
+def _parse_phase_map(block: _Block, key: str, default: dict, hint,
+                     upper) -> dict:
     result = dict(default)
     sub = block.obj(key)
     for phase in sorted(sub.data):
@@ -464,8 +482,8 @@ def _parse_phase_map(block: _Block, key: str, default: dict, hint) -> dict:
             continue
         if value < 0:
             sub.err(f"must be nonnegative, got {value}", phase)
-        elif hint is float and value > 1.0:
-            sub.err(f"must be in [0, 1], got {value}", phase)
+        elif value > upper:
+            sub.err(f"must be in [0, {upper}], got {value}", phase)
         else:
             result[phase] = value
     sub.data.clear()
@@ -486,9 +504,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
     mission = top.obj("mission")
     given["mission"] = _parse_dataclass(mission, MissionSettings, {
         "sols_per_phase": _parse_phase_map(mission, "sols_per_phase",
-                                           _default_sols(), int),
+                                           _default_sols(), int,
+                                           MAX_SOLS_PER_PHASE),
         "cave_fraction": _parse_phase_map(mission, "cave_fraction",
-                                          _default_cave_fraction(), float)})
+                                          _default_cave_fraction(), float, 1)})
     config = _parse_dataclass(top, MissionConfig, given)
 
     sol_s, timestep = config.env.sol_length_s, config.timestep_s
@@ -497,6 +516,15 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
         errors.append(("config.power.timestep_s",
                        f"timestep {timestep} s does not divide the "
                        f"{sol_s:.0f} s sol evenly"))
+    for key, items in (("sources", config.sources),
+                       ("loads", [t.load for t in config.loads])):
+        first: dict = {}
+        for i, item in enumerate(items):
+            j = first.setdefault(item.name, i)
+            if j != i:
+                errors.append((f"config.power.{key}[{i}].name",
+                               f"duplicate name {item.name!r} "
+                               f"(also {key}[{j}])"))
     for i, tagged in enumerate(config.loads):
         window = tagged.load.window
         if window is not None and window[1] > sol_s:

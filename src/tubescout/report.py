@@ -303,6 +303,13 @@ def exploration_section(report: ExplorationReport,
             data={"coverage_fraction": report.coverage_fraction,
                   "steps": report.steps},
         ))
+    for index, reason in report.undeliverable_sites:
+        findings.append(Finding(
+            kind="infeasible",
+            module="tube_explorer",
+            message=f"sample site {index} cannot be delivered: {reason}",
+            data={"config_path": f"config.exploration.sample_sites[{index}]"},
+        ))
     return section, findings
 
 

@@ -16,8 +16,10 @@ lexicographic rules.
 from __future__ import annotations
 
 import enum
+import heapq
+from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,11 +33,6 @@ ENTRANCE = 2
 
 _CELL_CHARS = {FREE: ".", OBSTACLE: "#", ENTRANCE: "E"}
 _CHAR_CELLS = {v: k for k, v in _CELL_CHARS.items()}
-
-#: Neighbor visit order (N, W, E, S): scans lower rows and columns first
-#: so path and target ties resolve toward the lowest (row, col).
-_DIRECTIONS = ((-1, 0), (0, -1), (0, 1), (1, 0))
-
 
 class MapError(ValueError):
     """Raised for malformed map text or degenerate map parameters."""
@@ -154,23 +151,43 @@ def write_map_file(path, grid: GridMap) -> None:
         fh.write(grid_to_text(grid))
 
 
-def bfs_distances(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
-    """4-connected BFS hop counts over True cells; -1 where unreachable."""
+def _padded(mask: np.ndarray) -> bytearray:
+    """A boolean grid as a row-major bytearray inside a one-cell clear border."""
     h, w = mask.shape
-    dist = np.full((h, w), -1, dtype=np.int32)
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    return bytearray(padded.tobytes())
+
+
+def _flat_bfs(mask: bytearray, start: int, offsets: tuple[int, ...]) -> array:
+    """Hop counts from ``start`` over the set cells of a padded flat mask,
+    -1 where unreachable. The clear border makes bounds checks needless."""
+    dist = array("i", [-1]) * len(mask)
     if not mask[start]:
         return dist
     dist[start] = 0
     queue = deque([start])
     while queue:
-        r, c = queue.popleft()
-        d = dist[r, c] + 1
-        for dr, dc in _DIRECTIONS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and dist[nr, nc] < 0:
-                dist[nr, nc] = d
-                queue.append((nr, nc))
+        v = queue.popleft()
+        d = dist[v] + 1
+        for off in offsets:
+            n = v + off
+            if mask[n] and dist[n] < 0:
+                dist[n] = d
+                queue.append(n)
     return dist
+
+
+def bfs_distances(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
+    """4-connected BFS hop counts over True cells; -1 where unreachable."""
+    h, w = mask.shape
+    if not mask[start]:
+        return np.full((h, w), -1, dtype=np.int32)
+    stride = w + 2
+    flat = _flat_bfs(_padded(mask), (start[0] + 1) * stride + start[1] + 1,
+                     (-stride, -1, 1, stride))
+    return np.frombuffer(flat, dtype=np.intc).reshape(h + 2, stride)[
+        1:-1, 1:-1].astype(np.int32)
 
 
 def reachable_cells(grid: GridMap) -> np.ndarray:
@@ -186,16 +203,20 @@ def coverage_fraction(grid: GridMap) -> float:
     return done / total
 
 
-def frontier_mask(grid: GridMap) -> np.ndarray:
-    """Explored traversable cells with >= 1 unexplored traversable neighbor."""
-    open_unexplored = grid.traversable() & ~grid.explored
+def _frontier(traversable: np.ndarray, explored: np.ndarray) -> np.ndarray:
+    open_unexplored = traversable & ~explored
     h, w = open_unexplored.shape
     has_unexplored_neighbor = np.zeros((h, w), dtype=bool)
     has_unexplored_neighbor[1:, :] |= open_unexplored[:-1, :]
     has_unexplored_neighbor[:-1, :] |= open_unexplored[1:, :]
     has_unexplored_neighbor[:, 1:] |= open_unexplored[:, :-1]
     has_unexplored_neighbor[:, :-1] |= open_unexplored[:, 1:]
-    return grid.traversable() & grid.explored & has_unexplored_neighbor
+    return traversable & explored & has_unexplored_neighbor
+
+
+def frontier_mask(grid: GridMap) -> np.ndarray:
+    """Explored traversable cells with >= 1 unexplored traversable neighbor."""
+    return _frontier(grid.traversable(), grid.explored)
 
 
 class RobotState(enum.Enum):
@@ -369,10 +390,6 @@ class TubeWorld:
     ticks: int = 0
 
 
-def _tick_seconds(robot: ScoutRobot, grid: GridMap) -> float:
-    return grid.resolution_m / robot.speed_mps
-
-
 def _return_threshold_s(distance_cells: int, tick_s: float, factor: float) -> float:
     """Battery level at or below which a robot must head home.
 
@@ -384,40 +401,278 @@ def _return_threshold_s(distance_cells: int, tick_s: float, factor: float) -> fl
     return factor * (distance_cells + 1) * tick_s + tick_s
 
 
-def _step_toward(mask: np.ndarray, start: tuple[int, int],
-                 dist_to_goal: np.ndarray) -> tuple[int, int] | None:
-    """One cell along a shortest path, given hop counts to the goal."""
-    d = dist_to_goal[start]
-    if d <= 0:
-        return None
-    h, w = mask.shape
-    for dr, dc in _DIRECTIONS:
-        nr, nc = start[0] + dr, start[1] + dc
-        if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and dist_to_goal[nr, nc] == d - 1:
-            return nr, nc
-    return None
-
-
-def _sense(grid: GridMap, position: tuple[int, int]) -> None:
-    """Mark the cell and its traversable 4-neighbors explored in place."""
-    grid.explored[position] = True
-    h, w = grid.cells.shape
-    for dr, dc in _DIRECTIONS:
-        nr, nc = position[0] + dr, position[1] + dc
-        if 0 <= nr < h and 0 <= nc < w and grid.cells[nr, nc] != OBSTACLE:
-            grid.explored[nr, nc] = True
-
-
-def _try_collect(robot: ScoutRobot, sites: list[SampleSite]) -> tuple[ScoutRobot, list[SampleSite]]:
-    """Pick up a sample if the robot stands on an uncollected site."""
+def _try_collect(robot: ScoutRobot, sites: list[SampleSite]) -> ScoutRobot:
+    """Pick up a sample if the robot stands on an uncollected site, and
+    remove that site from ``sites``."""
     for i, site in enumerate(sites):
         if site.cell == robot.position:
             try:
                 robot = collect_sample(robot, site.mass_kg, origin=site.cell)
             except (CapacityExhausted, OverMass):
-                return robot, sites  # leave the site for a later visit
-            return robot, sites[:i] + sites[i + 1:]
-    return robot, sites
+                return robot  # leave the site for a later visit
+            del sites[i]
+            return robot
+    return robot
+
+
+class _Kernel:
+    """Flat-index state of one survey: the tick of ``step`` and
+    ``run_exploration`` alike.
+
+    Cells are indices into row-major bytearrays padded with a one-cell
+    border that is never open, so cell ``(r, c)`` is ``(r + 1) * W + c + 1``
+    for the row stride ``W = width + 2``, its N, W, E, S neighbours sit
+    at ``(-W, -1, +1, +W)`` with no bounds checks, and ordering indices
+    orders ``(row, col)``. A cell off the map is index 0, a border cell.
+
+    ``explored`` is the live sensed mask. ``known`` (explored open cells),
+    ``frontier`` and ``dist_home`` (hops from the entrance over ``known``,
+    -1 where unreachable) are the snapshot every robot plans on within a
+    tick; the cells sensed meanwhile join it at ``learn``. ``reach`` is
+    the entrance-connected open set, computed once, and ``covered``
+    counts its explored cells.
+    """
+
+    def __init__(self, grid: GridMap):
+        self.height, self.width = grid.cells.shape
+        self.stride = stride = self.width + 2
+        self.offsets = (-stride, -1, 1, stride)
+        self.resolution_m = grid.resolution_m
+        entrance = grid.entrance
+        self.entrance = self.index(entrance)
+        traversable = grid.traversable()
+        explored = grid.explored.copy()
+        explored[entrance] = True
+        self.open = _padded(traversable)
+        self.explored = _padded(explored)
+        self.known = _padded(traversable & explored)
+        self.frontier = _padded(_frontier(traversable, explored))
+        self.dist_home = _flat_bfs(self.known, self.entrance, self.offsets)
+        reach = np.frombuffer(_flat_bfs(self.open, self.entrance, self.offsets),
+                              dtype=np.intc) >= 0
+        self.reach = bytearray(reach.tobytes())
+        self.reachable = int(np.count_nonzero(reach))
+        self.covered = int(np.count_nonzero(
+            reach & np.frombuffer(self.known, dtype=bool)))
+        self.pending: list[int] = []
+
+    def index(self, cell: tuple[int, int]) -> int:
+        r, c = cell
+        if 0 <= r < self.height and 0 <= c < self.width:
+            return (r + 1) * self.stride + c + 1
+        return 0
+
+    def cell(self, v: int) -> tuple[int, int]:
+        r, c = divmod(v, self.stride)
+        return r - 1, c - 1
+
+    def explored_mask(self) -> np.ndarray:
+        padded = np.frombuffer(self.explored, dtype=bool).reshape(-1, self.stride)
+        return padded[1:-1, 1:-1].copy()
+
+    def locate(self, robots: list[ScoutRobot]) -> list[int]:
+        """Each robot's cell index.
+
+        Raises:
+            ValueError: for duplicate robot ids, or a robot off the map
+                or on an obstacle.
+        """
+        ids = [r.id for r in robots]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate robot ids in {ids}")
+        at = []
+        for robot in robots:
+            v = self.index(robot.position)
+            if not v:
+                raise ValueError(f"robot {robot.id} is off the map at {robot.position}")
+            if not self.open[v]:
+                raise ValueError(f"robot {robot.id} is on an obstacle at {robot.position}")
+            at.append(v)
+        return at
+
+    def sense(self, v: int) -> None:
+        """Mark cell ``v`` and its open neighbours explored."""
+        s, explored, open_ = self.stride, self.explored, self.open
+        for x in (v, v - s, v - 1, v + 1, v + s):
+            if open_[x] and not explored[x]:
+                explored[x] = 1
+                self.pending.append(x)
+
+    def learn(self) -> None:
+        """Add the cells sensed since the last call to the snapshot.
+
+        A cell's frontier flag can change only where it or a neighbour
+        was added. The known map only grows, so home distances only
+        shrink: the added cells take one hop more than their nearest
+        known neighbour, and a Dijkstra pass from them lowers the rest
+        (incremental shortest paths, Ramalingam and Reps 1996).
+        """
+        fresh, self.pending = self.pending, []
+        s, known, open_, dist = self.stride, self.known, self.open, self.dist_home
+        for v in fresh:
+            known[v] = 1
+            self.covered += self.reach[v]
+        for v in fresh:
+            for x in (v, v - s, v - 1, v + 1, v + s):
+                if known[x]:
+                    self.frontier[x] = (open_[x - s] > known[x - s]
+                                        or open_[x - 1] > known[x - 1]
+                                        or open_[x + 1] > known[x + 1]
+                                        or open_[x + s] > known[x + s])
+        heap = []
+        for v in fresh:
+            near = [d for d in (dist[v - s], dist[v - 1], dist[v + 1], dist[v + s])
+                    if d >= 0]
+            if near:
+                dist[v] = min(near) + 1
+                heap.append((dist[v], v))
+        heapq.heapify(heap)
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            d += 1
+            for n in (v - s, v - 1, v + 1, v + s):
+                if known[n] and not 0 <= dist[n] <= d:
+                    dist[n] = d
+                    heapq.heappush(heap, (d, n))
+
+    def nearest(self, start: int, claimed: set[int],
+                goals: set[int]) -> tuple[int, int] | None:
+        """The nearest unclaimed frontier or goal cell over ``known`` (the
+        lowest index among equals) and the first cell on the way to it.
+
+        The search goes level by level and stops at the first level that
+        holds a target. Each cell takes the first move of the cell that
+        reaches it first. The first level lists the moves in N, W, E, S
+        order and every level is expanded in list order, so each level
+        stays sorted by first move, and a cell's first move is the first,
+        in N, W, E, S order, of all moves that begin a shortest path to
+        it: the step a search back from the target would choose.
+        """
+        known, frontier, offsets = self.known, self.frontier, self.offsets
+        move = bytearray(len(known))  # first move + 1; 0 while unreached
+        move[start] = 1
+        level = []
+        for k, off in enumerate(offsets, 1):
+            if known[start + off]:
+                move[start + off] = k
+                level.append(start + off)
+        while level:
+            hits = [v for v in level
+                    if (frontier[v] or v in goals) and v not in claimed]
+            if hits:
+                target = min(hits)
+                return target, start + offsets[move[target] - 1]
+            nxt = []
+            for v in level:
+                k = move[v]
+                for off in offsets:
+                    n = v + off
+                    if known[n] and not move[n]:
+                        move[n] = k
+                        nxt.append(n)
+            level = nxt
+        return None
+
+    def tick(self, robots: list[ScoutRobot], station: Station,
+             sites: list[SampleSite], delivered: list[Sample]) -> list[ScoutRobot]:
+        """One tick, as ``step`` describes it. Updates ``sites`` and
+        ``delivered`` in place and returns the robots in input order."""
+        at = self.locate(robots)
+        for robot, v in zip(robots, at):
+            if robot.state is not RobotState.STUCK:
+                self.sense(v)
+        self.learn()
+        claimed: set[int] = set()
+        updated = {}
+        for robot, v in sorted(zip(robots, at), key=lambda pair: pair[0].id):
+            updated[robot.id] = self._advance(robot, v, station, sites,
+                                              delivered, claimed)
+        self.learn()
+        return [updated[r.id] for r in robots]
+
+    def _advance(self, robot: ScoutRobot, v: int, station: Station,
+                 sites: list[SampleSite], delivered: list[Sample],
+                 claimed: set[int]) -> ScoutRobot:
+        tick_s = self.resolution_m / robot.speed_mps
+        if robot.state is RobotState.STUCK:
+            return robot
+        if robot.state is RobotState.CHARGING:
+            if station.charge_time_s == 0:
+                battery = robot.battery_full_s
+            else:
+                rate = robot.battery_full_s / station.charge_time_s
+                battery = min(robot.battery_full_s, robot.battery_s + rate * tick_s)
+            state = RobotState.EXPLORING if battery >= robot.battery_full_s else RobotState.CHARGING
+            return replace(robot, battery_s=battery, state=state)
+
+        dist_home = self.dist_home
+        state = robot.state
+        if state is RobotState.EXPLORING:
+            if dist_home[v] < 0:
+                return replace(robot, state=RobotState.STUCK, target=None)
+            if robot.battery_s <= _return_threshold_s(dist_home[v], tick_s,
+                                                      robot.reserve_factor):
+                state = RobotState.RETURNING
+
+        target = move_to = None
+        if state is RobotState.EXPLORING:
+            # known uncollected sample sites compete with frontiers
+            goals = set()
+            if len(robot.samples) < robot.aux_slots:
+                goals = {self.index(site.cell) for site in sites
+                         if site.mass_kg <= robot.aux_capacity_kg}
+            found = self.nearest(v, claimed, goals)
+            if found is not None:
+                goal, move_to = found
+                claimed.add(goal)
+                target = self.cell(goal)
+            else:
+                # nothing left to claim: head home to deliver and park
+                state = RobotState.RETURNING
+        if state is RobotState.RETURNING and move_to is None:
+            d = dist_home[v]
+            if d < 0:
+                return replace(robot, state=RobotState.STUCK, target=None)
+            if d > 0:
+                move_to = next(v + off for off in self.offsets
+                               if dist_home[v + off] == d - 1)
+
+        battery = max(0.0, robot.battery_s - tick_s)
+        if move_to is None:
+            moved = replace(robot, battery_s=battery, state=state, target=target)
+        else:
+            self.sense(move_to)
+            moved = replace(robot, position=self.cell(move_to), battery_s=battery,
+                            state=state, target=target)
+            v = move_to
+        if moved.state is RobotState.EXPLORING:
+            moved = _try_collect(moved, sites)
+        if moved.state is RobotState.RETURNING and v == self.entrance:
+            delivered.extend(moved.samples)
+            moved = replace(moved, samples=(), state=RobotState.CHARGING, target=None)
+        return moved
+
+    def undeliverable(self, sites: tuple[SampleSite, ...],
+                      robots: list[ScoutRobot]) -> tuple[tuple[int, str], ...]:
+        """(index, reason) for each site that no robot can bring home."""
+        capacity = max((r.aux_capacity_kg for r in robots), default=0.0)
+        found = []
+        for i, site in enumerate(sites):
+            v = self.index(site.cell)
+            cell = list(site.cell)
+            if not self.open[v]:
+                reason = f"cell {cell} is {'an obstacle' if v else 'off the map'}"
+            elif not self.reach[v]:
+                reason = f"cell {cell} is not connected to the entrance"
+            elif site.mass_kg > capacity:
+                reason = (f"its {site.mass_kg} kg exceed every robot's "
+                          f"{capacity} kg module limit")
+            else:
+                continue
+            found.append((i, reason))
+        return tuple(found)
 
 
 def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[ScoutRobot]]:
@@ -429,126 +684,22 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
     one cell along a shortest known path; robots with nothing to claim
     head home; returning robots move one cell toward the entrance and
     hand samples over on arrival; charging robots refill. Battery drains
-    one tick of time per tick whether moving or waiting.
+    one tick of time per tick whether moving or waiting. Robots plan on
+    the map as sensed at the start of the tick.
 
     Raises:
         ValueError: if any robot sits on an obstacle cell.
     """
-    grid = world.grid.copy()
-    ids = [r.id for r in robots]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate robot ids in {ids}")
-    for robot in robots:
-        r, c = robot.position
-        if not (0 <= r < grid.height and 0 <= c < grid.width):
-            raise ValueError(f"robot {robot.id} is off the map at {robot.position}")
-        if grid.cells[r, c] == OBSTACLE:
-            raise ValueError(f"robot {robot.id} is on an obstacle at {robot.position}")
-
-    for robot in robots:
-        if robot.state is not RobotState.STUCK:
-            _sense(grid, robot.position)
-
-    entrance = grid.entrance
-    known = grid.traversable() & grid.explored
-    dist_home = bfs_distances(known, entrance)
-    frontiers = frontier_mask(grid)
-
+    kernel = _Kernel(world.grid)
     sites = list(world.sample_sites)
     delivered = list(world.delivered)
-    claimed: set[tuple[int, int]] = set()
-    updated: dict[str, ScoutRobot] = {}
-
-    for robot in sorted(robots, key=lambda rb: rb.id):
-        tick_s = _tick_seconds(robot, grid)
-
-        if robot.state is RobotState.STUCK:
-            updated[robot.id] = robot
-            continue
-
-        if robot.state is RobotState.CHARGING:
-            if world.station.charge_time_s == 0:
-                battery = robot.battery_full_s
-            else:
-                rate = robot.battery_full_s / world.station.charge_time_s
-                battery = min(robot.battery_full_s, robot.battery_s + rate * tick_s)
-            state = RobotState.EXPLORING if battery >= robot.battery_full_s else RobotState.CHARGING
-            updated[robot.id] = replace(robot, battery_s=battery, state=state)
-            continue
-
-        state = robot.state
-        if state is RobotState.EXPLORING:
-            d_home = int(dist_home[robot.position])
-            if d_home < 0:
-                updated[robot.id] = replace(robot, state=RobotState.STUCK, target=None)
-                continue
-            if robot.battery_s <= _return_threshold_s(d_home, tick_s, robot.reserve_factor):
-                state = RobotState.RETURNING
-
-        target = None
-        move_to = None
-        if state is RobotState.EXPLORING:
-            dist_robot = bfs_distances(known, robot.position)
-            best = None
-            for r, c in np.argwhere(frontiers):
-                cell = (int(r), int(c))
-                if cell in claimed or cell == robot.position:
-                    continue
-                d = int(dist_robot[cell])
-                if d < 0:
-                    continue
-                key = (d, cell[0], cell[1])
-                if best is None or key < best[0]:
-                    best = (key, cell)
-            # known uncollected sample sites compete with frontiers
-            if len(robot.samples) < robot.aux_slots:
-                for site in sites:
-                    cell = site.cell
-                    if cell in claimed or cell == robot.position:
-                        continue
-                    if site.mass_kg > robot.aux_capacity_kg or not known[cell]:
-                        continue
-                    d = int(dist_robot[cell])
-                    if d < 0:
-                        continue
-                    key = (d, cell[0], cell[1])
-                    if best is None or key < best[0]:
-                        best = (key, cell)
-            if best is not None:
-                target = best[1]
-                claimed.add(target)
-                dist_target = bfs_distances(known, target)
-                move_to = _step_toward(known, robot.position, dist_target)
-            else:
-                # nothing left to claim: head home to deliver and park
-                state = RobotState.RETURNING
-        if state is RobotState.RETURNING and move_to is None:
-            if dist_home[robot.position] < 0:
-                updated[robot.id] = replace(robot, state=RobotState.STUCK, target=None)
-                continue
-            move_to = _step_toward(known, robot.position, dist_home)
-
-        position = move_to if move_to is not None else robot.position
-        battery = max(0.0, robot.battery_s - tick_s)
-        moved = replace(robot, position=position, battery_s=battery,
-                        state=state, target=target)
-        if move_to is not None:
-            _sense(grid, position)
-        if moved.state is RobotState.EXPLORING:
-            moved, sites = _try_collect(moved, sites)
-        if moved.state is RobotState.RETURNING and moved.position == entrance:
-            delivered.extend(moved.samples)
-            moved = replace(moved, samples=(), state=RobotState.CHARGING, target=None)
-        updated[moved.id] = moved
-
-    next_world = TubeWorld(
-        grid=grid,
-        station=world.station,
-        sample_sites=tuple(sites),
-        delivered=tuple(delivered),
-        ticks=world.ticks + 1,
-    )
-    return next_world, [updated[r.id] for r in robots]
+    fleet = kernel.tick(robots, world.station, sites, delivered)
+    grid = GridMap(cells=world.grid.cells, explored=kernel.explored_mask(),
+                   resolution_m=world.grid.resolution_m)
+    next_world = TubeWorld(grid=grid, station=world.station,
+                           sample_sites=tuple(sites), delivered=tuple(delivered),
+                           ticks=world.ticks + 1)
+    return next_world, fleet
 
 
 @dataclass(frozen=True)
@@ -562,11 +713,16 @@ class RobotStats:
 
 @dataclass(frozen=True)
 class ExplorationReport:
+    """``undeliverable_sites`` holds (index, reason) for each sample site
+    on an obstacle, off the entrance-connected component or heavier than
+    every robot's module limit."""
+
     steps: int
     coverage_fraction: float
     samples_delivered: int
     energy_regen_wh: float
     per_robot_stats: tuple[RobotStats, ...]
+    undeliverable_sites: tuple[tuple[int, str], ...] = ()
 
 
 def run_exploration(grid: GridMap, robots: list[ScoutRobot],
@@ -582,17 +738,20 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
     """
     if max_steps <= 0:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
-    world = TubeWorld(grid=grid.copy(), station=station, sample_sites=sample_sites)
-    for robot in robots:
-        _sense(world.grid, robot.position)
+    kernel = _Kernel(grid)
+    for v in kernel.locate(robots):
+        kernel.sense(v)
+    kernel.learn()
 
     fleet = list(robots)
+    sites = list(sample_sites)
+    delivered: list[Sample] = []
     distance = {r.id: 0 for r in fleet}
     delivered_by = {r.id: 0 for r in fleet}
     steps = 0
 
     def work_remaining() -> bool:
-        if coverage_fraction(world.grid) < 1.0:
+        if kernel.covered < kernel.reachable:
             return True
         active = [r for r in fleet if r.state is not RobotState.STUCK]
         if not active:
@@ -601,15 +760,14 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
             return True
         max_capacity = max(r.aux_capacity_kg for r in active)
         return any(
-            world.grid.explored[site.cell] and site.mass_kg <= max_capacity
-            for site in world.sample_sites)
+            kernel.explored[kernel.index(site.cell)] and site.mass_kg <= max_capacity
+            for site in sites)
 
     while work_remaining() and steps < max_steps:
-        before = {r.id: r for r in fleet}
-        world, fleet = step(world, fleet)
+        before = fleet
+        fleet = kernel.tick(fleet, station, sites, delivered)
         steps += 1
-        for robot in fleet:
-            prev = before[robot.id]
+        for prev, robot in zip(before, fleet):
             if robot.position != prev.position:
                 distance[robot.id] += 1
             dropped = len(prev.samples) - len(robot.samples)
@@ -632,8 +790,9 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
     )
     return ExplorationReport(
         steps=steps,
-        coverage_fraction=coverage_fraction(world.grid),
-        samples_delivered=len(world.delivered),
+        coverage_fraction=kernel.covered / kernel.reachable,
+        samples_delivered=len(delivered),
         energy_regen_wh=regen,
         per_robot_stats=stats,
+        undeliverable_sites=kernel.undeliverable(sample_sites, robots),
     )

@@ -516,3 +516,70 @@ class TestInputValidation:
         report = read_report(out)
         assert report["config"]["power"]["loads"][0]["phases"] == []
         assert report["energy"]["inputs"]["loads"][0]["phases"] == []
+
+    @pytest.mark.parametrize("command", ["winch", "explore", "mission"])
+    def test_sample_site_on_map_obstacle_exits_2(self, tmp_path, capsys, command):
+        (tmp_path / "t.map").write_text("E.#\n...\n")
+        config = write_config(tmp_path, {"exploration": {
+            "map_file": "t.map",
+            "sample_sites": [{"cell": [1, 2], "mass_kg": 1.0},
+                             {"cell": [0, 2], "mass_kg": 1.0}]}})
+        assert run_cli(command, "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert ("error: config.exploration.sample_sites[1]: cell [0, 2] is an "
+                "obstacle in the map" in capsys.readouterr().err)
+
+    def test_undeliverable_sample_sites_reported(self, tmp_path):
+        # E on top; (2, 0) is walled off, (1, 3) lies on an obstacle of the
+        # generated map, and 9 kg is over the 6 kg module limit.
+        from tubescout.rng import derive_seed
+        from tubescout.tube_explorer import generate_tube, grid_to_text
+        assert grid_to_text(generate_tube(derive_seed(42, 0), 8, 8, 0.3)) == (
+            "...E..#.\n..#.#...\n#..#.#..\n#.#.#...\n"
+            "#.#...#.\n.#.#...#\n.#.###..\n##....#.\n")
+        config = write_config(tmp_path, {"exploration": {
+            "generator": {"width": 8, "height": 8, "obstacle_density": 0.3},
+            "sample_sites": [{"cell": [0, 0], "mass_kg": 1.0},
+                             {"cell": [1, 4], "mass_kg": 1.0},
+                             {"cell": [5, 0], "mass_kg": 1.0},
+                             {"cell": [1, 3], "mass_kg": 9.0}]}})
+        out = tmp_path / "out"
+        assert run_cli("explore", "--config", config, "--out", str(out)) == 0
+        found = [f for f in read_report(out)["findings"]
+                 if "sample site" in f["message"]]
+        assert [(f["kind"], f["message"], f["data"]) for f in found] == [
+            ("infeasible", "sample site 1 cannot be delivered: cell [1, 4] is "
+             "an obstacle", {"config_path": "config.exploration.sample_sites[1]"}),
+            ("infeasible", "sample site 2 cannot be delivered: cell [5, 0] is "
+             "not connected to the entrance",
+             {"config_path": "config.exploration.sample_sites[2]"}),
+            ("infeasible", "sample site 3 cannot be delivered: its 9.0 kg "
+             "exceed every robot's 6.0 kg module limit",
+             {"config_path": "config.exploration.sample_sites[3]"})]
+        assert run_cli("explore", "--config", config, "--out", str(out),
+                       "--strict") == 1
+
+    @pytest.mark.parametrize("command", ["winch", "power"])
+    @pytest.mark.parametrize("key, item", [
+        ("sources", {"name": "rtg", "kind": "constant", "power_w": 50.0}),
+        ("loads", {"name": "rtg", "power_w": 5.0}),
+    ])
+    def test_duplicate_power_names_exit_2(self, tmp_path, capsys, command, key,
+                                          item):
+        config = write_config(tmp_path, {"power": {key: [
+            {**item, "name": "a"}, {**item, "name": "b"}, {**item, "name": "a"}]}})
+        assert run_cli(command, "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert (f"error: config.power.{key}[2].name: duplicate name 'a' "
+                f"(also {key}[0])" in capsys.readouterr().err)
+
+    def test_sols_per_phase_capped(self, tmp_path, capsys):
+        from tubescout.config import MAX_SOLS_PER_PHASE
+        config = write_config(tmp_path, {"mission": {"sols_per_phase": {
+            "Transit": MAX_SOLS_PER_PHASE, "Settlement": 10**12}}})
+        assert run_cli("winch", "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert (f"error: config.mission.sols_per_phase.Settlement: must be in "
+                f"[0, {MAX_SOLS_PER_PHASE}], got {10**12}" in err)
+        assert "Transit" not in err

@@ -1,0 +1,321 @@
+"""The flat-index explorer kernel against a transcription of the explorer
+it replaced, plus property tests on generated maps.
+
+``reference_step`` is the earlier tick, kept here only as an oracle: it
+runs a full BFS from home, from every exploring robot and from its
+target on every tick, scans every frontier cell, and steps toward the
+target by the first N/W/E/S neighbour one hop closer to it.
+"""
+
+import random
+from collections import deque
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tubescout.tube_explorer import (
+    ENTRANCE,
+    OBSTACLE,
+    CapacityExhausted,
+    OverMass,
+    RobotState,
+    SampleSite,
+    Station,
+    TubeWorld,
+    _Kernel,
+    bfs_distances,
+    collect_sample,
+    coverage_fraction,
+    fresh_map,
+    frontier_mask,
+    generate_tube,
+    make_fleet,
+    step,
+)
+
+_DIRECTIONS = ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+def reference_bfs(mask, start):
+    h, w = mask.shape
+    dist = np.full((h, w), -1, dtype=np.int32)
+    if not mask[start]:
+        return dist
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        r, c = queue.popleft()
+        d = dist[r, c] + 1
+        for dr, dc in _DIRECTIONS:
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and dist[nr, nc] < 0:
+                dist[nr, nc] = d
+                queue.append((nr, nc))
+    return dist
+
+
+def reference_step_toward(mask, start, dist_to_goal):
+    d = dist_to_goal[start]
+    if d <= 0:
+        return None
+    h, w = mask.shape
+    for dr, dc in _DIRECTIONS:
+        nr, nc = start[0] + dr, start[1] + dc
+        if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and dist_to_goal[nr, nc] == d - 1:
+            return nr, nc
+    return None
+
+
+def reference_sense(explored, cells, position):
+    explored[position] = True
+    h, w = cells.shape
+    for dr, dc in _DIRECTIONS:
+        nr, nc = position[0] + dr, position[1] + dc
+        if 0 <= nr < h and 0 <= nc < w and cells[nr, nc] != OBSTACLE:
+            explored[nr, nc] = True
+
+
+def reference_collect(robot, sites):
+    for i, site in enumerate(sites):
+        if site.cell == robot.position:
+            try:
+                robot = collect_sample(robot, site.mass_kg, origin=site.cell)
+            except (CapacityExhausted, OverMass):
+                return robot, sites
+            return robot, sites[:i] + sites[i + 1:]
+    return robot, sites
+
+
+def reference_step(world, robots):
+    """The tick as it was before the flat-index kernel."""
+    grid = world.grid.copy()
+    cells, explored = grid.cells, grid.explored
+    for robot in robots:
+        if robot.state is not RobotState.STUCK:
+            reference_sense(explored, cells, robot.position)
+    entrance = grid.entrance
+    known = grid.traversable() & explored
+    dist_home = reference_bfs(known, entrance)
+    frontiers = frontier_mask(grid)
+    sites = list(world.sample_sites)
+    delivered = list(world.delivered)
+    claimed = set()
+    updated = {}
+    for robot in sorted(robots, key=lambda rb: rb.id):
+        tick_s = grid.resolution_m / robot.speed_mps
+        if robot.state is RobotState.STUCK:
+            updated[robot.id] = robot
+            continue
+        if robot.state is RobotState.CHARGING:
+            if world.station.charge_time_s == 0:
+                battery = robot.battery_full_s
+            else:
+                rate = robot.battery_full_s / world.station.charge_time_s
+                battery = min(robot.battery_full_s, robot.battery_s + rate * tick_s)
+            state = (RobotState.EXPLORING if battery >= robot.battery_full_s
+                     else RobotState.CHARGING)
+            updated[robot.id] = replace(robot, battery_s=battery, state=state)
+            continue
+        state = robot.state
+        if state is RobotState.EXPLORING:
+            d_home = int(dist_home[robot.position])
+            if d_home < 0:
+                updated[robot.id] = replace(robot, state=RobotState.STUCK, target=None)
+                continue
+            threshold = robot.reserve_factor * (d_home + 1) * tick_s + tick_s
+            if robot.battery_s <= threshold:
+                state = RobotState.RETURNING
+        target = None
+        move_to = None
+        if state is RobotState.EXPLORING:
+            dist_robot = reference_bfs(known, robot.position)
+            best = None
+            for r, c in np.argwhere(frontiers):
+                cell = (int(r), int(c))
+                if cell in claimed or cell == robot.position:
+                    continue
+                d = int(dist_robot[cell])
+                if d < 0:
+                    continue
+                if best is None or (d, *cell) < best[0]:
+                    best = ((d, *cell), cell)
+            if len(robot.samples) < robot.aux_slots:
+                for site in sites:
+                    cell = site.cell
+                    if cell in claimed or cell == robot.position:
+                        continue
+                    if site.mass_kg > robot.aux_capacity_kg or not known[cell]:
+                        continue
+                    d = int(dist_robot[cell])
+                    if d < 0:
+                        continue
+                    if best is None or (d, *cell) < best[0]:
+                        best = ((d, *cell), cell)
+            if best is not None:
+                target = best[1]
+                claimed.add(target)
+                dist_target = reference_bfs(known, target)
+                move_to = reference_step_toward(known, robot.position, dist_target)
+            else:
+                state = RobotState.RETURNING
+        if state is RobotState.RETURNING and move_to is None:
+            if dist_home[robot.position] < 0:
+                updated[robot.id] = replace(robot, state=RobotState.STUCK, target=None)
+                continue
+            move_to = reference_step_toward(known, robot.position, dist_home)
+        position = move_to if move_to is not None else robot.position
+        battery = max(0.0, robot.battery_s - tick_s)
+        moved = replace(robot, position=position, battery_s=battery,
+                        state=state, target=target)
+        if move_to is not None:
+            reference_sense(explored, cells, position)
+        if moved.state is RobotState.EXPLORING:
+            moved, sites = reference_collect(moved, sites)
+        if moved.state is RobotState.RETURNING and moved.position == entrance:
+            delivered.extend(moved.samples)
+            moved = replace(moved, samples=(), state=RobotState.CHARGING, target=None)
+        updated[moved.id] = moved
+    next_world = TubeWorld(grid=grid, station=world.station,
+                           sample_sites=tuple(sites), delivered=tuple(delivered),
+                           ticks=world.ticks + 1)
+    return next_world, [updated[r.id] for r in robots]
+
+
+def robot_view(robots):
+    return [(r.id, r.position, r.state, r.target, r.battery_s, r.samples)
+            for r in robots]
+
+
+def world_view(world):
+    return (world.grid.explored.tobytes(), world.sample_sites, world.delivered,
+            world.ticks)
+
+
+def unpad(kernel, flat, dtype):
+    padded = np.frombuffer(flat, dtype=dtype).reshape(-1, kernel.stride)
+    return padded[1:-1, 1:-1]
+
+
+def random_case(index):
+    """A seeded tube, fleet, station and sample sites. Sizes 1-24,
+    densities 0-0.4, 1-4 robots, batteries of 6-60 ticks on most cases;
+    every fifth fleet has one robot dropped on a random open cell, which
+    may be cut off from the entrance."""
+    rng = random.Random(f"kernel:{index}")
+    width, height = rng.randint(1, 24), rng.randint(1, 24)
+    grid = generate_tube(rng.randrange(1 << 30), width, height,
+                         round(rng.uniform(0.0, 0.4), 3))
+    tick_s = 1.0 / 1.7
+    overrides = {"module_count": rng.randint(2, 4)}
+    if rng.random() < 0.8:
+        overrides["battery_full_s"] = rng.randint(6, 60) * tick_s
+    fleet = make_fleet(grid, rng.randint(1, 4), **overrides)
+    open_cells = [tuple(map(int, rc)) for rc in np.argwhere(grid.cells != OBSTACLE)]
+    if index % 5 == 0:
+        fleet[-1] = replace(fleet[-1], position=rng.choice(open_cells))
+    sites = tuple(SampleSite(rng.choice(open_cells), round(rng.uniform(0.5, 8.0), 1))
+                  for _ in range(rng.randint(0, 4)))
+    station = Station(charge_time_s=rng.choice([0.0, 1.0, 5.0, 30.0]))
+    for robot in fleet:
+        reference_sense(grid.explored, grid.cells, robot.position)
+    return TubeWorld(grid=grid, station=station, sample_sites=sites), fleet
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_kernel_matches_reference_step(block):
+    """20 maps per block, 200 in all, up to 80 ticks each: the public
+    ``step`` and a kernel kept across ticks both match the reference on
+    every robot and the whole world after every tick, and the kernel's
+    incrementally kept home distances and frontier equal fresh ones."""
+    for index in range(block * 20, block * 20 + 20):
+        ref_world, ref_fleet = random_case(index)
+        world, fleet = ref_world, ref_fleet
+        kernel = _Kernel(ref_world.grid)
+        sites, delivered = list(ref_world.sample_sites), []
+        kernel_fleet = ref_fleet
+        entrance = ref_world.grid.entrance
+        for tick in range(80):
+            ref_world, ref_fleet = reference_step(ref_world, ref_fleet)
+            world, fleet = step(world, fleet)
+            kernel_fleet = kernel.tick(kernel_fleet, ref_world.station, sites,
+                                       delivered)
+            where = f"case {index}, tick {tick}"
+            assert robot_view(fleet) == robot_view(ref_fleet), where
+            assert world_view(world) == world_view(ref_world), where
+            assert robot_view(kernel_fleet) == robot_view(ref_fleet), where
+            explored = kernel.explored_mask()
+            assert np.array_equal(explored, ref_world.grid.explored), where
+            assert tuple(sites) == ref_world.sample_sites, where
+            assert tuple(delivered) == ref_world.delivered, where
+            known = ref_world.grid.traversable() & explored
+            assert np.array_equal(unpad(kernel, kernel.dist_home, np.intc),
+                                  bfs_distances(known, entrance)), where
+            assert np.array_equal(unpad(kernel, kernel.frontier, bool),
+                                  frontier_mask(ref_world.grid)), where
+            if (kernel.covered == kernel.reachable
+                    and all(r.state is not RobotState.EXPLORING for r in ref_fleet)):
+                break
+
+
+def test_bfs_distances_matches_reference():
+    rng = random.Random(7)
+    for _ in range(50):
+        h, w = rng.randint(1, 15), rng.randint(1, 15)
+        mask = np.array([[rng.random() < 0.7 for _ in range(w)] for _ in range(h)])
+        start = (rng.randrange(h), rng.randrange(w))
+        got = bfs_distances(mask, start)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, reference_bfs(mask, start))
+
+
+def flood_fill(cells):
+    (start,) = [tuple(map(int, rc)) for rc in np.argwhere(cells == ENTRANCE)]
+    h, w = cells.shape
+    seen, queue = {start}, deque([start])
+    while queue:
+        r, c = queue.popleft()
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if (0 <= nr < h and 0 <= nc < w and cells[nr, nc] != OBSTACLE
+                    and (nr, nc) not in seen):
+                seen.add((nr, nc))
+                queue.append((nr, nc))
+    return seen
+
+
+maps = st.tuples(st.integers(0, 2**30), st.integers(1, 14), st.integers(1, 14),
+                 st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45]))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(maps, st.integers(1, 4))
+def test_survey_covers_exactly_the_flood_fill_with_exclusive_claims(tube, robots):
+    grid = generate_tube(*tube)
+    oracle = flood_fill(grid.cells)
+    world = TubeWorld(grid=fresh_map(grid.cells))
+    fleet = make_fleet(grid, robots, battery_full_s=36000.0)
+    for _ in range(2000):
+        world, fleet = step(world, fleet)
+        targets = [r.target for r in fleet if r.target is not None]
+        assert len(targets) == len(set(targets))
+        if coverage_fraction(world.grid) == 1.0:
+            break
+    explored = {tuple(map(int, rc)) for rc in np.argwhere(world.grid.explored)}
+    assert explored == oracle
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(maps, st.integers(1, 3), st.integers(4, 40))
+def test_no_battery_runs_flat_off_the_entrance(tube, robots, battery_ticks):
+    grid = generate_tube(*tube)
+    fleet = make_fleet(grid, robots, battery_full_s=battery_ticks / 1.7)
+    world = TubeWorld(grid=fresh_map(grid.cells), station=Station(charge_time_s=5.0))
+    for _ in range(400):
+        world, fleet = step(world, fleet)
+        for robot in fleet:
+            if robot.position != grid.entrance and robot.state is not RobotState.STUCK:
+                assert robot.battery_s > 0.0
+        if coverage_fraction(world.grid) == 1.0:
+            break
