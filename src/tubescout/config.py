@@ -28,6 +28,7 @@ from pathlib import Path
 from tubescout.aerostat import REFERENCE_BALLOON, BalloonConfig
 from tubescout.energy import (
     DEFAULT_TIMESTEP_S,
+    MAX_SOL_STEPS,
     REFERENCE_WINCH,
     Battery,
     PowerLoad,
@@ -36,7 +37,13 @@ from tubescout.energy import (
     WinchSpec,
 )
 from tubescout.env import MarsEnvironment, make_environment
-from tubescout.mission import MissionEvent, MissionPhase
+from tubescout.mission import (
+    IllegalTransition,
+    MissionEvent,
+    MissionPhase,
+    MissionState,
+    advance,
+)
 from tubescout.program import (
     DEFAULT_DEADLINE_YEAR,
     DEFAULT_LAUNCH_YEAR,
@@ -48,6 +55,8 @@ from tubescout.program import (
     Money,
     PayloadSpec,
     WbsNode,
+    check_phase_list,
+    fte_estimate,
     parse_money,
     rollup_cost,
 )
@@ -142,6 +151,10 @@ class ProgramSettings:
     fte_people: int = 600
     fte_years: int = 10
     fte_rate: int = 220
+
+    def __post_init__(self):
+        check_phase_list(self.phases)
+        fte_estimate(self.fte_people, self.fte_years, self.fte_rate)  # validates
 
 
 @dataclass(frozen=True)
@@ -297,6 +310,8 @@ class _Block:
         self.errors = errors
 
     def err(self, message: str, key: str | None = None) -> None:
+        if key and not key.isprintable():
+            key = repr(key)  # an unknown key must not break the error line
         self.errors.append((f"{self.path}.{key}" if key else self.path, message))
 
     def read(self, key: str, hint, default=None):
@@ -512,7 +527,11 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
 
     sol_s, timestep = config.env.sol_length_s, config.timestep_s
     steps = sol_s / timestep if timestep > 0 else 0.0
-    if abs(steps - round(steps)) > 1e-9 or round(steps) == 0:
+    if steps > MAX_SOL_STEPS:
+        errors.append(("config.power.timestep_s",
+                       f"timestep {timestep} s is too short: the {sol_s:.0f} s "
+                       f"sol would take more than {MAX_SOL_STEPS} steps"))
+    elif abs(steps - round(steps)) > 1e-9 or round(steps) == 0:
         errors.append(("config.power.timestep_s",
                        f"timestep {timestep} s does not divide the "
                        f"{sol_s:.0f} s sol evenly"))
@@ -525,6 +544,16 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
                 errors.append((f"config.power.{key}[{i}].name",
                                f"duplicate name {item.name!r} "
                                f"(also {key}[{j}])"))
+    if not config.sources and config.battery.initial_soc_wh == 0 and config.loads:
+        errors.append(("config.power.sources", "no power source and an empty "
+                       "battery cannot serve loads"))
+    state = MissionState()
+    for i, event in enumerate(config.mission.events):
+        try:
+            state = advance(state, event)
+        except IllegalTransition as exc:
+            errors.append((f"config.mission.events[{i}]", str(exc)))
+            break
     for i, tagged in enumerate(config.loads):
         window = tagged.load.window
         if window is not None and window[1] > sol_s:

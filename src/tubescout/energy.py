@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,10 @@ POWER_EPSILON_W = 1e-9
 #: Default simulation resolution. 25 s divides the 88775 s sol exactly
 #: (3551 steps) and lands a step boundary on the 44375 s night start.
 DEFAULT_TIMESTEP_S = 25.0
+
+#: Upper bound on steps per sol: 1 s steps on the 88775 s sol fit. A
+#: step costs well under a microsecond and 48 bytes of trace arrays.
+MAX_SOL_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -172,8 +178,12 @@ class SocTrace:
     ``soc_wh`` has one more sample than the step arrays: entry i is the
     state of charge at time i*timestep_s, entry [-1] at the end of the
     sol. ``charged_wh``/``discharged_wh`` are the actual per-step battery
-    deltas, so SoC closure holds exactly:
-    soc[i+1] = soc[i] + charged_wh[i] - discharged_wh[i].
+    deltas, at most one of them nonzero per step, and SoC stays within
+    [0, capacity_wh]. SoC closure,
+    soc[i+1] = soc[i] + charged_wh[i] - discharged_wh[i],
+    holds exactly except in a step that ends clamped at capacity: there
+    soc[i] + (capacity - soc[i]) can round one unit in the last place
+    above capacity, and closure holds only to within that unit.
     """
 
     timestep_s: float
@@ -215,6 +225,159 @@ def _shed_order(loads: list[PowerLoad]) -> list[PowerLoad]:
     return sheddable + hard
 
 
+class _Sol:
+    """The power sol kernel: one sol of fixed sources and battery, able
+    to run any subset of the loads it was built with.
+
+    Demand is a numpy array built by adding each load's power over its
+    step range in load order, which repeats the float additions of
+    summing the active loads step by step. The SoC recurrence runs on
+    Python floats. ``simulate_sol``, every ``schedule_loads`` trial and
+    each mission sol run this same code.
+    """
+
+    def __init__(self, sources: list[PowerSource], loads: list[PowerLoad],
+                 battery: Battery, env: MarsEnvironment, timestep_s: float):
+        if timestep_s <= 0:
+            raise ValueError(f"timestep_s must be positive, got {timestep_s}")
+        steps_exact = env.sol_length_s / timestep_s
+        if steps_exact > MAX_SOL_STEPS:
+            raise ValueError(
+                f"timestep_s {timestep_s} s is too short: the "
+                f"{env.sol_length_s} s sol would take more than "
+                f"{MAX_SOL_STEPS} steps")
+        n_steps = round(steps_exact)
+        if n_steps == 0 or abs(steps_exact - n_steps) > 1e-9:
+            raise ValueError(
+                f"timestep_s must divide the sol length: {timestep_s} s does not "
+                f"divide {env.sol_length_s} s")
+        _check_unique_names(sources, "source")
+        _check_unique_names(loads, "load")
+        for load in loads:
+            if load.window is not None and load.window[1] > env.sol_length_s:
+                raise ValueError(
+                    f"load {load.name!r} window {load.window} extends past the "
+                    f"{env.sol_length_s} s sol")
+        if not sources and battery.initial_soc_wh == 0 and loads:
+            raise ValueError("no power source and an empty battery cannot serve loads")
+
+        self.timestep_s = timestep_s
+        self.n_steps = n_steps
+        self.dt_h = timestep_s / 3600.0
+        self.battery = battery
+        self.base_supply_w = sum(s.rating_w for s in sources
+                                 if s.kind is not SourceKind.WINCH_REGEN)
+        event_wh = sum(s.event_energy_wh for s in sources
+                       if s.kind is SourceKind.WINCH_REGEN)
+        self.first_supply_w = self.base_supply_w
+        if event_wh > 0:
+            self.first_supply_w += event_wh / self.dt_h
+        self.spans = {load.name: self._span(load.window) for load in loads}
+
+    def _first_step_at(self, time_s: float) -> int:
+        """The first step i with i * timestep_s >= time_s, or n_steps."""
+        i = min(max(math.ceil(time_s / self.timestep_s), 0), self.n_steps)
+        while i > 0 and (i - 1) * self.timestep_s >= time_s:
+            i -= 1
+        while i < self.n_steps and i * self.timestep_s < time_s:
+            i += 1
+        return i
+
+    def _span(self, window) -> tuple[int, int]:
+        """The steps [lo, hi) at which ``PowerLoad.active_at`` holds."""
+        if window is None:
+            return 0, self.n_steps
+        return self._first_step_at(window[0]), self._first_step_at(window[1])
+
+    def add(self, demand_w: np.ndarray, load: PowerLoad) -> None:
+        lo, hi = self.spans[load.name]
+        demand_w[lo:hi] += load.power_w
+
+    def demand(self, loads: list[PowerLoad]) -> np.ndarray:
+        demand_w = np.zeros(self.n_steps)
+        for load in loads:
+            self.add(demand_w, load)
+        return demand_w
+
+    def run(self, demand_w: np.ndarray, loads: list[PowerLoad],
+            stop_at_hard_cut: bool = False):
+        """Step the battery through the sol against ``demand_w``, the
+        demand of ``loads``. Returns (soc, shed_w, violations), with soc
+        an ``array('d')`` of n_steps + 1 samples, or None as soon as a
+        non-sheddable load is cut if ``stop_at_hard_cut``."""
+        battery = self.battery
+        capacity = battery.capacity_wh
+        charge_eff = battery.charge_efficiency
+        discharge_eff = battery.discharge_efficiency
+        dt_h = self.dt_h
+        timestep_s = self.timestep_s
+        base_supply_w = self.base_supply_w
+        order = [(*self.spans[l.name], l.power_w, l.name, l.sheddable)
+                 for l in _shed_order(loads)]
+        shed_w = np.zeros(self.n_steps)
+        shed_view = memoryview(shed_w)
+        violations: list[Violation] = []
+        before = battery.initial_soc_wh
+        soc = array("d", [before]) * (self.n_steps + 1)
+        supply = self.first_supply_w
+        # min(a, b) and max(a, b) are spelled out as conditionals (same
+        # result, same operand on ties) because the calls cost most of a step.
+        for i, demand in enumerate(memoryview(demand_w)):
+            if supply >= demand - POWER_EPSILON_W:
+                surplus_w = supply - demand
+                stored = surplus_w * dt_h * charge_eff if surplus_w > 0.0 else 0.0
+                room = capacity - before
+                after = before + (room if room < stored else stored)
+                if capacity < after:
+                    after = capacity
+            else:
+                need_wh = (demand - supply) * dt_h
+                delivered = before * discharge_eff
+                if not delivered < need_wh:
+                    delivered = need_wh
+                after = before - delivered / discharge_eff
+                if not after > 0.0:
+                    after = 0.0
+                unmet_w = (need_wh - delivered) / dt_h
+                if unmet_w > POWER_EPSILON_W:
+                    shed_view[i] = unmet_w
+                    t = i * timestep_s
+                    remaining = unmet_w
+                    for lo, hi, power_w, name, sheddable in order:
+                        if remaining <= POWER_EPSILON_W:
+                            break
+                        if not lo <= i < hi or power_w <= 0:
+                            continue
+                        if stop_at_hard_cut and not sheddable:
+                            return None
+                        cut = min(power_w, remaining)
+                        violations.append(Violation(t, name, cut))
+                        remaining -= cut
+            soc[i + 1] = before = after
+            supply = base_supply_w
+        return soc, shed_w, violations
+
+    def trace(self, demand_w: np.ndarray, run) -> SocTrace:
+        soc, shed_w, violations = run
+        soc_wh = np.frombuffer(soc)
+        supply_w = np.full(self.n_steps, self.base_supply_w, dtype=float)
+        supply_w[0] = self.first_supply_w
+        delta = np.diff(soc_wh)
+        charged_wh = np.maximum(delta, 0.0)
+        # charged - delta is -delta exactly where SoC fell and +0.0 elsewhere.
+        discharged_wh = np.subtract(charged_wh, delta, out=delta)
+        return SocTrace(
+            timestep_s=self.timestep_s,
+            soc_wh=soc_wh,
+            supply_w=supply_w,
+            demand_w=demand_w,
+            shed_w=shed_w,
+            charged_wh=charged_wh,
+            discharged_wh=discharged_wh,
+            violations=tuple(violations),
+        )
+
+
 def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
                  battery: Battery, env: MarsEnvironment,
                  timestep_s: float = DEFAULT_TIMESTEP_S) -> SocTrace:
@@ -228,95 +391,13 @@ def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
 
     Raises:
         ValueError: on a nonpositive timestep, a timestep that does not
-            divide the sol, a load window past the end of the sol,
-            duplicate source/load names, or a system with no source and
-            an empty battery.
+            divide the sol or gives more than ``MAX_SOL_STEPS`` steps, a
+            load window past the end of the sol, duplicate source/load
+            names, or a system with no source and an empty battery.
     """
-    if timestep_s <= 0:
-        raise ValueError(f"timestep_s must be positive, got {timestep_s}")
-    steps_exact = env.sol_length_s / timestep_s
-    n_steps = round(steps_exact)
-    if n_steps == 0 or abs(steps_exact - n_steps) > 1e-9:
-        raise ValueError(
-            f"timestep_s must divide the sol length: {timestep_s} s does not "
-            f"divide {env.sol_length_s} s")
-    _check_unique_names(sources, "source")
-    _check_unique_names(loads, "load")
-    for load in loads:
-        if load.window is not None and load.window[1] > env.sol_length_s:
-            raise ValueError(
-                f"load {load.name!r} window {load.window} extends past the "
-                f"{env.sol_length_s} s sol")
-    if not sources and battery.initial_soc_wh == 0 and loads:
-        raise ValueError("no power source and an empty battery cannot serve loads")
-
-    dt_h = timestep_s / 3600.0
-    base_supply_w = sum(s.rating_w for s in sources if s.kind is not SourceKind.WINCH_REGEN)
-    event_wh = sum(s.event_energy_wh for s in sources if s.kind is SourceKind.WINCH_REGEN)
-
-    soc = np.empty(n_steps + 1)
-    supply_w = np.empty(n_steps)
-    demand_w = np.empty(n_steps)
-    shed_w = np.zeros(n_steps)
-    charged_wh = np.zeros(n_steps)
-    discharged_wh = np.zeros(n_steps)
-    violations: list[Violation] = []
-
-    soc[0] = battery.initial_soc_wh
-    shed_order = _shed_order(list(loads))
-
-    for i in range(n_steps):
-        t = i * timestep_s
-        supply = base_supply_w
-        if i == 0 and event_wh > 0:
-            supply += event_wh / dt_h
-        active = [l for l in loads if l.active_at(t)]
-        demand = sum(l.power_w for l in active)
-        supply_w[i] = supply
-        demand_w[i] = demand
-
-        before = soc[i]
-        after = before
-        if supply >= demand - POWER_EPSILON_W:
-            surplus_wh = max(0.0, supply - demand) * dt_h
-            stored = min(surplus_wh * battery.charge_efficiency,
-                         battery.capacity_wh - before)
-            after = before + stored
-        else:
-            need_wh = (demand - supply) * dt_h
-            deliverable_wh = before * battery.discharge_efficiency
-            delivered = min(need_wh, deliverable_wh)
-            after = max(0.0, before - delivered / battery.discharge_efficiency)
-            unmet_w = (need_wh - delivered) / dt_h
-            if unmet_w > POWER_EPSILON_W:
-                shed_w[i] = unmet_w
-                remaining = unmet_w
-                for load in shed_order:
-                    if remaining <= POWER_EPSILON_W:
-                        break
-                    if not load.active_at(t) or load.power_w <= 0:
-                        continue
-                    cut = min(load.power_w, remaining)
-                    violations.append(Violation(
-                        time_s=t, unmet_load_name=load.name, deficit_w=cut))
-                    remaining -= cut
-
-        soc[i + 1] = after
-        if after > before:
-            charged_wh[i] = after - before
-        elif before > after:
-            discharged_wh[i] = before - after
-
-    return SocTrace(
-        timestep_s=timestep_s,
-        soc_wh=soc,
-        supply_w=supply_w,
-        demand_w=demand_w,
-        shed_w=shed_w,
-        charged_wh=charged_wh,
-        discharged_wh=discharged_wh,
-        violations=tuple(violations),
-    )
+    sol = _Sol(sources, loads, battery, env, timestep_s)
+    demand_w = sol.demand(loads)
+    return sol.trace(demand_w, sol.run(demand_w, loads))
 
 
 @dataclass(frozen=True)
@@ -333,27 +414,31 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     """Greedily admit loads in ascending (priority, name) order.
 
     A candidate is admitted iff simulating the already admitted set plus
-    the candidate produces no violation on any non-sheddable load.
-    ``feasible`` is true iff every input load is admitted. The returned
-    trace re-simulates the final admitted set.
+    the candidate produces no violation on any non-sheddable load; a
+    trial stops at the first such cut. ``feasible`` is true iff every
+    input load is admitted. The returned trace is that of the final
+    admitted set, which the last admitted trial ran in full.
     """
-    _check_unique_names(loads, "load")
-    ordered = sorted(loads, key=lambda l: (l.priority, l.name))
+    sol = _Sol(sources, loads, battery, env, timestep_s)
     admitted: list[PowerLoad] = []
+    admitted_demand_w = np.zeros(sol.n_steps)
+    admitted_run = None
     verdicts: dict[str, bool] = {}
-    for load in ordered:
-        trial = simulate_sol(sources, admitted + [load], battery, env, timestep_s)
-        hard_names = {l.name for l in admitted + [load] if not l.sheddable}
-        ok = not (trial.violated_load_names() & hard_names)
-        verdicts[load.name] = ok
-        if ok:
+    for load in sorted(loads, key=lambda l: (l.priority, l.name)):
+        demand_w = admitted_demand_w.copy()
+        sol.add(demand_w, load)
+        run = sol.run(demand_w, admitted + [load], stop_at_hard_cut=True)
+        verdicts[load.name] = run is not None
+        if run is not None:
             admitted.append(load)
-    trace = simulate_sol(sources, admitted, battery, env, timestep_s)
+            admitted_demand_w, admitted_run = demand_w, run
+    if admitted_run is None:
+        admitted_run = sol.run(admitted_demand_w, admitted)
     return ScheduleResult(
         admitted=tuple(admitted),
         feasible=len(admitted) == len(loads),
         verdicts=verdicts,
-        trace=trace,
+        trace=sol.trace(admitted_demand_w, admitted_run),
     )
 
 

@@ -16,6 +16,11 @@ from dataclasses import dataclass, replace
 
 UNIVERSAL_GAS_CONSTANT = 8.314462618  # J/(mol K)
 
+#: Upper bound on ``sol_length_s``, about 11 Mars sols. Models sweep the
+#: sol in fixed steps (the avionics check every 60 s), so a longer sol
+#: would run for hours instead of being rejected.
+MAX_SOL_LENGTH_S = 1e6
+
 
 @dataclass(frozen=True)
 class MarsEnvironment:
@@ -53,6 +58,9 @@ class MarsEnvironment:
         if self.ambient_temperature <= 0:
             raise ValueError(
                 f"ambient_temperature must be positive, got {self.ambient_temperature}")
+        if not self.sol_length_s <= MAX_SOL_LENGTH_S:
+            raise ValueError(f"sol_length_s must be at most {MAX_SOL_LENGTH_S:.0f}, "
+                             f"got {self.sol_length_s}")
         if not self.sol_length_s > self.night_duration_s > 0:
             raise ValueError(
                 "need sol_length_s > night_duration_s > 0, got "

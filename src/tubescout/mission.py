@@ -206,8 +206,8 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                                            0.0, injected_wh))
                 pending_regen_wh = 0.0
             trace = simulate_sol(sources, loads, battery, env, config.timestep_s)
-            hard_violations = [v for v in trace.violations
-                               if v.unmet_load_name in hard_names]
+            hard_violations = sum(v.unmet_load_name in hard_names
+                                  for v in trace.violations)
             if hard_violations:
                 infeasible_sols.append(state.sol)
             dose_msv = cumulative_dose(env, cave_fraction, 1.0)
@@ -218,11 +218,13 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                 "final_soc_wh": trace.final_soc_wh,
                 "total_shed_wh": trace.total_shed_wh,
                 "violations": len(trace.violations),
-                "hard_violations": len(hard_violations),
+                "hard_violations": hard_violations,
                 "regen_injected_wh": injected_wh,
                 "dose_msv": dose_msv,
             })
             carried = min(max(trace.final_soc_wh, 0.0), battery.capacity_wh)
+            # Drop this sol's trace before the next one is simulated.
+            del trace
             battery = replace(battery, initial_soc_wh=carried)
             state = replace(state, sol=state.sol + 1)
 

@@ -299,6 +299,15 @@ class ScheduleCheck:
     findings: tuple[ScheduleFinding, ...] = field(default=())
 
 
+def check_phase_list(phases) -> None:
+    """Raise ValueError on an empty phase list or duplicate phase codes."""
+    if not phases:
+        raise ValueError("phase list must be nonempty")
+    codes = [p.code for p in phases]
+    if len(set(codes)) != len(codes):
+        raise ValueError(f"duplicate phase codes in {[c.value for c in codes]}")
+
+
 def validate_schedule(phases: list[LifecyclePhase] | tuple[LifecyclePhase, ...],
                       launch_year: int = DEFAULT_LAUNCH_YEAR,
                       deadline: int = DEFAULT_DEADLINE_YEAR) -> ScheduleCheck:
@@ -313,12 +322,7 @@ def validate_schedule(phases: list[LifecyclePhase] | tuple[LifecyclePhase, ...],
     Raises:
         ValueError: on an empty phase list or duplicate phase codes.
     """
-    if not phases:
-        raise ValueError("phase list must be nonempty")
-    codes = [p.code for p in phases]
-    if len(set(codes)) != len(codes):
-        raise ValueError(f"duplicate phase codes in {[c.value for c in codes]}")
-
+    check_phase_list(phases)
     findings: list[ScheduleFinding] = []
     order_index = {code: i for i, code in enumerate(PHASE_ORDER)}
     ordered = sorted(phases, key=lambda p: order_index[p.code])

@@ -126,8 +126,10 @@ def echo(obj, omit=()):
 
 def dump_json(payload) -> str:
     """Canonical report serialization: sorted keys, two-space indent,
-    trailing newline, numpy scalars and enums coerced to plain JSON."""
-    return json.dumps(payload, indent=2, sort_keys=True,
+    trailing newline, numpy scalars and enums coerced to plain JSON.
+    Raises ValueError on a NaN or infinite number, which strict JSON
+    cannot hold."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                       default=_json_default) + "\n"
 
 
@@ -237,11 +239,16 @@ def power_inputs(battery: Battery, sources: tuple, loads: tuple,
 def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...],
                   battery: Battery, env: MarsEnvironment,
                   timestep_s: float) -> tuple[dict, list[Finding], SocTrace]:
-    """Simulate one sol with every load attached, then ask the greedy
+    """Simulate one sol with every load attached, and ask the greedy
     scheduler which subset would have been admissible. Returns the full
-    trace as well, for callers that emit CSV."""
-    trace = simulate_sol(list(sources), list(loads), battery, env, timestep_s)
+    trace as well, for callers that emit CSV. The scheduler runs first
+    and only its verdicts are kept, so one trace is alive at a time."""
     schedule = schedule_loads(list(sources), list(loads), battery, env, timestep_s)
+    plan = {"admitted": [l.name for l in schedule.admitted],
+            "feasible": schedule.feasible,
+            "verdicts": schedule.verdicts}
+    del schedule
+    trace = simulate_sol(list(sources), list(loads), battery, env, timestep_s)
     hard_names = {l.name for l in loads if not l.sheddable}
     hard_violations = [v for v in trace.violations if v.unmet_load_name in hard_names]
     section = {
@@ -251,11 +258,7 @@ def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...]
         "violation_count": len(trace.violations),
         "unmet_loads": sorted(trace.violated_load_names()),
         "feasible": not hard_violations,
-        "schedule": {
-            "admitted": [l.name for l in schedule.admitted],
-            "feasible": schedule.feasible,
-            "verdicts": schedule.verdicts,
-        },
+        "schedule": plan,
     }
     findings = []
     if hard_violations:

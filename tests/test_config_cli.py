@@ -583,3 +583,72 @@ class TestInputValidation:
         assert (f"error: config.mission.sols_per_phase.Settlement: must be in "
                 f"[0, {MAX_SOLS_PER_PHASE}], got {10**12}" in err)
         assert "Transit" not in err
+
+    @pytest.mark.parametrize("timestep", [0.5, 0.001, 1e-6, 5e-324])
+    def test_too_short_timestep_exits_2(self, tmp_path, capsys, timestep):
+        config = write_config(tmp_path, {"power": {"timestep_s": timestep}})
+        assert run_cli("balloon", "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert (f"error: config.power.timestep_s: timestep {timestep} s is too "
+                f"short" in capsys.readouterr().err)
+
+    def test_sol_length_capped(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "env": {"overrides": {"sol_length_s": 1e12}},
+            "power": {"timestep_s": 1e7}})
+        assert run_cli("thermal", "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert ("error: config.env: sol_length_s must be at most 1000000"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["schedule", "mission"])
+    @pytest.mark.parametrize("program, message", [
+        ({"phases": []}, "phase list must be nonempty"),
+        ({"phases": [{"code": "A", "start_year": 2023},
+                     {"code": "A", "start_year": 2024}]},
+         "duplicate phase codes in ['A', 'A']"),
+        ({"fte": {"fte_per_person_year": -1}},
+         "fte_per_person_year must be nonnegative, got -1"),
+    ])
+    def test_bad_program_exits_2(self, tmp_path, capsys, command, program,
+                                 message):
+        config = write_config(tmp_path, {"program": program})
+        assert run_cli(command, "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config.program: {message}"]
+
+    def test_no_source_and_empty_battery_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"power": {
+            "battery": {"capacity_wh": 0.0, "initial_soc_wh": 0.0},
+            "sources": [], "loads": [{"name": "heater", "power_w": 5.0}]}})
+        assert run_cli("power", "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert ("error: config.power.sources: no power source and an empty "
+                "battery cannot serve loads" in capsys.readouterr().err)
+
+    def test_unprintable_unknown_key_keeps_one_error_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"avionics": {"\r": None}})
+        assert run_cli("winch", "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config.avionics.'\\r': unknown key '\\r'"]
+
+    def test_non_finite_report_value_exits_2(self, tmp_path, capsys, monkeypatch):
+        import tubescout.cli as cli
+        monkeypatch.setattr(cli, "winch_section",
+                            lambda winch, env: {"raw_kw": float("nan")})
+        out = tmp_path / "out"
+        assert run_cli("winch", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+    def test_illegal_event_script_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"mission": {"events": [
+            "DeploymentDone", "TubeSurveyComplete", "EndMission"]}})
+        assert run_cli("winch", "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config.mission.events[1]: event TubeSurveyComplete is not "
+            "legal in phase Transit"]

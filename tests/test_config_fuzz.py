@@ -1,0 +1,119 @@
+"""Config fuzzing: random JSON values at random paths of the paper
+baseline scenario, run through the command line.
+
+Every run must end in one of two ways: exit 0 with a report that is
+strict JSON (no ``NaN`` or ``Infinity``), or exit 2 with only
+``error: config...`` lines on stderr. An uncaught exception fails the
+test with its traceback.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tubescout.cli import main
+from tubescout.env import MarsEnvironment
+from tubescout.report import echo
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SUBCOMMANDS = ("power", "balloon", "thermal", "budget", "cost", "schedule")
+DELETE = object()
+
+
+def baseline() -> dict:
+    """paper_baseline with an absolute map path, every environment field
+    restated as an override, a second load and a winch regeneration
+    source, so that those are mutation targets too."""
+    raw = json.loads((SCENARIOS / "paper_baseline.json").read_text())
+    raw["env"]["overrides"] = echo(MarsEnvironment())
+    raw["power"]["loads"].append({"name": "bus", "power_w": 40.0,
+                                  "priority": 5, "sheddable": True})
+    raw["power"]["sources"].append({"name": "regen", "kind": "winch_regen",
+                                    "event_energy_wh": 36.0})
+    exploration = raw["exploration"]
+    exploration["map_file"] = str(SCENARIOS / exploration["map_file"])
+    return raw
+
+
+def paths(node, prefix=()):
+    """Every key and index path in a JSON tree, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+PATHS = sorted(paths(baseline()), key=repr)
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["constant", "winch_regen", "Settlement", "outer_lateral_only",
+                     "$1,000", "1e3", "PreA", 0, -1, 1e-300, 5e-324, 1e308, 10**400]))
+values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=6)
+mutations = st.lists(
+    st.tuples(st.sampled_from(PATHS), st.one_of(values, st.just(DELETE))),
+    min_size=1, max_size=3)
+
+
+def mutate(raw: dict, path: tuple, value) -> None:
+    """Set (or delete) ``path`` if the path still exists in ``raw``."""
+    node = raw
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    key = path[-1]
+    if isinstance(node, list) and not (isinstance(key, int) and key < len(node)):
+        return
+    if not isinstance(node, (dict, list)):
+        return
+    if value is DELETE:
+        node.pop(key, None) if isinstance(node, dict) else node.pop(key)
+    else:
+        node[key] = value
+
+
+def reject_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+def run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(mutations)
+def test_mutated_baseline_exits_0_or_2_with_a_config_path(changes):
+    raw = baseline()
+    for path, value in changes:
+        mutate(raw, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out = Path(tmp) / "out"
+        for command in SUBCOMMANDS:
+            (out / "report.json").unlink(missing_ok=True)
+            rc, err = run([command, "--config", str(config), "--out", str(out)])
+            if rc == 0:
+                assert err == ""
+                json.loads((out / "report.json").read_text(),
+                           parse_constant=reject_constant)
+            else:
+                assert rc == 2, (command, rc, err)
+                assert err and all(line.startswith("error: config")
+                                   for line in err.splitlines()), (command, err)

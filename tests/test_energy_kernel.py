@@ -1,0 +1,327 @@
+"""The power sol kernel against a transcription of the per-step simulator
+it replaced, plus property tests on ``simulate_sol``.
+
+``reference_simulate_sol`` and ``reference_schedule_loads`` are the
+earlier code, kept here only as an oracle: every step rebuilds the
+active-load list through ``PowerLoad.active_at`` and sums it, and the
+scheduler re-runs a whole sol for every candidate and once more for the
+admitted set. The one change from that code is the SoC clamp at full
+charge, which the kernel also has.
+"""
+
+import math
+import random
+from functools import reduce
+from operator import add
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tubescout.energy import (
+    POWER_EPSILON_W,
+    Battery,
+    PowerLoad,
+    PowerSource,
+    SourceKind,
+    Violation,
+    _shed_order,
+    _Sol,
+    schedule_loads,
+    simulate_sol,
+)
+from tubescout.env import MarsEnvironment
+
+ENV = MarsEnvironment()
+SOL_S = ENV.sol_length_s
+ARRAYS = ("soc_wh", "supply_w", "demand_w", "shed_w", "charged_wh", "discharged_wh")
+
+
+def reference_simulate_sol(sources, loads, battery, env, timestep_s):
+    n_steps = round(env.sol_length_s / timestep_s)
+    dt_h = timestep_s / 3600.0
+    base_supply_w = sum(s.rating_w for s in sources if s.kind is not SourceKind.WINCH_REGEN)
+    event_wh = sum(s.event_energy_wh for s in sources if s.kind is SourceKind.WINCH_REGEN)
+
+    soc = np.empty(n_steps + 1)
+    supply_w = np.empty(n_steps)
+    demand_w = np.empty(n_steps)
+    shed_w = np.zeros(n_steps)
+    charged_wh = np.zeros(n_steps)
+    discharged_wh = np.zeros(n_steps)
+    violations = []
+
+    soc[0] = battery.initial_soc_wh
+    shed_order = _shed_order(list(loads))
+
+    for i in range(n_steps):
+        t = i * timestep_s
+        supply = base_supply_w
+        if i == 0 and event_wh > 0:
+            supply += event_wh / dt_h
+        active = [l for l in loads if l.active_at(t)]
+        # A left fold: what ``sum`` did on floats before Python 3.12.
+        demand = reduce(add, (l.power_w for l in active), 0)
+        supply_w[i] = supply
+        demand_w[i] = demand
+
+        before = soc[i]
+        after = before
+        if supply >= demand - POWER_EPSILON_W:
+            surplus_wh = max(0.0, supply - demand) * dt_h
+            stored = min(surplus_wh * battery.charge_efficiency,
+                         battery.capacity_wh - before)
+            after = min(before + stored, battery.capacity_wh)
+        else:
+            need_wh = (demand - supply) * dt_h
+            deliverable_wh = before * battery.discharge_efficiency
+            delivered = min(need_wh, deliverable_wh)
+            after = max(0.0, before - delivered / battery.discharge_efficiency)
+            unmet_w = (need_wh - delivered) / dt_h
+            if unmet_w > POWER_EPSILON_W:
+                shed_w[i] = unmet_w
+                remaining = unmet_w
+                for load in shed_order:
+                    if remaining <= POWER_EPSILON_W:
+                        break
+                    if not load.active_at(t) or load.power_w <= 0:
+                        continue
+                    cut = min(load.power_w, remaining)
+                    violations.append(Violation(
+                        time_s=t, unmet_load_name=load.name, deficit_w=cut))
+                    remaining -= cut
+
+        soc[i + 1] = after
+        if after > before:
+            charged_wh[i] = after - before
+        elif before > after:
+            discharged_wh[i] = before - after
+
+    return dict(soc_wh=soc, supply_w=supply_w, demand_w=demand_w, shed_w=shed_w,
+                charged_wh=charged_wh, discharged_wh=discharged_wh,
+                violations=tuple(violations))
+
+
+def reference_schedule_loads(sources, loads, battery, env, timestep_s):
+    ordered = sorted(loads, key=lambda l: (l.priority, l.name))
+    admitted = []
+    verdicts = {}
+    for load in ordered:
+        trial = reference_simulate_sol(sources, admitted + [load], battery, env,
+                                       timestep_s)
+        hard_names = {l.name for l in admitted + [load] if not l.sheddable}
+        cut = {v.unmet_load_name for v in trial["violations"]}
+        ok = not (cut & hard_names)
+        verdicts[load.name] = ok
+        if ok:
+            admitted.append(load)
+    trace = reference_simulate_sol(sources, admitted, battery, env, timestep_s)
+    return tuple(admitted), len(admitted) == len(loads), verdicts, trace
+
+
+def assert_same_trace(trace, expected):
+    for name in ARRAYS:
+        assert np.array_equal(getattr(trace, name), expected[name]), name
+    assert trace.violations == expected["violations"]
+
+
+def random_case(rng: random.Random):
+    """Sources, loads, battery and timestep for one seeded case."""
+    timestep_s = rng.choice((25.0, 355.1, 355.1, 1775.5, 3551.0, 88775.0))
+    if rng.random() < 0.05:
+        timestep_s = 5.0
+    n_steps = round(SOL_S / timestep_s)
+
+    def instant(on_grid: bool) -> float:
+        if on_grid:
+            return rng.randrange(n_steps + 1) * timestep_s
+        return rng.uniform(0.0, SOL_S)
+
+    sources = []
+    if rng.random() < 0.9:
+        sources.append(PowerSource("rtg", rating_w=rng.choice(
+            (0.0, 35.0, 110.0, rng.uniform(0.0, 600.0)))))
+    if rng.random() < 0.3:
+        sources.append(PowerSource("wind", SourceKind.WIND_TURBINE,
+                                   rating_w=rng.uniform(0.0, 200.0)))
+    if rng.random() < 0.3:
+        sources.append(PowerSource("winch_regen", SourceKind.WINCH_REGEN,
+                                   event_energy_wh=rng.uniform(0.0, 500.0)))
+
+    capacity = rng.choice((0.0, 1000.0, rng.uniform(0.0, 5000.0)))
+    initial = rng.choice((0.0, capacity, rng.uniform(0.0, capacity)))
+    if not sources and initial == 0.0:
+        initial = capacity = 100.0
+    battery = Battery(capacity, initial, rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
+
+    loads = []
+    max_loads = 2 if timestep_s == 5.0 else 7
+    for k in range(rng.randrange(max_loads + 1)):
+        kind = rng.random()
+        if kind < 0.2:
+            window = None
+        else:
+            on_grid = rng.random() < 0.5
+            start, end = sorted((instant(on_grid), instant(on_grid)))
+            if rng.random() < 0.15:
+                start = 0.0
+            if rng.random() < 0.15:
+                end = SOL_S
+            if start == end:
+                start, end = 0.0, SOL_S
+            window = (start, end)
+        power = rng.choice((0.0, rng.uniform(0.0, 150.0), rng.uniform(0.0, 600.0)))
+        loads.append(PowerLoad(f"l{k}", power, window, priority=rng.randrange(4),
+                               sheddable=rng.random() < 0.4))
+    return sources, loads, battery, timestep_s
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_kernel_matches_reference_on_seeded_cases(chunk):
+    """200 seeded cases: the trace, the scheduler's verdicts and its trace
+    are bit-for-bit those of the per-step simulator."""
+    for seed in range(chunk * 25, chunk * 25 + 25):
+        sources, loads, battery, timestep_s = random_case(random.Random(seed))
+        trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
+        assert_same_trace(trace, reference_simulate_sol(sources, loads, battery,
+                                                        ENV, timestep_s))
+        result = schedule_loads(sources, loads, battery, ENV, timestep_s)
+        admitted, feasible, verdicts, expected = reference_schedule_loads(
+            sources, loads, battery, ENV, timestep_s)
+        assert result.admitted == admitted
+        assert result.feasible == feasible
+        assert result.verdicts == verdicts
+        assert_same_trace(result.trace, expected)
+
+
+def test_seeded_cases_cover_the_edges():
+    """The seeded cases reach every edge the differential test is for."""
+    seen = set()
+    for seed in range(200):
+        sources, loads, battery, timestep_s = random_case(random.Random(seed))
+        seen.add(f"dt={timestep_s:g}")
+        seen.update(s.kind.value for s in sources)
+        if battery.capacity_wh == 0.0:
+            seen.add("zero_capacity")
+        elif battery.initial_soc_wh == 0.0:
+            seen.add("empty_battery")
+        for load in loads:
+            if load.window is None:
+                seen.add("always_on")
+            else:
+                start, end = load.window
+                seen.add("start_0" if start == 0.0 else
+                         "start_on_grid" if start % timestep_s == 0 else "start_off_grid")
+                if end == SOL_S:
+                    seen.add("end_at_sol")
+            if load.power_w == 0.0:
+                seen.add("zero_watts")
+        trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
+        if any(v.unmet_load_name not in {l.name for l in loads if l.sheddable}
+               for v in trace.violations):
+            seen.add("hard_cut")
+    assert seen >= {"dt=5", "dt=25", "dt=88775", "winch_regen", "zero_capacity",
+                    "empty_battery", "always_on", "start_0", "start_on_grid",
+                    "start_off_grid", "end_at_sol", "zero_watts", "hard_cut"}
+
+
+@pytest.mark.parametrize("timestep_s", [5.0, 25.0, 1775.5, 88775.0])
+def test_load_spans_are_the_active_steps(timestep_s):
+    rng = random.Random(7)
+    n_steps = round(SOL_S / timestep_s)
+    windows = [None, (0.0, SOL_S), (timestep_s / 2, timestep_s)]
+    windows += [tuple(sorted((rng.uniform(0, SOL_S), rng.uniform(0, SOL_S))))
+                for _ in range(40)]
+    windows += [(k * timestep_s, SOL_S) for k in (0, n_steps - 1)]
+    loads = [PowerLoad(f"l{k}", 1.0, w) for k, w in enumerate(windows)]
+    sol = _Sol([PowerSource("rtg", rating_w=1.0)], loads, Battery(), ENV, timestep_s)
+    for load in loads:
+        active = [i for i in range(n_steps) if load.active_at(i * timestep_s)]
+        lo, hi = sol.spans[load.name]
+        assert active == list(range(lo, hi)), load.window
+
+
+@pytest.mark.parametrize("timestep_s", [0.5, 0.001, 5e-324])
+def test_too_many_steps_rejected(timestep_s):
+    with pytest.raises(ValueError, match="too short"):
+        simulate_sol([PowerSource("rtg", rating_w=1.0)], [], Battery(), ENV,
+                      timestep_s)
+
+
+def test_soc_stays_at_capacity_when_charging_to_full():
+    battery = Battery(3729.6, 1554.3735443630037)
+    trace = simulate_sol([PowerSource("r", rating_w=1e6)], [], battery, ENV)
+    assert trace.soc_wh[1] == battery.capacity_wh
+    assert trace.soc_wh.max() == battery.capacity_wh
+
+
+def test_schedule_without_admitted_loads_runs_the_bare_sol():
+    heater = PowerLoad("heater", 511.5, (44375.0, 88775.0))
+    battery = Battery(0.0, 0.0)
+    result = schedule_loads([PowerSource("rtg", rating_w=110.0)], [heater],
+                            battery, ENV)
+    assert result.admitted == () and not result.feasible
+    assert result.verdicts == {"heater": False}
+    assert not result.trace.demand_w.any()
+    assert result.trace.violations == ()
+
+
+_timesteps = st.sampled_from((25.0, 88775.0, 3551.0, 1775.5, 355.1))
+_windows = st.one_of(
+    st.none(),
+    st.tuples(st.floats(0.0, SOL_S), st.floats(0.0, SOL_S))
+    .map(sorted).filter(lambda w: w[0] < w[1]).map(tuple))
+_loads = st.lists(
+    st.tuples(st.floats(0.0, 2000.0), _windows, st.booleans()),
+    max_size=6)
+
+
+@st.composite
+def sols(draw):
+    capacity = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e5)))
+    battery = Battery(capacity, draw(st.floats(0.0, capacity)),
+                      draw(st.floats(0.01, 1.0)), draw(st.floats(0.01, 1.0)))
+    sources = [PowerSource("rtg", rating_w=draw(st.floats(0.0, 2000.0)))]
+    regen_wh = draw(st.floats(0.0, 1e4))
+    if regen_wh:
+        sources.append(PowerSource("regen", SourceKind.WINCH_REGEN,
+                                   event_energy_wh=regen_wh))
+    loads = [PowerLoad(f"l{k}", power, window, sheddable=sheddable)
+             for k, (power, window, sheddable) in enumerate(draw(_loads))]
+    return sources, loads, battery, draw(_timesteps)
+
+
+#: A charge that fills the battery in one step: before + (capacity - before)
+#: rounds one unit in the last place above capacity, so the step is clamped.
+FILL_IN_ONE_STEP = ([PowerSource("r", rating_w=1e6)], [],
+                    Battery(3729.6, 1554.3735443630037), 25.0)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(sols())
+@example(FILL_IN_ONE_STEP)
+def test_soc_bounds_and_closure(case):
+    """SoC stays in [0, capacity]; one step never both charges and
+    discharges; the step deltas close the SoC exactly, except in a step
+    clamped at capacity, where they close it to within one unit in the
+    last place of the capacity (see SocTrace)."""
+    sources, loads, battery, timestep_s = case
+    trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
+    soc = trace.soc_wh
+    assert np.all(soc >= 0.0)
+    assert np.all(soc <= battery.capacity_wh)
+    assert not np.any((trace.charged_wh > 0) & (trace.discharged_wh > 0))
+    closed = soc[:-1] + trace.charged_wh - trace.discharged_wh
+    full = soc[1:] == battery.capacity_wh
+    assert np.array_equal(closed[~full], soc[1:][~full])
+    assert np.all(np.abs(closed[full] - battery.capacity_wh)
+                  <= np.spacing(battery.capacity_wh))
+
+
+def test_closure_is_inexact_only_where_the_charge_is_clamped():
+    sources, loads, battery, timestep_s = FILL_IN_ONE_STEP
+    trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
+    before, after = trace.soc_wh[:2]
+    assert after == battery.capacity_wh
+    assert before + trace.charged_wh[0] == np.nextafter(after, math.inf)
