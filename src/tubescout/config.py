@@ -28,21 +28,23 @@ from pathlib import Path
 from tubescout.aerostat import REFERENCE_BALLOON, BalloonConfig
 from tubescout.energy import (
     DEFAULT_TIMESTEP_S,
-    MAX_SOL_STEPS,
     REFERENCE_WINCH,
     Battery,
     PowerLoad,
     PowerSource,
     SourceKind,
     WinchSpec,
+    sol_problems,
 )
 from tubescout.env import MarsEnvironment, make_environment
 from tubescout.mission import (
+    REGEN_SOURCE_NAME,
     IllegalTransition,
     MissionEvent,
     MissionPhase,
     MissionState,
     advance,
+    check_germination,
 )
 from tubescout.program import (
     DEFAULT_DEADLINE_YEAR,
@@ -60,13 +62,14 @@ from tubescout.program import (
     parse_money,
     rollup_cost,
 )
-from tubescout.report import echo, json_fields
+from tubescout.report import JSON_KEYS, echo, json_fields
 from tubescout.thermal import REFERENCE_GREENHOUSE, AvionicsEnvelope, GlazedEnclosure
 from tubescout.tube_explorer import (
     OBSTACLE,
     SampleSite,
     ScoutRobot,
     Station,
+    check_tube_parameters,
     read_map_file,
 )
 
@@ -112,16 +115,8 @@ class GeneratorSettings:
     resolution_m: float = 1.0
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(
-                f"map dimensions must be at least 1x1, got "
-                f"{self.width}x{self.height}")
-        if not 0.0 <= self.obstacle_density <= 1.0:
-            raise ValueError(
-                f"obstacle_density must be in [0, 1], got {self.obstacle_density}")
-        if self.resolution_m <= 0:
-            raise ValueError(
-                f"resolution_m must be positive, got {self.resolution_m}")
+        check_tube_parameters(self.width, self.height, self.obstacle_density,
+                              self.resolution_m)
 
 
 @dataclass(frozen=True)
@@ -163,11 +158,7 @@ class GerminationSettings:
     p_germinate: float = 0.7
 
     def __post_init__(self):
-        if self.n_seeds < 0:
-            raise ValueError(f"n_seeds must be nonnegative, got {self.n_seeds}")
-        if not 0.0 <= self.p_germinate <= 1.0:
-            raise ValueError(
-                f"p_germinate must be in [0, 1], got {self.p_germinate}")
+        check_germination(self.n_seeds, self.p_germinate)
 
 
 #: Upper bound on ``mission.sols_per_phase`` values: a Martian year is 669
@@ -415,15 +406,21 @@ _ROBOT_OVERRIDE_KEYS = ("module_count", "battery_full_s", "speed_mps",
 
 def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
     map_file = block.read("map_file", str)
+    cells = None
     if map_file is not None:
         if "generator" in block.data:
             block.err("map_file and generator are mutually exclusive")
         resolved = Path(map_file)
         if base_dir is not None and not resolved.is_absolute():
             resolved = base_dir / resolved
+        map_file = str(resolved)
         if not resolved.is_file():
             block.err(f"map file not found: {resolved}", "map_file")
-        map_file = str(resolved)
+        elif "sample_sites" in block.data:  # only sample sites need the map
+            try:
+                cells = read_map_file(resolved).cells
+            except (OSError, ValueError) as exc:
+                block.err(str(exc), "map_file")
 
     robots = block.obj("robots")
     count = robots.read("count", int, ExplorationSettings.robot_count)
@@ -434,6 +431,11 @@ def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
                  if name in _ROBOT_OVERRIDE_KEYS
                  and (value := robots.read(key, hint)) is not None}
     robots.close()
+    try:
+        prototype = ScoutRobot("scout_1", **overrides)
+    except ValueError as exc:
+        robots.err(str(exc))
+        prototype = None
 
     station_block = block.obj("station")
     use_winch = station_block.read("use_winch", bool, True)
@@ -445,22 +447,16 @@ def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
                                {"winch": winch if use_winch else None})
     # A robot lowered by the winch still free-falls the last stretch;
     # that drop must be survivable for the whole fleet.
-    tolerance = overrides.get("drop_tolerance_m", ScoutRobot.drop_tolerance_m)
-    if final_drop > tolerance:
+    if prototype is not None and final_drop > prototype.drop_tolerance_m:
         block.err(f"station final drop {final_drop} m exceeds the robot drop "
-                  f"tolerance {tolerance} m")
+                  f"tolerance {prototype.drop_tolerance_m} m")
 
     settings = _parse_dataclass(block, ExplorationSettings, {
         "map_file": map_file, "robot_count": count, "robot_overrides": overrides,
         "station": station, "final_drop_m": final_drop})
-    if settings is _INVALID or not settings.sample_sites:
+    if (settings is _INVALID or not settings.sample_sites
+            or (map_file and cells is None)):
         return settings
-    cells = None
-    if map_file:
-        try:
-            cells = read_map_file(map_file).cells
-        except (OSError, ValueError):
-            return settings  # an unreadable map fails the survey itself
     height, width = (cells.shape if cells is not None else
                      (settings.generator.height, settings.generator.width))
     for i, site in enumerate(settings.sample_sites):
@@ -525,28 +521,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
                                           _default_cave_fraction(), float, 1)})
     config = _parse_dataclass(top, MissionConfig, given)
 
-    sol_s, timestep = config.env.sol_length_s, config.timestep_s
-    steps = sol_s / timestep if timestep > 0 else 0.0
-    if steps > MAX_SOL_STEPS:
-        errors.append(("config.power.timestep_s",
-                       f"timestep {timestep} s is too short: the {sol_s:.0f} s "
-                       f"sol would take more than {MAX_SOL_STEPS} steps"))
-    elif abs(steps - round(steps)) > 1e-9 or round(steps) == 0:
-        errors.append(("config.power.timestep_s",
-                       f"timestep {timestep} s does not divide the "
-                       f"{sol_s:.0f} s sol evenly"))
-    for key, items in (("sources", config.sources),
-                       ("loads", [t.load for t in config.loads])):
-        first: dict = {}
-        for i, item in enumerate(items):
-            j = first.setdefault(item.name, i)
-            if j != i:
-                errors.append((f"config.power.{key}[{i}].name",
-                               f"duplicate name {item.name!r} "
-                               f"(also {key}[{j}])"))
-    if not config.sources and config.battery.initial_soc_wh == 0 and config.loads:
-        errors.append(("config.power.sources", "no power source and an empty "
-                       "battery cannot serve loads"))
     state = MissionState()
     for i, event in enumerate(config.mission.events):
         try:
@@ -554,12 +528,16 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
         except IllegalTransition as exc:
             errors.append((f"config.mission.events[{i}]", str(exc)))
             break
-    for i, tagged in enumerate(config.loads):
-        window = tagged.load.window
-        if window is not None and window[1] > sol_s:
-            errors.append((f"config.power.loads[{i}].window_s",
-                           f"window {list(window)} ends past the "
-                           f"{sol_s:.0f} s sol"))
+    items = {"sources": config.sources, "loads": [t.load for t in config.loads]}
+    for argument, i, name, message in sol_problems(
+            config.sources, items["loads"], config.battery, config.env,
+            config.timestep_s,
+            {REGEN_SOURCE_NAME: "the mission's winch regeneration source"}):
+        path = "config." + JSON_KEYS["MissionConfig"][argument]
+        if i is not None:
+            keys = JSON_KEYS.get(type(items[argument][i]).__name__, {})
+            path += f"[{i}].{keys.get(name, name)}"
+        errors.append((path, message))
     if errors:
         raise ConfigError(errors)
     return config

@@ -207,12 +207,41 @@ class SocTrace:
         return {v.unmet_load_name for v in self.violations}
 
 
-def _check_unique_names(items, what: str) -> None:
-    seen = set()
-    for item in items:
-        if item.name in seen:
-            raise ValueError(f"duplicate {what} name {item.name!r}")
-        seen.add(item.name)
+def sol_problems(sources: list[PowerSource], loads: list[PowerLoad],
+                 battery: Battery, env: MarsEnvironment, timestep_s: float,
+                 taken_source_names: dict[str, str] | None = None):
+    """Yield every reason ``simulate_sol`` refuses these arguments, as
+    (argument, item index or None, item field or None, message): for
+    example ``("loads", 1, "window", ...)``. ``taken_source_names`` maps
+    names a caller will add sources under to what adds them; a source
+    that reuses one is a duplicate."""
+    sol_s = env.sol_length_s
+    if not timestep_s > 0:
+        yield ("timestep_s", None, None,
+               f"timestep {timestep_s} s must be positive")
+    elif (steps := sol_s / timestep_s) > MAX_SOL_STEPS:
+        yield ("timestep_s", None, None,
+               f"timestep {timestep_s} s is too short: the {sol_s:.0f} s sol "
+               f"would take more than {MAX_SOL_STEPS} steps")
+    elif round(steps) == 0 or abs(steps - round(steps)) > 1e-9:
+        yield ("timestep_s", None, None,
+               f"timestep {timestep_s} s does not divide the {sol_s:.0f} s "
+               f"sol evenly")
+    for argument, items, taken in (("sources", sources, taken_source_names),
+                                   ("loads", loads, None)):
+        first = dict(taken or {})
+        for i, item in enumerate(items):
+            also = first.setdefault(item.name, f"{argument}[{i}]")
+            if also != f"{argument}[{i}]":
+                yield (argument, i, "name",
+                       f"duplicate name {item.name!r} (also {also})")
+    for i, load in enumerate(loads):
+        if load.window is not None and load.window[1] > sol_s:
+            yield ("loads", i, "window", f"window {list(load.window)} ends "
+                                         f"past the {sol_s:.0f} s sol")
+    if not sources and battery.initial_soc_wh == 0 and loads:
+        yield ("sources", None, None,
+               "no power source and an empty battery cannot serve loads")
 
 
 def _shed_order(loads: list[PowerLoad]) -> list[PowerLoad]:
@@ -238,31 +267,12 @@ class _Sol:
 
     def __init__(self, sources: list[PowerSource], loads: list[PowerLoad],
                  battery: Battery, env: MarsEnvironment, timestep_s: float):
-        if timestep_s <= 0:
-            raise ValueError(f"timestep_s must be positive, got {timestep_s}")
-        steps_exact = env.sol_length_s / timestep_s
-        if steps_exact > MAX_SOL_STEPS:
-            raise ValueError(
-                f"timestep_s {timestep_s} s is too short: the "
-                f"{env.sol_length_s} s sol would take more than "
-                f"{MAX_SOL_STEPS} steps")
-        n_steps = round(steps_exact)
-        if n_steps == 0 or abs(steps_exact - n_steps) > 1e-9:
-            raise ValueError(
-                f"timestep_s must divide the sol length: {timestep_s} s does not "
-                f"divide {env.sol_length_s} s")
-        _check_unique_names(sources, "source")
-        _check_unique_names(loads, "load")
-        for load in loads:
-            if load.window is not None and load.window[1] > env.sol_length_s:
-                raise ValueError(
-                    f"load {load.name!r} window {load.window} extends past the "
-                    f"{env.sol_length_s} s sol")
-        if not sources and battery.initial_soc_wh == 0 and loads:
-            raise ValueError("no power source and an empty battery cannot serve loads")
-
+        for argument, i, name, message in sol_problems(sources, loads, battery,
+                                                       env, timestep_s):
+            where = argument if i is None else f"{argument}[{i}].{name}"
+            raise ValueError(f"{where}: {message}")
         self.timestep_s = timestep_s
-        self.n_steps = n_steps
+        self.n_steps = round(env.sol_length_s / timestep_s)
         self.dt_h = timestep_s / 3600.0
         self.battery = battery
         self.base_supply_w = sum(s.rating_w for s in sources
@@ -390,10 +400,8 @@ def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
     affected load per step.
 
     Raises:
-        ValueError: on a nonpositive timestep, a timestep that does not
-            divide the sol or gives more than ``MAX_SOL_STEPS`` steps, a
-            load window past the end of the sol, duplicate source/load
-            names, or a system with no source and an empty battery.
+        ValueError: on the first of ``sol_problems``, prefixed with the
+            argument it concerns (for example ``loads[1].window: ``).
     """
     sol = _Sol(sources, loads, battery, env, timestep_s)
     demand_w = sol.demand(loads)

@@ -55,12 +55,9 @@ class MissionEvent(enum.Enum):
     END_MISSION = "EndMission"
 
 
-def mission_event_from(text: str) -> MissionEvent:
-    for event in MissionEvent:
-        if event.value == text:
-            return event
-    known = ", ".join(e.value for e in MissionEvent)
-    raise ValueError(f"unknown mission event {text!r} (known: {known})")
+#: The source through which the mission credits winch regeneration to
+#: the sol after a survey.
+REGEN_SOURCE_NAME = "winch_regen"
 
 
 class IllegalTransition(ValueError):
@@ -108,6 +105,13 @@ def advance(state: MissionState, event: MissionEvent) -> MissionState:
                         tubes_explored=tubes)
 
 
+def check_germination(n_seeds: int, p_germinate: float) -> None:
+    if n_seeds < 0:
+        raise ValueError(f"n_seeds must be nonnegative, got {n_seeds}")
+    if not 0.0 <= p_germinate <= 1.0:
+        raise ValueError(f"p_germinate must be in [0, 1], got {p_germinate}")
+
+
 @dataclass(frozen=True)
 class GerminationTrial:
     """Outcome of n independent seed-germination draws."""
@@ -118,22 +122,15 @@ class GerminationTrial:
     germinated: int
 
     def __post_init__(self):
-        if self.n_seeds < 0:
-            raise ValueError(f"n_seeds must be nonnegative, got {self.n_seeds}")
-        if not 0.0 <= self.p_germinate <= 1.0:
-            raise ValueError(
-                f"p_germinate must be in [0, 1], got {self.p_germinate}")
+        check_germination(self.n_seeds, self.p_germinate)
         if not 0 <= self.germinated <= self.n_seeds:
             raise ValueError(
                 f"germinated must be in [0, {self.n_seeds}], got {self.germinated}")
 
 
 def germination_trial(n_seeds: int, p_germinate: float, seed: int) -> GerminationTrial:
-    """Run n Bernoulli draws on the germination random stream."""
-    if n_seeds < 0:
-        raise ValueError(f"n_seeds must be nonnegative, got {n_seeds}")
-    if not 0.0 <= p_germinate <= 1.0:
-        raise ValueError(f"p_germinate must be in [0, 1], got {p_germinate}")
+    """Run n Bernoulli draws on the germination random stream. Bad
+    bounds are rejected by the result, after the draws."""
     rng = Rng(seed, GERMINATION_STREAM)
     germinated = sum(1 for _ in range(n_seeds) if rng.chance(p_germinate))
     return GerminationTrial(n_seeds=n_seeds, p_germinate=p_germinate,
@@ -147,7 +144,11 @@ def explore_tube(config: "MissionConfig", seed: int,
     section (with its ``tube_seed``), its findings and the raw result."""
     exp = config.exploration
     if exp.map_file is not None:
-        grid = read_map_file(exp.map_file)
+        try:
+            grid = read_map_file(exp.map_file)
+        except (OSError, ValueError) as exc:
+            from tubescout.config import ConfigError  # config imports this module
+            raise ConfigError([("config.exploration.map_file", str(exc))]) from exc
         tube_seed = None
     else:
         gen = exp.generator
@@ -202,7 +203,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             sources = list(config.sources)
             injected_wh = pending_regen_wh
             if injected_wh > 0.0:
-                sources.append(PowerSource("winch_regen", SourceKind.WINCH_REGEN,
+                sources.append(PowerSource(REGEN_SOURCE_NAME, SourceKind.WINCH_REGEN,
                                            0.0, injected_wh))
                 pending_regen_wh = 0.0
             trace = simulate_sol(sources, loads, battery, env, config.timestep_s)

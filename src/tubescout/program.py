@@ -254,14 +254,6 @@ PHASE_ORDER = (PhaseCode.PRE_A, PhaseCode.A, PhaseCode.B, PhaseCode.C,
                PhaseCode.D, PhaseCode.E, PhaseCode.F)
 
 
-def phase_code_from(text: str) -> PhaseCode:
-    for code in PhaseCode:
-        if code.value == text:
-            return code
-    known = ", ".join(c.value for c in PHASE_ORDER)
-    raise ValueError(f"unknown phase code {text!r} (known: {known})")
-
-
 @dataclass(frozen=True)
 class LifecyclePhase:
     code: PhaseCode

@@ -55,8 +55,7 @@ class GridMap:
         self.cells = np.asarray(self.cells, dtype=np.int8)
         if self.cells.ndim != 2 or self.cells.shape[0] < 1 or self.cells.shape[1] < 1:
             raise MapError(f"cells must be a 2D grid, got shape {self.cells.shape}")
-        if self.resolution_m <= 0:
-            raise MapError(f"resolution_m must be positive, got {self.resolution_m}")
+        check_resolution(self.resolution_m)
         entrances = np.argwhere(self.cells == ENTRANCE)
         if len(entrances) != 1:
             raise MapError(f"map must have exactly one entrance, found {len(entrances)}")
@@ -86,6 +85,31 @@ class GridMap:
                        resolution_m=self.resolution_m)
 
 
+def check_resolution(resolution_m: float) -> None:
+    if resolution_m <= 0:
+        raise MapError(f"resolution_m must be positive, got {resolution_m}")
+
+
+#: Upper bound on the cells of a generated tube: a 1000x1000 map takes
+#: about a second to draw.
+MAX_TUBE_CELLS = 1_000_000
+
+
+def check_tube_parameters(width: int, height: int, obstacle_density: float,
+                          resolution_m: float) -> None:
+    """Raise MapError unless ``generate_tube`` accepts these parameters."""
+    if width < 1 or height < 1:
+        raise MapError(
+            f"map dimensions must be at least 1x1, got {width}x{height}")
+    if width * height > MAX_TUBE_CELLS:
+        raise MapError(f"map dimensions {width}x{height} exceed "
+                       f"{MAX_TUBE_CELLS} cells")
+    if not 0.0 <= obstacle_density < 1.0:
+        raise MapError(
+            f"obstacle_density must be in [0, 1), got {obstacle_density}")
+    check_resolution(resolution_m)
+
+
 def fresh_map(cells: np.ndarray, resolution_m: float = 1.0) -> GridMap:
     """Wrap an occupancy array into a GridMap with nothing explored yet."""
     cells = np.asarray(cells, dtype=np.int8)
@@ -101,11 +125,7 @@ def generate_tube(seed: int, width: int, height: int,
     column is drawn first, then one obstacle draw per cell in row-major
     order, so maps of equal size share a prefix of the random stream.
     """
-    if width < 1 or height < 1:
-        raise MapError(f"degenerate map dimensions {width}x{height}")
-    if not 0.0 <= obstacle_density < 1.0:
-        raise MapError(
-            f"obstacle_density must be in [0, 1), got {obstacle_density}")
+    check_tube_parameters(width, height, obstacle_density, resolution_m)
     rng = Rng(seed, stream=TUBE_STREAM)
     entrance_col = rng.below(width)
     cells = np.zeros((height, width), dtype=np.int8)

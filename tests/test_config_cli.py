@@ -184,6 +184,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown mission event"):
             parse_config({"mission": {"events": ["Warp"]}})
 
+    def test_unknown_phase_code(self):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config({"program": {"phases": [
+                {"code": "PreA", "start_year": 2022},
+                {"code": "F", "start_year": 2030},
+                {"code": "G", "start_year": 2031}]}})
+        assert exc_info.value.errors == [(
+            "config.program.phases[2].code",
+            "unknown phase code 'G' (known: PreA, A, B, C, D, E, F)")]
+
     def test_phase_map_validation(self):
         with pytest.raises(ConfigError, match="unknown phase"):
             parse_config({"mission": {"sols_per_phase": {"Orbit": 1}}})
@@ -652,3 +662,48 @@ class TestInputValidation:
         assert capsys.readouterr().err.splitlines() == [
             "error: config.mission.events[1]: event TubeSurveyComplete is not "
             "legal in phase Transit"]
+
+
+SUBCOMMANDS = ("balloon", "winch", "thermal", "power", "explore", "budget",
+               "cost", "schedule", "mission")
+ONE_SITE = [{"cell": [1, 1], "mass_kg": 1.0}]
+#: (payload, error line) for inputs a model refuses. Every subcommand
+#: must reject them at parse time, naming the config path.
+MODEL_RULES = [
+    ({"exploration": {"generator": {"obstacle_density": 1.0}}},
+     "config.exploration.generator: obstacle_density must be in [0, 1), "
+     "got 1.0"),
+    ({"exploration": {"robots": {"module_count": 7}}},
+     "config.exploration.robots: module_count must be in 2..5, got 7"),
+    ({"exploration": {"robots": {"speed_mps": 0}}},
+     "config.exploration.robots: speed_mps must be positive, got 0.0"),
+    ({"exploration": {"robots": {"reserve_factor": 0.5}}},
+     "config.exploration.robots: reserve_factor must be >= 1, got 0.5"),
+    ({"exploration": {"robots": {"aux_capacity_kg": 0}}},
+     "config.exploration.robots: aux_capacity_kg must be positive, got 0.0"),
+    ({"power": {"sources": [{"name": "winch_regen", "rating_w": 5.0}]}},
+     "config.power.sources[0].name: duplicate name 'winch_regen' (also the "
+     "mission's winch regeneration source)"),
+    # Sample sites make the config read the map.
+    ({"exploration": {"map_file": "two.map", "sample_sites": ONE_SITE}},
+     "config.exploration.map_file: map must have exactly one entrance, "
+     "found 2"),
+]
+TWO_ENTRANCE_MAP = ({"exploration": {"map_file": "two.map"}},
+                    "config.exploration.map_file: map must have exactly one "
+                    "entrance, found 2")
+
+
+@pytest.mark.parametrize("command, payload, error", [
+    *[(command, payload, error) for payload, error in MODEL_RULES
+      for command in SUBCOMMANDS],
+    # Without sample sites only the survey reads the map.
+    *[(command, *TWO_ENTRANCE_MAP) for command in ("explore", "mission")],
+])
+def test_model_rules_exit_2_with_a_config_path(tmp_path, capsys, command,
+                                               payload, error):
+    (tmp_path / "two.map").write_text("E.E\n...\n")
+    config = write_config(tmp_path, payload)
+    assert run_cli(command, "--config", config,
+                   "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]

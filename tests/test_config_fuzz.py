@@ -1,5 +1,7 @@
 """Config fuzzing: random JSON values at random paths of the paper
-baseline scenario, run through the command line.
+baseline scenario, run through the command line. The analytic
+subcommands run on the baseline itself; ``explore`` and ``mission`` on
+a small generated tube.
 
 Every run must end in one of two ways: exit 0 with a report that is
 strict JSON (no ``NaN`` or ``Infinity``), or exit 2 with only
@@ -13,7 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubescout.cli import main
@@ -22,7 +24,10 @@ from tubescout.report import echo
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SUBCOMMANDS = ("power", "balloon", "thermal", "budget", "cost", "schedule")
+SURVEYS = ("explore", "mission")
 DELETE = object()
+#: Written next to each fuzzed config, for a ``map_file`` of "two.map".
+TWO_ENTRANCE_MAP = "E.E\n...\n"
 
 
 def baseline() -> dict:
@@ -40,6 +45,21 @@ def baseline() -> dict:
     return raw
 
 
+def survey_baseline() -> dict:
+    """``baseline`` on an 8x8 generated tube with a sample site, a short
+    step limit and every robot override set."""
+    raw = baseline()
+    exploration = raw["exploration"]
+    del exploration["map_file"]
+    exploration["generator"] = {"width": 8, "height": 8,
+                                "obstacle_density": 0.2}
+    exploration["robots"].update(module_count=3, speed_mps=1.7,
+                                 reserve_factor=1.2, aux_capacity_kg=6.0)
+    exploration["sample_sites"] = [{"cell": [1, 1], "mass_kg": 1.0}]
+    exploration["max_steps"] = 200
+    return raw
+
+
 def paths(node, prefix=()):
     """Every key and index path in a JSON tree, containers included."""
     items = (node.items() if isinstance(node, dict)
@@ -50,6 +70,7 @@ def paths(node, prefix=()):
 
 
 PATHS = sorted(paths(baseline()), key=repr)
+SURVEY_PATHS = sorted(paths(survey_baseline()), key=repr)
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
@@ -61,9 +82,12 @@ values = st.recursive(
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=5), children, max_size=3),
     max_leaves=6)
-mutations = st.lists(
-    st.tuples(st.sampled_from(PATHS), st.one_of(values, st.just(DELETE))),
-    min_size=1, max_size=3)
+
+
+def mutations(paths):
+    return st.lists(
+        st.tuples(st.sampled_from(paths), st.one_of(values, st.just(DELETE))),
+        min_size=1, max_size=3)
 
 
 def mutate(raw: dict, path: tuple, value) -> None:
@@ -96,17 +120,15 @@ def run(argv):
     return rc, err.getvalue()
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(mutations)
-def test_mutated_baseline_exits_0_or_2_with_a_config_path(changes):
-    raw = baseline()
-    for path, value in changes:
-        mutate(raw, path, value)
+def check_commands(raw: dict, commands) -> None:
+    """Run each command on ``raw``: exit 0 with a strict JSON report, or
+    exit 2 with only ``error: config...`` lines."""
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "two.map").write_text(TWO_ENTRANCE_MAP, encoding="utf-8")
         config = Path(tmp) / "scenario.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
         out = Path(tmp) / "out"
-        for command in SUBCOMMANDS:
+        for command in commands:
             (out / "report.json").unlink(missing_ok=True)
             rc, err = run([command, "--config", str(config), "--out", str(out)])
             if rc == 0:
@@ -117,3 +139,30 @@ def test_mutated_baseline_exits_0_or_2_with_a_config_path(changes):
                 assert rc == 2, (command, rc, err)
                 assert err and all(line.startswith("error: config")
                                    for line in err.splitlines()), (command, err)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(mutations(PATHS))
+def test_mutated_baseline_exits_0_or_2_with_a_config_path(changes):
+    raw = baseline()
+    for path, value in changes:
+        mutate(raw, path, value)
+    check_commands(raw, SUBCOMMANDS)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(mutations(SURVEY_PATHS))
+@example([(("exploration", "generator", "obstacle_density"), 1.0)])
+@example([(("exploration", "robots", "module_count"), 7)])
+@example([(("exploration", "robots", "speed_mps"), 0)])
+@example([(("exploration", "robots", "reserve_factor"), 0.5)])
+@example([(("exploration", "robots", "aux_capacity_kg"), 0)])
+@example([(("power", "sources", 1, "name"), "winch_regen")])
+@example([(("exploration", "generator"), DELETE),
+          (("exploration", "map_file"), "two.map")])
+@example([(("exploration", "generator", "width"), 10**400)])
+def test_mutated_survey_exits_0_or_2_with_a_config_path(changes):
+    raw = survey_baseline()
+    for path, value in changes:
+        mutate(raw, path, value)
+    check_commands(raw, SURVEYS)

@@ -13,6 +13,7 @@ from tubescout.energy import (
     WinchSpec,
     schedule_loads,
     simulate_sol,
+    sol_problems,
     winch_power,
     winch_regen_energy,
     write_soc_csv,
@@ -210,6 +211,31 @@ class TestSimulateSol:
     def test_no_source_empty_battery_rejected(self):
         with pytest.raises(ValueError):
             simulate_sol([], [PowerLoad("bus", 10.0)], Battery(1000.0, 0.0), ENV)
+
+    def test_every_problem_named_by_argument_index_and_field(self):
+        loads = [PowerLoad("a", 1.0), PowerLoad("b", 1.0, (0.0, 90000.0)),
+                 PowerLoad("a", 2.0)]
+        sources = [PowerSource("regen")]
+        problems = list(sol_problems(sources, loads, Battery(1000.0, 0.0), ENV,
+                                     60.0, {"regen": "the caller's source"}))
+        assert problems == [
+            ("timestep_s", None, None,
+             "timestep 60.0 s does not divide the 88775 s sol evenly"),
+            ("sources", 0, "name",
+             "duplicate name 'regen' (also the caller's source)"),
+            ("loads", 2, "name", "duplicate name 'a' (also loads[0])"),
+            ("loads", 1, "window",
+             "window [0.0, 90000.0] ends past the 88775 s sol")]
+        assert list(sol_problems([], loads[:1], Battery(1000.0, 0.0), ENV,
+                                 25.0)) == [
+            ("sources", None, None,
+             "no power source and an empty battery cannot serve loads")]
+
+    def test_first_problem_raised_with_its_argument(self):
+        loads = [PowerLoad("a", 1.0), PowerLoad("a", 2.0)]
+        with pytest.raises(ValueError, match=r"^loads\[1\]\.name: duplicate "
+                                             r"name 'a' \(also loads\[0\]\)$"):
+            schedule_loads([RTG], loads, Battery(), ENV, 25.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(capacity_wh=-1.0),

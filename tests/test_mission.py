@@ -3,12 +3,14 @@
 import pytest
 
 from tubescout.config import (
+    ConfigError,
     ExplorationSettings,
     GeneratorSettings,
     GerminationSettings,
     MissionConfig,
     MissionSettings,
     TaggedLoad,
+    parse_config,
 )
 from tubescout.energy import Battery, PowerLoad, PowerSource, SourceKind, winch_regen_energy
 from tubescout.mission import (
@@ -19,7 +21,6 @@ from tubescout.mission import (
     MissionState,
     advance,
     germination_trial,
-    mission_event_from,
     run_mission,
 )
 from tubescout.report import dump_json
@@ -112,10 +113,10 @@ class TestAdvance:
             MissionState(tubes_explored=-1)
 
     def test_event_name_parsing(self):
-        assert mission_event_from("DeploymentDone") is E.DEPLOYMENT_DONE
-        assert mission_event_from("EndMission") is E.END_MISSION
-        with pytest.raises(ValueError, match="unknown mission event"):
-            mission_event_from("Teleport")
+        config = parse_config({"mission": {"events": ["DeploymentDone", "EndMission"]}})
+        assert config.mission.events == (E.DEPLOYMENT_DONE, E.END_MISSION)
+        with pytest.raises(ConfigError, match="unknown mission event"):
+            parse_config({"mission": {"events": ["Teleport"]}})
 
 
 class TestGerminationTrial:

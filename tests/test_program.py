@@ -16,7 +16,6 @@ from tubescout.program import (
     WbsNode,
     fte_estimate,
     parse_money,
-    phase_code_from,
     rollup_budget,
     rollup_cost,
     validate_schedule,
@@ -320,12 +319,6 @@ class TestSchedule:
             d_year = shuffled[PHASE_ORDER.index(PhaseCode.D)]
             expect_ok = expect_ok and max(shuffled) >= d_year
             assert check.ok == expect_ok
-
-    def test_phase_code_parsing(self):
-        assert phase_code_from("PreA") is PhaseCode.PRE_A
-        assert phase_code_from("F") is PhaseCode.F
-        with pytest.raises(ValueError, match="unknown phase"):
-            phase_code_from("G")
 
     def test_start_year_must_be_integer(self):
         with pytest.raises(ValueError, match="integer"):

@@ -103,6 +103,8 @@ class TestGenerateTube:
         dict(width=5, height=0),
         dict(width=5, height=5, obstacle_density=1.0),
         dict(width=5, height=5, obstacle_density=-0.1),
+        dict(width=1001, height=1000),
+        dict(width=10**400, height=1),
     ])
     def test_degenerate_parameters(self, kwargs):
         args = dict(width=5, height=5, obstacle_density=0.2)
