@@ -119,6 +119,14 @@ class GeneratorSettings:
                               self.resolution_m)
 
 
+#: Upper bounds on the fleet and on the ticks of one survey. A robot
+#: costs about 50 microseconds a tick on a 20x20 tube, so 100 robots take
+#: about 0.4 s for 80 ticks. A survey stops once the tube is covered and
+#: every sample delivered, so only a stalled one runs to ``max_steps``.
+MAX_ROBOTS = 100
+MAX_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class ExplorationSettings:
     map_file: str | None = None
@@ -131,8 +139,12 @@ class ExplorationSettings:
     final_drop_m: float = 0.0
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+        if not 1 <= self.robot_count <= MAX_ROBOTS:
+            raise ValueError(f"robot_count must be in 1..{MAX_ROBOTS}, "
+                             f"got {self.robot_count}")
+        if not 1 <= self.max_steps <= MAX_STEPS:
+            raise ValueError(f"max_steps must be in 1..{MAX_STEPS}, "
+                             f"got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -424,9 +436,6 @@ def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
 
     robots = block.obj("robots")
     count = robots.read("count", int, ExplorationSettings.robot_count)
-    if count < 1:
-        robots.err(f"count must be at least 1, got {count}", "count")
-        count = ExplorationSettings.robot_count
     overrides = {name: value for name, _, key, hint, _, _ in _schema(ScoutRobot)
                  if name in _ROBOT_OVERRIDE_KEYS
                  and (value := robots.read(key, hint)) is not None}

@@ -18,10 +18,15 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .env import MarsEnvironment
+from .numeric import fold_sum
+
+# numpy is imported inside the functions that build or read arrays, so
+# that the analytic subcommands, which import this module, never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Power differences below this are treated as zero (float noise guard).
 POWER_EPSILON_W = 1e-9
@@ -201,6 +206,7 @@ class SocTrace:
 
     @property
     def total_shed_wh(self) -> float:
+        import numpy as np
         return float(np.sum(self.shed_w)) * self.timestep_s / 3600.0
 
     def violated_load_names(self) -> set[str]:
@@ -275,10 +281,10 @@ class _Sol:
         self.n_steps = round(env.sol_length_s / timestep_s)
         self.dt_h = timestep_s / 3600.0
         self.battery = battery
-        self.base_supply_w = sum(s.rating_w for s in sources
-                                 if s.kind is not SourceKind.WINCH_REGEN)
-        event_wh = sum(s.event_energy_wh for s in sources
-                       if s.kind is SourceKind.WINCH_REGEN)
+        self.base_supply_w = fold_sum(s.rating_w for s in sources
+                                      if s.kind is not SourceKind.WINCH_REGEN)
+        event_wh = fold_sum(s.event_energy_wh for s in sources
+                            if s.kind is SourceKind.WINCH_REGEN)
         self.first_supply_w = self.base_supply_w
         if event_wh > 0:
             self.first_supply_w += event_wh / self.dt_h
@@ -304,6 +310,7 @@ class _Sol:
         demand_w[lo:hi] += load.power_w
 
     def demand(self, loads: list[PowerLoad]) -> np.ndarray:
+        import numpy as np
         demand_w = np.zeros(self.n_steps)
         for load in loads:
             self.add(demand_w, load)
@@ -315,6 +322,7 @@ class _Sol:
         demand of ``loads``. Returns (soc, shed_w, violations), with soc
         an ``array('d')`` of n_steps + 1 samples, or None as soon as a
         non-sheddable load is cut if ``stop_at_hard_cut``."""
+        import numpy as np
         battery = self.battery
         capacity = battery.capacity_wh
         charge_eff = battery.charge_efficiency
@@ -368,6 +376,7 @@ class _Sol:
         return soc, shed_w, violations
 
     def trace(self, demand_w: np.ndarray, run) -> SocTrace:
+        import numpy as np
         soc, shed_w, violations = run
         soc_wh = np.frombuffer(soc)
         supply_w = np.full(self.n_steps, self.base_supply_w, dtype=float)
@@ -427,6 +436,7 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     input load is admitted. The returned trace is that of the final
     admitted set, which the last admitted trial ran in full.
     """
+    import numpy as np
     sol = _Sol(sources, loads, battery, env, timestep_s)
     admitted: list[PowerLoad] = []
     admitted_demand_w = np.zeros(sol.n_steps)

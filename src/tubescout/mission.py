@@ -105,9 +105,15 @@ def advance(state: MissionState, event: MissionEvent) -> MissionState:
                         tubes_explored=tubes)
 
 
+#: Upper bound on the seeds of a germination trial: one draw costs about
+#: 0.9 microseconds, so a million take about a second.
+MAX_GERMINATION_SEEDS = 1_000_000
+
+
 def check_germination(n_seeds: int, p_germinate: float) -> None:
-    if n_seeds < 0:
-        raise ValueError(f"n_seeds must be nonnegative, got {n_seeds}")
+    if not 0 <= n_seeds <= MAX_GERMINATION_SEEDS:
+        raise ValueError(f"n_seeds must be in 0..{MAX_GERMINATION_SEEDS}, "
+                         f"got {n_seeds}")
     if not 0.0 <= p_germinate <= 1.0:
         raise ValueError(f"p_germinate must be in [0, 1], got {p_germinate}")
 

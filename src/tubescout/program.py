@@ -14,6 +14,8 @@ import re
 from dataclasses import dataclass, field
 from typing import NewType
 
+from .numeric import fold_sum
+
 #: Whole US dollars. A config file may give one as a money string too.
 Money = NewType("Money", int)
 
@@ -92,9 +94,9 @@ def rollup_budget(payloads: list[PayloadSpec] | tuple[PayloadSpec, ...],
     allocation is reported as a margin only, since the platform itself
     is not a registry item.
     """
-    total_mass = sum(p.mass_kg for p in payloads)
-    total_volume = sum(p.volume_m3 for p in payloads)
-    peak_power = sum(p.power_w for p in payloads)
+    total_mass = fold_sum(p.mass_kg for p in payloads)
+    total_volume = fold_sum(p.volume_m3 for p in payloads)
+    peak_power = fold_sum(p.power_w for p in payloads)
     margins = {
         "payload_mass_kg": limits.payload_mass_limit_kg - total_mass,
         "volume_m3": limits.volume_limit_m3 - total_volume,
@@ -119,7 +121,7 @@ class WbsNode:
     name: str
     level: int
     cost_usd: Money | None = None
-    children: tuple["WbsNode", ...] = ()
+    children: tuple[WbsNode, ...] = ()
     note: str | None = None
 
     def __post_init__(self):

@@ -71,12 +71,17 @@ class Rng:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) without modulo bias."""
+        """Uniform integer in [0, n) without modulo bias. A draw joins
+        as many 64-bit outputs as ``n - 1`` needs, one for n <= 2**64."""
         if n <= 0:
             raise ValueError(f"upper bound must be positive, got {n}")
-        threshold = (1 << 64) - ((1 << 64) % n)
+        words = max(1, ((n - 1).bit_length() + 63) // 64)
+        span = 1 << (64 * words)
+        threshold = span - span % n
         while True:
-            draw = self.next_u64()
+            draw = 0
+            for _ in range(words):
+                draw = (draw << 64) | self.next_u64()
             if draw < threshold:
                 return draw % n
 

@@ -20,12 +20,17 @@ import heapq
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .energy import WinchSpec, winch_regen_energy
 from .env import MarsEnvironment
+from .numeric import fold_sum
 from .rng import TUBE_STREAM, Rng
+
+# numpy is imported inside the functions that build or read arrays, so
+# that the analytic subcommands, which import this module, never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 FREE = 0
 OBSTACLE = 1
@@ -52,6 +57,7 @@ class GridMap:
     resolution_m: float = 1.0
 
     def __post_init__(self):
+        import numpy as np
         self.cells = np.asarray(self.cells, dtype=np.int8)
         if self.cells.ndim != 2 or self.cells.shape[0] < 1 or self.cells.shape[1] < 1:
             raise MapError(f"cells must be a 2D grid, got shape {self.cells.shape}")
@@ -74,6 +80,7 @@ class GridMap:
 
     @property
     def entrance(self) -> tuple[int, int]:
+        import numpy as np
         r, c = np.argwhere(self.cells == ENTRANCE)[0]
         return int(r), int(c)
 
@@ -112,6 +119,7 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 
 def fresh_map(cells: np.ndarray, resolution_m: float = 1.0) -> GridMap:
     """Wrap an occupancy array into a GridMap with nothing explored yet."""
+    import numpy as np
     cells = np.asarray(cells, dtype=np.int8)
     return GridMap(cells=cells, explored=np.zeros(cells.shape, dtype=bool),
                    resolution_m=resolution_m)
@@ -125,6 +133,7 @@ def generate_tube(seed: int, width: int, height: int,
     column is drawn first, then one obstacle draw per cell in row-major
     order, so maps of equal size share a prefix of the random stream.
     """
+    import numpy as np
     check_tube_parameters(width, height, obstacle_density, resolution_m)
     rng = Rng(seed, stream=TUBE_STREAM)
     entrance_col = rng.below(width)
@@ -145,6 +154,7 @@ def grid_to_text(grid: GridMap) -> str:
 
 def grid_from_text(text: str, resolution_m: float = 1.0) -> GridMap:
     """Parse a '.'/'#'/'E' map; rows must be equal length, exactly one E."""
+    import numpy as np
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise MapError("map text is empty")
@@ -173,6 +183,7 @@ def write_map_file(path, grid: GridMap) -> None:
 
 def _padded(mask: np.ndarray) -> bytearray:
     """A boolean grid as a row-major bytearray inside a one-cell clear border."""
+    import numpy as np
     h, w = mask.shape
     padded = np.zeros((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = mask
@@ -200,6 +211,7 @@ def _flat_bfs(mask: bytearray, start: int, offsets: tuple[int, ...]) -> array:
 
 def bfs_distances(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
     """4-connected BFS hop counts over True cells; -1 where unreachable."""
+    import numpy as np
     h, w = mask.shape
     if not mask[start]:
         return np.full((h, w), -1, dtype=np.int32)
@@ -217,6 +229,7 @@ def reachable_cells(grid: GridMap) -> np.ndarray:
 
 def coverage_fraction(grid: GridMap) -> float:
     """Explored share of the entrance-connected traversable component."""
+    import numpy as np
     reachable = reachable_cells(grid)
     total = int(np.count_nonzero(reachable))
     done = int(np.count_nonzero(reachable & grid.explored))
@@ -224,6 +237,7 @@ def coverage_fraction(grid: GridMap) -> float:
 
 
 def _frontier(traversable: np.ndarray, explored: np.ndarray) -> np.ndarray:
+    import numpy as np
     open_unexplored = traversable & ~explored
     h, w = open_unexplored.shape
     has_unexplored_neighbor = np.zeros((h, w), dtype=bool)
@@ -336,7 +350,7 @@ class ScoutRobot:
 
     @property
     def payload_mass_kg(self) -> float:
-        return sum(s.mass_kg for s in self.samples)
+        return fold_sum(s.mass_kg for s in self.samples)
 
 
 def make_fleet(grid: GridMap, count: int, **overrides) -> list[ScoutRobot]:
@@ -454,6 +468,7 @@ class _Kernel:
     """
 
     def __init__(self, grid: GridMap):
+        import numpy as np
         self.height, self.width = grid.cells.shape
         self.stride = stride = self.width + 2
         self.offsets = (-stride, -1, 1, stride)
@@ -487,6 +502,7 @@ class _Kernel:
         return r - 1, c - 1
 
     def explored_mask(self) -> np.ndarray:
+        import numpy as np
         padded = np.frombuffer(self.explored, dtype=bool).reshape(-1, self.stride)
         return padded[1:-1, 1:-1].copy()
 

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -25,6 +26,11 @@ from tubescout.report import echo
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SUBCOMMANDS = ("power", "balloon", "thermal", "budget", "cost", "schedule")
 SURVEYS = ("explore", "mission")
+#: Keys whose value sets the work of a run, and the block that refuses a
+#: huge one.
+WORK_KEYS = {("exploration", "robots", "count"): "config.exploration",
+             ("exploration", "max_steps"): "config.exploration",
+             ("mission", "germination", "n_seeds"): "config.mission.germination"}
 DELETE = object()
 #: Written next to each fuzzed config, for a ``map_file`` of "two.map".
 TWO_ENTRANCE_MAP = "E.E\n...\n"
@@ -166,3 +172,24 @@ def test_mutated_survey_exits_0_or_2_with_a_config_path(changes):
     for path, value in changes:
         mutate(raw, path, value)
     check_commands(raw, SURVEYS)
+
+
+@settings(derandomize=True, database=None, max_examples=40,
+          deadline=timedelta(seconds=1))
+@given(st.sampled_from(sorted(WORK_KEYS)),
+       st.one_of(st.integers(min_value=10**7),
+                 st.sampled_from([2**64 + 1, 10**12, 10**400])))
+def test_huge_work_exits_2_with_a_config_path(path, value):
+    """Every subcommand refuses the config at parse time, so each run
+    takes milliseconds (the deadline) instead of building the work."""
+    raw = survey_baseline()
+    mutate(raw, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "scenario.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        for command in (*SUBCOMMANDS, "winch", *SURVEYS):
+            rc, err = run([command, "--config", str(config),
+                           "--out", str(Path(tmp) / "out")])
+            assert rc == 2, (command, err)
+            assert err.startswith(f"error: {WORK_KEYS[path]}: "), (command, err)
+            assert str(value) in err

@@ -75,3 +75,37 @@ def test_derived_rng_decorrelated_from_parent():
     parent = Rng(42)
     child = Rng(derive_seed(42, 0))
     assert [parent.next_u64() for _ in range(8)] != [child.next_u64() for _ in range(8)]
+
+
+def _single_word_below(rng, n):
+    """``below`` as it was for n <= 2**64: one 64-bit output per draw."""
+    threshold = (1 << 64) - ((1 << 64) % n)
+    while True:
+        draw = rng.next_u64()
+        if draw < threshold:
+            return draw % n
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 1000, 2**32 + 7, 3 * 2**62, 2**64 - 1,
+                               2**64])
+def test_below_keeps_its_draws_up_to_2_64(n):
+    new, old = Rng(9), Rng(9)
+    assert [new.below(n) for _ in range(200)] == [
+        _single_word_below(old, n) for _ in range(200)]
+
+
+@pytest.mark.parametrize("n", [2**64 + 1, 3 * 2**64, 2**200 + 12345, 10**400])
+def test_below_returns_for_bounds_past_2_64(n):
+    r = Rng(13)
+    draws = [r.below(n) for _ in range(500)]
+    assert all(0 <= d < n for d in draws)
+    assert [Rng(13).below(n) for _ in range(3)] != [Rng(14).below(n) for _ in range(3)]
+    assert max(draws) >= n // 2  # the top half is reached
+
+
+def test_below_joins_words_high_first():
+    """n = 2**128 rejects nothing, so a draw is two outputs joined."""
+    words = Rng(21)
+    expected = [(words.next_u64() << 64) | words.next_u64() for _ in range(5)]
+    r = Rng(21)
+    assert [r.below(2**128) for _ in range(5)] == expected
