@@ -9,6 +9,7 @@ directory. Exit status: 0 on success, 1 when ``--strict`` is set and an
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -23,16 +24,7 @@ from tubescout.config import (
 )
 from tubescout.energy import write_soc_csv
 from tubescout.mission import explore_tube, run_mission
-from tubescout.report import (
-    aerostat_section,
-    budget_section,
-    cost_section,
-    dump_json,
-    power_section,
-    schedule_section,
-    thermal_section,
-    winch_section,
-)
+from tubescout.report import ANALYTIC_SECTIONS, dump_json, place, power_section
 from tubescout.tube_explorer import ExplorationReport
 
 _SUBCOMMANDS = {
@@ -89,6 +81,26 @@ def _write_robot_csv(path: Path, result: ExplorationReport) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _power(config: MissionConfig, seed: int):
+    return power_section(config.sources, tuple(t.load for t in config.loads),
+                         config.battery, config.env, config.timestep_s)
+
+
+def _analytic(build):
+    return lambda config, seed: (*build(config), None)
+
+
+#: Every subcommand but ``mission``: its report path, a run from (config,
+#: seed) to (section, findings, CSV source), and the CSV file name and
+#: writer that ``--format csv`` adds, if any.
+_RUNS = {name: (path, _analytic(build), None, None)
+         for name, (path, build) in ANALYTIC_SECTIONS.items()}
+_RUNS["power"] = (("energy", "power"), _power, "soc_trace.csv", write_soc_csv)
+_RUNS["explore"] = (("exploration",),
+                    lambda config, seed: explore_tube(config, seed, 0),
+                    "exploration_robots.csv", _write_robot_csv)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     if args.seed is not None and args.seed < 0:
         print(f"error: --seed must be nonnegative, got {args.seed}",
@@ -101,55 +113,19 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     report: dict = {"version": __version__, "seed": seed,
                     "config": to_echo_dict(config)}
-    findings: list = []
-    command = args.command
-
-    if command == "balloon":
-        section, found = aerostat_section(config.balloon, config.env)
-        report["aerostat"] = section
-        findings += found
-    elif command == "winch":
-        report["energy"] = {"winch": winch_section(config.winch, config.env)}
-    elif command == "thermal":
-        section, found = thermal_section(config.enclosure, config.avionics,
-                                         config.env)
-        report["thermal"] = section
-        findings += found
-    elif command == "power":
-        loads = tuple(t.load for t in config.loads)
-        section, found, trace = power_section(config.sources, loads,
-                                              config.battery, config.env,
-                                              config.timestep_s)
-        report["energy"] = {"power": section}
-        findings += found
-        if args.format == "csv":
-            write_soc_csv(out_dir / "soc_trace.csv", trace)
-    elif command == "explore":
-        section, found, result = explore_tube(config, seed, 0)
-        report["exploration"] = section
-        findings += found
-        if args.format == "csv":
-            _write_robot_csv(out_dir / "exploration_robots.csv", result)
-    elif command == "budget":
-        section, found = budget_section(config.program.payloads,
-                                        config.program.limits)
-        report["program"] = {"budget": section}
-        findings += found
-    elif command == "cost":
-        wbs = parse_wbs_file(args.wbs) if args.wbs else config.program.wbs
-        report["program"] = {"cost": cost_section(wbs)}
-    elif command == "schedule":
-        section, found = schedule_section(config.program.phases,
-                                          config.program.launch_year,
-                                          config.program.deadline_year)
-        report["program"] = {"schedule": section}
-        findings += found
+    if args.command == "mission":
+        report.update(run_mission(config, seed_override=args.seed))
     else:
-        body = run_mission(config, seed_override=args.seed)
-        report.update(body)
-
-    if command != "mission":
+        if getattr(args, "wbs", None):
+            # The echo above keeps the config file's own tree.
+            config = dataclasses.replace(config, program=dataclasses.replace(
+                config.program, wbs=parse_wbs_file(args.wbs)))
+        path, run, csv_name, write_csv = _RUNS[args.command]
+        section, findings, source = run(config, seed)
+        place(report, path, section)
         report["findings"] = [f.to_dict() for f in findings]
+        if csv_name and args.format == "csv":
+            write_csv(out_dir / csv_name, source)
 
     report_path = out_dir / "report.json"
     report_path.write_text(dump_json(report), encoding="utf-8")

@@ -563,6 +563,8 @@ def _read_json(path: Path):
         raise ConfigError([(str(path),
                             f"JSON parse error at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}")]) from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ConfigError([(str(path), str(exc))]) from exc
 
 
 def load_config(path) -> MissionConfig:

@@ -16,16 +16,15 @@ from typing import TYPE_CHECKING
 
 from tubescout.energy import PowerSource, SourceKind, simulate_sol
 from tubescout.env import cumulative_dose
+from tubescout.program import fte_estimate
 from tubescout.report import (
+    ANALYTIC_SECTIONS,
     Finding,
-    aerostat_section,
     echo,
     env_section,
     exploration_section,
+    place,
     power_inputs,
-    program_section,
-    thermal_section,
-    winch_section,
 )
 from tubescout.rng import GERMINATION_STREAM, Rng, derive_seed
 from tubescout.tube_explorer import (
@@ -197,13 +196,10 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
     germination: GerminationTrial | None = None
     infeasible_sols: list[int] = []
 
-    def loads_for(phase: MissionPhase):
-        return [t.load for t in config.loads if t.active_in(phase.value)]
-
     def simulate_segment(phase: MissionPhase) -> None:
         nonlocal state, battery, pending_regen_wh, total_dose_msv
         cave_fraction = settings.cave_fraction.get(phase.value, 0.0)
-        loads = loads_for(phase)
+        loads = [t.load for t in config.loads if t.active_in(phase.value)]
         hard_names = {l.name for l in loads if not l.sheddable}
         for _ in range(settings.sols_per_phase.get(phase.value, 0)):
             sources = list(config.sources)
@@ -268,43 +264,38 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                      f"{len(infeasible_sols)} sol(s)"),
             data={"sols": list(infeasible_sols)},
         ))
-    aerostat_sec, aerostat_findings = aerostat_section(config.balloon, env)
-    findings.extend(aerostat_findings)
-    thermal_sec, thermal_findings = thermal_section(config.enclosure,
-                                                    config.avionics, env)
-    findings.extend(thermal_findings)
     prog = config.program
-    program_sec, program_findings = program_section(
-        prog.payloads, prog.limits, prog.wbs, prog.phases,
-        prog.launch_year, prog.deadline_year,
-        prog.fte_people, prog.fte_years, prog.fte_rate)
-    findings.extend(program_findings)
-
-    energy_sec = {
-        "inputs": power_inputs(config.battery, config.sources, config.loads,
-                               config.timestep_s),
-        "winch": winch_section(config.winch, env),
-        "total_regen_credited_wh": total_regen_wh,
-        "infeasible_sols": list(infeasible_sols),
-    }
-    mission_sec = {
-        "events": [e.value for e in settings.events],
-        "phase_log": [p.value for p in phase_log],
-        "phases_visited": sorted({p.value for p in phase_log
-                                  if p is not MissionPhase.COMPLETE}),
-        "tubes_explored": state.tubes_explored,
-        "sols_simulated": state.sol,
-        "total_dose_msv": total_dose_msv,
-        "germination": echo(germination),
-        "sol_log": sol_log,
-    }
-    return {
+    body = {
         "env": env_section(env),
-        "aerostat": aerostat_sec,
-        "energy": energy_sec,
-        "thermal": thermal_sec,
+        "energy": {
+            "inputs": power_inputs(config.battery, config.sources,
+                                   config.loads, config.timestep_s),
+            "total_regen_credited_wh": total_regen_wh,
+            "infeasible_sols": list(infeasible_sols),
+        },
         "exploration": {"tubes": tube_sections, "total_regen_wh": total_regen_wh},
-        "program": program_sec,
-        "mission": mission_sec,
-        "findings": [f.to_dict() for f in findings],
+        "program": {"staffing": {
+            "inputs": {"people": prog.fte_people, "years": prog.fte_years,
+                       "fte_per_person_year": prog.fte_rate},
+            "total_fte": fte_estimate(prog.fte_people, prog.fte_years,
+                                      prog.fte_rate),
+        }},
+        "mission": {
+            "events": [e.value for e in settings.events],
+            "phase_log": [p.value for p in phase_log],
+            "phases_visited": sorted({p.value for p in phase_log
+                                      if p is not MissionPhase.COMPLETE}),
+            "tubes_explored": state.tubes_explored,
+            "sols_simulated": state.sol,
+            "total_dose_msv": total_dose_msv,
+            "germination": echo(germination),
+            "sol_log": sol_log,
+        },
     }
+    # The analytic sections and their findings, as their subcommands give them.
+    for path, build in ANALYTIC_SECTIONS.values():
+        section, found = build(config)
+        place(body, path, section)
+        findings.extend(found)
+    body["findings"] = [f.to_dict() for f in findings]
+    return body

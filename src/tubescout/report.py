@@ -32,7 +32,6 @@ from tubescout.program import (
     LifecyclePhase,
     PayloadSpec,
     WbsNode,
-    fte_estimate,
     rollup_budget,
     rollup_cost,
     validate_schedule,
@@ -195,11 +194,9 @@ def winch_section(winch: WinchSpec, env: MarsEnvironment) -> dict:
 
 
 def thermal_section(enclosure: GlazedEnclosure, envelope: AvionicsEnvelope,
-                    env: MarsEnvironment,
-                    heater_on: bool | None = None) -> tuple[dict, list[Finding]]:
-    if heater_on is None:
-        # An installed survival heater is assumed to run when needed.
-        heater_on = envelope.heater_power_w > 0
+                    env: MarsEnvironment) -> tuple[dict, list[Finding]]:
+    # An installed survival heater is assumed to run when needed.
+    heater_on = envelope.heater_power_w > 0
     night_load = greenhouse_night_load(enclosure, env)
     check = avionics_envelope_check(env, envelope, heater_on=heater_on)
     section = {
@@ -385,22 +382,26 @@ def schedule_section(phases: tuple[LifecyclePhase, ...], launch_year: int,
     return section, findings
 
 
-def program_section(payloads: tuple[PayloadSpec, ...], limits: BudgetLimits,
-                    wbs: WbsNode, phases: tuple[LifecyclePhase, ...],
-                    launch_year: int, deadline_year: int,
-                    fte_people: int, fte_years: int,
-                    fte_rate: int) -> tuple[dict, list[Finding]]:
-    budget, budget_findings = budget_section(payloads, limits)
-    schedule, schedule_findings = schedule_section(phases, launch_year,
-                                                   deadline_year)
-    section = {
-        "budget": budget,
-        "cost": cost_section(wbs),
-        "schedule": schedule,
-        "staffing": {
-            "inputs": {"people": fte_people, "years": fte_years,
-                       "fte_per_person_year": fte_rate},
-            "total_fte": fte_estimate(fte_people, fte_years, fte_rate),
-        },
-    }
-    return section, budget_findings + schedule_findings
+#: Each analytic subcommand: where its section sits in a report, and a
+#: builder from a config to (section, findings). The ``mission`` report
+#: holds the same sections, from the same builders, at the same paths,
+#: and collects their findings in this order.
+ANALYTIC_SECTIONS = {
+    "balloon": (("aerostat",), lambda c: aerostat_section(c.balloon, c.env)),
+    "winch": (("energy", "winch"), lambda c: (winch_section(c.winch, c.env), [])),
+    "thermal": (("thermal",), lambda c: thermal_section(
+        c.enclosure, c.avionics, c.env)),
+    "budget": (("program", "budget"), lambda c: budget_section(
+        c.program.payloads, c.program.limits)),
+    "cost": (("program", "cost"), lambda c: (cost_section(c.program.wbs), [])),
+    "schedule": (("program", "schedule"), lambda c: schedule_section(
+        c.program.phases, c.program.launch_year, c.program.deadline_year)),
+}
+
+
+def place(report: dict, path: tuple, section) -> None:
+    """Put ``section`` at ``path`` in ``report``, adding missing parents."""
+    *parents, key = path
+    for name in parents:
+        report = report.setdefault(name, {})
+    report[key] = section

@@ -102,15 +102,19 @@ def night_heating_energy(enclosure: GlazedEnclosure, env: MarsEnvironment) -> fl
     return heat_loss(enclosure, env.night_low_c) * env.night_duration_s / 3.6e6
 
 
-def greenhouse_night_load(enclosure: GlazedEnclosure, env: MarsEnvironment,
-                          priority: int = 2) -> PowerLoad:
+#: The greenhouse night heater's scheduling priority (lower is more critical).
+GREENHOUSE_HEATER_PRIORITY = 2
+
+
+def greenhouse_night_load(enclosure: GlazedEnclosure,
+                          env: MarsEnvironment) -> PowerLoad:
     """The night heater as a schedulable load: trough heat-loss power
     over the night window, not sheddable (crop survival)."""
     return PowerLoad(
         name="greenhouse_heater",
         power_w=heat_loss(enclosure, env.night_low_c),
         window=(env.night_start_s, env.sol_length_s),
-        priority=priority,
+        priority=GREENHOUSE_HEATER_PRIORITY,
         sheddable=False,
     )
 

@@ -411,6 +411,20 @@ class TestCli:
                        "--out", str(tmp_path / "out")) == 2
         assert "JSON parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, text", [
+        ("winch", "--config", '{"exploration": {"max_steps": %s}}'),
+        ("cost", "--wbs", '{"name": "root", "level": 1, "cost_usd": %s}'),
+    ], ids=["config", "wbs"])
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys, command,
+                                              flag, text):
+        path = tmp_path / "huge.json"
+        path.write_text(text % ("9" * 5000))
+        assert run_cli(command, flag, str(path),
+                       "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+        assert "4300 digits" in err[0]
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert run_cli("explore", "--out", str(tmp_path / "out"),
                        "--seed", "-4") == 2
@@ -645,8 +659,8 @@ class TestInputValidation:
             "error: config.avionics.'\\r': unknown key '\\r'"]
 
     def test_non_finite_report_value_exits_2(self, tmp_path, capsys, monkeypatch):
-        import tubescout.cli as cli
-        monkeypatch.setattr(cli, "winch_section",
+        import tubescout.report as report
+        monkeypatch.setattr(report, "winch_section",
                             lambda winch, env: {"raw_kw": float("nan")})
         out = tmp_path / "out"
         assert run_cli("winch", "--out", str(out)) == 2

@@ -1,7 +1,11 @@
 """Tests for the mission state machine, germination trial, and runner."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from tubescout.cli import main
 from tubescout.config import (
     ConfigError,
     ExplorationSettings,
@@ -334,3 +338,42 @@ class TestRunMission:
         )
         report = run_mission(config)
         assert report["energy"]["total_regen_credited_wh"] == 0.0
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+#: Each analytic subcommand and the report path of its section, in the
+#: order the mission report collects their findings.
+ANALYTIC_PATHS = (
+    ("balloon", ("aerostat",)),
+    ("winch", ("energy", "winch")),
+    ("thermal", ("thermal",)),
+    ("budget", ("program", "budget")),
+    ("cost", ("program", "cost")),
+    ("schedule", ("program", "schedule")),
+)
+
+
+@pytest.mark.parametrize("scenario", ["paper_baseline.json", "cold_extreme.json",
+                                      "two_tube_mission.json"])
+def test_analytic_sections_equal_the_mission_sections(tmp_path, scenario):
+    def run(command) -> dict:
+        out = tmp_path / command
+        assert main([command, "--config", str(SCENARIOS / scenario),
+                     "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+    mission = run("mission")
+    analytic_findings = []
+    for command, path in ANALYTIC_PATHS:
+        report = run(command)
+        assert set(report) == {"version", "seed", "config", "findings", path[0]}
+        assert report["config"] == mission["config"]
+        section, expected = report, mission
+        for key in path:
+            section, expected = section[key], expected[key]
+        assert section == expected, command
+        analytic_findings += report["findings"]
+    assert analytic_findings
+    tail = mission["findings"][len(mission["findings"]) - len(analytic_findings):]
+    assert tail == analytic_findings
