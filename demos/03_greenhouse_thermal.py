@@ -39,8 +39,7 @@ def main() -> None:
     for preset in ("nili_fossae_default", "cold_extreme"):
         site = make_environment(preset)
         bare = avionics_envelope_check(site, AvionicsEnvelope())
-        heated = avionics_envelope_check(
-            site, AvionicsEnvelope(heater_power_w=510.0), heater_on=True)
+        heated = avionics_envelope_check(site, AvionicsEnvelope(heater_power_w=510.0))
         print(f"  site {preset}: night low {site.night_low_c:.0f} C")
         print(f"    no heater   ok={bare.ok!s:5}  "
               f"worst margin {bare.worst_margin_c:+.1f} C, "

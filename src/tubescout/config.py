@@ -69,6 +69,7 @@ from tubescout.tube_explorer import (
     SampleSite,
     ScoutRobot,
     Station,
+    check_survey_work,
     check_tube_parameters,
     read_map_file,
 )
@@ -119,10 +120,10 @@ class GeneratorSettings:
                               self.resolution_m)
 
 
-#: Upper bounds on the fleet and on the ticks of one survey. A robot
-#: costs about 50 microseconds a tick on a 20x20 tube, so 100 robots take
-#: about 0.4 s for 80 ticks. A survey stops once the tube is covered and
-#: every sample delivered, so only a stalled one runs to ``max_steps``.
+#: Upper bounds on the fleet and on the ticks of one survey, each on its
+#: own; ``check_survey_work`` bounds their product with the map's size.
+#: A survey stops once the tube is covered and every sample delivered,
+#: so only a stalled one runs to ``max_steps``.
 MAX_ROBOTS = 100
 MAX_STEPS = 1_000_000
 
@@ -145,6 +146,9 @@ class ExplorationSettings:
         if not 1 <= self.max_steps <= MAX_STEPS:
             raise ValueError(f"max_steps must be in 1..{MAX_STEPS}, "
                              f"got {self.max_steps}")
+        if self.map_file is None:  # a map file is checked once it is read
+            check_survey_work(self.robot_count, self.max_steps,
+                              self.generator.width * self.generator.height)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ time stepping, no randomness.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
-import math
 from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -292,12 +292,8 @@ class _Sol:
 
     def _first_step_at(self, time_s: float) -> int:
         """The first step i with i * timestep_s >= time_s, or n_steps."""
-        i = min(max(math.ceil(time_s / self.timestep_s), 0), self.n_steps)
-        while i > 0 and (i - 1) * self.timestep_s >= time_s:
-            i -= 1
-        while i < self.n_steps and i * self.timestep_s < time_s:
-            i += 1
-        return i
+        return bisect.bisect_left(range(self.n_steps), time_s,
+                                  key=lambda i: i * self.timestep_s)
 
     def _span(self, window) -> tuple[int, int]:
         """The steps [lo, hi) at which ``PowerLoad.active_at`` holds."""

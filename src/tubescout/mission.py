@@ -29,6 +29,7 @@ from tubescout.report import (
 from tubescout.rng import GERMINATION_STREAM, Rng, derive_seed
 from tubescout.tube_explorer import (
     ExplorationReport,
+    check_survey_work,
     generate_tube,
     make_fleet,
     read_map_file,
@@ -149,11 +150,15 @@ def explore_tube(config: "MissionConfig", seed: int,
     section (with its ``tube_seed``), its findings and the raw result."""
     exp = config.exploration
     if exp.map_file is not None:
+        from tubescout.config import ConfigError  # config imports this module
         try:
             grid = read_map_file(exp.map_file)
         except (OSError, ValueError) as exc:
-            from tubescout.config import ConfigError  # config imports this module
             raise ConfigError([("config.exploration.map_file", str(exc))]) from exc
+        try:
+            check_survey_work(exp.robot_count, exp.max_steps, grid.cells.size)
+        except ValueError as exc:
+            raise ConfigError([("config.exploration", str(exc))]) from exc
         tube_seed = None
     else:
         gen = exp.generator
@@ -225,10 +230,9 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                 "regen_injected_wh": injected_wh,
                 "dose_msv": dose_msv,
             })
-            carried = min(max(trace.final_soc_wh, 0.0), battery.capacity_wh)
+            battery = replace(battery, initial_soc_wh=trace.final_soc_wh)
             # Drop this sol's trace before the next one is simulated.
             del trace
-            battery = replace(battery, initial_soc_wh=carried)
             state = replace(state, sol=state.sol + 1)
 
     simulate_segment(MissionPhase.INITIAL)

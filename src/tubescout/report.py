@@ -71,14 +71,6 @@ class Finding:
                 "message": self.message, "data": dict(self.data)}
 
 
-def _json_default(obj):
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 #: JSON keys that differ from field names, by class name. A dotted key
 #: nests the field in a sub-object; an empty key inlines the field's own
 #: object into its parent. Config parsing and ``echo`` both read this.
@@ -103,12 +95,14 @@ def json_fields(cls) -> tuple:
 
 def echo(obj, omit=()):
     """The JSON form of a model value, keyed as in a config file:
-    dataclasses become objects and tuples arrays. Enums are left for
-    ``dump_json`` to convert. ``omit`` names top-level fields to leave out."""
+    dataclasses become objects, tuples arrays and enums their values.
+    ``omit`` names top-level fields to leave out."""
     if isinstance(obj, (tuple, list)):
         return [echo(v) for v in obj]
     if isinstance(obj, dict):
         return {k: echo(v) for k, v in obj.items()}
+    if isinstance(obj, enum.Enum):
+        return obj.value
     if not hasattr(obj, "__dataclass_fields__"):
         return obj
     out: dict = {}
@@ -125,11 +119,9 @@ def echo(obj, omit=()):
 
 def dump_json(payload) -> str:
     """Canonical report serialization: sorted keys, two-space indent,
-    trailing newline, numpy scalars and enums coerced to plain JSON.
-    Raises ValueError on a NaN or infinite number, which strict JSON
-    cannot hold."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                      default=_json_default) + "\n"
+    trailing newline. Raises ValueError on a NaN or infinite number,
+    which strict JSON cannot hold."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def env_section(env: MarsEnvironment) -> dict:
@@ -195,13 +187,11 @@ def winch_section(winch: WinchSpec, env: MarsEnvironment) -> dict:
 
 def thermal_section(enclosure: GlazedEnclosure, envelope: AvionicsEnvelope,
                     env: MarsEnvironment) -> tuple[dict, list[Finding]]:
-    # An installed survival heater is assumed to run when needed.
-    heater_on = envelope.heater_power_w > 0
     night_load = greenhouse_night_load(enclosure, env)
-    check = avionics_envelope_check(env, envelope, heater_on=heater_on)
+    check = avionics_envelope_check(env, envelope)
     section = {
         "inputs": {"enclosure": echo(enclosure), "avionics": echo(envelope),
-                   "heater_on": heater_on},
+                   "heater_on": envelope.heater_power_w > 0},
         "trough_heat_loss_w": heat_loss(enclosure, env.night_low_c),
         "night_energy_kwh": night_heating_energy(enclosure, env),
         "night_load": echo(night_load),

@@ -119,17 +119,18 @@ def greenhouse_night_load(enclosure: GlazedEnclosure,
     )
 
 
-def _effective_temp(ambient_c: float, envelope: AvionicsEnvelope, heater_on: bool) -> float:
-    if not heater_on or envelope.heater_boost_c == 0.0:
+def _effective_temp(ambient_c: float, envelope: AvionicsEnvelope) -> float:
+    if envelope.heater_boost_c == 0.0:
         return ambient_c
     ceiling = max(ambient_c, envelope.setpoint_c)
     return min(ambient_c + envelope.heater_boost_c, ceiling)
 
 
-def avionics_envelope_check(env: MarsEnvironment, envelope: AvionicsEnvelope,
-                            heater_on: bool = False,
-                            sample_step_s: float = ENVELOPE_SAMPLE_STEP_S) -> EnvelopeCheck:
-    """Sweep one sol and check the electronics stay inside the envelope.
+def avionics_envelope_check(env: MarsEnvironment,
+                            envelope: AvionicsEnvelope) -> EnvelopeCheck:
+    """Sweep one sol, sampled every ``ENVELOPE_SAMPLE_STEP_S``, and check
+    the electronics stay inside the envelope. An installed survival
+    heater (``heater_power_w > 0``) runs whenever the sweep needs it.
 
     ``worst_margin_c`` is the minimum distance from the effective
     internal temperature to either bound over the sol (negative when the
@@ -137,15 +138,13 @@ def avionics_envelope_check(env: MarsEnvironment, envelope: AvionicsEnvelope,
     intervals, as (start_s, end_s) pairs, during which the temperature is
     out of range.
     """
-    if sample_step_s <= 0:
-        raise ValueError(f"sample_step_s must be positive, got {sample_step_s}")
     worst = float("inf")
     windows: list[tuple[float, float]] = []
     open_start: float | None = None
     t = 0.0
     while t < env.sol_length_s:
         ambient = diurnal_temperature(env, t)
-        effective = _effective_temp(ambient, envelope, heater_on)
+        effective = _effective_temp(ambient, envelope)
         margin = min(effective - envelope.min_ok_c, envelope.max_ok_c - effective)
         worst = min(worst, margin)
         if margin < 0:
@@ -154,7 +153,7 @@ def avionics_envelope_check(env: MarsEnvironment, envelope: AvionicsEnvelope,
         elif open_start is not None:
             windows.append((open_start, t))
             open_start = None
-        t += sample_step_s
+        t += ENVELOPE_SAMPLE_STEP_S
     if open_start is not None:
         windows.append((open_start, env.sol_length_s))
     return EnvelopeCheck(

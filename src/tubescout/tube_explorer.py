@@ -117,6 +117,26 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
     check_resolution(resolution_m)
 
 
+#: Upper bound on the work of one survey, counted per robot tick as the
+#: map's cells plus ``SURVEY_TICK_CELLS``. A stalled survey runs all of
+#: its ``max_steps``; a robot tick then costs about 12 us plus up to
+#: 0.25 us per map cell (a target search over the whole known map), so a
+#: survey at the bound takes about a minute (CPython 3.11, 2 x86 CPUs).
+MAX_SURVEY_WORK = 250_000_000
+SURVEY_TICK_CELLS = 60
+
+
+def check_survey_work(robot_count: int, max_steps: int, cells: int) -> None:
+    """Raise ValueError if ``robot_count`` robots surveying a map of
+    ``cells`` cells for ``max_steps`` ticks exceed ``MAX_SURVEY_WORK``."""
+    work = robot_count * max_steps * (cells + SURVEY_TICK_CELLS)
+    if work > MAX_SURVEY_WORK:
+        raise ValueError(
+            f"survey work robots.count x max_steps x (map cells + "
+            f"{SURVEY_TICK_CELLS}) = {robot_count} x {max_steps} x "
+            f"({cells} + {SURVEY_TICK_CELLS}) = {work} exceeds {MAX_SURVEY_WORK}")
+
+
 def fresh_map(cells: np.ndarray, resolution_m: float = 1.0) -> GridMap:
     """Wrap an occupancy array into a GridMap with nothing explored yet."""
     import numpy as np
@@ -213,8 +233,8 @@ def bfs_distances(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
     """4-connected BFS hop counts over True cells; -1 where unreachable."""
     import numpy as np
     h, w = mask.shape
-    if not mask[start]:
-        return np.full((h, w), -1, dtype=np.int32)
+    if not (0 <= start[0] < h and 0 <= start[1] < w):
+        raise IndexError(f"start {start} is outside the {h}x{w} mask")
     stride = w + 2
     flat = _flat_bfs(_padded(mask), (start[0] + 1) * stride + start[1] + 1,
                      (-stride, -1, 1, stride))
@@ -465,19 +485,21 @@ class _Kernel:
     tick; the cells sensed meanwhile join it at ``learn``. ``reach`` is
     the entrance-connected open set, computed once, and ``covered``
     counts its explored cells.
+
+    It is built with the fleet it ticks, whose ids and cells it checks as
+    ``step`` describes: each robot senses its cell at construction, and
+    afterwards only the cells it moves to.
     """
 
-    def __init__(self, grid: GridMap):
+    def __init__(self, grid: GridMap, robots: list[ScoutRobot]):
         import numpy as np
         self.height, self.width = grid.cells.shape
         self.stride = stride = self.width + 2
         self.offsets = (-stride, -1, 1, stride)
         self.resolution_m = grid.resolution_m
-        entrance = grid.entrance
-        self.entrance = self.index(entrance)
+        self.entrance = self.index(grid.entrance)
         traversable = grid.traversable()
-        explored = grid.explored.copy()
-        explored[entrance] = True
+        explored = grid.explored  # GridMap keeps the entrance explored
         self.open = _padded(traversable)
         self.explored = _padded(explored)
         self.known = _padded(traversable & explored)
@@ -490,6 +512,17 @@ class _Kernel:
         self.covered = int(np.count_nonzero(
             reach & np.frombuffer(self.known, dtype=bool)))
         self.pending: list[int] = []
+        ids = [r.id for r in robots]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate robot ids in {ids}")
+        for robot in robots:
+            v = self.index(robot.position)
+            if not v:
+                raise ValueError(f"robot {robot.id} is off the map at {robot.position}")
+            if not self.open[v]:
+                raise ValueError(f"robot {robot.id} is on an obstacle at {robot.position}")
+            self.sense(v)
+        self.learn()
 
     def index(self, cell: tuple[int, int]) -> int:
         r, c = cell
@@ -505,26 +538,6 @@ class _Kernel:
         import numpy as np
         padded = np.frombuffer(self.explored, dtype=bool).reshape(-1, self.stride)
         return padded[1:-1, 1:-1].copy()
-
-    def locate(self, robots: list[ScoutRobot]) -> list[int]:
-        """Each robot's cell index.
-
-        Raises:
-            ValueError: for duplicate robot ids, or a robot off the map
-                or on an obstacle.
-        """
-        ids = [r.id for r in robots]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate robot ids in {ids}")
-        at = []
-        for robot in robots:
-            v = self.index(robot.position)
-            if not v:
-                raise ValueError(f"robot {robot.id} is off the map at {robot.position}")
-            if not self.open[v]:
-                raise ValueError(f"robot {robot.id} is on an obstacle at {robot.position}")
-            at.append(v)
-        return at
 
     def sense(self, v: int) -> None:
         """Mark cell ``v`` and its open neighbours explored."""
@@ -615,20 +628,15 @@ class _Kernel:
              sites: list[SampleSite], delivered: list[Sample]) -> list[ScoutRobot]:
         """One tick, as ``step`` describes it. Updates ``sites`` and
         ``delivered`` in place and returns the robots in input order."""
-        at = self.locate(robots)
-        for robot, v in zip(robots, at):
-            if robot.state is not RobotState.STUCK:
-                self.sense(v)
-        self.learn()
         claimed: set[int] = set()
         updated = {}
-        for robot, v in sorted(zip(robots, at), key=lambda pair: pair[0].id):
-            updated[robot.id] = self._advance(robot, v, station, sites,
+        for robot in sorted(robots, key=lambda rb: rb.id):
+            updated[robot.id] = self._advance(robot, station, sites,
                                               delivered, claimed)
         self.learn()
         return [updated[r.id] for r in robots]
 
-    def _advance(self, robot: ScoutRobot, v: int, station: Station,
+    def _advance(self, robot: ScoutRobot, station: Station,
                  sites: list[SampleSite], delivered: list[Sample],
                  claimed: set[int]) -> ScoutRobot:
         tick_s = self.resolution_m / robot.speed_mps
@@ -643,6 +651,7 @@ class _Kernel:
             state = RobotState.EXPLORING if battery >= robot.battery_full_s else RobotState.CHARGING
             return replace(robot, battery_s=battery, state=state)
 
+        v = self.index(robot.position)
         dist_home = self.dist_home
         state = robot.state
         if state is RobotState.EXPLORING:
@@ -724,9 +733,10 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
     the map as sensed at the start of the tick.
 
     Raises:
-        ValueError: if any robot sits on an obstacle cell.
+        ValueError: for duplicate robot ids, or a robot off the map or on
+            an obstacle cell.
     """
-    kernel = _Kernel(world.grid)
+    kernel = _Kernel(world.grid, robots)
     sites = list(world.sample_sites)
     delivered = list(world.delivered)
     fleet = kernel.tick(robots, world.station, sites, delivered)
@@ -774,11 +784,7 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
     """
     if max_steps <= 0:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
-    kernel = _Kernel(grid)
-    for v in kernel.locate(robots):
-        kernel.sense(v)
-    kernel.learn()
-
+    kernel = _Kernel(grid, robots)
     fleet = list(robots)
     sites = list(sample_sites)
     delivered: list[Sample] = []

@@ -340,6 +340,23 @@ class TestCli:
         report = read_report(out)
         assert report["findings"][0]["kind"] == "limit_violation"
 
+    @pytest.mark.parametrize("command, payload, finding, strict_rc", [
+        ("balloon", {"balloon": {"area_model": "full_wetted"}},
+         ("infeasible", "aerostat", ["overall_density_kg_m3"]), 1),
+        ("explore", {"exploration": {"max_steps": 1}},
+         ("infeasible", "tube_explorer", ["coverage_fraction", "steps"]), 1),
+        ("budget", {"program": {"limits": {"payload_mass_limit_kg": 100}}},
+         ("limit_violation", "program", ["margins"]), 0),
+    ], ids=["aerostat", "coverage", "budget"])
+    def test_finding_fires_and_sets_strict_exit(self, tmp_path, command,
+                                                payload, finding, strict_rc):
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, "--out", str(out),
+                       "--strict") == strict_rc
+        assert finding in [(f["kind"], f["module"], sorted(f["data"]))
+                           for f in read_report(out)["findings"]]
+
     def test_mission_byte_identical_for_same_seed(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run_cli("mission", "--config", BASELINE, "--out", str(out_a)) == 0
@@ -702,17 +719,39 @@ MODEL_RULES = [
     ({"exploration": {"map_file": "two.map", "sample_sites": ONE_SITE}},
      "config.exploration.map_file: map must have exactly one entrance, "
      "found 2"),
+    ({"exploration": {"station": {"final_drop_m": -1}}},
+     "config.exploration.station.final_drop_m: final_drop_m must be "
+     "nonnegative, got -1.0"),
+    ({"power": {"sources": [{"name": "rtg", "rating_w": -1}]}},
+     "config.power.sources[0]: rating_w must be nonnegative, got -1.0"),
+    ({"power": {"sources": [{"name": "", "rating_w": 5.0}]}},
+     "config.power.sources[0]: source name must be nonempty"),
+    ({"power": {"sources": [{"name": "regen", "kind": "winch_regen",
+                             "event_energy_wh": -2}]}},
+     "config.power.sources[0]: event_energy_wh must be nonnegative, got -2.0"),
+    ({"env": {"overrides": {"gas_constant": 0}}},
+     "config.env: gas_constant must be positive, got 0.0"),
+    ({"exploration": {"robots": {"count": 100}, "max_steps": 1_000_000}},
+     "config.exploration: survey work robots.count x max_steps x (map cells "
+     "+ 60) = 100 x 1000000 x (400 + 60) = 46000000000 exceeds 250000000"),
 ]
-TWO_ENTRANCE_MAP = ({"exploration": {"map_file": "two.map"}},
-                    "config.exploration.map_file: map must have exactly one "
-                    "entrance, found 2")
+#: The same for map files without sample sites, which only the survey reads.
+SURVEY_RULES = [
+    ({"exploration": {"map_file": "two.map"}},
+     "config.exploration.map_file: map must have exactly one entrance, "
+     "found 2"),
+    ({"exploration": {"map_file": str(SCENARIOS / "tube_20x20_seed42.map"),
+                      "robots": {"count": 100}, "max_steps": 1_000_000}},
+     "config.exploration: survey work robots.count x max_steps x (map cells "
+     "+ 60) = 100 x 1000000 x (400 + 60) = 46000000000 exceeds 250000000"),
+]
 
 
 @pytest.mark.parametrize("command, payload, error", [
     *[(command, payload, error) for payload, error in MODEL_RULES
       for command in SUBCOMMANDS],
-    # Without sample sites only the survey reads the map.
-    *[(command, *TWO_ENTRANCE_MAP) for command in ("explore", "mission")],
+    *[(command, payload, error) for payload, error in SURVEY_RULES
+      for command in ("explore", "mission")],
 ])
 def test_model_rules_exit_2_with_a_config_path(tmp_path, capsys, command,
                                                payload, error):

@@ -233,7 +233,7 @@ def test_kernel_matches_reference_step(block):
     for index in range(block * 20, block * 20 + 20):
         ref_world, ref_fleet = random_case(index)
         world, fleet = ref_world, ref_fleet
-        kernel = _Kernel(ref_world.grid)
+        kernel = _Kernel(ref_world.grid, ref_fleet)
         sites, delivered = list(ref_world.sample_sites), []
         kernel_fleet = ref_fleet
         entrance = ref_world.grid.entrance

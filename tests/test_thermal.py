@@ -98,7 +98,7 @@ class TestGreenhouseNightLoad:
 
 class TestAvionicsEnvelope:
     def test_default_night_breaks_envelope_without_heater(self):
-        check = avionics_envelope_check(ENV, AvionicsEnvelope(), heater_on=False)
+        check = avionics_envelope_check(ENV, AvionicsEnvelope())
         assert not check.ok
         assert check.worst_margin_c == pytest.approx(-33.0, abs=1e-9)
         # cold before sunrise and from late evening through the trough
@@ -110,7 +110,7 @@ class TestAvionicsEnvelope:
 
     def test_cold_extreme_trough_violation(self):
         cold = make_environment("cold_extreme")
-        check = avionics_envelope_check(cold, AvionicsEnvelope(), heater_on=False)
+        check = avionics_envelope_check(cold, AvionicsEnvelope())
         assert not check.ok
         assert check.worst_margin_c == pytest.approx(-50.0, abs=1e-9)
         trough = check.violation_windows[-1]
@@ -119,7 +119,7 @@ class TestAvionicsEnvelope:
 
     def test_mild_profile_is_ok_without_heater(self):
         mild = make_environment(night_low_c=-30.0, day_high_c=25.0)
-        check = avionics_envelope_check(mild, AvionicsEnvelope(), heater_on=False)
+        check = avionics_envelope_check(mild, AvionicsEnvelope())
         assert check.ok
         assert check.worst_margin_c == pytest.approx(10.0, abs=1e-9)
         assert check.violation_windows == ()
@@ -128,7 +128,7 @@ class TestAvionicsEnvelope:
         # 510 W at 10 degC per 100 W lifts the -90 trough to -39
         cold = make_environment("cold_extreme")
         envelope = AvionicsEnvelope(heater_power_w=510.0)
-        check = avionics_envelope_check(cold, envelope, heater_on=True)
+        check = avionics_envelope_check(cold, envelope)
         assert check.ok
         assert check.worst_margin_c == pytest.approx(1.0, abs=1e-9)
         assert check.violation_windows == ()
@@ -137,22 +137,15 @@ class TestAvionicsEnvelope:
         # thermostat holds at max(ambient, setpoint): a heater sized for
         # the night must not push the +20 degC afternoon past +40
         envelope = AvionicsEnvelope(heater_power_w=900.0)
-        check = avionics_envelope_check(ENV, envelope, heater_on=True)
+        check = avionics_envelope_check(ENV, envelope)
         assert check.ok
-
-    def test_heater_off_flag_ignores_heater_power(self):
-        envelope = AvionicsEnvelope(heater_power_w=510.0)
-        on = avionics_envelope_check(ENV, envelope, heater_on=True)
-        off = avionics_envelope_check(ENV, envelope, heater_on=False)
-        assert on.ok
-        assert not off.ok
 
     def test_colder_nights_never_help(self):
         # with no heater, lowering the night trough can only hurt
         previous_ok = True
         for night_low in (-35.0, -40.0, -50.0, -73.0, -90.0, -110.0):
             env = make_environment(night_low_c=night_low)
-            check = avionics_envelope_check(env, AvionicsEnvelope(), heater_on=False)
+            check = avionics_envelope_check(env, AvionicsEnvelope())
             if not previous_ok:
                 assert not check.ok
             previous_ok = check.ok
@@ -160,7 +153,7 @@ class TestAvionicsEnvelope:
     def test_undersized_heater_still_fails(self):
         cold = make_environment("cold_extreme")
         envelope = AvionicsEnvelope(heater_power_w=100.0)  # +10 degC only
-        check = avionics_envelope_check(cold, envelope, heater_on=True)
+        check = avionics_envelope_check(cold, envelope)
         assert not check.ok
         assert check.worst_margin_c == pytest.approx(-40.0, abs=1e-9)
 
@@ -172,7 +165,3 @@ class TestAvionicsEnvelope:
     def test_invalid_envelope(self, kwargs):
         with pytest.raises(ValueError):
             AvionicsEnvelope(**kwargs)
-
-    def test_bad_sample_step_rejected(self):
-        with pytest.raises(ValueError):
-            avionics_envelope_check(ENV, AvionicsEnvelope(), sample_step_s=0.0)

@@ -25,6 +25,8 @@ from tubescout.tube_explorer import (
     ScoutRobot,
     Station,
     TubeWorld,
+    bfs_distances,
+    check_survey_work,
     collect_sample,
     coverage_fraction,
     fresh_map,
@@ -111,6 +113,17 @@ class TestGenerateTube:
         args.update(kwargs)
         with pytest.raises(MapError):
             generate_tube(1, **args)
+
+    @pytest.mark.parametrize("start", [(5, 0), (0, 5), (0, 6), (-1, 0)])
+    def test_bfs_start_off_the_mask_rejected(self, start):
+        with pytest.raises(IndexError, match="outside the 5x5 mask"):
+            bfs_distances(open_map().traversable(), start)
+
+    def test_survey_work_budget(self):
+        # the largest shipped or benchmarked survey: 28x28 cells, 4 robots
+        check_survey_work(4, 10_000, 28 * 28)
+        with pytest.raises(ValueError, match="exceeds 250000000"):
+            check_survey_work(100, 1_000_000, 3)
 
     def test_golden_map_matches_committed_fixture(self):
         golden = read_map_file("scenarios/tube_20x20_seed42.map")
@@ -226,6 +239,23 @@ class TestStep:
         robots = [ScoutRobot(id="s1"), ScoutRobot(id="s1")]
         with pytest.raises(ValueError):
             step(world, robots)
+
+    @pytest.mark.parametrize("position", [(5, 0), (0, -1)])
+    def test_robot_off_the_map_rejected(self, position):
+        grid = open_map()
+        robot = ScoutRobot(id="s1", position=position)
+        with pytest.raises(ValueError, match="off the map"):
+            step(TubeWorld(grid=grid), [robot])
+        with pytest.raises(ValueError, match="off the map"):
+            run_exploration(grid, [robot])
+
+    def test_stuck_robot_senses_its_cell(self):
+        world = TubeWorld(grid=open_map())
+        robot = ScoutRobot(id="s1", position=(3, 3), state=RobotState.STUCK)
+        world2, (robot2,) = step(world, [robot])
+        assert robot2 == robot
+        assert explored_set(world2.grid) == {
+            (0, 0), (3, 3), (2, 3), (3, 2), (3, 4), (4, 3)}
 
     def test_single_tick_moves_one_cell(self):
         world = TubeWorld(grid=open_map())
