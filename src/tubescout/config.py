@@ -556,19 +556,42 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
     return config
 
 
+#: Upper bound on the nesting of a JSON file: far above the shipped
+#: scenarios' 9 levels, and far below the ~400 levels (a WBS tree 200
+#: nodes deep) that ``json`` and the converters' recursion still take.
+MAX_JSON_DEPTH = 100
+
+
+def _json_depth(value) -> int:
+    """Nesting depth of a parsed JSON value, counted level by level."""
+    depth, level = 0, [value]
+    while level := [v for v in level if isinstance(v, (dict, list))]:
+        depth += 1
+        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+    return depth
+
+
 def _read_json(path: Path):
+    too_deep = f"JSON nesting deeper than {MAX_JSON_DEPTH} levels"
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError([(str(path), f"cannot read file: {exc}")]) from exc
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([(str(path),
                             f"JSON parse error at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}")]) from exc
     except ValueError as exc:  # an integer past Python's digit limit
         raise ConfigError([(str(path), str(exc))]) from exc
+    except RecursionError as exc:
+        raise ConfigError([(str(path), too_deep)]) from exc
+    # the opening brackets bound the depth, so most files need no walk
+    if (text.count("[") + text.count("{") > MAX_JSON_DEPTH
+            and _json_depth(value) > MAX_JSON_DEPTH):
+        raise ConfigError([(str(path), too_deep)])
+    return value
 
 
 def load_config(path) -> MissionConfig:

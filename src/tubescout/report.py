@@ -44,7 +44,7 @@ from tubescout.thermal import (
     heat_loss,
     night_heating_energy,
 )
-from tubescout.tube_explorer import ExplorationReport, GridMap
+from tubescout.tube_explorer import OBSTACLE, ExplorationReport, GridMap
 
 #: The three classes of report findings: a modeled system that cannot
 #: meet its own demands, a model output that contradicts the published
@@ -275,7 +275,7 @@ def exploration_section(report: ExplorationReport,
             "height": grid.height,
             "entrance": list(grid.entrance),
             "resolution_m": grid.resolution_m,
-            "obstacle_count": int((grid.cells == 1).sum()),
+            "obstacle_count": int((grid.cells == OBSTACLE).sum()),
         },
         "steps": report.steps,
         "coverage_fraction": report.coverage_fraction,

@@ -19,6 +19,7 @@ import enum
 import heapq
 from array import array
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -97,20 +98,25 @@ def check_resolution(resolution_m: float) -> None:
         raise MapError(f"resolution_m must be positive, got {resolution_m}")
 
 
-#: Upper bound on the cells of a generated tube: a 1000x1000 map takes
-#: about a second to draw.
+#: Upper bound on the cells of a tube map, drawn or read: a 1000x1000
+#: map takes about a second to draw.
 MAX_TUBE_CELLS = 1_000_000
 
 
-def check_tube_parameters(width: int, height: int, obstacle_density: float,
-                          resolution_m: float) -> None:
-    """Raise MapError unless ``generate_tube`` accepts these parameters."""
+def check_tube_size(width: int, height: int) -> None:
+    """Raise MapError unless a ``width`` x ``height`` map is allowed."""
     if width < 1 or height < 1:
         raise MapError(
             f"map dimensions must be at least 1x1, got {width}x{height}")
     if width * height > MAX_TUBE_CELLS:
         raise MapError(f"map dimensions {width}x{height} exceed "
                        f"{MAX_TUBE_CELLS} cells")
+
+
+def check_tube_parameters(width: int, height: int, obstacle_density: float,
+                          resolution_m: float) -> None:
+    """Raise MapError unless ``generate_tube`` accepts these parameters."""
+    check_tube_size(width, height)
     if not 0.0 <= obstacle_density < 1.0:
         raise MapError(
             f"obstacle_density must be in [0, 1), got {obstacle_density}")
@@ -119,9 +125,10 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 
 #: Upper bound on the work of one survey, counted per robot tick as the
 #: map's cells plus ``SURVEY_TICK_CELLS``. A stalled survey runs all of
-#: its ``max_steps``; a robot tick then costs about 12 us plus up to
+#: its ``max_steps``; a robot tick then costs about 0.6 us plus up to
 #: 0.25 us per map cell (a target search over the whole known map), so a
-#: survey at the bound takes about a minute (CPython 3.11, 2 x86 CPUs).
+#: survey at the bound takes at most about a minute (CPython 3.11, 2 x86
+#: CPUs). ``SURVEY_TICK_CELLS`` covers the fixed cost many times over.
 MAX_SURVEY_WORK = 250_000_000
 SURVEY_TICK_CELLS = 60
 
@@ -173,12 +180,14 @@ def grid_to_text(grid: GridMap) -> str:
 
 
 def grid_from_text(text: str, resolution_m: float = 1.0) -> GridMap:
-    """Parse a '.'/'#'/'E' map; rows must be equal length, exactly one E."""
+    """Parse a '.'/'#'/'E' map; rows must be equal length, exactly one E,
+    and at most ``MAX_TUBE_CELLS`` cells."""
     import numpy as np
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise MapError("map text is empty")
     width = len(rows[0])
+    check_tube_size(width, len(rows))
     cells = np.zeros((len(rows), width), dtype=np.int8)
     for r, line in enumerate(rows):
         if len(line) != width:
@@ -256,8 +265,10 @@ def coverage_fraction(grid: GridMap) -> float:
     return done / total
 
 
-def _frontier(traversable: np.ndarray, explored: np.ndarray) -> np.ndarray:
+def frontier_mask(grid: GridMap) -> np.ndarray:
+    """Explored traversable cells with >= 1 unexplored traversable neighbor."""
     import numpy as np
+    traversable, explored = grid.traversable(), grid.explored
     open_unexplored = traversable & ~explored
     h, w = open_unexplored.shape
     has_unexplored_neighbor = np.zeros((h, w), dtype=bool)
@@ -266,11 +277,6 @@ def _frontier(traversable: np.ndarray, explored: np.ndarray) -> np.ndarray:
     has_unexplored_neighbor[:, 1:] |= open_unexplored[:, :-1]
     has_unexplored_neighbor[:, :-1] |= open_unexplored[:, 1:]
     return traversable & explored & has_unexplored_neighbor
-
-
-def frontier_mask(grid: GridMap) -> np.ndarray:
-    """Explored traversable cells with >= 1 unexplored traversable neighbor."""
-    return _frontier(grid.traversable(), grid.explored)
 
 
 class RobotState(enum.Enum):
@@ -389,19 +395,24 @@ def collect_sample(robot: ScoutRobot, mass_kg: float,
         OverMass: if the sample exceeds the per-module mass limit.
         CapacityExhausted: if every aux slot already holds a sample.
     """
+    sample = _seal(robot, robot.samples, mass_kg,
+                   robot.position if origin is None else origin)
+    return replace(robot, samples=robot.samples + (sample,))
+
+
+def _seal(robot: ScoutRobot, samples: tuple[Sample, ...], mass_kg: float,
+          origin: tuple[int, int]) -> Sample:
+    """The sample ``collect_sample`` seals when ``robot`` holds ``samples``."""
     if mass_kg > robot.aux_capacity_kg:
         raise OverMass(
             f"sample mass {mass_kg} kg exceeds the {robot.aux_capacity_kg} kg "
             f"module limit")
-    used = {s.module_slot for s in robot.samples}
+    used = {s.module_slot for s in samples}
     free = [slot for slot in range(1, robot.aux_slots + 1) if slot not in used]
     if not free:
         raise CapacityExhausted(
             f"robot {robot.id} has no free aux slot ({robot.aux_slots} in use)")
-    sample = Sample(mass_kg=mass_kg,
-                    origin=robot.position if origin is None else origin,
-                    module_slot=free[0])
-    return replace(robot, samples=robot.samples + (sample,))
+    return Sample(mass_kg=mass_kg, origin=origin, module_slot=free[0])
 
 
 @dataclass(frozen=True)
@@ -455,18 +466,17 @@ def _return_threshold_s(distance_cells: int, tick_s: float, factor: float) -> fl
     return factor * (distance_cells + 1) * tick_s + tick_s
 
 
-def _try_collect(robot: ScoutRobot, sites: list[SampleSite]) -> ScoutRobot:
-    """Pick up a sample if the robot stands on an uncollected site, and
-    remove that site from ``sites``."""
-    for i, site in enumerate(sites):
-        if site.cell == robot.position:
-            try:
-                robot = collect_sample(robot, site.mass_kg, origin=site.cell)
-            except (CapacityExhausted, OverMass):
-                return robot  # leave the site for a later visit
-            del sites[i]
-            return robot
-    return robot
+class _Scout:
+    """A robot's changing state in a survey; ``robot`` keeps the rest."""
+
+    __slots__ = ("robot", "v", "state", "battery_s", "samples", "target",
+                 "moves", "handed")
+
+    def __init__(self, robot: ScoutRobot, v: int):
+        self.robot, self.v = robot, v
+        self.state, self.battery_s = robot.state, robot.battery_s
+        self.samples, self.target = robot.samples, robot.target
+        self.moves = self.handed = 0
 
 
 class _Kernel:
@@ -482,39 +492,46 @@ class _Kernel:
     ``explored`` is the live sensed mask. ``known`` (explored open cells),
     ``frontier`` and ``dist_home`` (hops from the entrance over ``known``,
     -1 where unreachable) are the snapshot every robot plans on within a
-    tick; the cells sensed meanwhile join it at ``learn``. ``reach`` is
-    the entrance-connected open set, computed once, and ``covered``
-    counts its explored cells.
+    tick; ``learn`` builds it from the cells sensed since its last call,
+    all explored cells at construction. ``reach`` is the
+    entrance-connected open set, computed once, and ``covered`` counts
+    its known cells.
 
-    It is built with the fleet it ticks, whose ids and cells it checks as
-    ``step`` describes: each robot senses its cell at construction, and
-    afterwards only the cells it moves to.
+    It holds all a survey changes: a ``_Scout`` per robot (``scouts``, in
+    input order), the uncollected ``sites`` and the ``delivered``
+    samples. It checks the robots' ids and cells as ``step`` describes:
+    each robot senses its cell at construction, and afterwards only the
+    cells it moves to.
     """
 
-    def __init__(self, grid: GridMap, robots: list[ScoutRobot]):
+    def __init__(self, grid: GridMap, robots: list[ScoutRobot], station: Station,
+                 sites: tuple[SampleSite, ...], delivered: tuple[Sample, ...] = ()):
         import numpy as np
         self.height, self.width = grid.cells.shape
         self.stride = stride = self.width + 2
         self.offsets = (-stride, -1, 1, stride)
         self.resolution_m = grid.resolution_m
+        self.station = station
+        self.sites = list(sites)
+        self.delivered = list(delivered)
         self.entrance = self.index(grid.entrance)
         traversable = grid.traversable()
-        explored = grid.explored  # GridMap keeps the entrance explored
         self.open = _padded(traversable)
-        self.explored = _padded(explored)
-        self.known = _padded(traversable & explored)
-        self.frontier = _padded(_frontier(traversable, explored))
-        self.dist_home = _flat_bfs(self.known, self.entrance, self.offsets)
+        self.explored = _padded(grid.explored)  # GridMap keeps the entrance explored
+        self.known = bytearray(len(self.open))
+        self.frontier = bytearray(len(self.open))
+        self.dist_home = array("i", [-1]) * len(self.open)
+        self.dist_home[self.entrance] = 0
+        self.pending = np.flatnonzero(np.pad(traversable & grid.explored, 1)).tolist()
         reach = np.frombuffer(_flat_bfs(self.open, self.entrance, self.offsets),
                               dtype=np.intc) >= 0
         self.reach = bytearray(reach.tobytes())
         self.reachable = int(np.count_nonzero(reach))
-        self.covered = int(np.count_nonzero(
-            reach & np.frombuffer(self.known, dtype=bool)))
-        self.pending: list[int] = []
+        self.covered = 0
         ids = [r.id for r in robots]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate robot ids in {ids}")
+        self.scouts = []
         for robot in robots:
             v = self.index(robot.position)
             if not v:
@@ -522,6 +539,8 @@ class _Kernel:
             if not self.open[v]:
                 raise ValueError(f"robot {robot.id} is on an obstacle at {robot.position}")
             self.sense(v)
+            self.scouts.append(_Scout(robot, v))
+        self.by_id = sorted(self.scouts, key=lambda sc: sc.robot.id)
         self.learn()
 
     def index(self, cell: tuple[int, int]) -> int:
@@ -539,6 +558,12 @@ class _Kernel:
         padded = np.frombuffer(self.explored, dtype=bool).reshape(-1, self.stride)
         return padded[1:-1, 1:-1].copy()
 
+    def robots(self) -> list[ScoutRobot]:
+        """The fleet as it stands, in input order."""
+        return [replace(sc.robot, position=self.cell(sc.v), state=sc.state,
+                        battery_s=sc.battery_s, samples=sc.samples, target=sc.target)
+                for sc in self.scouts]
+
     def sense(self, v: int) -> None:
         """Mark cell ``v`` and its open neighbours explored."""
         s, explored, open_ = self.stride, self.explored, self.open
@@ -552,29 +577,30 @@ class _Kernel:
 
         A cell's frontier flag can change only where it or a neighbour
         was added. The known map only grows, so home distances only
-        shrink: the added cells take one hop more than their nearest
-        known neighbour, and a Dijkstra pass from them lowers the rest
-        (incremental shortest paths, Ramalingam and Reps 1996).
+        shrink: the added cells start one hop beyond their nearest
+        neighbour known before the call, and a Dijkstra pass from them
+        lowers the rest (incremental shortest paths, Ramalingam and Reps
+        1996). The entrance keeps its distance 0.
         """
         fresh, self.pending = self.pending, []
         s, known, open_, dist = self.stride, self.known, self.open, self.dist_home
         for v in fresh:
             known[v] = 1
             self.covered += self.reach[v]
-        for v in fresh:
-            for x in (v, v - s, v - 1, v + 1, v + s):
-                if known[x]:
-                    self.frontier[x] = (open_[x - s] > known[x - s]
-                                        or open_[x - 1] > known[x - 1]
-                                        or open_[x + 1] > known[x + 1]
-                                        or open_[x + s] > known[x + s])
+        for x in {x for v in fresh for x in (v, v - s, v - 1, v + 1, v + s)}:
+            if known[x]:
+                self.frontier[x] = (open_[x - s] > known[x - s]
+                                    or open_[x - 1] > known[x - 1]
+                                    or open_[x + 1] > known[x + 1]
+                                    or open_[x + s] > known[x + s])
         heap = []
         for v in fresh:
             near = [d for d in (dist[v - s], dist[v - 1], dist[v + 1], dist[v + s])
                     if d >= 0]
-            if near:
-                dist[v] = min(near) + 1
-                heap.append((dist[v], v))
+            if near and dist[v] < 0:
+                heap.append((min(near) + 1, v))
+        for d, v in heap:
+            dist[v] = d
         heapq.heapify(heap)
         while heap:
             d, v = heapq.heappop(heap)
@@ -624,49 +650,43 @@ class _Kernel:
             level = nxt
         return None
 
-    def tick(self, robots: list[ScoutRobot], station: Station,
-             sites: list[SampleSite], delivered: list[Sample]) -> list[ScoutRobot]:
-        """One tick, as ``step`` describes it. Updates ``sites`` and
-        ``delivered`` in place and returns the robots in input order."""
+    def tick(self) -> None:
+        """One tick, as ``step`` describes it."""
         claimed: set[int] = set()
-        updated = {}
-        for robot in sorted(robots, key=lambda rb: rb.id):
-            updated[robot.id] = self._advance(robot, station, sites,
-                                              delivered, claimed)
+        for scout in self.by_id:
+            self._advance(scout, claimed)
         self.learn()
-        return [updated[r.id] for r in robots]
 
-    def _advance(self, robot: ScoutRobot, station: Station,
-                 sites: list[SampleSite], delivered: list[Sample],
-                 claimed: set[int]) -> ScoutRobot:
+    def _advance(self, scout: _Scout, claimed: set[int]) -> None:
+        robot, state = scout.robot, scout.state
         tick_s = self.resolution_m / robot.speed_mps
-        if robot.state is RobotState.STUCK:
-            return robot
-        if robot.state is RobotState.CHARGING:
-            if station.charge_time_s == 0:
+        if state is RobotState.STUCK:
+            return
+        if state is RobotState.CHARGING:
+            if self.station.charge_time_s == 0:
                 battery = robot.battery_full_s
             else:
-                rate = robot.battery_full_s / station.charge_time_s
-                battery = min(robot.battery_full_s, robot.battery_s + rate * tick_s)
-            state = RobotState.EXPLORING if battery >= robot.battery_full_s else RobotState.CHARGING
-            return replace(robot, battery_s=battery, state=state)
+                rate = robot.battery_full_s / self.station.charge_time_s
+                battery = min(robot.battery_full_s, scout.battery_s + rate * tick_s)
+            scout.battery_s = battery
+            scout.state = RobotState.EXPLORING if battery >= robot.battery_full_s else state
+            return
 
-        v = self.index(robot.position)
+        v = scout.v
         dist_home = self.dist_home
-        state = robot.state
-        if state is RobotState.EXPLORING:
-            if dist_home[v] < 0:
-                return replace(robot, state=RobotState.STUCK, target=None)
-            if robot.battery_s <= _return_threshold_s(dist_home[v], tick_s,
-                                                      robot.reserve_factor):
-                state = RobotState.RETURNING
+        if dist_home[v] < 0:  # cut off from the entrance
+            scout.state, scout.target = RobotState.STUCK, None
+            return
+        if state is RobotState.EXPLORING and scout.battery_s <= _return_threshold_s(
+                dist_home[v], tick_s, robot.reserve_factor):
+            state = RobotState.RETURNING
 
         target = move_to = None
         if state is RobotState.EXPLORING:
             # known uncollected sample sites compete with frontiers
             goals = set()
-            if len(robot.samples) < robot.aux_slots:
-                goals = {self.index(site.cell) for site in sites
+            if len(scout.samples) < robot.aux_slots:
+                goals = {self.index(site.cell) for site in self.sites
                          if site.mass_kg <= robot.aux_capacity_kg}
             found = self.nearest(v, claimed, goals)
             if found is not None:
@@ -676,33 +696,32 @@ class _Kernel:
             else:
                 # nothing left to claim: head home to deliver and park
                 state = RobotState.RETURNING
-        if state is RobotState.RETURNING and move_to is None:
-            d = dist_home[v]
-            if d < 0:
-                return replace(robot, state=RobotState.STUCK, target=None)
-            if d > 0:
-                move_to = next(v + off for off in self.offsets
-                               if dist_home[v + off] == d - 1)
+        if state is RobotState.RETURNING and move_to is None and dist_home[v] > 0:
+            move_to = next(v + off for off in self.offsets
+                           if dist_home[v + off] == dist_home[v] - 1)
 
-        battery = max(0.0, robot.battery_s - tick_s)
-        if move_to is None:
-            moved = replace(robot, battery_s=battery, state=state, target=target)
-        else:
+        scout.battery_s = max(0.0, scout.battery_s - tick_s)
+        scout.state, scout.target = state, target
+        if move_to is not None:
             self.sense(move_to)
-            moved = replace(robot, position=self.cell(move_to), battery_s=battery,
-                            state=state, target=target)
-            v = move_to
-        if moved.state is RobotState.EXPLORING:
-            moved = _try_collect(moved, sites)
-        if moved.state is RobotState.RETURNING and v == self.entrance:
-            delivered.extend(moved.samples)
-            moved = replace(moved, samples=(), state=RobotState.CHARGING, target=None)
-        return moved
+            scout.v = v = move_to
+            scout.moves += 1
+        if state is RobotState.EXPLORING:
+            cell = self.cell(v)
+            site = next((site for site in self.sites if site.cell == cell), None)
+            if site is not None:
+                with suppress(CapacityExhausted, OverMass):  # else the site waits
+                    scout.samples += (_seal(robot, scout.samples, site.mass_kg,
+                                            site.cell),)
+                    self.sites.remove(site)
+        elif v == self.entrance:
+            scout.handed += len(scout.samples)
+            self.delivered.extend(scout.samples)
+            scout.samples, scout.state, scout.target = (), RobotState.CHARGING, None
 
-    def undeliverable(self, sites: tuple[SampleSite, ...],
-                      robots: list[ScoutRobot]) -> tuple[tuple[int, str], ...]:
+    def undeliverable(self, sites: tuple[SampleSite, ...]) -> tuple[tuple[int, str], ...]:
         """(index, reason) for each site that no robot can bring home."""
-        capacity = max((r.aux_capacity_kg for r in robots), default=0.0)
+        capacity = max((sc.robot.aux_capacity_kg for sc in self.scouts), default=0.0)
         found = []
         for i, site in enumerate(sites):
             v = self.index(site.cell)
@@ -736,16 +755,15 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
         ValueError: for duplicate robot ids, or a robot off the map or on
             an obstacle cell.
     """
-    kernel = _Kernel(world.grid, robots)
-    sites = list(world.sample_sites)
-    delivered = list(world.delivered)
-    fleet = kernel.tick(robots, world.station, sites, delivered)
+    kernel = _Kernel(world.grid, robots, world.station, world.sample_sites,
+                     world.delivered)
+    kernel.tick()
     grid = GridMap(cells=world.grid.cells, explored=kernel.explored_mask(),
                    resolution_m=world.grid.resolution_m)
     next_world = TubeWorld(grid=grid, station=world.station,
-                           sample_sites=tuple(sites), delivered=tuple(delivered),
-                           ticks=world.ticks + 1)
-    return next_world, fleet
+                           sample_sites=tuple(kernel.sites),
+                           delivered=tuple(kernel.delivered), ticks=world.ticks + 1)
+    return next_world, kernel.robots()
 
 
 @dataclass(frozen=True)
@@ -784,37 +802,25 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
     """
     if max_steps <= 0:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
-    kernel = _Kernel(grid, robots)
-    fleet = list(robots)
-    sites = list(sample_sites)
-    delivered: list[Sample] = []
-    distance = {r.id: 0 for r in fleet}
-    delivered_by = {r.id: 0 for r in fleet}
+    kernel = _Kernel(grid, robots, station, sample_sites)
     steps = 0
 
     def work_remaining() -> bool:
         if kernel.covered < kernel.reachable:
             return True
-        active = [r for r in fleet if r.state is not RobotState.STUCK]
+        active = [sc for sc in kernel.scouts if sc.state is not RobotState.STUCK]
         if not active:
             return False
-        if any(r.samples for r in active):
+        if any(sc.samples for sc in active):
             return True
-        max_capacity = max(r.aux_capacity_kg for r in active)
+        max_capacity = max(sc.robot.aux_capacity_kg for sc in active)
         return any(
             kernel.explored[kernel.index(site.cell)] and site.mass_kg <= max_capacity
-            for site in sites)
+            for site in kernel.sites)
 
     while work_remaining() and steps < max_steps:
-        before = fleet
-        fleet = kernel.tick(fleet, station, sites, delivered)
+        kernel.tick()
         steps += 1
-        for prev, robot in zip(before, fleet):
-            if robot.position != prev.position:
-                distance[robot.id] += 1
-            dropped = len(prev.samples) - len(robot.samples)
-            if dropped > 0:
-                delivered_by[robot.id] += dropped
 
     regen = 0.0
     if station.winch is not None:
@@ -822,19 +828,19 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
 
     stats = tuple(
         RobotStats(
-            robot_id=r.id,
-            distance_cells=distance[r.id],
-            samples_delivered=delivered_by[r.id],
-            final_state=r.state.value,
-            battery_s=r.battery_s,
+            robot_id=sc.robot.id,
+            distance_cells=sc.moves,
+            samples_delivered=sc.handed,
+            final_state=sc.state.value,
+            battery_s=sc.battery_s,
         )
-        for r in sorted(fleet, key=lambda rb: rb.id)
+        for sc in kernel.by_id
     )
     return ExplorationReport(
         steps=steps,
         coverage_fraction=kernel.covered / kernel.reachable,
-        samples_delivered=len(delivered),
+        samples_delivered=len(kernel.delivered),
         energy_regen_wh=regen,
         per_robot_stats=stats,
-        undeliverable_sites=kernel.undeliverable(sample_sites, robots),
+        undeliverable_sites=kernel.undeliverable(sample_sites),
     )

@@ -9,8 +9,10 @@ import pytest
 from tubescout.aerostat import AreaModel
 from tubescout.cli import main
 from tubescout.config import (
+    MAX_JSON_DEPTH,
     ConfigError,
     MissionConfig,
+    _read_json,
     load_config,
     parse_config,
     parse_wbs_file,
@@ -442,6 +444,31 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
         assert "4300 digits" in err[0]
 
+    @pytest.mark.parametrize("flag, wrap", [
+        ("--config", lambda tree: {"program": {"wbs": tree}}),
+        ("--wbs", lambda tree: tree),
+    ], ids=["config", "wbs"])
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, flag, wrap):
+        tree = {"name": "leaf", "level": 250, "cost_usd": 1}
+        for level in range(249, 0, -1):
+            tree = {"name": f"n{level}", "level": level, "children": [tree]}
+        path = tmp_path / "deep.json"
+        # too deep for the converters' recursion, and for json's own
+        for text in (json.dumps(wrap(tree)), "[" * 100_000):
+            path.write_text(text)
+            assert run_cli("cost", flag, str(path),
+                           "--out", str(tmp_path / "out")) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {path}: JSON nesting deeper than {MAX_JSON_DEPTH} levels"]
+
+    def test_json_depth_limit_is_inclusive(self, tmp_path):
+        path = tmp_path / "lists.json"
+        path.write_text("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH)
+        assert _read_json(path) is not None
+        path.write_text("[" * (MAX_JSON_DEPTH + 1) + "]" * (MAX_JSON_DEPTH + 1))
+        with pytest.raises(ConfigError):
+            _read_json(path)
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert run_cli("explore", "--out", str(tmp_path / "out"),
                        "--seed", "-4") == 2
@@ -744,7 +771,16 @@ SURVEY_RULES = [
                       "robots": {"count": 100}, "max_steps": 1_000_000}},
      "config.exploration: survey work robots.count x max_steps x (map cells "
      "+ 60) = 100 x 1000000 x (400 + 60) = 46000000000 exceeds 250000000"),
+    # Within the survey work budget, but past the tube-size cap.
+    ({"exploration": {"map_file": "wide.map", "max_steps": 1}},
+     "config.exploration.map_file: map dimensions 1001x1000 exceed 1000000 "
+     "cells"),
 ]
+#: Map files the rules above name, written beside the config.
+MAP_FILES = {
+    "two.map": "E.E\n...\n",
+    "wide.map": "E" + "." * 1000 + "\n" + ("." * 1001 + "\n") * 999,
+}
 
 
 @pytest.mark.parametrize("command, payload, error", [
@@ -755,7 +791,9 @@ SURVEY_RULES = [
 ])
 def test_model_rules_exit_2_with_a_config_path(tmp_path, capsys, command,
                                                payload, error):
-    (tmp_path / "two.map").write_text("E.E\n...\n")
+    map_file = payload.get("exploration", {}).get("map_file")
+    if map_file in MAP_FILES:
+        (tmp_path / map_file).write_text(MAP_FILES[map_file])
     config = write_config(tmp_path, payload)
     assert run_cli(command, "--config", config,
                    "--out", str(tmp_path / "out")) == 2

@@ -8,7 +8,7 @@ target by the first N/W/E/S neighbour one hop closer to it.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +22,9 @@ from tubescout.tube_explorer import (
     CapacityExhausted,
     OverMass,
     RobotState,
+    Sample,
     SampleSite,
+    ScoutRobot,
     Station,
     TubeWorld,
     _Kernel,
@@ -33,6 +35,7 @@ from tubescout.tube_explorer import (
     frontier_mask,
     generate_tube,
     make_fleet,
+    run_exploration,
     step,
 )
 
@@ -233,23 +236,21 @@ def test_kernel_matches_reference_step(block):
     for index in range(block * 20, block * 20 + 20):
         ref_world, ref_fleet = random_case(index)
         world, fleet = ref_world, ref_fleet
-        kernel = _Kernel(ref_world.grid, ref_fleet)
-        sites, delivered = list(ref_world.sample_sites), []
-        kernel_fleet = ref_fleet
+        kernel = _Kernel(ref_world.grid, ref_fleet, ref_world.station,
+                         ref_world.sample_sites)
         entrance = ref_world.grid.entrance
         for tick in range(80):
             ref_world, ref_fleet = reference_step(ref_world, ref_fleet)
             world, fleet = step(world, fleet)
-            kernel_fleet = kernel.tick(kernel_fleet, ref_world.station, sites,
-                                       delivered)
+            kernel.tick()
             where = f"case {index}, tick {tick}"
             assert robot_view(fleet) == robot_view(ref_fleet), where
             assert world_view(world) == world_view(ref_world), where
-            assert robot_view(kernel_fleet) == robot_view(ref_fleet), where
+            assert robot_view(kernel.robots()) == robot_view(ref_fleet), where
             explored = kernel.explored_mask()
             assert np.array_equal(explored, ref_world.grid.explored), where
-            assert tuple(sites) == ref_world.sample_sites, where
-            assert tuple(delivered) == ref_world.delivered, where
+            assert tuple(kernel.sites) == ref_world.sample_sites, where
+            assert tuple(kernel.delivered) == ref_world.delivered, where
             known = ref_world.grid.traversable() & explored
             assert np.array_equal(unpad(kernel, kernel.dist_home, np.intc),
                                   bfs_distances(known, entrance)), where
@@ -319,3 +320,65 @@ def test_no_battery_runs_flat_off_the_entrance(tube, robots, battery_ticks):
                 assert robot.battery_s > 0.0
         if coverage_fraction(world.grid) == 1.0:
             break
+
+
+def survey_case(index):
+    """A seeded 8-20 cell tube with 1-4 short-battery robots, a charging
+    station and five sample sites."""
+    rng = random.Random(f"survey:{index}")
+    grid = generate_tube(rng.randrange(1 << 30), rng.randint(8, 20),
+                         rng.randint(8, 20), 0.2)
+    fleet = make_fleet(grid, rng.randint(1, 4), module_count=3,
+                       battery_full_s=rng.randint(12, 40) / 1.7)
+    open_cells = [tuple(map(int, rc)) for rc in np.argwhere(grid.cells != OBSTACLE)]
+    sites = tuple(SampleSite(rng.choice(open_cells), round(rng.uniform(0.5, 8.0), 1))
+                  for _ in range(5))
+    return grid, fleet, Station(charge_time_s=5.0), sites
+
+
+def test_survey_counters_match_a_step_replay():
+    """``run_exploration`` counts moves and handed-over samples in the
+    kernel; replaying ``step`` for as many ticks and diffing each robot
+    before and after every tick gives the same per-robot stats."""
+    handed_total = 0
+    for index in range(12):
+        grid, fleet, station, sites = survey_case(index)
+        report = run_exploration(grid, fleet, station=station, max_steps=400,
+                                 sample_sites=sites)
+        world = TubeWorld(grid=fresh_map(grid.cells), station=station,
+                          sample_sites=sites)
+        moves, handed = Counter(), Counter()
+        for _ in range(report.steps):
+            world, after = step(world, fleet)
+            for prev, robot in zip(fleet, after):
+                moves[robot.id] += robot.position != prev.position
+                handed[robot.id] += max(0, len(prev.samples) - len(robot.samples))
+            fleet = after
+        expected = [(r.id, moves[r.id], handed[r.id], r.state.value, r.battery_s)
+                    for r in sorted(fleet, key=lambda r: r.id)]
+        got = [(s.robot_id, s.distance_cells, s.samples_delivered, s.final_state,
+                s.battery_s) for s in report.per_robot_stats]
+        assert got == expected, f"case {index}"
+        assert report.samples_delivered == len(world.delivered), f"case {index}"
+        handed_total += report.samples_delivered
+    assert handed_total > 0
+
+
+def test_no_robot_is_rebuilt_per_tick(monkeypatch):
+    """A survey builds no ``ScoutRobot`` per tick: at most one per sample
+    it collects, which builds one ``Sample``."""
+    built = Counter()
+    for cls in (ScoutRobot, Sample):
+        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    grid = generate_tube(42, 20, 20, 0.2)
+    fleet = make_fleet(grid, 3, battery_full_s=40 / 1.7)
+    sites = (SampleSite((5, 5), 1.0), SampleSite((12, 8), 2.0),
+             SampleSite((17, 15), 3.0))
+    built.clear()
+    report = run_exploration(grid, fleet, station=Station(charge_time_s=5.0),
+                             sample_sites=sites)
+    assert report.steps > 100 and report.samples_delivered > 0
+    assert built["ScoutRobot"] <= built["Sample"]
