@@ -35,9 +35,26 @@ POWER_EPSILON_W = 1e-9
 #: (3551 steps) and lands a step boundary on the 44375 s night start.
 DEFAULT_TIMESTEP_S = 25.0
 
+#: A resumed scheduler trial compares its SoC with the admitted run's at
+#: its load's window end and every this many steps after; a full run
+#: never compares. On the ``power_sweep`` benchmark, blocks of 8 to 256
+#: steps step the same number of steps to within 0.5%.
+JOIN_BLOCK_STEPS = 64
+
 #: Upper bound on steps per sol: 1 s steps on the 88775 s sol fit. A
-#: step costs well under a microsecond and 48 bytes of trace arrays.
+#: step costs about 0.4 us (CPython 3.11, 2 x86 CPUs) plus the loads it
+#: sheds (see ``MAX_SOL_WORK``), and 48 bytes of trace arrays.
 MAX_SOL_STEPS = 100_000
+
+#: Upper bound on the work of one power report, counted as (loads + 2)
+#: runs of the sol (one scheduler trial per load, the scheduler's bare
+#: sol and the full trace) times its steps times (loads + 1). In the
+#: worst case, every load always on and sheddable and the battery empty,
+#: no trial stops early or rejoins, and every step sheds every load, at
+#: about 1.3 us a load including its violation, plus the step itself; a
+#: report at the bound then takes about a minute (CPython 3.11, 2 x86
+#: CPUs).
+MAX_SOL_WORK = 42_000_000
 
 
 @dataclass(frozen=True)
@@ -233,6 +250,11 @@ def sol_problems(sources: list[PowerSource], loads: list[PowerLoad],
         yield ("timestep_s", None, None,
                f"timestep {timestep_s} s does not divide the {sol_s:.0f} s "
                f"sol evenly")
+    elif (work := (len(loads) + 2) * round(steps) * (len(loads) + 1)) > MAX_SOL_WORK:
+        yield ("loads", None, None,
+               f"sol work (loads + 2) x sol steps x (loads + 1) = "
+               f"{len(loads) + 2} x {round(steps)} x {len(loads) + 1} = {work} "
+               f"exceeds {MAX_SOL_WORK}")
     for argument, items, taken in (("sources", sources, taken_source_names),
                                    ("loads", loads, None)):
         first = dict(taken or {})
@@ -289,6 +311,8 @@ class _Sol:
         if event_wh > 0:
             self.first_supply_w += event_wh / self.dt_h
         self.spans = {load.name: self._span(load.window) for load in loads}
+        #: Steps stepped by this sol's runs, added once per run.
+        self.stepped = 0
 
     def _first_step_at(self, time_s: float) -> int:
         """The first step i with i * timestep_s >= time_s, or n_steps."""
@@ -312,12 +336,29 @@ class _Sol:
             self.add(demand_w, load)
         return demand_w
 
+    def _violations_before(self, violations: list[Violation], step: int) -> int:
+        """How many of a run's ``violations`` fall before ``step``."""
+        return bisect.bisect_left(violations, step * self.timestep_s,
+                                  key=lambda v: v.time_s)
+
     def run(self, demand_w: np.ndarray, loads: list[PowerLoad],
+            base=None, start: int = 0, join: int | None = None,
             stop_at_hard_cut: bool = False):
         """Step the battery through the sol against ``demand_w``, the
         demand of ``loads``. Returns (soc, shed_w, violations), with soc
         an ``array('d')`` of n_steps + 1 samples, or None as soon as a
-        non-sheddable load is cut if ``stop_at_hard_cut``."""
+        non-sheddable load is cut if ``stop_at_hard_cut``.
+
+        A full run is ``start`` = 0 with no ``join``. A resumed run is
+        given ``base``, an earlier run of this sol whose demand and
+        active loads differ from these only in steps [start, join). It
+        copies the steps before ``start`` from ``base`` and steps from
+        there; from ``join`` on, every ``JOIN_BLOCK_STEPS`` steps, it
+        compares its SoC with that of ``base`` and, once they are equal,
+        copies the rest. This is exact: outside [start, join) the demand
+        and the active loads in shed order are the same, so equal SoC
+        at a step gives the same values bit for bit from there on.
+        """
         import numpy as np
         battery = self.battery
         capacity = battery.capacity_wh
@@ -326,49 +367,71 @@ class _Sol:
         dt_h = self.dt_h
         timestep_s = self.timestep_s
         base_supply_w = self.base_supply_w
+        n_steps = self.n_steps
         order = [(*self.spans[l.name], l.power_w, l.name, l.sheddable)
                  for l in _shed_order(loads)]
-        shed_w = np.zeros(self.n_steps)
+        shed_w = np.zeros(n_steps)
         shed_view = memoryview(shed_w)
+        soc = array("d", [battery.initial_soc_wh]) * (n_steps + 1)
         violations: list[Violation] = []
-        before = battery.initial_soc_wh
-        soc = array("d", [before]) * (self.n_steps + 1)
-        supply = self.first_supply_w
-        # min(a, b) and max(a, b) are spelled out as conditionals (same
-        # result, same operand on ties) because the calls cost most of a step.
-        for i, demand in enumerate(memoryview(demand_w)):
-            if supply >= demand - POWER_EPSILON_W:
-                surplus_w = supply - demand
-                stored = surplus_w * dt_h * charge_eff if surplus_w > 0.0 else 0.0
-                room = capacity - before
-                after = before + (room if room < stored else stored)
-                if capacity < after:
-                    after = capacity
-            else:
-                need_wh = (demand - supply) * dt_h
-                delivered = before * discharge_eff
-                if not delivered < need_wh:
-                    delivered = need_wh
-                after = before - delivered / discharge_eff
-                if not after > 0.0:
-                    after = 0.0
-                unmet_w = (need_wh - delivered) / dt_h
-                if unmet_w > POWER_EPSILON_W:
-                    shed_view[i] = unmet_w
-                    t = i * timestep_s
-                    remaining = unmet_w
-                    for lo, hi, power_w, name, sheddable in order:
-                        if remaining <= POWER_EPSILON_W:
-                            break
-                        if not lo <= i < hi or power_w <= 0:
-                            continue
-                        if stop_at_hard_cut and not sheddable:
-                            return None
-                        cut = min(power_w, remaining)
-                        violations.append(Violation(t, name, cut))
-                        remaining -= cut
-            soc[i + 1] = before = after
-            supply = base_supply_w
+        if base is not None:
+            base_soc, base_shed_w, base_violations = base
+            soc[:start + 1] = base_soc[:start + 1]
+            shed_w[:start] = base_shed_w[:start]
+            violations = base_violations[:self._violations_before(base_violations,
+                                                                  start)]
+        before = soc[start]
+        supply = self.first_supply_w if start == 0 else base_supply_w
+        demand_view = memoryview(demand_w)
+        first, stop = start, n_steps if join is None else join
+        while True:
+            # min(a, b) and max(a, b) are spelled out as conditionals (same
+            # result, same operand on ties) because the calls cost most of
+            # a step.
+            for i, demand in enumerate(demand_view[start:stop], start):
+                if supply >= demand - POWER_EPSILON_W:
+                    surplus_w = supply - demand
+                    stored = surplus_w * dt_h * charge_eff if surplus_w > 0.0 else 0.0
+                    room = capacity - before
+                    after = before + (room if room < stored else stored)
+                    if capacity < after:
+                        after = capacity
+                else:
+                    need_wh = (demand - supply) * dt_h
+                    delivered = before * discharge_eff
+                    if not delivered < need_wh:
+                        delivered = need_wh
+                    after = before - delivered / discharge_eff
+                    if not after > 0.0:
+                        after = 0.0
+                    unmet_w = (need_wh - delivered) / dt_h
+                    if unmet_w > POWER_EPSILON_W:
+                        shed_view[i] = unmet_w
+                        t = i * timestep_s
+                        remaining = unmet_w
+                        for lo, hi, power_w, name, sheddable in order:
+                            if remaining <= POWER_EPSILON_W:
+                                break
+                            if not lo <= i < hi or power_w <= 0:
+                                continue
+                            if stop_at_hard_cut and not sheddable:
+                                self.stepped += i + 1 - first
+                                return None
+                            cut = min(power_w, remaining)
+                            violations.append(Violation(t, name, cut))
+                            remaining -= cut
+                soc[i + 1] = before = after
+                supply = base_supply_w
+            if stop == n_steps:
+                break
+            if soc[stop] == base_soc[stop]:
+                soc[stop:] = base_soc[stop:]
+                shed_w[stop:] = base_shed_w[stop:]
+                violations += base_violations[
+                    self._violations_before(base_violations, stop):]
+                break
+            start, stop = stop, min(stop + JOIN_BLOCK_STEPS, n_steps)
+        self.stepped += stop - first
         return soc, shed_w, violations
 
     def trace(self, demand_w: np.ndarray, run) -> SocTrace:
@@ -419,6 +482,8 @@ class ScheduleResult:
     feasible: bool
     verdicts: dict[str, bool]
     trace: SocTrace
+    #: Steps stepped by the bare sol and the trials together.
+    stepped: int
 
 
 def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
@@ -430,29 +495,37 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     the candidate produces no violation on any non-sheddable load; a
     trial stops at the first such cut. ``feasible`` is true iff every
     input load is admitted. The returned trace is that of the final
-    admitted set, which the last admitted trial ran in full.
+    admitted set.
+
+    The admitted run starts as a bare sol without loads. A trial differs
+    from it only at the candidate's active steps [lo, hi): before ``lo``
+    and after the trial's SoC rejoins the admitted run's, demand, shed
+    order and SoC are all equal, so each trial resumes the admitted run
+    at ``lo`` and stops stepping at the join (see ``_Sol.run``). The
+    admitted run never cuts a non-sheddable load, so the steps a trial
+    copies cannot change its verdict.
     """
     import numpy as np
     sol = _Sol(sources, loads, battery, env, timestep_s)
     admitted: list[PowerLoad] = []
     admitted_demand_w = np.zeros(sol.n_steps)
-    admitted_run = None
+    admitted_run = sol.run(admitted_demand_w, admitted)
     verdicts: dict[str, bool] = {}
     for load in sorted(loads, key=lambda l: (l.priority, l.name)):
         demand_w = admitted_demand_w.copy()
         sol.add(demand_w, load)
-        run = sol.run(demand_w, admitted + [load], stop_at_hard_cut=True)
+        run = sol.run(demand_w, admitted + [load], admitted_run,
+                      *sol.spans[load.name], stop_at_hard_cut=True)
         verdicts[load.name] = run is not None
         if run is not None:
             admitted.append(load)
             admitted_demand_w, admitted_run = demand_w, run
-    if admitted_run is None:
-        admitted_run = sol.run(admitted_demand_w, admitted)
     return ScheduleResult(
         admitted=tuple(admitted),
         feasible=len(admitted) == len(loads),
         verdicts=verdicts,
         trace=sol.trace(admitted_demand_w, admitted_run),
+        stepped=sol.stepped,
     )
 
 

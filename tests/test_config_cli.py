@@ -18,7 +18,7 @@ from tubescout.config import (
     parse_wbs_file,
     to_echo_dict,
 )
-from tubescout.energy import SourceKind
+from tubescout.energy import MAX_SOL_WORK, SourceKind
 from tubescout.mission import MissionEvent
 from tubescout.program import rollup_cost
 from tubescout.report import dump_json
@@ -725,6 +725,7 @@ class TestInputValidation:
 SUBCOMMANDS = ("balloon", "winch", "thermal", "power", "explore", "budget",
                "cost", "schedule", "mission")
 ONE_SITE = [{"cell": [1, 1], "mass_kg": 1.0}]
+
 #: (payload, error line) for inputs a model refuses. Every subcommand
 #: must reject them at parse time, naming the config path.
 MODEL_RULES = [
@@ -776,6 +777,22 @@ SURVEY_RULES = [
      "config.exploration.map_file: map dimensions 1001x1000 exceed 1000000 "
      "cells"),
 ]
+
+
+def sol_work(sol_steps: int) -> dict:
+    """23 always-on loads on a sol of ``sol_steps`` 1 s steps: at 70,000
+    steps, exactly ``MAX_SOL_WORK`` = 25 x 70000 x 24."""
+    return {"env": {"overrides": {"sol_length_s": float(sol_steps)}},
+            "power": {"timestep_s": 1.0, "loads": [
+                {"name": f"l{k:02d}", "power_w": 10.0} for k in range(23)]}}
+
+
+#: Power configs just over the sol work bound.
+SOL_WORK_RULES = [
+    (sol_work(70_001),
+     "config.power.loads: sol work (loads + 2) x sol steps x (loads + 1) = "
+     "25 x 70001 x 24 = 42000600 exceeds 42000000"),
+]
 #: Map files the rules above name, written beside the config.
 MAP_FILES = {
     "two.map": "E.E\n...\n",
@@ -783,11 +800,18 @@ MAP_FILES = {
 }
 
 
+def test_sol_work_at_the_bound_loads(tmp_path):
+    config = load_config(write_config(tmp_path, sol_work(70_000)))
+    assert (len(config.loads) + 2) * 70_000 * (len(config.loads) + 1) == MAX_SOL_WORK
+
+
 @pytest.mark.parametrize("command, payload, error", [
     *[(command, payload, error) for payload, error in MODEL_RULES
       for command in SUBCOMMANDS],
     *[(command, payload, error) for payload, error in SURVEY_RULES
       for command in ("explore", "mission")],
+    *[(command, payload, error) for payload, error in SOL_WORK_RULES
+      for command in ("power", "mission")],
 ])
 def test_model_rules_exit_2_with_a_config_path(tmp_path, capsys, command,
                                                payload, error):

@@ -231,6 +231,15 @@ class TestSimulateSol:
             ("sources", None, None,
              "no power source and an empty battery cannot serve loads")]
 
+    def test_sol_work_bounded(self):
+        """24 always-on loads, the largest benchmark case, fit at 25 s
+        steps; at 1 s steps their scheduler work is over the bound."""
+        loads = [PowerLoad(f"l{k}", 1.0) for k in range(24)]
+        assert list(sol_problems([RTG], loads, Battery(), ENV, 25.0)) == []
+        assert list(sol_problems([RTG], loads, Battery(), ENV, 1.0)) == [
+            ("loads", None, None, "sol work (loads + 2) x sol steps x "
+             "(loads + 1) = 26 x 88775 x 25 = 57703750 exceeds 42000000")]
+
     def test_first_problem_raised_with_its_argument(self):
         loads = [PowerLoad("a", 1.0), PowerLoad("a", 2.0)]
         with pytest.raises(ValueError, match=r"^loads\[1\]\.name: duplicate "

@@ -226,6 +226,83 @@ def test_seeded_cases_cover_the_edges():
                     "start_off_grid", "end_at_sol", "zero_watts", "hard_cut"}
 
 
+def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
+    """The seeded cases' scheduler trials reach every edge of resuming the
+    admitted run at the candidate's first active step and joining it
+    again, so the differential test above covers them."""
+    seen = set()
+    run = _Sol.run
+
+    def observed(sol, demand_w, loads, base=None, start=0, join=None,
+                 stop_at_hard_cut=False):
+        stepped = sol.stepped
+        result = run(sol, demand_w, loads, base, start, join, stop_at_hard_cut)
+        end = start + sol.stepped - stepped
+        if join is None:
+            return result
+        if result is not None and end < sol.n_steps:
+            seen.add("rejoined_before_sol_end")
+        if result is None and end > start + 1:
+            seen.add("rejected_after_start")
+        if (result is not None and base[2]
+                and base[2][0].time_s < start * sol.timestep_s):
+            seen.add("kept_violation_before_start")
+        if start == join:
+            seen.add("empty_span")
+        if start == 0 and sol.first_supply_w != sol.base_supply_w:
+            seen.add("winch_regen_at_step_0")
+        return result
+
+    monkeypatch.setattr(_Sol, "run", observed)
+    for seed in range(200):
+        sources, loads, battery, timestep_s = random_case(random.Random(seed))
+        schedule_loads(sources, loads, battery, ENV, timestep_s)
+    assert seen == {"rejoined_before_sol_end", "rejected_after_start",
+                    "kept_violation_before_start", "empty_span",
+                    "winch_regen_at_step_0"}
+
+
+def power_sweep_case(rng: random.Random, n_loads: int):
+    """Windowed loads, a fifth always on, on a sol supplied below their
+    mean demand, at the default 25 s step."""
+    loads = []
+    for k in range(n_loads):
+        window = None
+        if rng.random() >= 0.2:
+            start = rng.uniform(0.0, SOL_S - 2000.0)
+            window = (start, min(SOL_S, start + rng.uniform(2000.0, 40000.0)))
+        loads.append(PowerLoad(f"l{k:02d}", rng.uniform(20.0, 300.0), window,
+                               priority=rng.randrange(10),
+                               sheddable=rng.random() < 0.4))
+    mean_w = sum(l.power_w * (SOL_S if l.window is None else
+                              l.window[1] - l.window[0]) for l in loads) / SOL_S
+    sources = [PowerSource("rtg", rating_w=0.65 * mean_w)]
+    return sources, loads, Battery(8.0 * mean_w, 6.4 * mean_w)
+
+
+def test_scheduler_steps_well_under_a_full_sol_per_trial():
+    sources, loads, battery = power_sweep_case(random.Random(24), 24)
+    result = schedule_loads(sources, loads, battery, ENV, 25.0)
+    assert result.stepped < len(loads) * round(SOL_S / 25.0) // 2
+
+
+@pytest.mark.parametrize("rating_w, battery, joined", [
+    (50.0, Battery(10000.0, 5000.0), False),
+    (500.0, Battery(1000.0, 1000.0), True)])
+def test_a_trial_steps_from_its_load_start(rating_w, battery, joined):
+    """The bare sol steps in full; the trial of a load active from step
+    k = 1000 to 2000 steps none of [0, k). On a deficit, with a battery
+    that never fills, its SoC stays below the bare sol's to the end; on a
+    surplus that keeps the battery full, it rejoins the bare sol at the
+    window's end."""
+    n_steps = round(SOL_S / 25.0)
+    load = PowerLoad("drill", 100.0, (1000 * 25.0, 2000 * 25.0))
+    result = schedule_loads([PowerSource("rtg", rating_w=rating_w)], [load],
+                            battery, ENV, 25.0)
+    assert result.feasible
+    assert result.stepped - n_steps == (1000 if joined else n_steps - 1000)
+
+
 @pytest.mark.parametrize("timestep_s", [5.0, 25.0, 1775.5, 88775.0])
 def test_load_spans_are_the_active_steps(timestep_s):
     rng = random.Random(7)
