@@ -3,7 +3,7 @@
 The winch model converts lowering/raising a payload into motor power and
 regenerated energy. The sol simulator steps a battery through one
 Martian day against a set of constant sources and windowed loads,
-recording state of charge, shed power and per-load supply violations.
+recording state of charge and the power shed at each step.
 A greedy scheduler on top admits loads in priority order and reports
 which subset is actually supportable.
 
@@ -17,7 +17,7 @@ import bisect
 import csv
 import enum
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .env import MarsEnvironment
@@ -50,10 +50,10 @@ MAX_SOL_STEPS = 100_000
 #: runs of the sol (one scheduler trial per load, the scheduler's bare
 #: sol and the full trace) times its steps times (loads + 1). In the
 #: worst case, every load always on and sheddable and the battery empty,
-#: no trial stops early or rejoins, and every step sheds every load, at
-#: about 1.3 us a load including its violation, plus the step itself; a
-#: report at the bound then takes about a minute (CPython 3.11, 2 x86
-#: CPUs).
+#: no trial stops early or rejoins, and every step sheds every load. A
+#: trial's ``_cuts`` then takes about 0.6 us a load, plus the step itself,
+#: and reading the trace's cuts 0.6 us a cut; a report at the bound (20
+#: loads at 1 s steps) takes about 12 s (CPython 3.11, 2 x86 CPUs).
 MAX_SOL_WORK = 42_000_000
 
 
@@ -206,6 +206,9 @@ class SocTrace:
     holds exactly except in a step that ends clamped at capacity: there
     soc[i] + (capacity - soc[i]) can round one unit in the last place
     above capacity, and closure holds only to within that unit.
+
+    ``shed_w`` is the only record of unmet demand: ``cuts`` assigns it
+    to the loads of ``shed_order`` when asked.
     """
 
     timestep_s: float
@@ -215,7 +218,7 @@ class SocTrace:
     shed_w: np.ndarray
     charged_wh: np.ndarray
     discharged_wh: np.ndarray
-    violations: tuple[Violation, ...] = field(default=())
+    shed_order: tuple[PowerLoad, ...] = ()
 
     @property
     def final_soc_wh(self) -> float:
@@ -226,8 +229,24 @@ class SocTrace:
         import numpy as np
         return float(np.sum(self.shed_w)) * self.timestep_s / 3600.0
 
+    def cuts(self):
+        """Yield (time_s, name, sheddable, deficit_w) for each load cut,
+        step by step and in shed order within a step, as Python values."""
+        import numpy as np
+        n_steps = len(self.shed_w)
+        order = [_entry(l, self.timestep_s, n_steps) for l in self.shed_order]
+        steps = np.flatnonzero(self.shed_w)
+        shed = zip(steps.tolist(), self.shed_w[steps].tolist())
+        for i, name, sheddable, deficit_w in _cuts(order, shed):
+            yield i * self.timestep_s, name, sheddable, deficit_w
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        return tuple(Violation(time_s, name, deficit_w)
+                     for time_s, name, _, deficit_w in self.cuts())
+
     def violated_load_names(self) -> set[str]:
-        return {v.unmet_load_name for v in self.violations}
+        return {name for _, name, _, _ in self.cuts()}
 
 
 def sol_problems(sources: list[PowerSource], loads: list[PowerLoad],
@@ -282,6 +301,33 @@ def _shed_order(loads: list[PowerLoad]) -> list[PowerLoad]:
     return sheddable + hard
 
 
+def _entry(load: PowerLoad, timestep_s: float, n_steps: int) -> tuple:
+    """The load's ``_cuts`` entry (lo, hi, power_w, name, sheddable), with
+    [lo, hi) the steps at which ``PowerLoad.active_at`` holds."""
+    lo, hi = 0, n_steps
+    if load.window is not None:
+        lo, hi = (bisect.bisect_left(range(n_steps), time_s,
+                                     key=lambda i: i * timestep_s)
+                  for time_s in load.window)
+    return lo, hi, load.power_w, load.name, load.sheddable
+
+
+def _cuts(order, shed):
+    """For each (step, unmet_w) in ``shed``, cut the active loads of
+    ``order`` (``_entry`` tuples in shed order) by their power or what is
+    left, until what is left is within ``POWER_EPSILON_W``, and yield
+    (step, name, sheddable, deficit_w) for each cut."""
+    for i, remaining in shed:
+        for lo, hi, power_w, name, sheddable in order:
+            if remaining <= POWER_EPSILON_W:
+                break
+            if not lo <= i < hi or power_w <= 0:
+                continue
+            cut = min(power_w, remaining)
+            yield i, name, sheddable, cut
+            remaining -= cut
+
+
 class _Sol:
     """The power sol kernel: one sol of fixed sources and battery, able
     to run any subset of the loads it was built with.
@@ -310,24 +356,15 @@ class _Sol:
         self.first_supply_w = self.base_supply_w
         if event_wh > 0:
             self.first_supply_w += event_wh / self.dt_h
-        self.spans = {load.name: self._span(load.window) for load in loads}
+        #: Each load's ``_entry``, shared by every trial's shed order.
+        self.entries = {load.name: _entry(load, timestep_s, self.n_steps)
+                        for load in loads}
         #: Steps stepped by this sol's runs, added once per run.
         self.stepped = 0
 
-    def _first_step_at(self, time_s: float) -> int:
-        """The first step i with i * timestep_s >= time_s, or n_steps."""
-        return bisect.bisect_left(range(self.n_steps), time_s,
-                                  key=lambda i: i * self.timestep_s)
-
-    def _span(self, window) -> tuple[int, int]:
-        """The steps [lo, hi) at which ``PowerLoad.active_at`` holds."""
-        if window is None:
-            return 0, self.n_steps
-        return self._first_step_at(window[0]), self._first_step_at(window[1])
-
     def add(self, demand_w: np.ndarray, load: PowerLoad) -> None:
-        lo, hi = self.spans[load.name]
-        demand_w[lo:hi] += load.power_w
+        lo, hi, power_w, _, _ = self.entries[load.name]
+        demand_w[lo:hi] += power_w
 
     def demand(self, loads: list[PowerLoad]) -> np.ndarray:
         import numpy as np
@@ -336,28 +373,23 @@ class _Sol:
             self.add(demand_w, load)
         return demand_w
 
-    def _violations_before(self, violations: list[Violation], step: int) -> int:
-        """How many of a run's ``violations`` fall before ``step``."""
-        return bisect.bisect_left(violations, step * self.timestep_s,
-                                  key=lambda v: v.time_s)
-
     def run(self, demand_w: np.ndarray, loads: list[PowerLoad],
-            base=None, start: int = 0, join: int | None = None,
-            stop_at_hard_cut: bool = False):
+            base=None, start: int = 0, join: int | None = None):
         """Step the battery through the sol against ``demand_w``, the
-        demand of ``loads``. Returns (soc, shed_w, violations), with soc
-        an ``array('d')`` of n_steps + 1 samples, or None as soon as a
-        non-sheddable load is cut if ``stop_at_hard_cut``.
+        demand of ``loads``. Returns (soc, shed_w, shed_order), with soc
+        an ``array('d')`` of n_steps + 1 samples; no cuts are kept.
 
-        A full run is ``start`` = 0 with no ``join``. A resumed run is
-        given ``base``, an earlier run of this sol whose demand and
-        active loads differ from these only in steps [start, join). It
-        copies the steps before ``start`` from ``base`` and steps from
+        A full run is ``start`` = 0 with no ``base``. A run given
+        ``base``, an earlier run of this sol whose demand and active
+        loads differ from these only in steps [start, join), is a trial.
+        It copies the steps before ``start`` from ``base`` and steps from
         there; from ``join`` on, every ``JOIN_BLOCK_STEPS`` steps, it
         compares its SoC with that of ``base`` and, once they are equal,
         copies the rest. This is exact: outside [start, join) the demand
         and the active loads in shed order are the same, so equal SoC
-        at a step gives the same values bit for bit from there on.
+        at a step gives the same values bit for bit from there on. A
+        trial returns None at the first step whose shed power reaches a
+        non-sheddable load.
         """
         import numpy as np
         battery = self.battery
@@ -365,21 +397,17 @@ class _Sol:
         charge_eff = battery.charge_efficiency
         discharge_eff = battery.discharge_efficiency
         dt_h = self.dt_h
-        timestep_s = self.timestep_s
         base_supply_w = self.base_supply_w
         n_steps = self.n_steps
-        order = [(*self.spans[l.name], l.power_w, l.name, l.sheddable)
-                 for l in _shed_order(loads)]
+        shed_order = _shed_order(loads)
+        order = [self.entries[l.name] for l in shed_order]
         shed_w = np.zeros(n_steps)
         shed_view = memoryview(shed_w)
         soc = array("d", [battery.initial_soc_wh]) * (n_steps + 1)
-        violations: list[Violation] = []
         if base is not None:
-            base_soc, base_shed_w, base_violations = base
+            base_soc, base_shed_w, _ = base
             soc[:start + 1] = base_soc[:start + 1]
             shed_w[:start] = base_shed_w[:start]
-            violations = base_violations[:self._violations_before(base_violations,
-                                                                  start)]
         before = soc[start]
         supply = self.first_supply_w if start == 0 else base_supply_w
         demand_view = memoryview(demand_w)
@@ -407,19 +435,11 @@ class _Sol:
                     unmet_w = (need_wh - delivered) / dt_h
                     if unmet_w > POWER_EPSILON_W:
                         shed_view[i] = unmet_w
-                        t = i * timestep_s
-                        remaining = unmet_w
-                        for lo, hi, power_w, name, sheddable in order:
-                            if remaining <= POWER_EPSILON_W:
-                                break
-                            if not lo <= i < hi or power_w <= 0:
-                                continue
-                            if stop_at_hard_cut and not sheddable:
-                                self.stepped += i + 1 - first
-                                return None
-                            cut = min(power_w, remaining)
-                            violations.append(Violation(t, name, cut))
-                            remaining -= cut
+                        if base is not None:
+                            for _, _, sheddable, _ in _cuts(order, ((i, unmet_w),)):
+                                if not sheddable:
+                                    self.stepped += i + 1 - first
+                                    return None
                 soc[i + 1] = before = after
                 supply = base_supply_w
             if stop == n_steps:
@@ -427,16 +447,14 @@ class _Sol:
             if soc[stop] == base_soc[stop]:
                 soc[stop:] = base_soc[stop:]
                 shed_w[stop:] = base_shed_w[stop:]
-                violations += base_violations[
-                    self._violations_before(base_violations, stop):]
                 break
             start, stop = stop, min(stop + JOIN_BLOCK_STEPS, n_steps)
         self.stepped += stop - first
-        return soc, shed_w, violations
+        return soc, shed_w, shed_order
 
     def trace(self, demand_w: np.ndarray, run) -> SocTrace:
         import numpy as np
-        soc, shed_w, violations = run
+        soc, shed_w, shed_order = run
         soc_wh = np.frombuffer(soc)
         supply_w = np.full(self.n_steps, self.base_supply_w, dtype=float)
         supply_w[0] = self.first_supply_w
@@ -452,7 +470,7 @@ class _Sol:
             shed_w=shed_w,
             charged_wh=charged_wh,
             discharged_wh=discharged_wh,
-            violations=tuple(violations),
+            shed_order=tuple(shed_order),
         )
 
 
@@ -463,9 +481,10 @@ def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
 
     Each step: surplus charges the battery at ``charge_efficiency`` (and
     is lost once the battery is full); deficit discharges it at
-    ``discharge_efficiency``; remaining unmet demand is shed, sheddable
-    and least critical loads first, and recorded as one violation per
-    affected load per step.
+    ``discharge_efficiency``; remaining unmet demand is shed and kept as
+    the step's ``shed_w``. ``SocTrace.cuts`` assigns it to the active
+    loads, sheddable and least critical first, as one cut per affected
+    load per step.
 
     Raises:
         ValueError: on the first of ``sol_problems``, prefixed with the
@@ -492,10 +511,9 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     """Greedily admit loads in ascending (priority, name) order.
 
     A candidate is admitted iff simulating the already admitted set plus
-    the candidate produces no violation on any non-sheddable load; a
-    trial stops at the first such cut. ``feasible`` is true iff every
-    input load is admitted. The returned trace is that of the final
-    admitted set.
+    the candidate cuts no non-sheddable load; a trial stops at the first
+    such cut. ``feasible`` is true iff every input load is admitted. The
+    returned trace is that of the final admitted set.
 
     The admitted run starts as a bare sol without loads. A trial differs
     from it only at the candidate's active steps [lo, hi): before ``lo``
@@ -515,7 +533,7 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
         demand_w = admitted_demand_w.copy()
         sol.add(demand_w, load)
         run = sol.run(demand_w, admitted + [load], admitted_run,
-                      *sol.spans[load.name], stop_at_hard_cut=True)
+                      *sol.entries[load.name][:2])
         verdicts[load.name] = run is not None
         if run is not None:
             admitted.append(load)

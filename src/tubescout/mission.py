@@ -136,7 +136,8 @@ class GerminationTrial:
 
 def germination_trial(n_seeds: int, p_germinate: float, seed: int) -> GerminationTrial:
     """Run n Bernoulli draws on the germination random stream. Bad
-    bounds are rejected by the result, after the draws."""
+    bounds are rejected before any draw."""
+    check_germination(n_seeds, p_germinate)
     rng = Rng(seed, GERMINATION_STREAM)
     germinated = sum(1 for _ in range(n_seeds) if rng.chance(p_germinate))
     return GerminationTrial(n_seeds=n_seeds, p_germinate=p_germinate,
@@ -205,7 +206,6 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
         nonlocal state, battery, pending_regen_wh, total_dose_msv
         cave_fraction = settings.cave_fraction.get(phase.value, 0.0)
         loads = [t.load for t in config.loads if t.active_in(phase.value)]
-        hard_names = {l.name for l in loads if not l.sheddable}
         for _ in range(settings.sols_per_phase.get(phase.value, 0)):
             sources = list(config.sources)
             injected_wh = pending_regen_wh
@@ -214,8 +214,10 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                                            0.0, injected_wh))
                 pending_regen_wh = 0.0
             trace = simulate_sol(sources, loads, battery, env, config.timestep_s)
-            hard_violations = sum(v.unmet_load_name in hard_names
-                                  for v in trace.violations)
+            violations = hard_violations = 0
+            for _, _, sheddable, _ in trace.cuts():
+                violations += 1
+                hard_violations += not sheddable
             if hard_violations:
                 infeasible_sols.append(state.sol)
             dose_msv = cumulative_dose(env, cave_fraction, 1.0)
@@ -225,7 +227,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                 "phase": phase.value,
                 "final_soc_wh": trace.final_soc_wh,
                 "total_shed_wh": trace.total_shed_wh,
-                "violations": len(trace.violations),
+                "violations": violations,
                 "hard_violations": hard_violations,
                 "regen_injected_wh": injected_wh,
                 "dose_msv": dose_msv,

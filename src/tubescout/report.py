@@ -236,32 +236,42 @@ def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...]
             "verdicts": schedule.verdicts}
     del schedule
     trace = simulate_sol(list(sources), list(loads), battery, env, timestep_s)
-    hard_names = {l.name for l in loads if not l.sheddable}
-    hard_violations = [v for v in trace.violations if v.unmet_load_name in hard_names]
+    # Cuts come in time order: the first hard cut is the earliest.
+    count = hard_count = 0
+    unmet, hard_loads = set(), set()
+    for time_s, name, sheddable, deficit_w in trace.cuts():
+        count += 1
+        unmet.add(name)
+        if not sheddable:
+            if not hard_count:
+                first_s, max_deficit_w = time_s, deficit_w
+            hard_count += 1
+            hard_loads.add(name)
+            last_s = time_s
+            max_deficit_w = max(max_deficit_w, deficit_w)
     section = {
         "inputs": power_inputs(battery, sources, loads, timestep_s),
         "final_soc_wh": trace.final_soc_wh,
         "total_shed_wh": trace.total_shed_wh,
-        "violation_count": len(trace.violations),
-        "unmet_loads": sorted(trace.violated_load_names()),
-        "feasible": not hard_violations,
+        "violation_count": count,
+        "unmet_loads": sorted(unmet),
+        "feasible": not hard_count,
         "schedule": plan,
     }
     findings = []
-    if hard_violations:
-        times = [v.time_s for v in hard_violations]
+    if hard_count:
         findings.append(Finding(
             kind="infeasible",
             module="energy",
-            message=(f"{len(hard_violations)} unmet-demand violations on "
-                     f"non-sheddable loads spanning t = {min(times):.0f} s "
-                     f"to {max(times):.0f} s"),
+            message=(f"{hard_count} unmet-demand violations on "
+                     f"non-sheddable loads spanning t = {first_s:.0f} s "
+                     f"to {last_s:.0f} s"),
             data={
-                "violation_count": len(hard_violations),
-                "first_violation_s": min(times),
-                "last_violation_s": max(times),
-                "max_deficit_w": max(v.deficit_w for v in hard_violations),
-                "loads": sorted({v.unmet_load_name for v in hard_violations}),
+                "violation_count": hard_count,
+                "first_violation_s": first_s,
+                "last_violation_s": last_s,
+                "max_deficit_w": max_deficit_w,
+                "loads": sorted(hard_loads),
             },
         ))
     return section, findings, trace

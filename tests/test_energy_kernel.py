@@ -19,6 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tubescout import energy
+from tubescout.config import MissionConfig, MissionSettings, TaggedLoad
 from tubescout.energy import (
     POWER_EPSILON_W,
     Battery,
@@ -32,6 +34,8 @@ from tubescout.energy import (
     simulate_sol,
 )
 from tubescout.env import MarsEnvironment
+from tubescout.mission import run_mission
+from tubescout.report import power_section
 
 ENV = MarsEnvironment()
 SOL_S = ENV.sol_length_s
@@ -124,6 +128,8 @@ def assert_same_trace(trace, expected):
     for name in ARRAYS:
         assert np.array_equal(getattr(trace, name), expected[name]), name
     assert trace.violations == expected["violations"]
+    assert all(type(v.time_s) is float and type(v.deficit_w) is float
+               for v in trace.violations)
 
 
 def random_case(rng: random.Random):
@@ -233,10 +239,9 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None,
-                 stop_at_hard_cut=False):
+    def observed(sol, demand_w, loads, base=None, start=0, join=None):
         stepped = sol.stepped
-        result = run(sol, demand_w, loads, base, start, join, stop_at_hard_cut)
+        result = run(sol, demand_w, loads, base, start, join)
         end = start + sol.stepped - stepped
         if join is None:
             return result
@@ -244,8 +249,7 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
             seen.add("rejoined_before_sol_end")
         if result is None and end > start + 1:
             seen.add("rejected_after_start")
-        if (result is not None and base[2]
-                and base[2][0].time_s < start * sol.timestep_s):
+        if result is not None and base[1][:start].any():
             seen.add("kept_violation_before_start")
         if start == join:
             seen.add("empty_span")
@@ -286,6 +290,36 @@ def test_scheduler_steps_well_under_a_full_sol_per_trial():
     assert result.stepped < len(loads) * round(SOL_S / 25.0) // 2
 
 
+def test_runs_and_reports_build_no_violation(monkeypatch):
+    """Shed power is the only record of the cuts: the scheduler, a full
+    sol, the power report and a mission's sols build no ``Violation``,
+    though each of them cuts sheddable and non-sheddable loads."""
+    built = []
+
+    class Counted(Violation):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(energy, "Violation", Counted)
+    sources, loads, battery = power_sweep_case(random.Random(24), 24)
+    assert not schedule_loads(sources, loads, battery, ENV, 25.0).feasible
+    assert simulate_sol(sources, loads, battery, ENV, 25.0).shed_w.any()
+    section, findings, _ = power_section(tuple(sources), tuple(loads), battery,
+                                         ENV, 25.0)
+    assert section["violation_count"] > findings[0].data["violation_count"] > 0
+    heater = PowerLoad("heater", 511.5, (44375.0, 88775.0), sheddable=False)
+    lamp = PowerLoad("lamp", 50.0, sheddable=True)
+    report = run_mission(MissionConfig(
+        battery=Battery(capacity_wh=0.0, initial_soc_wh=0.0),
+        sources=(PowerSource("rtg", rating_w=110.0),),
+        loads=(TaggedLoad(heater), TaggedLoad(lamp)),
+        mission=MissionSettings(events=(), germination=None)))
+    sol = report["mission"]["sol_log"][0]
+    assert sol["violations"] > sol["hard_violations"] > 0
+    assert built == []
+
+
 @pytest.mark.parametrize("rating_w, battery, joined", [
     (50.0, Battery(10000.0, 5000.0), False),
     (500.0, Battery(1000.0, 1000.0), True)])
@@ -315,7 +349,7 @@ def test_load_spans_are_the_active_steps(timestep_s):
     sol = _Sol([PowerSource("rtg", rating_w=1.0)], loads, Battery(), ENV, timestep_s)
     for load in loads:
         active = [i for i in range(n_steps) if load.active_at(i * timestep_s)]
-        lo, hi = sol.spans[load.name]
+        lo, hi, *_ = sol.entries[load.name]
         assert active == list(range(lo, hi)), load.window
 
 

@@ -18,6 +18,7 @@ from tubescout.config import (
 )
 from tubescout.energy import Battery, PowerLoad, PowerSource, SourceKind, winch_regen_energy
 from tubescout.mission import (
+    MAX_GERMINATION_SEEDS,
     GerminationTrial,
     IllegalTransition,
     MissionEvent,
@@ -28,6 +29,7 @@ from tubescout.mission import (
     run_mission,
 )
 from tubescout.report import dump_json
+from tubescout.rng import Rng
 from tubescout.tube_explorer import Station
 
 E = MissionEvent
@@ -152,6 +154,19 @@ class TestGerminationTrial:
             germination_trial(10, 1.5, 1)
         with pytest.raises(ValueError, match="p_germinate"):
             germination_trial(10, -0.1, 1)
+
+    @pytest.mark.parametrize("n_seeds, p_germinate", [
+        (MAX_GERMINATION_SEEDS + 1, 0.7), (10, 1.5)])
+    def test_bounds_checked_before_any_draw(self, monkeypatch, n_seeds, p_germinate):
+        draws = []
+        chance = Rng.chance
+        monkeypatch.setattr(Rng, "chance",
+                            lambda rng, p: draws.append(p) or chance(rng, p))
+        assert germination_trial(3, 0.5, 1).n_seeds == len(draws) == 3
+        draws.clear()
+        with pytest.raises(ValueError):
+            germination_trial(n_seeds, p_germinate, 1)
+        assert draws == []
 
     def test_trial_record_invariants(self):
         with pytest.raises(ValueError, match="germinated"):
