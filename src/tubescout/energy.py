@@ -42,8 +42,9 @@ DEFAULT_TIMESTEP_S = 25.0
 JOIN_BLOCK_STEPS = 64
 
 #: Upper bound on steps per sol: 1 s steps on the 88775 s sol fit. A
-#: step costs about 0.4 us (CPython 3.11, 2 x86 CPUs) plus the loads it
-#: sheds (see ``MAX_SOL_WORK``), and 48 bytes of trace arrays.
+#: stepped step costs 0.25 to 0.4 us (CPython 3.11, 2 x86 CPUs), a step
+#: filled by slice after a fixed point next to nothing, and each step
+#: 48 bytes of trace arrays.
 MAX_SOL_STEPS = 100_000
 
 #: Upper bound on the work of one power report, counted as (loads + 2)
@@ -51,9 +52,12 @@ MAX_SOL_STEPS = 100_000
 #: sol and the full trace) times its steps times (loads + 1). In the
 #: worst case, every load always on and sheddable and the battery empty,
 #: no trial stops early or rejoins, and every step sheds every load. A
-#: trial's ``_cuts`` then takes about 0.6 us a load, plus the step itself,
-#: and reading the trace's cuts 0.6 us a cut; a report at the bound (20
-#: loads at 1 s steps) takes about 12 s (CPython 3.11, 2 x86 CPUs).
+#: shedding step empties the battery, so the runs fill each stretch
+#: between window edges by slice after its first steps, and a trial
+#: walks ``_cuts`` about once a stretch. Reading the trace's cuts, 0.4
+#: to 0.6 us a cut, is then most of the report: at the bound (20 loads
+#: at 1 s steps, 1.78M cuts) it takes 0.9 to 1.6 s (CPython 3.11, 2 x86
+#: CPUs).
 MAX_SOL_WORK = 42_000_000
 
 
@@ -359,8 +363,10 @@ class _Sol:
         #: Each load's ``_entry``, shared by every trial's shed order.
         self.entries = {load.name: _entry(load, timestep_s, self.n_steps)
                         for load in loads}
-        #: Steps stepped by this sol's runs, added once per run.
+        #: Steps covered by this sol's runs, added once per run, and the
+        #: steps among them that a fixed point filled by slice.
         self.stepped = 0
+        self.skipped = 0
 
     def add(self, demand_w: np.ndarray, load: PowerLoad) -> None:
         lo, hi, power_w, _, _ = self.entries[load.name]
@@ -379,6 +385,18 @@ class _Sol:
         demand of ``loads``. Returns (soc, shed_w, shed_order), with soc
         an ``array('d')`` of n_steps + 1 samples; no cuts are kept.
 
+        The run walks the sol one stretch at a time. The stretches are cut
+        at step 1 and at each load's ``lo`` and ``hi`` (see ``_entry``),
+        so the active loads, and so the demand, are the same at every
+        step of a stretch, and so is the supply: only step 0 has the
+        winch regeneration credit, and it is a stretch of its own. A
+        step then depends only on the SoC it starts from. Once a step
+        leaves the SoC unchanged, it is a fixed point, and every later
+        step of its stretch repeats it bit for bit: the same SoC, the
+        same shed power and, in a trial, the same verdict. The run fills
+        the rest of the stretch's SoC and shed power by slice, counts
+        those steps in ``skipped``, and goes on at the next stretch.
+
         A full run is ``start`` = 0 with no ``base``. A run given
         ``base``, an earlier run of this sol whose demand and active
         loads differ from these only in steps [start, join), is a trial.
@@ -388,8 +406,11 @@ class _Sol:
         copies the rest. This is exact: outside [start, join) the demand
         and the active loads in shed order are the same, so equal SoC
         at a step gives the same values bit for bit from there on. A
-        trial returns None at the first step whose shed power reaches a
-        non-sheddable load.
+        stretch ends at each of these compare steps too. A trial returns
+        None at the first step whose shed power reaches a non-sheddable
+        load. A repeated step cannot be that step, since the step it
+        repeats was not, so a trial checks the cuts of a stepped step
+        only.
         """
         import numpy as np
         battery = self.battery
@@ -397,26 +418,35 @@ class _Sol:
         charge_eff = battery.charge_efficiency
         discharge_eff = battery.discharge_efficiency
         dt_h = self.dt_h
-        base_supply_w = self.base_supply_w
         n_steps = self.n_steps
         shed_order = _shed_order(loads)
         order = [self.entries[l.name] for l in shed_order]
+        edges = sorted({1, n_steps}.union(*(entry[:2] for entry in order)))
         shed_w = np.zeros(n_steps)
         shed_view = memoryview(shed_w)
         soc = array("d", [battery.initial_soc_wh]) * (n_steps + 1)
+        soc_wh = np.frombuffer(soc)
         if base is not None:
             base_soc, base_shed_w, _ = base
             soc[:start + 1] = base_soc[:start + 1]
             shed_w[:start] = base_shed_w[:start]
         before = soc[start]
-        supply = self.first_supply_w if start == 0 else base_supply_w
         demand_view = memoryview(demand_w)
         first, stop = start, n_steps if join is None else join
-        while True:
+        while start < n_steps:
+            if start == stop:
+                if soc[stop] == base_soc[stop]:
+                    soc[stop:] = base_soc[stop:]
+                    shed_w[stop:] = base_shed_w[stop:]
+                    break
+                stop = min(stop + JOIN_BLOCK_STEPS, n_steps)
+            end = min(edges[bisect.bisect_right(edges, start)], stop)
+            demand = demand_view[start]
+            supply = self.first_supply_w if start == 0 else self.base_supply_w
             # min(a, b) and max(a, b) are spelled out as conditionals (same
             # result, same operand on ties) because the calls cost most of
             # a step.
-            for i, demand in enumerate(demand_view[start:stop], start):
+            for i in range(start, end):
                 if supply >= demand - POWER_EPSILON_W:
                     surplus_w = supply - demand
                     stored = surplus_w * dt_h * charge_eff if surplus_w > 0.0 else 0.0
@@ -440,16 +470,17 @@ class _Sol:
                                 if not sheddable:
                                     self.stepped += i + 1 - first
                                     return None
+                if after == before:
+                    # A fixed point: every later step of the stretch repeats
+                    # this one, its SoC, its shed power and its verdict.
+                    soc_wh[i + 1:end + 1] = after
+                    if shed_view[i]:
+                        shed_w[i + 1:end] = shed_view[i]
+                    self.skipped += end - i - 1
+                    break
                 soc[i + 1] = before = after
-                supply = base_supply_w
-            if stop == n_steps:
-                break
-            if soc[stop] == base_soc[stop]:
-                soc[stop:] = base_soc[stop:]
-                shed_w[stop:] = base_shed_w[stop:]
-                break
-            start, stop = stop, min(stop + JOIN_BLOCK_STEPS, n_steps)
-        self.stepped += stop - first
+            start = end
+        self.stepped += start - first
         return soc, shed_w, shed_order
 
     def trace(self, demand_w: np.ndarray, run) -> SocTrace:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from tubescout import energy
 from tubescout.config import MissionConfig, MissionSettings, TaggedLoad
 from tubescout.energy import (
+    JOIN_BLOCK_STEPS,
     POWER_EPSILON_W,
     Battery,
     PowerLoad,
@@ -266,6 +267,64 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
                     "winch_regen_at_step_0"}
 
 
+def test_seeded_cases_reach_every_skip_edge(monkeypatch):
+    """Every run of the seeded cases fills by slice exactly the steps
+    after the first fixed point of each stretch, and those runs reach
+    every edge of the fill, so the differential test above covers them."""
+    seen = set()
+    run = _Sol.run
+
+    def observed(sol, demand_w, loads, base=None, start=0, join=None):
+        stepped, skipped = sol.stepped, sol.skipped
+        result = run(sol, demand_w, loads, base, start, join)
+        end = start + sol.stepped - stepped
+        skipped = sol.skipped - skipped
+        # A trial's SoC and shed power are those of the full run, also
+        # past the step that rejects it.
+        soc, shed_w, _ = run(sol, demand_w, loads)
+        # A stretch ends at step 1, at each load's lo and hi and at each
+        # step at which a trial compares its SoC with its base run's.
+        load_bounds = {b for load in loads for b in sol.entries[load.name][:2]}
+        stops = set(range(join, end + 1, JOIN_BLOCK_STEPS)) if join is not None else set()
+        bounds = sorted(b for b in load_bounds | stops | {1, sol.n_steps} if b > start)
+        capacity = sol.battery.capacity_wh
+        filled = 0
+        for a, b in zip([start] + bounds, bounds):
+            if a >= end:
+                break
+            stop = min(b, end)
+            fixed = next((i for i in range(a, stop) if soc[i + 1] == soc[i]), None)
+            if fixed is None:
+                continue
+            if result is None and fixed == end - 1 and end < b:
+                seen.add("rejected_at_fixed_point")
+            if stop - fixed - 1 == 0:
+                continue
+            filled += stop - fixed - 1
+            if stop in load_bounds - stops:
+                seen.add("ends_at_load_edge")
+            if stop in stops - load_bounds:
+                seen.add("ends_at_join_block_stop")
+            if shed_w[fixed]:
+                seen.add("shedding")
+            if (0.0 < soc[fixed] < capacity
+                    and abs(sol.base_supply_w - demand_w[fixed]) <= POWER_EPSILON_W):
+                seen.add("not_full_within_epsilon")
+            if capacity == 0.0:
+                seen.add("zero_capacity")
+        assert skipped == filled
+        return result
+
+    monkeypatch.setattr(_Sol, "run", observed)
+    for seed in range(200):
+        sources, loads, battery, timestep_s = random_case(random.Random(seed))
+        simulate_sol(sources, loads, battery, ENV, timestep_s)
+        schedule_loads(sources, loads, battery, ENV, timestep_s)
+    assert seen == {"rejected_at_fixed_point", "ends_at_load_edge",
+                    "ends_at_join_block_stop", "shedding",
+                    "not_full_within_epsilon", "zero_capacity"}
+
+
 def power_sweep_case(rng: random.Random, n_loads: int):
     """Windowed loads, a fifth always on, on a sol supplied below their
     mean demand, at the default 25 s step."""
@@ -318,6 +377,54 @@ def test_runs_and_reports_build_no_violation(monkeypatch):
     sol = report["mission"]["sol_log"][0]
     assert sol["violations"] > sol["hard_violations"] > 0
     assert built == []
+
+
+def test_a_trial_walks_the_cuts_once_a_stretch(monkeypatch):
+    """At the sol work bound's worst case, every load always on and
+    sheddable on an empty battery, each trial walks ``_cuts`` at step 0
+    and step 1 only: step 1 is a fixed point, and the rest of the sol
+    repeats it. The steps the runs cover stay those of the bare sol and
+    one full trial per load."""
+    walks = []
+    cuts = energy._cuts
+
+    def counted(order, shed):
+        walks.append(shed)
+        return cuts(order, shed)
+
+    monkeypatch.setattr(energy, "_cuts", counted)
+    loads = [PowerLoad(f"l{k:02d}", 50.0, sheddable=True) for k in range(20)]
+    result = schedule_loads([PowerSource("rtg", rating_w=1.0)], loads,
+                            Battery(1000.0, 0.0), ENV, 1.0)
+    assert result.feasible
+    assert len(walks) == 2 * len(loads)
+    assert result.stepped == (len(loads) + 1) * round(SOL_S)
+
+
+@pytest.mark.parametrize("timestep_s", [5.0, 25.0, 1775.5])
+def test_a_full_battery_with_a_surplus_skips_all_but_two_steps(timestep_s):
+    """Step 0 is a stretch of its own; step 1 leaves the full battery full,
+    and fills the rest of the sol."""
+    sol = _Sol([PowerSource("rtg", rating_w=100.0)], [], Battery(1000.0, 1000.0),
+               ENV, timestep_s)
+    soc, shed_w, _ = sol.run(sol.demand([]), [])
+    assert sol.skipped == sol.n_steps - 2
+    assert sol.stepped == sol.n_steps
+    assert set(soc) == {1000.0} and not shed_w.any()
+
+
+def test_winch_regen_step_is_never_the_start_of_a_skip():
+    """Step 0 leaves the full battery full on its regenerated surplus, but
+    the steps after it discharge: step 0 fills nothing."""
+    sources = [PowerSource("regen", SourceKind.WINCH_REGEN, event_energy_wh=100.0)]
+    loads = [PowerLoad("lamp", 50.0)]
+    battery = Battery(1000.0, 1000.0)
+    sol = _Sol(sources, loads, battery, ENV, 25.0)
+    soc, _, _ = sol.run(sol.demand(loads), loads)
+    assert soc[0] == soc[1] == 1000.0 > soc[2]
+    trace = simulate_sol(sources, loads, battery, ENV, 25.0)
+    assert_same_trace(trace, reference_simulate_sol(sources, loads, battery,
+                                                    ENV, 25.0))
 
 
 @pytest.mark.parametrize("rating_w, battery, joined", [
@@ -428,6 +535,18 @@ def test_soc_bounds_and_closure(case):
     assert np.array_equal(closed[~full], soc[1:][~full])
     assert np.all(np.abs(closed[full] - battery.capacity_wh)
                   <= np.spacing(battery.capacity_wh))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(sols())
+@example(FILL_IN_ONE_STEP)
+def test_kernel_matches_reference_on_drawn_sols(case):
+    """Drawn windows off the step grid and 1775.5 s and 355.1 s steps put
+    stretch edges where the seeded cases do not."""
+    sources, loads, battery, timestep_s = case
+    trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
+    assert_same_trace(trace, reference_simulate_sol(sources, loads, battery,
+                                                    ENV, timestep_s))
 
 
 def test_closure_is_inexact_only_where_the_charge_is_clamped():
