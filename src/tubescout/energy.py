@@ -207,9 +207,13 @@ class SocTrace:
     deltas, at most one of them nonzero per step, and SoC stays within
     [0, capacity_wh]. SoC closure,
     soc[i+1] = soc[i] + charged_wh[i] - discharged_wh[i],
-    holds exactly except in a step that ends clamped at capacity: there
-    soc[i] + (capacity - soc[i]) can round one unit in the last place
-    above capacity, and closure holds only to within that unit.
+    holds exactly at every step where some float64 charge can close it.
+    A step clamped at capacity may have none: when soc[i] is an odd
+    multiple of half the capacity's unit in the last place, capacity
+    ends in an odd digit and the charge is at least the power of two
+    below capacity, every soc[i] + charge is a rounding tie that goes
+    to an even neighbour of capacity. There closure holds only to
+    within that unit.
 
     ``shed_w`` is the only record of unmet demand: ``cuts`` assigns it
     to the loads of ``shed_order`` when asked.

@@ -26,7 +26,7 @@ from tubescout.report import (
     place,
     power_inputs,
 )
-from tubescout.rng import GERMINATION_STREAM, Rng, derive_seed
+from tubescout.rng import GERMINATION_STREAM, chance_count, derive_seed
 from tubescout.tube_explorer import (
     ExplorationReport,
     check_survey_work,
@@ -105,8 +105,8 @@ def advance(state: MissionState, event: MissionEvent) -> MissionState:
                         tubes_explored=tubes)
 
 
-#: Upper bound on the seeds of a germination trial: one draw costs about
-#: 0.9 microseconds, so a million take about a second.
+#: Upper bound on the seeds of a germination trial: counted in numpy
+#: blocks (``rng.chance_count``), a million draws take about 0.25 s.
 MAX_GERMINATION_SEEDS = 1_000_000
 
 
@@ -138,8 +138,7 @@ def germination_trial(n_seeds: int, p_germinate: float, seed: int) -> Germinatio
     """Run n Bernoulli draws on the germination random stream. Bad
     bounds are rejected before any draw."""
     check_germination(n_seeds, p_germinate)
-    rng = Rng(seed, GERMINATION_STREAM)
-    germinated = sum(1 for _ in range(n_seeds) if rng.chance(p_germinate))
+    germinated = chance_count(seed, GERMINATION_STREAM, n_seeds, p_germinate)
     return GerminationTrial(n_seeds=n_seeds, p_germinate=p_germinate,
                             seed=seed, germinated=germinated)
 

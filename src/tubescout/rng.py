@@ -10,6 +10,8 @@ with each other use distinct stream ids on top of the same user seed.
 
 from __future__ import annotations
 
+import functools
+
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _STREAM_GAMMA = 0xD2B74407B1CE6E93
@@ -88,3 +90,65 @@ class Rng:
     def chance(self, p: float) -> bool:
         """One Bernoulli(p) draw."""
         return self.random() < p
+
+
+#: Characteristic polynomial of the xoshiro256 state update, bit i the
+#: coefficient of x**i. Every bit of the ``s[1]`` word sequence, and so
+#: the words themselves under XOR, satisfy the recurrence it gives.
+_CHAR_POLY = 0x10003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001
+#: Draws stepped by ``Rng`` before ``chance_count`` jumps: the block
+#: recurrence w[k + _HEAD] = XOR of w[k + i] over the bits i of
+#: x**_HEAD mod _CHAR_POLY reads the last _HEAD words.
+_HEAD = 1024
+
+
+@functools.cache
+def _jump_taps() -> tuple[int, ...]:
+    """The set bits of x**_HEAD mod _CHAR_POLY, lowest first."""
+    q = 1
+    for _ in range(_HEAD):
+        q <<= 1
+        if q >> 256:
+            q ^= _CHAR_POLY
+    return tuple(i for i in range(256) if q >> i & 1)
+
+
+def chance_count(seed: int, stream: int, n: int, p: float) -> int:
+    """How many of ``n`` successive ``Rng(seed, stream).chance(p)`` draws
+    come out true, bit for bit as the scalar loop would count them.
+
+    The ``**`` output reads only ``s[1]``. ``Rng`` steps the first
+    ``_HEAD`` draws and records ``s[1]`` before each; every later word
+    comes from the block recurrence, ``_HEAD - 255`` words per round of
+    numpy ``uint64`` XORs over a window of the last ``_HEAD`` words.
+    The words are scrambled and compared with ``p`` as float64, as
+    ``Rng.random`` and ``Rng.chance`` do.
+    """
+    import numpy as np
+    rng = Rng(seed, stream)
+    head = min(n, _HEAD)
+    words = []
+    for _ in range(head):
+        words.append(rng._s[1])
+        rng.next_u64()
+    block = _HEAD - 255
+    window = np.empty(_HEAD + block, dtype=np.uint64)
+    window[:head] = words
+    first, *rest = _jump_taps()
+
+    def chances(w: np.ndarray) -> int:
+        out = w * np.uint64(5)
+        out = (out << np.uint64(7)) | (out >> np.uint64(57))
+        out *= np.uint64(9)
+        out >>= np.uint64(11)
+        return int(np.count_nonzero(out.astype(np.float64) * 2.0 ** -53 < p))
+
+    count = chances(window[:head])
+    for done in range(head, n, block):
+        new = window[_HEAD:_HEAD + min(n - done, block)]
+        np.copyto(new, window[first:first + len(new)])
+        for i in rest:
+            new ^= window[i:i + len(new)]
+        count += chances(new)
+        window[:_HEAD] = window[block:]
+    return count

@@ -512,6 +512,7 @@ def sols(draw):
 
 #: A charge that fills the battery in one step: before + (capacity - before)
 #: rounds one unit in the last place above capacity, so the step is clamped.
+#: No float64 charge closes this step (see ``no_charge_closes``).
 FILL_IN_ONE_STEP = ([PowerSource("r", rating_w=1e6)], [],
                     Battery(3729.6, 1554.3735443630037), 25.0)
 
@@ -522,8 +523,9 @@ FILL_IN_ONE_STEP = ([PowerSource("r", rating_w=1e6)], [],
 def test_soc_bounds_and_closure(case):
     """SoC stays in [0, capacity]; one step never both charges and
     discharges; the step deltas close the SoC exactly, except in a step
-    clamped at capacity, where they close it to within one unit in the
-    last place of the capacity (see SocTrace)."""
+    clamped at capacity that no float64 charge can close, where they
+    close it to within one unit in the last place of the capacity (see
+    SocTrace)."""
     sources, loads, battery, timestep_s = case
     trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
     soc = trace.soc_wh
@@ -531,10 +533,11 @@ def test_soc_bounds_and_closure(case):
     assert np.all(soc <= battery.capacity_wh)
     assert not np.any((trace.charged_wh > 0) & (trace.discharged_wh > 0))
     closed = soc[:-1] + trace.charged_wh - trace.discharged_wh
-    full = soc[1:] == battery.capacity_wh
-    assert np.array_equal(closed[~full], soc[1:][~full])
-    assert np.all(np.abs(closed[full] - battery.capacity_wh)
-                  <= np.spacing(battery.capacity_wh))
+    for i in np.flatnonzero(closed != soc[1:]):
+        before, after = float(soc[i]), float(soc[i + 1])
+        assert after == battery.capacity_wh
+        assert abs(closed[i] - after) <= math.ulp(after)
+        assert no_charge_closes(before, after)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -549,9 +552,38 @@ def test_kernel_matches_reference_on_drawn_sols(case):
                                                     ENV, timestep_s))
 
 
+def no_charge_closes(before: float, after: float) -> bool:
+    """Whether no float64 ``c`` has ``before + c == after`` (0 <= before
+    < after). It holds when ``after`` has an odd last digit, ``before``
+    is an odd multiple of half its unit u in the last place, and
+    ``after - before`` reaches the power of two below ``after``: every
+    candidate ``c`` then lies in the binade of ``after``, a multiple of
+    u, so ``before + c`` is a tie half a unit from ``after`` and rounds
+    to its even neighbour. Otherwise the nearest float to
+    ``after - before``, which ``np.diff`` gives, closes the step."""
+    u = math.ulp(after)
+    return (math.fmod(before, u) == u / 2 and int(after / u) % 2 == 1
+            and after - before >= 2.0 ** math.floor(math.log2(after)))
+
+
 def test_closure_is_inexact_only_where_the_charge_is_clamped():
+    """The clamped step of FILL_IN_ONE_STEP cannot close exactly: no
+    charge within 64 units of the stored one reaches the capacity, as
+    ``no_charge_closes`` predicts. One unit less SoC, and it closes."""
     sources, loads, battery, timestep_s = FILL_IN_ONE_STEP
     trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
-    before, after = trace.soc_wh[:2]
+    before, after = (float(x) for x in trace.soc_wh[:2])
+    charged = float(trace.charged_wh[0])
     assert after == battery.capacity_wh
-    assert before + trace.charged_wh[0] == np.nextafter(after, math.inf)
+    assert charged == after - before
+    assert before + charged == math.nextafter(after, math.inf)
+    assert no_charge_closes(before, after)
+    down = up = charged
+    for _ in range(64):
+        down = math.nextafter(down, 0.0)
+        up = math.nextafter(up, math.inf)
+        assert before + down != after and before + up != after
+    # One unit lower in the initial SoC, the same fill closes exactly.
+    lower = math.nextafter(before, 0.0)
+    assert not no_charge_closes(lower, after)
+    assert lower + (after - lower) == after

@@ -159,9 +159,9 @@ class TestGerminationTrial:
         (MAX_GERMINATION_SEEDS + 1, 0.7), (10, 1.5)])
     def test_bounds_checked_before_any_draw(self, monkeypatch, n_seeds, p_germinate):
         draws = []
-        chance = Rng.chance
-        monkeypatch.setattr(Rng, "chance",
-                            lambda rng, p: draws.append(p) or chance(rng, p))
+        next_u64 = Rng.next_u64
+        monkeypatch.setattr(Rng, "next_u64",
+                            lambda rng: draws.append(rng) or next_u64(rng))
         assert germination_trial(3, 0.5, 1).n_seeds == len(draws) == 3
         draws.clear()
         with pytest.raises(ValueError):
