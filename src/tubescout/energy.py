@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
+import itertools
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -53,11 +54,11 @@ MAX_SOL_STEPS = 100_000
 #: worst case, every load always on and sheddable and the battery empty,
 #: no trial stops early or rejoins, and every step sheds every load. A
 #: shedding step empties the battery, so the runs fill each stretch
-#: between window edges by slice after its first steps, and a trial
-#: walks ``_cuts`` about once a stretch. Reading the trace's cuts, 0.4
-#: to 0.6 us a cut, is then most of the report: at the bound (20 loads
-#: at 1 s steps, 1.78M cuts) it takes 0.9 to 1.6 s (CPython 3.11, 2 x86
-#: CPUs).
+#: between window edges by slice after its first steps, a trial walks
+#: ``_cuts`` about once a stretch, and the report reads the trace's cuts
+#: once per run of equal shed power. At the bound (20 loads at 1 s
+#: steps, 1.78M cuts in one run) the report takes about 26 ms, 22 ms of
+#: it the scheduler (CPython 3.11, 2 x86 CPUs).
 MAX_SOL_WORK = 42_000_000
 
 
@@ -215,8 +216,9 @@ class SocTrace:
     to an even neighbour of capacity. There closure holds only to
     within that unit.
 
-    ``shed_w`` is the only record of unmet demand: ``cuts`` assigns it
-    to the loads of ``shed_order`` when asked.
+    ``shed_w`` is the only record of unmet demand: ``cut_runs`` assigns
+    it to the loads of ``shed_order`` when asked, and ``cuts`` expands
+    that step by step.
     """
 
     timestep_s: float
@@ -237,16 +239,44 @@ class SocTrace:
         import numpy as np
         return float(np.sum(self.shed_w)) * self.timestep_s / 3600.0
 
+    def cut_runs(self):
+        """Yield (step, n, name, sheddable, deficit_w) for each load cut at
+        ``step`` and each of the n - 1 steps after it, run by run and in
+        shed order within a run, as Python values.
+
+        A run is a maximal stretch of consecutive shed steps with the same
+        ``shed_w`` and no load's ``lo`` or ``hi`` (see ``_entry``) after
+        its first step. The active loads and the power to hand out are the
+        same at every step of a run, so every step has the cuts of the
+        first, and ``_cuts`` runs once a run."""
+        import numpy as np
+        steps = np.flatnonzero(self.shed_w)
+        if not len(steps):  # most sols: build no more arrays
+            return
+        values = self.shed_w[steps]
+        order = [_entry(l, self.timestep_s, len(self.shed_w))
+                 for l in self.shed_order]
+        edges = sorted({edge for entry in order for edge in entry[:2]})
+        stretch = np.searchsorted(edges, steps, side="right")
+        new = np.ones(len(steps), dtype=bool)
+        new[1:] = ((np.diff(steps) != 1) | (np.diff(stretch) != 0)
+                   | (values[1:] != values[:-1]))
+        starts = np.flatnonzero(new)
+        lengths = np.diff(starts, append=len(steps))
+        for i, n, shed_w in zip(steps[starts].tolist(), lengths.tolist(),
+                                values[starts].tolist()):
+            for _, name, sheddable, deficit_w in _cuts(order, ((i, shed_w),)):
+                yield i, n, name, sheddable, deficit_w
+
     def cuts(self):
         """Yield (time_s, name, sheddable, deficit_w) for each load cut,
-        step by step and in shed order within a step, as Python values."""
-        import numpy as np
-        n_steps = len(self.shed_w)
-        order = [_entry(l, self.timestep_s, n_steps) for l in self.shed_order]
-        steps = np.flatnonzero(self.shed_w)
-        shed = zip(steps.tolist(), self.shed_w[steps].tolist())
-        for i, name, sheddable, deficit_w in _cuts(order, shed):
-            yield i * self.timestep_s, name, sheddable, deficit_w
+        step by step and in shed order within a step: ``cut_runs``
+        expanded."""
+        for i, run in itertools.groupby(self.cut_runs(), key=lambda cut: cut[0]):
+            run = list(run)
+            for step in range(i, i + run[0][1]):
+                for _, _, name, sheddable, deficit_w in run:
+                    yield step * self.timestep_s, name, sheddable, deficit_w
 
     @property
     def violations(self) -> tuple[Violation, ...]:
@@ -254,7 +284,7 @@ class SocTrace:
                      for time_s, name, _, deficit_w in self.cuts())
 
     def violated_load_names(self) -> set[str]:
-        return {name for _, name, _, _ in self.cuts()}
+        return {name for _, _, name, _, _ in self.cut_runs()}
 
 
 def sol_problems(sources: list[PowerSource], loads: list[PowerLoad],

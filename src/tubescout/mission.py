@@ -214,9 +214,9 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                 pending_regen_wh = 0.0
             trace = simulate_sol(sources, loads, battery, env, config.timestep_s)
             violations = hard_violations = 0
-            for _, _, sheddable, _ in trace.cuts():
-                violations += 1
-                hard_violations += not sheddable
+            for _, n, _, sheddable, _ in trace.cut_runs():
+                violations += n
+                hard_violations += 0 if sheddable else n
             if hard_violations:
                 infeasible_sols.append(state.sol)
             dose_msv = cumulative_dose(env, cave_fraction, 1.0)

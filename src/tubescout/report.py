@@ -236,18 +236,19 @@ def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...]
             "verdicts": schedule.verdicts}
     del schedule
     trace = simulate_sol(list(sources), list(loads), battery, env, timestep_s)
-    # Cuts come in time order: the first hard cut is the earliest.
+    # Runs come in time order: the first hard cut is the earliest. Times
+    # are step * timestep_s, as ``SocTrace.cuts`` gives them.
     count = hard_count = 0
     unmet, hard_loads = set(), set()
-    for time_s, name, sheddable, deficit_w in trace.cuts():
-        count += 1
+    for i, n, name, sheddable, deficit_w in trace.cut_runs():
+        count += n
         unmet.add(name)
         if not sheddable:
             if not hard_count:
-                first_s, max_deficit_w = time_s, deficit_w
-            hard_count += 1
+                first_s, max_deficit_w = i * timestep_s, deficit_w
+            hard_count += n
             hard_loads.add(name)
-            last_s = time_s
+            last_s = (i + n - 1) * timestep_s
             max_deficit_w = max(max_deficit_w, deficit_w)
     section = {
         "inputs": power_inputs(battery, sources, loads, timestep_s),

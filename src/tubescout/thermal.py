@@ -137,6 +137,10 @@ def avionics_envelope_check(env: MarsEnvironment,
     envelope is violated). ``violation_windows`` are the maximal sampled
     intervals, as (start_s, end_s) pairs, during which the temperature is
     out of range.
+
+    The sweep stops at the first sample at or past ``env.night_start_s``:
+    the night is flat, so every later sample repeats that one's margin,
+    and a window still open there runs to the end of the sol.
     """
     worst = float("inf")
     windows: list[tuple[float, float]] = []
@@ -153,6 +157,8 @@ def avionics_envelope_check(env: MarsEnvironment,
         elif open_start is not None:
             windows.append((open_start, t))
             open_start = None
+        if t >= env.night_start_s:
+            break
         t += ENVELOPE_SAMPLE_STEP_S
     if open_start is not None:
         windows.append((open_start, env.sol_length_s))

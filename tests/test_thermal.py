@@ -1,11 +1,16 @@
 """Greenhouse heat loss, night energy and avionics envelope checks."""
 
+import random
+
 import pytest
 
-from tubescout.env import MarsEnvironment, make_environment
+from tubescout.env import MarsEnvironment, diurnal_temperature, make_environment
 from tubescout.thermal import (
+    ENVELOPE_SAMPLE_STEP_S,
     REFERENCE_GREENHOUSE,
     AvionicsEnvelope,
+    EnvelopeCheck,
+    _effective_temp,
     GlazedEnclosure,
     avionics_envelope_check,
     greenhouse_night_load,
@@ -165,3 +170,91 @@ class TestAvionicsEnvelope:
     def test_invalid_envelope(self, kwargs):
         with pytest.raises(ValueError):
             AvionicsEnvelope(**kwargs)
+
+
+def full_sweep_check(env, envelope):
+    """The envelope check sampling every step of the sol, night included:
+    the sweep ``avionics_envelope_check`` stops at the first night sample."""
+    worst = float("inf")
+    windows = []
+    open_start = None
+    t = 0.0
+    while t < env.sol_length_s:
+        effective = _effective_temp(diurnal_temperature(env, t), envelope)
+        margin = min(effective - envelope.min_ok_c, envelope.max_ok_c - effective)
+        worst = min(worst, margin)
+        if margin < 0:
+            if open_start is None:
+                open_start = t
+        elif open_start is not None:
+            windows.append((open_start, t))
+            open_start = None
+        t += ENVELOPE_SAMPLE_STEP_S
+    if open_start is not None:
+        windows.append((open_start, env.sol_length_s))
+    return EnvelopeCheck(ok=worst >= 0.0, worst_margin_c=worst,
+                         violation_windows=tuple(windows))
+
+
+def random_envelope_case(rng: random.Random):
+    sol_s = rng.choice((88775.0, 86400.0, rng.uniform(3000.0, 120000.0)))
+    if rng.random() < 0.3:
+        # The night starts on a sample.
+        night_start = ENVELOPE_SAMPLE_STEP_S * rng.randrange(1, int(sol_s // 60.0))
+    else:
+        night_start = rng.uniform(1.0, sol_s - 1.0)
+    low = rng.uniform(-120.0, 10.0)
+    env = MarsEnvironment(sol_length_s=sol_s, night_duration_s=sol_s - night_start,
+                          night_low_c=low, day_high_c=low + rng.uniform(0.5, 120.0))
+    lo = rng.uniform(-100.0, 20.0)
+    envelope = AvionicsEnvelope(
+        min_ok_c=lo, max_ok_c=lo + rng.uniform(0.5, 100.0),
+        heater_power_w=rng.choice((0.0, 0.0, rng.uniform(0.0, 1500.0))),
+        heater_delta_c_per_100w=rng.uniform(0.0, 20.0))
+    return env, envelope
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_sweep_to_first_night_sample_matches_the_full_sweep(chunk):
+    """Bit for bit, on 100 seeded environments and envelopes, heater on
+    and off, with nights starting on and between samples."""
+    for seed in range(chunk * 25, chunk * 25 + 25):
+        env, envelope = random_envelope_case(random.Random(seed))
+        assert avionics_envelope_check(env, envelope) == \
+            full_sweep_check(env, envelope), seed
+
+
+def test_seeded_envelope_cases_cover_the_edges():
+    seen = set()
+    for seed in range(100):
+        env, envelope = random_envelope_case(random.Random(seed))
+        seen.add("heater" if envelope.heater_power_w > 0 else "no_heater")
+        seen.add("night_on_sample" if env.night_start_s % 60.0 == 0.0
+                 else "night_between_samples")
+        check = full_sweep_check(env, envelope)
+        for start, end in check.violation_windows:
+            if start < env.night_start_s and end == env.sol_length_s:
+                seen.add("open_across_dusk")
+            elif start < env.night_start_s <= end:
+                seen.add("closed_at_night")
+        if check.ok:
+            seen.add("ok")
+    assert seen == {"heater", "no_heater", "night_on_sample",
+                    "night_between_samples", "open_across_dusk",
+                    "closed_at_night", "ok"}
+
+
+@pytest.mark.parametrize("env, envelope", [
+    # The shipped default: night at 44375 s, between samples; the cold
+    # window opens before dusk and stays open through the night.
+    (ENV, AvionicsEnvelope()),
+    # Night at 44400 s, on a sample.
+    (MarsEnvironment(night_duration_s=44375.0), AvionicsEnvelope()),
+    # Too warm before dusk, in range at night: the window closes at the
+    # first night sample.
+    (ENV, AvionicsEnvelope(min_ok_c=-80.0, max_ok_c=-72.5)),
+    # A heater that keeps the night in range.
+    (make_environment("cold_extreme"), AvionicsEnvelope(heater_power_w=510.0)),
+])
+def test_sweep_to_first_night_sample_on_fixed_cases(env, envelope):
+    assert avionics_envelope_check(env, envelope) == full_sweep_check(env, envelope)
