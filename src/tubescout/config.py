@@ -178,8 +178,17 @@ class GerminationSettings:
 
 
 #: Upper bound on ``mission.sols_per_phase`` values: a Martian year is 669
-#: sols, and every sol is a full power simulation of about 10 ms.
+#: sols, and every sol is a full power simulation.
 MAX_SOLS_PER_PHASE = 1000
+
+#: Upper bounds on a whole mission: the sols its events simulate (each
+#: phase visit's ``sols_per_phase``) and the tubes they survey. A sol at
+#: 25 s steps takes 0.04-0.6 ms, from one without loads to one whose SoC
+#: never settles, and up to about 50 ms at 1 s steps; the shipped tubes
+#: survey in 2-7 ms, but one survey at ``MAX_SURVEY_WORK`` can take about
+#: a minute (CPython 3.11, 2 x86 CPUs).
+MAX_MISSION_SOLS = 10_000
+MAX_MISSION_SURVEYS = 20
 
 
 def _default_sols() -> dict:
@@ -535,12 +544,26 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
     config = _parse_dataclass(top, MissionConfig, given)
 
     state = MissionState()
+    sols_per_phase = config.mission.sols_per_phase
+    sols, surveys = sols_per_phase.get(state.phase.value, 0), 0
     for i, event in enumerate(config.mission.events):
         try:
             state = advance(state, event)
         except IllegalTransition as exc:
             errors.append((f"config.mission.events[{i}]", str(exc)))
             break
+        if state.phase is not MissionPhase.COMPLETE:
+            sols += sols_per_phase.get(state.phase.value, 0)
+        surveys += event is MissionEvent.TUBE_SURVEY_COMPLETE
+        if sols > MAX_MISSION_SOLS:
+            too_many = f"{sols} sols, more than {MAX_MISSION_SOLS}"
+        elif surveys > MAX_MISSION_SURVEYS:
+            too_many = f"{surveys} tube surveys, more than {MAX_MISSION_SURVEYS}"
+        else:
+            continue
+        errors.append(("config.mission.events",
+                       f"the first {i + 1} events run {too_many}"))
+        break
     items = {"sources": config.sources, "loads": [t.load for t in config.loads]}
     for argument, i, name, message in sol_problems(
             config.sources, items["loads"], config.battery, config.env,

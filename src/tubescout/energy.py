@@ -36,12 +36,6 @@ POWER_EPSILON_W = 1e-9
 #: (3551 steps) and lands a step boundary on the 44375 s night start.
 DEFAULT_TIMESTEP_S = 25.0
 
-#: A resumed scheduler trial compares its SoC with the admitted run's at
-#: its load's window end and every this many steps after; a full run
-#: never compares. On the ``power_sweep`` benchmark, blocks of 8 to 256
-#: steps step the same number of steps to within 0.5%.
-JOIN_BLOCK_STEPS = 64
-
 #: Upper bound on steps per sol: 1 s steps on the 88775 s sol fit. A
 #: stepped step costs 0.25 to 0.4 us (CPython 3.11, 2 x86 CPUs), a step
 #: filled by slice after a fixed point next to nothing, and each step
@@ -420,31 +414,34 @@ class _Sol:
         an ``array('d')`` of n_steps + 1 samples; no cuts are kept.
 
         The run walks the sol one stretch at a time. The stretches are cut
-        at step 1 and at each load's ``lo`` and ``hi`` (see ``_entry``),
-        so the active loads, and so the demand, are the same at every
-        step of a stretch, and so is the supply: only step 0 has the
-        winch regeneration credit, and it is a stretch of its own. A
-        step then depends only on the SoC it starts from. Once a step
-        leaves the SoC unchanged, it is a fixed point, and every later
-        step of its stretch repeats it bit for bit: the same SoC, the
-        same shed power and, in a trial, the same verdict. The run fills
-        the rest of the stretch's SoC and shed power by slice, counts
-        those steps in ``skipped``, and goes on at the next stretch.
+        at step 1, at ``n_steps`` and at each load's ``lo`` and ``hi``
+        (see ``_entry``), and nowhere else, so the active loads, and so
+        the demand, are the same at every step of a stretch, and so is
+        the supply: only step 0 has the winch regeneration credit, and it
+        is a stretch of its own. A step then depends only on the SoC it
+        starts from. Once a step leaves the SoC unchanged, it is a fixed
+        point, and every later step of its stretch repeats it bit for
+        bit: the same SoC, the same shed power and, in a trial, the same
+        verdict. The run fills the rest of the stretch's SoC and shed
+        power by slice, counts those steps in ``skipped``, and goes on at
+        the next stretch.
 
         A full run is ``start`` = 0 with no ``base``. A run given
         ``base``, an earlier run of this sol whose demand and active
         loads differ from these only in steps [start, join), is a trial.
         It copies the steps before ``start`` from ``base`` and steps from
-        there; from ``join`` on, every ``JOIN_BLOCK_STEPS`` steps, it
-        compares its SoC with that of ``base`` and, once they are equal,
-        copies the rest. This is exact: outside [start, join) the demand
-        and the active loads in shed order are the same, so equal SoC
-        at a step gives the same values bit for bit from there on. A
-        stretch ends at each of these compare steps too. A trial returns
-        None at the first step whose shed power reaches a non-sheddable
-        load. A repeated step cannot be that step, since the step it
-        repeats was not, so a trial checks the cuts of a stepped step
-        only.
+        there; at each stretch start at or after ``join`` it compares its
+        SoC with that of ``base`` and, once they are equal, copies the
+        rest. This is exact: outside [start, join) the demand and the
+        active loads in shed order are the same, so equal SoC at a step
+        gives the same values bit for bit from there on. Comparing only
+        there costs next to nothing: two runs under the same demand meet
+        where both batteries clamp, full or empty, so the step after is a
+        fixed point, and the trial fills to the next load edge by slice
+        and rejoins there. A trial returns None at the first step whose
+        shed power reaches a non-sheddable load. A repeated step cannot
+        be that step, since the step it repeats was not, so a trial
+        checks the cuts of a stepped step only.
         """
         import numpy as np
         battery = self.battery
@@ -466,15 +463,13 @@ class _Sol:
             shed_w[:start] = base_shed_w[:start]
         before = soc[start]
         demand_view = memoryview(demand_w)
-        first, stop = start, n_steps if join is None else join
+        first = start
         while start < n_steps:
-            if start == stop:
-                if soc[stop] == base_soc[stop]:
-                    soc[stop:] = base_soc[stop:]
-                    shed_w[stop:] = base_shed_w[stop:]
-                    break
-                stop = min(stop + JOIN_BLOCK_STEPS, n_steps)
-            end = min(edges[bisect.bisect_right(edges, start)], stop)
+            if base is not None and start >= join and soc[start] == base_soc[start]:
+                soc[start:] = base_soc[start:]
+                shed_w[start:] = base_shed_w[start:]
+                break
+            end = edges[bisect.bisect_right(edges, start)]
             demand = demand_view[start]
             supply = self.first_supply_w if start == 0 else self.base_supply_w
             # min(a, b) and max(a, b) are spelled out as conditionals (same
@@ -566,7 +561,8 @@ class ScheduleResult:
     feasible: bool
     verdicts: dict[str, bool]
     trace: SocTrace
-    #: Steps stepped by the bare sol and the trials together.
+    #: Steps covered by the bare sol and the trials together, those
+    #: filled by slice after a fixed point included.
     stepped: int
 
 
@@ -584,7 +580,8 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     from it only at the candidate's active steps [lo, hi): before ``lo``
     and after the trial's SoC rejoins the admitted run's, demand, shed
     order and SoC are all equal, so each trial resumes the admitted run
-    at ``lo`` and stops stepping at the join (see ``_Sol.run``). The
+    at ``lo`` and stops at the first load edge at or after ``hi`` where
+    its SoC equals the admitted run's (see ``_Sol.run``). The
     admitted run never cuts a non-sheddable load, so the steps a trial
     copies cannot change its verdict.
     """
@@ -612,6 +609,13 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     )
 
 
+def _time_text(time_s: float) -> str:
+    """``time_s`` in 6 significant digits where they give it exactly,
+    else in the shortest text that does."""
+    text = f"{time_s:.6g}"
+    return text if float(text) == time_s else repr(time_s)
+
+
 def write_soc_csv(path, trace: SocTrace) -> None:
     """Write one row per step: time_s, end-of-step SoC, and that step's
     supply, demand and shed power."""
@@ -621,7 +625,7 @@ def write_soc_csv(path, trace: SocTrace) -> None:
         n = len(trace.supply_w)
         for i in range(n):
             writer.writerow([
-                f"{i * trace.timestep_s:.6g}",
+                _time_text(i * trace.timestep_s),
                 f"{trace.soc_wh[i + 1]:.6f}",
                 f"{trace.supply_w[i]:.6f}",
                 f"{trace.demand_w[i]:.6f}",

@@ -751,6 +751,14 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
     one tick of time per tick whether moving or waiting. Robots plan on
     the map as sensed at the start of the tick.
 
+    Each call builds the tick kernel afresh from ``world``: ``learn``
+    over every explored cell and the ``reach`` BFS over the open map.
+    On a half-explored 48x48 tube that is about 1.8 ms a call, where a
+    tick of ``run_exploration`` takes tens of microseconds. It stays so:
+    ``world`` is the whole state, a per-grid cache of the map-only parts
+    would be a second one to keep in step with it, and
+    ``run_exploration`` keeps one kernel for a whole survey.
+
     Raises:
         ValueError: for duplicate robot ids, or a robot off the map or on
             an obstacle cell.

@@ -10,6 +10,8 @@ from tubescout.aerostat import AreaModel
 from tubescout.cli import main
 from tubescout.config import (
     MAX_JSON_DEPTH,
+    MAX_MISSION_SOLS,
+    MAX_MISSION_SURVEYS,
     ConfigError,
     MissionConfig,
     _read_json,
@@ -793,6 +795,35 @@ SOL_WORK_RULES = [
      "config.power.loads: sol work (loads + 2) x sol steps x (loads + 1) = "
      "25 x 70001 x 24 = 42000600 exceeds 42000000"),
 ]
+
+
+def mission_sols(initial_sols: int) -> dict:
+    """Ten Transit and Settlement visits of 1000 sols each after
+    ``initial_sols`` Initial sols: at 0, exactly ``MAX_MISSION_SOLS``."""
+    return {"mission": {
+        "sols_per_phase": {"Initial": initial_sols, "Transit": 1000,
+                           "Settlement": 1000},
+        "events": ["DeploymentDone", "ArrivedAtTube",
+                   *["RelocateToNextTube", "ArrivedAtTube"] * 4, "EndMission"]}}
+
+
+def mission_surveys(surveys: int) -> dict:
+    """A mission without sols that surveys ``surveys`` tubes."""
+    return {"mission": {
+        "sols_per_phase": {"Initial": 0, "Transit": 0, "Settlement": 0},
+        "events": ["DeploymentDone", "ArrivedAtTube",
+                   *["TubeSurveyComplete"] * surveys, "EndMission"]}}
+
+
+#: Missions one sol or one survey past their bound.
+MISSION_RULES = [
+    (mission_sols(1),
+     "config.mission.events: the first 10 events run 10001 sols, more than "
+     "10000"),
+    (mission_surveys(21),
+     "config.mission.events: the first 23 events run 21 tube surveys, more "
+     "than 20"),
+]
 #: Map files the rules above name, written beside the config.
 MAP_FILES = {
     "two.map": "E.E\n...\n",
@@ -805,6 +836,16 @@ def test_sol_work_at_the_bound_loads(tmp_path):
     assert (len(config.loads) + 2) * 70_000 * (len(config.loads) + 1) == MAX_SOL_WORK
 
 
+def test_missions_at_the_bounds_load(tmp_path):
+    config = load_config(write_config(tmp_path, mission_sols(0)))
+    # Every event but EndMission starts a visit of 1000 sols.
+    assert (len(config.mission.events) - 1) * 1000 == MAX_MISSION_SOLS
+    config = load_config(write_config(tmp_path,
+                                      mission_surveys(MAX_MISSION_SURVEYS)))
+    assert config.mission.events.count(
+        MissionEvent.TUBE_SURVEY_COMPLETE) == MAX_MISSION_SURVEYS
+
+
 @pytest.mark.parametrize("command, payload, error", [
     *[(command, payload, error) for payload, error in MODEL_RULES
       for command in SUBCOMMANDS],
@@ -812,6 +853,8 @@ def test_sol_work_at_the_bound_loads(tmp_path):
       for command in ("explore", "mission")],
     *[(command, payload, error) for payload, error in SOL_WORK_RULES
       for command in ("power", "mission")],
+    *[(command, payload, error) for payload, error in MISSION_RULES
+      for command in ("winch", "mission")],
 ])
 def test_model_rules_exit_2_with_a_config_path(tmp_path, capsys, command,
                                                payload, error):

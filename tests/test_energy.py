@@ -1,5 +1,7 @@
 """Winch mechanics, SoC simulation, shedding and the load scheduler."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,19 @@ def test_write_soc_csv(tmp_path):
     assert first[0] == "0"
     assert float(first[2]) == 110.0
     assert float(first[3]) == 50.0
+
+
+@pytest.mark.parametrize("timestep_s", [1.25, 25.0])
+def test_write_soc_csv_times_are_exact(tmp_path, timestep_s):
+    """Every row's time reads back as i * timestep_s; at 1.25 s steps,
+    6 significant digits would print 10001.25 s as 10001.2."""
+    trace = simulate_sol([RTG], [PowerLoad("bus", 50.0)], Battery(), ENV,
+                         timestep_s)
+    out = tmp_path / "soc.csv"
+    write_soc_csv(out, trace)
+    with open(out, newline="") as fh:
+        times = [row["time_s"] for row in csv.DictReader(fh)]
+    assert len(times) == round(ENV.sol_length_s / timestep_s)
+    assert [float(t) for t in times] == [i * timestep_s for i in range(len(times))]
+    # Rows that 6 significant digits give exactly keep that text.
+    assert times[:3] == ["0", f"{timestep_s:g}", f"{2 * timestep_s:g}"]

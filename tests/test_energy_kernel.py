@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from tubescout import energy
 from tubescout.config import MissionConfig, MissionSettings, TaggedLoad
 from tubescout.energy import (
-    JOIN_BLOCK_STEPS,
     POWER_EPSILON_W,
     Battery,
     PowerLoad,
@@ -269,8 +268,10 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
 
 def test_seeded_cases_reach_every_skip_edge(monkeypatch):
     """Every run of the seeded cases fills by slice exactly the steps
-    after the first fixed point of each stretch, and those runs reach
-    every edge of the fill, so the differential test above covers them."""
+    after the first fixed point of each stretch, and a trial rejoins its
+    base run only at a stretch start at or after its join. Those runs
+    reach every edge of the fill and of the rejoin, so the differential
+    test above covers them."""
     seen = set()
     run = _Sol.run
 
@@ -282,11 +283,15 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
         # A trial's SoC and shed power are those of the full run, also
         # past the step that rejects it.
         soc, shed_w, _ = run(sol, demand_w, loads)
-        # A stretch ends at step 1, at each load's lo and hi and at each
-        # step at which a trial compares its SoC with its base run's.
+        # A stretch ends at step 1, at n_steps and at each load's lo and hi.
         load_bounds = {b for load in loads for b in sol.entries[load.name][:2]}
-        stops = set(range(join, end + 1, JOIN_BLOCK_STEPS)) if join is not None else set()
-        bounds = sorted(b for b in load_bounds | stops | {1, sol.n_steps} if b > start)
+        bounds = sorted(b for b in load_bounds | {1, sol.n_steps} if b > start)
+        rejoined = result is not None and end < sol.n_steps
+        if rejoined:
+            assert end in load_bounds and end >= join
+            assert soc[end] == base[0][end]
+            if end > join:
+                seen.add("rejoins_at_load_edge_after_join")
         capacity = sol.battery.capacity_wh
         filled = 0
         for a, b in zip([start] + bounds, bounds):
@@ -301,10 +306,10 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
             if stop - fixed - 1 == 0:
                 continue
             filled += stop - fixed - 1
-            if stop in load_bounds - stops:
+            if stop in load_bounds:
                 seen.add("ends_at_load_edge")
-            if stop in stops - load_bounds:
-                seen.add("ends_at_join_block_stop")
+            if rejoined and stop == end > join:
+                seen.add("rejoins_after_fill")
             if shed_w[fixed]:
                 seen.add("shedding")
             if (0.0 < soc[fixed] < capacity
@@ -321,8 +326,35 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
         simulate_sol(sources, loads, battery, ENV, timestep_s)
         schedule_loads(sources, loads, battery, ENV, timestep_s)
     assert seen == {"rejected_at_fixed_point", "ends_at_load_edge",
-                    "ends_at_join_block_stop", "shedding",
-                    "not_full_within_epsilon", "zero_capacity"}
+                    "rejoins_at_load_edge_after_join", "rejoins_after_fill",
+                    "shedding", "not_full_within_epsilon", "zero_capacity"}
+
+
+def test_a_trial_rejoins_at_the_load_edge_after_its_battery_fills():
+    """The drill's trial drains the full battery over the drill's window,
+    steps [1000, 1100), and recharges it after: the battery clamps full
+    at a step in the middle of the stretch [1100, 2000) that the lamp's
+    window ends. The trial steps one step past the clamp, the fixed
+    point, fills the rest of the stretch by slice and rejoins the
+    admitted run at the lamp's edge."""
+    lamp = PowerLoad("lamp", 50.0, (2000 * 25.0, 3000 * 25.0))
+    drill = PowerLoad("drill", 300.0, (1000 * 25.0, 1100 * 25.0))
+    battery = Battery(1000.0, 1000.0)
+    sol = _Sol([PowerSource("rtg", rating_w=100.0)], [lamp, drill], battery,
+               ENV, 25.0)
+    admitted_demand_w = sol.demand([lamp])
+    admitted = sol.run(admitted_demand_w, [lamp])
+    demand_w = admitted_demand_w.copy()
+    sol.add(demand_w, drill)
+    stepped, skipped = sol.stepped, sol.skipped
+    soc, shed_w, _ = sol.run(demand_w, [lamp, drill], admitted, 1000, 1100)
+    clamp = next(i for i in range(1100, 2000) if soc[i + 1] == battery.capacity_wh)
+    assert 1100 < clamp < 2000 - 2 and soc[1100] < battery.capacity_wh
+    assert sol.stepped - stepped == 2000 - 1000
+    assert sol.skipped - skipped == 2000 - (clamp + 2)
+    assert soc[2000:] == admitted[0][2000:]
+    full_soc, full_shed_w, _ = sol.run(demand_w, [lamp, drill])
+    assert soc == full_soc and np.array_equal(shed_w, full_shed_w)
 
 
 def power_sweep_case(rng: random.Random, n_loads: int):
