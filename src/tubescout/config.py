@@ -28,6 +28,7 @@ from pathlib import Path
 from tubescout.aerostat import REFERENCE_BALLOON, BalloonConfig
 from tubescout.energy import (
     DEFAULT_TIMESTEP_S,
+    MAX_SOL_STEPS,
     REFERENCE_WINCH,
     Battery,
     PowerLoad,
@@ -183,12 +184,19 @@ MAX_SOLS_PER_PHASE = 1000
 
 #: Upper bounds on a whole mission: the sols its events simulate (each
 #: phase visit's ``sols_per_phase``) and the tubes they survey. A sol at
-#: 25 s steps takes 0.04-0.6 ms, from one without loads to one whose SoC
-#: never settles, and up to about 50 ms at 1 s steps; the shipped tubes
+#: 25 s steps takes 0.04-1.5 ms, from one without loads to one whose SoC
+#: never settles, and up to about 40 ms at 1 s steps; the shipped tubes
 #: survey in 2-7 ms, but one survey at ``MAX_SURVEY_WORK`` can take about
 #: a minute (CPython 3.11, 2 x86 CPUs).
 MAX_MISSION_SOLS = 10_000
 MAX_MISSION_SURVEYS = 20
+#: Upper bound on the steps a mission's sols simulate in all: 10,000
+#: default sols of 88,775 s at 25 s steps, 35.51M, which is 400 sols at
+#: 1 s steps. With a load that keeps the SoC from ever settling, a
+#: mission at the bound takes 13-15 s at either step (CPython 3.11, 2 x86
+#: CPUs), where 10,000 such sols at 1 s steps would take 25 times as long.
+MAX_MISSION_SOL_STEPS = MAX_MISSION_SOLS * round(
+    MarsEnvironment().sol_length_s / DEFAULT_TIMESTEP_S)
 
 
 def _default_sols() -> dict:
@@ -546,6 +554,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
     state = MissionState()
     sols_per_phase = config.mission.sols_per_phase
     sols, surveys = sols_per_phase.get(state.phase.value, 0), 0
+    steps = (config.env.sol_length_s / config.timestep_s
+             if config.timestep_s > 0 else 0)
+    # A sol that simulate_sol refuses is sol_problems' error, not this one.
+    sol_steps = round(steps) if steps <= MAX_SOL_STEPS else 0
     for i, event in enumerate(config.mission.events):
         try:
             state = advance(state, event)
@@ -557,6 +569,10 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
         surveys += event is MissionEvent.TUBE_SURVEY_COMPLETE
         if sols > MAX_MISSION_SOLS:
             too_many = f"{sols} sols, more than {MAX_MISSION_SOLS}"
+        elif sols * sol_steps > MAX_MISSION_SOL_STEPS:
+            too_many = (f"{sols} sols x {sol_steps} steps = "
+                        f"{sols * sol_steps} sol steps, more than "
+                        f"{MAX_MISSION_SOL_STEPS}")
         elif surveys > MAX_MISSION_SURVEYS:
             too_many = f"{surveys} tube surveys, more than {MAX_MISSION_SURVEYS}"
         else:

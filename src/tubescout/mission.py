@@ -105,8 +105,9 @@ def advance(state: MissionState, event: MissionEvent) -> MissionState:
                         tubes_explored=tubes)
 
 
-#: Upper bound on the seeds of a germination trial: counted in numpy
-#: blocks (``rng.chance_count``), a million draws take about 0.25 s.
+#: Upper bound on the seeds of a germination trial: counted by jumps in
+#: numpy (``rng.chance_count``), a million draws take 0.06-0.08 s and
+#: 10,000 draws 1.4-2.1 ms (CPython 3.11, numpy 2.4, 2 x86 CPUs).
 MAX_GERMINATION_SEEDS = 1_000_000
 
 

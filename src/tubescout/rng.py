@@ -96,21 +96,42 @@ class Rng:
 #: coefficient of x**i. Every bit of the ``s[1]`` word sequence, and so
 #: the words themselves under XOR, satisfy the recurrence it gives.
 _CHAR_POLY = 0x10003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001
-#: Draws stepped by ``Rng`` before ``chance_count`` jumps: the block
-#: recurrence w[k + _HEAD] = XOR of w[k + i] over the bits i of
-#: x**_HEAD mod _CHAR_POLY reads the last _HEAD words.
-_HEAD = 1024
+#: Draws stepped by ``Rng`` before ``chance_count`` jumps. A jump of m
+#: words, w[k + m] = XOR of w[k + i] over the bits i of x**m mod
+#: _CHAR_POLY, reads 256 words and so turns a prefix of L >= m words
+#: into one of L + m - 255.
+_HEAD = 384
+#: The longest jump, and the words ``chance_count`` keeps once its prefix
+#: has grown past them: its window holds _WINDOW + (_WINDOW - 255) words.
+_WINDOW = 2048
 
 
 @functools.cache
-def _jump_taps() -> tuple[int, ...]:
-    """The set bits of x**_HEAD mod _CHAR_POLY, lowest first."""
+def _jump_taps(m: int) -> tuple[int, ...]:
+    """The set bits of x**m mod _CHAR_POLY, lowest first."""
     q = 1
-    for _ in range(_HEAD):
+    for _ in range(m):
         q <<= 1
         if q >> 256:
             q ^= _CHAR_POLY
     return tuple(i for i in range(256) if q >> i & 1)
+
+
+@functools.cache
+def _jump_plan(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The taps of a jump of m words as (d, paired, single): i and i + d
+    are taps for each i in paired, and single holds the other taps. A
+    pair is one slice of the sums w[j] ^ w[j + d], and d is the distance
+    most taps lie apart, so a jump XORs about 80 slices, not about 120."""
+    taps = _jump_taps(m)
+    mask = sum(1 << i for i in taps)
+    d = max(range(1, 256), key=lambda d: (mask & mask >> d).bit_count())
+    paired, single = [], set(taps)
+    for i in taps:
+        if i in single and i + d in single:
+            single -= {i, i + d}
+            paired.append(i)
+    return d, tuple(paired), tuple(sorted(single))
 
 
 def chance_count(seed: int, stream: int, n: int, p: float) -> int:
@@ -118,23 +139,25 @@ def chance_count(seed: int, stream: int, n: int, p: float) -> int:
     come out true, bit for bit as the scalar loop would count them.
 
     The ``**`` output reads only ``s[1]``. ``Rng`` steps the first
-    ``_HEAD`` draws and records ``s[1]`` before each; every later word
-    comes from the block recurrence, ``_HEAD - 255`` words per round of
-    numpy ``uint64`` XORs over a window of the last ``_HEAD`` words.
-    The words are scrambled and compared with ``p`` as float64, as
-    ``Rng.random`` and ``Rng.chance`` do.
+    ``_HEAD`` draws and records ``s[1]`` before each. Every later word
+    comes in numpy ``uint64`` XORs from a jump as long as the known
+    words, up to ``_WINDOW``, so the prefix grows 384 -> 513 -> 771 ->
+    1287 -> 2319 words; from there each jump of ``_WINDOW`` adds
+    ``_WINDOW - 255`` words to a window of the last ``_WINDOW``: jump
+    ahead for F2-linear generators (Haramoto et al., INFORMS J. Computing
+    2008), with its taps paired as ``_jump_plan`` gives them. The words
+    are scrambled and compared with ``p`` as float64, as ``Rng.random``
+    and ``Rng.chance`` do.
     """
     import numpy as np
     rng = Rng(seed, stream)
-    head = min(n, _HEAD)
-    words = []
-    for _ in range(head):
-        words.append(rng._s[1])
-        rng.next_u64()
-    block = _HEAD - 255
-    window = np.empty(_HEAD + block, dtype=np.uint64)
-    window[:head] = words
-    first, *rest = _jump_taps()
+    known = min(n, _HEAD)
+    state, step = rng._s, rng.next_u64
+    window = np.empty(2 * _WINDOW - 255, dtype=np.uint64)
+    sums = np.empty(_WINDOW, dtype=np.uint64)  # window[j] ^ window[j + d]
+    for k in range(known):
+        window[k] = state[1]
+        step()
 
     def chances(w: np.ndarray) -> int:
         out = w * np.uint64(5)
@@ -143,12 +166,25 @@ def chance_count(seed: int, stream: int, n: int, p: float) -> int:
         out >>= np.uint64(11)
         return int(np.count_nonzero(out.astype(np.float64) * 2.0 ** -53 < p))
 
-    count = chances(window[:head])
-    for done in range(head, n, block):
-        new = window[_HEAD:_HEAD + min(n - done, block)]
-        np.copyto(new, window[first:first + len(new)])
-        for i in rest:
-            new ^= window[i:i + len(new)]
+    count = chances(window[:known])
+    done, jump = known, None
+    while done < n:
+        block = min(known - 255, n - done)
+        if jump != (known, block):  # views for a new jump or the last words
+            jump = known, block
+            d, paired, single = _jump_plan(known)
+            pair = window[:known - d], window[d:known], sums[:known - d]
+            new = window[known:known + block]
+            first, *rest = ([sums[i:i + block] for i in paired]
+                            + [window[i:i + block] for i in single])
+        np.bitwise_xor(*pair)
+        np.copyto(new, first)
+        for source in rest:
+            new ^= source
         count += chances(new)
-        window[:_HEAD] = window[block:]
+        done += block
+        known += block
+        if known > _WINDOW:
+            window[:_WINDOW] = window[known - _WINDOW:known]
+            known = _WINDOW
     return count

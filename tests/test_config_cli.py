@@ -10,6 +10,7 @@ from tubescout.aerostat import AreaModel
 from tubescout.cli import main
 from tubescout.config import (
     MAX_JSON_DEPTH,
+    MAX_MISSION_SOL_STEPS,
     MAX_MISSION_SOLS,
     MAX_MISSION_SURVEYS,
     ConfigError,
@@ -815,7 +816,17 @@ def mission_surveys(surveys: int) -> dict:
                    *["TubeSurveyComplete"] * surveys, "EndMission"]}}
 
 
-#: Missions one sol or one survey past their bound.
+def mission_sols_at_1s(sols: int) -> dict:
+    """``sols`` sols of the 88,775 s sol at 1 s steps, one in Initial and
+    the rest split between Transit and Settlement: at 400, exactly
+    ``MAX_MISSION_SOL_STEPS``."""
+    return {"power": {"timestep_s": 1.0}, "mission": {
+        "sols_per_phase": {"Initial": 1, "Transit": (sols - 1) // 2,
+                           "Settlement": sols - 1 - (sols - 1) // 2},
+        "events": ["DeploymentDone", "ArrivedAtTube", "EndMission"]}}
+
+
+#: Missions one sol, one survey or one sol's steps past their bound.
 MISSION_RULES = [
     (mission_sols(1),
      "config.mission.events: the first 10 events run 10001 sols, more than "
@@ -823,6 +834,9 @@ MISSION_RULES = [
     (mission_surveys(21),
      "config.mission.events: the first 23 events run 21 tube surveys, more "
      "than 20"),
+    (mission_sols_at_1s(401),
+     "config.mission.events: the first 2 events run 401 sols x 88775 steps "
+     "= 35598775 sol steps, more than 35510000"),
 ]
 #: Map files the rules above name, written beside the config.
 MAP_FILES = {
@@ -840,6 +854,9 @@ def test_missions_at_the_bounds_load(tmp_path):
     config = load_config(write_config(tmp_path, mission_sols(0)))
     # Every event but EndMission starts a visit of 1000 sols.
     assert (len(config.mission.events) - 1) * 1000 == MAX_MISSION_SOLS
+    config = load_config(write_config(tmp_path, mission_sols_at_1s(400)))
+    assert sum(config.mission.sols_per_phase.values()) * 88_775 \
+        == MAX_MISSION_SOL_STEPS
     config = load_config(write_config(tmp_path,
                                       mission_surveys(MAX_MISSION_SURVEYS)))
     assert config.mission.events.count(
