@@ -184,8 +184,8 @@ MAX_SOLS_PER_PHASE = 1000
 
 #: Upper bounds on a whole mission: the sols its events simulate (each
 #: phase visit's ``sols_per_phase``) and the tubes they survey. A sol at
-#: 25 s steps takes 0.04-1.5 ms, from one without loads to one whose SoC
-#: never settles, and up to about 40 ms at 1 s steps; the shipped tubes
+#: 25 s steps takes 0.05-0.1 ms, from one without loads to one whose SoC
+#: never settles, and up to about 3 ms at 1 s steps; the shipped tubes
 #: survey in 2-7 ms, but one survey at ``MAX_SURVEY_WORK`` can take about
 #: a minute (CPython 3.11, 2 x86 CPUs).
 MAX_MISSION_SOLS = 10_000
@@ -193,8 +193,9 @@ MAX_MISSION_SURVEYS = 20
 #: Upper bound on the steps a mission's sols simulate in all: 10,000
 #: default sols of 88,775 s at 25 s steps, 35.51M, which is 400 sols at
 #: 1 s steps. With a load that keeps the SoC from ever settling, a
-#: mission at the bound takes 13-15 s at either step (CPython 3.11, 2 x86
-#: CPUs), where 10,000 such sols at 1 s steps would take 25 times as long.
+#: mission at the bound takes about 1.5 s at either step (CPython 3.11, 2
+#: x86 CPUs), where 10,000 such sols at 1 s steps would take 25 times as
+#: long.
 MAX_MISSION_SOL_STEPS = MAX_MISSION_SOLS * round(
     MarsEnvironment().sol_length_s / DEFAULT_TIMESTEP_S)
 

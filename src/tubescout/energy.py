@@ -37,9 +37,10 @@ POWER_EPSILON_W = 1e-9
 DEFAULT_TIMESTEP_S = 25.0
 
 #: Upper bound on steps per sol: 1 s steps on the 88775 s sol fit. A
-#: stepped step costs 0.25 to 0.4 us (CPython 3.11, 2 x86 CPUs), a step
-#: filled by slice after a fixed point next to nothing, and each step
-#: 48 bytes of trace arrays.
+#: step the scalar rule takes costs 0.25 to 0.4 us (CPython 3.11, 2 x86
+#: CPUs), a step of a ramp about 9 ns (a 1 s sol whose SoC never settles
+#: runs in 0.8 ms), a step filled by slice after a fixed point next to
+#: nothing, and each step 48 bytes of trace arrays.
 MAX_SOL_STEPS = 100_000
 
 #: Upper bound on the work of one power report, counted as (loads + 2)
@@ -51,8 +52,8 @@ MAX_SOL_STEPS = 100_000
 #: between window edges by slice after its first steps, a trial walks
 #: ``_cuts`` about once a stretch, and the report reads the trace's cuts
 #: once per run of equal shed power. At the bound (20 loads at 1 s
-#: steps, 1.78M cuts in one run) the report takes about 26 ms, 22 ms of
-#: it the scheduler (CPython 3.11, 2 x86 CPUs).
+#: steps, 1.78M cuts in one run) the report takes 21-26 ms, 16 ms of it
+#: the scheduler (CPython 3.11, 2 x86 CPUs).
 MAX_SOL_WORK = 42_000_000
 
 
@@ -367,8 +368,9 @@ class _Sol:
     Demand is a numpy array built by adding each load's power over its
     step range in load order, which repeats the float additions of
     summing the active loads step by step. The SoC recurrence runs on
-    Python floats. ``simulate_sol``, every ``schedule_loads`` trial and
-    each mission sol run this same code.
+    Python floats, and each stretch's ramp in one numpy running sum.
+    ``simulate_sol``, every ``schedule_loads`` trial and each mission sol
+    run this same code.
     """
 
     def __init__(self, sources: list[PowerSource], loads: list[PowerLoad],
@@ -426,6 +428,17 @@ class _Sol:
         power by slice, counts those steps in ``skipped``, and goes on at
         the next stretch.
 
+        Until a clamp, each step of a stretch adds the same d to the SoC:
+        its charge, or minus its full discharge. So after a stretch's first
+        step, the run writes the rest of the stretch as a ramp, the running
+        sum of [soc, d, d, ...] by ``np.add.accumulate`` in place, which
+        adds left to right as the steps do, and ``a + -c`` is ``a - c``. It
+        then finds by bisection the first step the ramp got wrong, where
+        the battery would clamp full or empty or the SoC stop changing;
+        each of those tests, once true along a ramp, stays true. From that
+        step the scalar rule goes on. Ramp steps shed nothing, so they
+        change no verdict, and ``stepped`` counts them as stepped.
+
         A full run is ``start`` = 0 with no ``base``. A run given
         ``base``, an earlier run of this sol whose demand and active
         loads differ from these only in steps [start, join), is a trial.
@@ -475,7 +488,8 @@ class _Sol:
             # min(a, b) and max(a, b) are spelled out as conditionals (same
             # result, same operand on ties) because the calls cost most of
             # a step.
-            for i in range(start, end):
+            i = start
+            while i < end:
                 if supply >= demand - POWER_EPSILON_W:
                     surplus_w = supply - demand
                     stored = surplus_w * dt_h * charge_eff if surplus_w > 0.0 else 0.0
@@ -507,7 +521,30 @@ class _Sol:
                         shed_w[i + 1:end] = shed_view[i]
                     self.skipped += end - i - 1
                     break
+                if i == start and i + 1 < end:
+                    # The ramp (see above): fails(k) holds where the scalar
+                    # rule would not just add d at step k.
+                    if after > before:
+                        d = stored
+                        fails = lambda k: (capacity - soc[k] < stored
+                                           or capacity < soc[k + 1]
+                                           or soc[k + 1] == soc[k])
+                    else:
+                        d = -(need_wh / discharge_eff)
+                        fails = lambda k: (soc[k] * discharge_eff < need_wh
+                                           or not soc[k + 1] > 0.0
+                                           or soc[k + 1] == soc[k])
+                    ramp = soc_wh[i + 1:end + 1]
+                    ramp[0] = after
+                    ramp[1:] = d
+                    # Past the first failing step the sum may overflow.
+                    with np.errstate(over="ignore"):
+                        np.add.accumulate(ramp, out=ramp)
+                    i = bisect.bisect_left(range(end), True, i + 1, key=fails)
+                    before = soc[i]
+                    continue
                 soc[i + 1] = before = after
+                i += 1
             start = end
         self.stepped += start - first
         return soc, shed_w, shed_order

@@ -1,7 +1,10 @@
 """Tests for scenario-config loading/validation and the command line."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -396,6 +399,31 @@ class TestCli:
         lines = (out / "soc_trace.csv").read_text().splitlines()
         assert lines[0] == "time_s,soc_wh,supply_w,demand_w,shed_w"
         assert len(lines) == 1 + 88775 // 25
+
+    def test_power_near_the_float_limit_prints_nothing_on_stderr(self, tmp_path):
+        """A 1e307 W source charges a 1e308 Wh battery by about 7e304 Wh a
+        step, so the sol kernel's running sum of a stretch passes the
+        clamp and then the largest float, which numpy would warn about.
+        A fresh interpreter shows warnings as Python's defaults do."""
+        config = write_config(tmp_path, {"power": {
+            "battery": {"capacity_wh": 1e308, "initial_soc_wh": 0.0},
+            "sources": [{"name": "rtg", "kind": "constant", "rating_w": 1e307}],
+            "loads": [{"name": "drill", "power_w": 2e307,
+                       "window_s": [50000.0, 75000.0]}]}})
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "tubescout.cli", "power", "--config", config,
+             "--out", str(out)], env=env, capture_output=True, text=True,
+            timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        power = read_report(out)["energy"]["power"]
+        del power["inputs"]
+        assert power == {
+            "feasible": True, "final_soc_wh": 6.325127923976545e+307,
+            "schedule": {"admitted": ["drill"], "feasible": True,
+                         "verdicts": {"drill": True}},
+            "total_shed_wh": 0.0, "unmet_loads": [], "violation_count": 0}
 
     def test_csv_format_writes_robot_stats(self, tmp_path):
         out = tmp_path / "out"

@@ -9,10 +9,14 @@ admitted set. The one change from that code is the SoC clamp at full
 charge, which the kernel also has.
 """
 
+import bisect
+import itertools
 import math
 import random
+from array import array
 from functools import reduce
 from operator import add
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -330,6 +334,156 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
                     "shedding", "not_full_within_epsilon", "zero_capacity"}
 
 
+@pytest.fixture
+def ramps(monkeypatch):
+    """Record each ramp the kernel runs as (first, stop, end): the running
+    sum wrote the steps [first, stop) of the stretch that ends at ``end``,
+    and the scalar rule took over at ``stop``."""
+    recorded = []
+
+    def bisect_left(a, x, lo=0, hi=None, *, key=None):
+        found = bisect.bisect_left(a, x, lo, len(a) if hi is None else hi, key=key)
+        if x is True:
+            recorded.append((lo, found, len(a)))
+        return found
+
+    monkeypatch.setattr(energy, "bisect", SimpleNamespace(
+        bisect_left=bisect_left, bisect_right=bisect.bisect_right))
+    return recorded
+
+
+def plain_step(sol, demand_w, soc, j) -> bool:
+    """Whether the per-step simulator's step j (not step 0) from soc[j]
+    adds its stretch's constant charge or discharge to the SoC: no clamp,
+    no shed and no fixed point. A ramp covers exactly such steps."""
+    battery = sol.battery
+    before, supply, demand = soc[j], sol.base_supply_w, float(demand_w[j])
+    if supply >= demand - POWER_EPSILON_W:
+        stored = max(0.0, supply - demand) * sol.dt_h * battery.charge_efficiency
+        return (battery.capacity_wh - before >= stored
+                and before < before + stored <= battery.capacity_wh)
+    need_wh = (demand - supply) * sol.dt_h
+    return (before * battery.discharge_efficiency >= need_wh
+            and 0.0 < before - need_wh / battery.discharge_efficiency < before)
+
+
+#: Sols whose ramps end where the seeded cases' do not. A 6e-12 W surplus
+#: stores 0.7 units in the last place a step below 512 Wh, which rounds to
+#: one unit, and 0.35 units from 512 Wh on, which rounds to none: the ramp
+#: ends at a fixed point at 512 Wh. A 9 kW surplus stores exactly 62.5 Wh a
+#: step and fills the battery from 500 to 1000 Wh with no clamp, so the
+#: ramp ends one step later, where the room, 0, is less than the charge.
+#: A 9 * 2**-33 W load from step 1 draws half a unit in the last place of
+#: the SoC a step: from an odd SoC the tie rounds down one unit, from the
+#: even SoC after it the tie rounds to itself, so the ramp ends at once,
+#: at a fixed point.
+RAMP_CASES = [
+    ([PowerSource("rtg", rating_w=6e-12)], [],
+     Battery(1000.0, 512.0 - 1000 * 2.0 ** -44), 25.0),
+    ([PowerSource("rtg", rating_w=9000.0)], [],
+     Battery(1000.0, 500.0, 1.0, 1.0), 25.0),
+    ([], [PowerLoad("trickle", 9 * 2.0 ** -33, (25.0, SOL_S))],
+     Battery(2e5, 1e5 + 2.0 ** -36, 0.95, 1.0), 25.0),
+]
+
+
+def test_seeded_cases_reach_every_ramp_ending(ramps, monkeypatch):
+    """Every ramp of the seeded cases and of ``RAMP_CASES`` covers plain
+    steps only (see ``plain_step``) and ends at the first step that is
+    not plain, or at its stretch's end. The ramps end at every kind of
+    step that is not plain, so the differential tests cover them."""
+    seen = set()
+    run = _Sol.run
+
+    def observed(sol, demand_w, loads, base=None, start=0, join=None):
+        del ramps[:]
+        result = run(sol, demand_w, loads, base, start, join)
+        mine = ramps[:]
+        # A trial's SoC and shed power are those of the full run, also
+        # past the step that rejects it.
+        soc, shed_w, _ = run(sol, demand_w, loads)
+        capacity = sol.battery.capacity_wh
+        for first, stop, end in mine:
+            assert all(plain_step(sol, demand_w, soc, j) for j in range(first, stop))
+            if stop == first:
+                seen.add("length_0")
+            if stop == end:
+                seen.add("stretch_end")
+                continue
+            assert not plain_step(sol, demand_w, soc, stop)
+            if stop > first and soc[stop] == capacity:
+                seen.add("filled_without_clamp")
+            if soc[stop + 1] == capacity:
+                seen.add("full_clamp")
+            elif shed_w[stop]:
+                seen.add("empty_shedding")
+            elif soc[stop + 1] == soc[stop]:
+                seen.add("ulp_fixed_point")
+        return result
+
+    monkeypatch.setattr(_Sol, "run", observed)
+    cases = [random_case(random.Random(seed)) for seed in range(200)]
+    for sources, loads, battery, timestep_s in cases + RAMP_CASES:
+        simulate_sol(sources, loads, battery, ENV, timestep_s)
+        schedule_loads(sources, loads, battery, ENV, timestep_s)
+    assert seen == {"length_0", "stretch_end", "filled_without_clamp",
+                    "full_clamp", "empty_shedding", "ulp_fixed_point"}
+
+
+def test_add_accumulate_is_a_left_to_right_running_sum():
+    """A ramp is exact only because ``np.add.accumulate``, in place over
+    an ``array('d')``, adds left to right as a Python running sum does,
+    and because ``a - c`` is ``a + (-c)``. On values of mixed magnitudes
+    any other order, such as numpy's pairwise ``sum`` or a sum started
+    from 0 with the first value added last, gives other bits."""
+    rng = random.Random(17)
+    values = [rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 2.0)
+              * 10.0 ** rng.randrange(-20, 20) for _ in range(5000)]
+    running = list(itertools.accumulate(values))
+    buffer = array("d", values)
+    view = np.frombuffer(buffer)
+    np.add.accumulate(view, out=view)
+    assert buffer.tolist() == running
+    assert float(np.sum(values)) != running[-1]
+    late = [x + values[0] for x in itertools.accumulate([0.0] + values[1:])]
+    assert late != running
+    assert all(a - c == a + -c for a, c in zip(values, values[1:]))
+
+
+def test_the_closure_tie_battery_fills_through_a_ramp(ramps):
+    """At 1 s steps the 1 MW source of ``FILL_IN_ONE_STEP`` stores about
+    264 Wh a step, so its battery fills over a ramp from step 2 that ends
+    at the clamp, and the trace is the per-step simulator's."""
+    sources, loads, battery, _ = FILL_IN_ONE_STEP
+    trace = simulate_sol(sources, loads, battery, ENV, 1.0)
+    (first, stop, end), = ramps
+    assert (first, end) == (2, round(SOL_S))
+    assert trace.soc_wh[stop] < battery.capacity_wh == trace.soc_wh[stop + 1]
+    assert stop > first + 3
+    assert trace.soc_wh.max() == battery.capacity_wh
+    assert_same_trace(trace, reference_simulate_sol(sources, loads, battery,
+                                                    ENV, 1.0))
+
+
+def test_a_trial_stops_where_its_ramp_empties_the_battery(ramps):
+    """The drill drains the full battery over a ramp from its second
+    active step to the step that empties it. The scalar rule sheds the
+    drill there, the first cut of the per-step simulator, and the trial
+    returns None with that step the last it covered."""
+    drill = PowerLoad("drill", 300.0, (1000 * 25.0, 3000 * 25.0))
+    sources, battery = [PowerSource("rtg", rating_w=100.0)], Battery(1000.0, 1000.0)
+    sol = _Sol(sources, [drill], battery, ENV, 25.0)
+    bare = sol.run(sol.demand([]), [])
+    del ramps[:]
+    stepped = sol.stepped
+    assert sol.run(sol.demand([drill]), [drill], bare, 1000, 3000) is None
+    cut = reference_simulate_sol(sources, [drill], battery, ENV, 25.0)["violations"][0]
+    hard = round(cut.time_s / 25.0)
+    assert 1001 < hard < 3000
+    assert ramps == [(1001, hard, 3000)]
+    assert sol.stepped - stepped == hard + 1 - 1000
+
+
 def test_a_trial_rejoins_at_the_load_edge_after_its_battery_fills():
     """The drill's trial drains the full battery over the drill's window,
     steps [1000, 1100), and recharges it after: the battery clamps full
@@ -575,9 +729,13 @@ def test_soc_bounds_and_closure(case):
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(sols())
 @example(FILL_IN_ONE_STEP)
+@example(RAMP_CASES[0])
+@example(RAMP_CASES[1])
+@example(RAMP_CASES[2])
 def test_kernel_matches_reference_on_drawn_sols(case):
     """Drawn windows off the step grid and 1775.5 s and 355.1 s steps put
-    stretch edges where the seeded cases do not."""
+    stretch edges where the seeded cases do not, and ``RAMP_CASES`` end
+    ramps where neither does."""
     sources, loads, battery, timestep_s = case
     trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
     assert_same_trace(trace, reference_simulate_sol(sources, loads, battery,
