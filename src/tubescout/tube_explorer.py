@@ -129,6 +129,8 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 #: 0.25 us per map cell (a target search over the whole known map), so a
 #: survey at the bound takes at most about a minute (CPython 3.11, 2 x86
 #: CPUs). ``SURVEY_TICK_CELLS`` covers the fixed cost many times over.
+#: Keeping a target (``_Kernel.reuse``) does not lower the bound: in the
+#: worst case the search finds nothing, and no choice is kept.
 MAX_SURVEY_WORK = 250_000_000
 SURVEY_TICK_CELLS = 60
 
@@ -467,16 +469,23 @@ def _return_threshold_s(distance_cells: int, tick_s: float, factor: float) -> fl
 
 
 class _Scout:
-    """A robot's changing state in a survey; ``robot`` keeps the rest."""
+    """A robot's changing state in a survey; ``robot`` keeps the rest.
+
+    ``plan`` records its last choice of target, as (tick, target,
+    distance, the cell it left, the claims, goals and samples it chose
+    under), and ``path`` iterates over the cells still to walk to that
+    target once ``_Kernel.reuse`` keeps it.
+    """
 
     __slots__ = ("robot", "v", "state", "battery_s", "samples", "target",
-                 "moves", "handed")
+                 "moves", "handed", "plan", "path")
 
     def __init__(self, robot: ScoutRobot, v: int):
         self.robot, self.v = robot, v
         self.state, self.battery_s = robot.state, robot.battery_s
         self.samples, self.target = robot.samples, robot.target
         self.moves = self.handed = 0
+        self.plan = self.path = None
 
 
 class _Kernel:
@@ -493,9 +502,11 @@ class _Kernel:
     ``frontier`` and ``dist_home`` (hops from the entrance over ``known``,
     -1 where unreachable) are the snapshot every robot plans on within a
     tick; ``learn`` builds it from the cells sensed since its last call,
-    all explored cells at construction. ``reach`` is the
-    entrance-connected open set, computed once, and ``covered`` counts
-    its known cells.
+    all explored cells at construction, and keeps them as ``fresh``.
+    ``reach`` is the entrance-connected open set, computed once, and
+    ``covered`` counts its known cells. ``ticks`` counts ticks, and
+    ``searched`` and ``reused`` count the target choices made by a
+    search and kept from the tick before.
 
     It holds all a survey changes: a ``_Scout`` per robot (``scouts``, in
     input order), the uncollected ``sites`` and the ``delivered``
@@ -527,7 +538,7 @@ class _Kernel:
                               dtype=np.intc) >= 0
         self.reach = bytearray(reach.tobytes())
         self.reachable = int(np.count_nonzero(reach))
-        self.covered = 0
+        self.covered = self.ticks = self.searched = self.reused = 0
         ids = [r.id for r in robots]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate robot ids in {ids}")
@@ -582,7 +593,8 @@ class _Kernel:
         lowers the rest (incremental shortest paths, Ramalingam and Reps
         1996). The entrance keeps its distance 0.
         """
-        fresh, self.pending = self.pending, []
+        self.fresh = fresh = self.pending
+        self.pending = []
         s, known, open_, dist = self.stride, self.known, self.open, self.dist_home
         for v in fresh:
             known[v] = 1
@@ -613,9 +625,10 @@ class _Kernel:
                     heapq.heappush(heap, (d, n))
 
     def nearest(self, start: int, claimed: set[int],
-                goals: set[int]) -> tuple[int, int] | None:
+                goals: set[int]) -> tuple[int, int, int] | None:
         """The nearest unclaimed frontier or goal cell over ``known`` (the
-        lowest index among equals) and the first cell on the way to it.
+        lowest index among equals), the first cell on the way to it and
+        its distance.
 
         The search goes level by level and stops at the first level that
         holds a target. Each cell takes the first move of the cell that
@@ -633,12 +646,13 @@ class _Kernel:
             if known[start + off]:
                 move[start + off] = k
                 level.append(start + off)
+        depth = 1
         while level:
             hits = [v for v in level
                     if (frontier[v] or v in goals) and v not in claimed]
             if hits:
                 target = min(hits)
-                return target, start + offsets[move[target] - 1]
+                return target, start + offsets[move[target] - 1], depth
             nxt = []
             for v in level:
                 k = move[v]
@@ -648,7 +662,78 @@ class _Kernel:
                         move[n] = k
                         nxt.append(n)
             level = nxt
+            depth += 1
         return None
+
+    def reuse(self, scout: _Scout, claimed: set[int],
+              goals: set[int]) -> tuple[int, int, int] | None:
+        """What ``nearest`` would answer for ``scout``, without a search,
+        when its last answer still holds; else None.
+
+        A robot that chose target T at distance d >= 2 last tick and
+        stepped toward it is d - 1 from T now. Distances over ``known``
+        only shrink, and only through cells learned since, and a frontier
+        flag turns on only on such a cell, so the answer stays T when:
+        its goals and samples are unchanged; T is still an unclaimed
+        frontier or goal; every fresh cell is more than d cells away in
+        Manhattan distance, which bounds the distance over ``known``
+        from below; every cell claimed at the choice and unclaimed now is
+        more than d - 1 away; and the cell it left, which a search skips
+        as its start, is no unclaimed frontier or goal. The first reuse
+        lays the path the search would step along (``path``); later ones
+        take its next cell.
+        """
+        if scout.plan is None:
+            return None
+        tick, target, d, left, was_claimed, was_goals, samples = scout.plan
+        frontier = self.frontier
+        if (tick != self.ticks - 1 or d < 2 or samples is not scout.samples
+                or goals != was_goals or target in claimed
+                or not (frontier[target] or target in goals)
+                or ((frontier[left] or left in goals) and left not in claimed)):
+            return None
+        s = self.stride
+        r, c = divmod(scout.v, s)
+        for v in self.fresh:
+            vr, vc = divmod(v, s)
+            if abs(vr - r) + abs(vc - c) <= d:
+                return None
+        for v in was_claimed - claimed:
+            vr, vc = divmod(v, s)
+            if abs(vr - r) + abs(vc - c) < d:
+                return None
+        if scout.path is None:
+            scout.path = iter(self.path(scout.v, target, d - 1))
+        return target, next(scout.path), d - 1
+
+    def path(self, start: int, target: int, length: int) -> list[int]:
+        """The cells after ``start`` on its way to ``target``, ``length``
+        hops away over ``known``: each is the first N, W, E, S neighbour
+        of the one before that is a level closer to ``target`` in a
+        search back from it, as ``nearest`` steps."""
+        known, offsets, s = self.known, self.offsets, self.stride
+        r0, c0 = divmod(start, s)
+        dist, level = {target: 0}, [target]
+        for d in range(1, length):
+            nxt = []
+            for v in level:
+                for off in offsets:
+                    n = v + off
+                    if known[n] and n not in dist:
+                        r, c = divmod(n, s)
+                        # only a cell no further from start than the hops
+                        # left can lie on a shortest path; -1 marks the rest
+                        if abs(r - r0) + abs(c - c0) <= length - d:
+                            dist[n] = d
+                            nxt.append(n)
+                        else:
+                            dist[n] = -1
+            level = nxt
+        cells, v = [], start
+        for d in range(length - 1, -1, -1):
+            v = next(v + off for off in offsets if dist.get(v + off) == d)
+            cells.append(v)
+        return cells
 
     def tick(self) -> None:
         """One tick, as ``step`` describes it."""
@@ -656,6 +741,7 @@ class _Kernel:
         for scout in self.by_id:
             self._advance(scout, claimed)
         self.learn()
+        self.ticks += 1
 
     def _advance(self, scout: _Scout, claimed: set[int]) -> None:
         robot, state = scout.robot, scout.state
@@ -688,9 +774,18 @@ class _Kernel:
             if len(scout.samples) < robot.aux_slots:
                 goals = {self.index(site.cell) for site in self.sites
                          if site.mass_kg <= robot.aux_capacity_kg}
-            found = self.nearest(v, claimed, goals)
+            found = self.reuse(scout, claimed, goals)
+            if found is None:
+                self.searched += 1
+                scout.path = None
+                found = self.nearest(v, claimed, goals)
+            else:
+                self.reused += 1
             if found is not None:
-                goal, move_to = found
+                goal, move_to, d = found
+                # a robot that finds a target always steps onto move_to
+                scout.plan = (self.ticks, goal, d, v, frozenset(claimed), goals,
+                              scout.samples)
                 claimed.add(goal)
                 target = self.cell(goal)
             else:
@@ -757,7 +852,8 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
     tick of ``run_exploration`` takes tens of microseconds. It stays so:
     ``world`` is the whole state, a per-grid cache of the map-only parts
     would be a second one to keep in step with it, and
-    ``run_exploration`` keeps one kernel for a whole survey.
+    ``run_exploration`` keeps one kernel for a whole survey. For the same
+    reason no target is kept across calls (``_Kernel.reuse``).
 
     Raises:
         ValueError: for duplicate robot ids, or a robot off the map or on

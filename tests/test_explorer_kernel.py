@@ -34,6 +34,7 @@ from tubescout.tube_explorer import (
     fresh_map,
     frontier_mask,
     generate_tube,
+    grid_from_text,
     make_fleet,
     run_exploration,
     step,
@@ -382,3 +383,115 @@ def test_no_robot_is_rebuilt_per_tick(monkeypatch):
                              sample_sites=sites)
     assert report.steps > 100 and report.samples_delivered > 0
     assert built["ScoutRobot"] <= built["Sample"]
+
+
+def test_kept_kernel_searches_again_beside_the_goal_it_left():
+    """The left-cell condition of ``_Kernel.reuse``, pinned. scout_1
+    starts on (0, 1), where a 7.5 kg site is listed before a 4.9 kg one;
+    its 6 kg modules cannot take the first, so it takes neither and the
+    cell stays a goal, which no search from that cell tests. At tick 2 it
+    heads for (0, 3), two cells away, and one step on, at tick 3, the
+    cell it left is the nearest goal at distance 1."""
+    grid = grid_from_text("#E...\n.#..#\n.....\n...#.\n###..\n")
+    fleet = [ScoutRobot(id="scout_1", module_count=2, position=(0, 1),
+                        battery_full_s=8 / 1.7)]
+    reference_sense(grid.explored, grid.cells, (0, 1))
+    sites = (SampleSite((2, 0), 7.0), SampleSite((0, 1), 7.5),
+             SampleSite((0, 1), 4.9), SampleSite((3, 4), 5.0))
+    world = TubeWorld(grid=grid, station=Station(charge_time_s=30.0),
+                      sample_sites=sites)
+    kernel = _Kernel(grid, fleet, world.station, sites)
+    targets = []
+    for tick in range(6):
+        world, fleet = reference_step(world, fleet)
+        kernel.tick()
+        assert robot_view(kernel.robots()) == robot_view(fleet), f"tick {tick}"
+        targets.append(fleet[0].target)
+    assert targets[2:4] == [(0, 3), (0, 1)]
+
+
+def scale_case(index):
+    """A seeded tube of 8-64 cells square with 1-6 robots of 10-80 tick
+    batteries, a charging station and up to 8 sample sites."""
+    rng = random.Random(f"scale:{index}")
+    grid = generate_tube(rng.randrange(1 << 30), rng.randint(8, 64),
+                         rng.randint(8, 64), rng.choice([0.0, 0.1, 0.2, 0.3]))
+    fleet = make_fleet(grid, rng.randint(1, 6), module_count=rng.randint(2, 4),
+                       battery_full_s=rng.randint(10, 80) / 1.7)
+    open_cells = [tuple(map(int, rc)) for rc in np.argwhere(grid.cells != OBSTACLE)]
+    sites = tuple(SampleSite(rng.choice(open_cells), round(rng.uniform(0.5, 8.0), 1))
+                  for _ in range(rng.randint(0, 8)))
+    return grid, fleet, Station(charge_time_s=rng.choice([0.0, 5.0, 30.0])), sites
+
+
+def survey_ticks(kernel, limit):
+    """Tick ``kernel`` until the map is covered and no robot holds a
+    target, at most ``limit`` times, yielding after every tick."""
+    for _ in range(limit):
+        kernel.tick()
+        yield
+        if (kernel.covered == kernel.reachable
+                and all(sc.target is None for sc in kernel.scouts)):
+            return
+
+
+def test_reused_choices_match_a_search(monkeypatch):
+    """Side by side on large maps with many robots and sample sites:
+    wherever ``_Kernel.reuse`` keeps a target, ``nearest`` from the same
+    cell under the same claims and goals gives the same target, step and
+    distance."""
+    reuse, where = _Kernel.reuse, {}
+
+    def checking(kernel, scout, claimed, goals):
+        found = reuse(kernel, scout, claimed, goals)
+        if found is not None:
+            assert found == kernel.nearest(scout.v, claimed, goals), (
+                f"case {where['case']}, tick {kernel.ticks}")
+        return found
+
+    monkeypatch.setattr(_Kernel, "reuse", checking)
+    reused = 0
+    for index in range(16):
+        where["case"] = index
+        kernel = _Kernel(*scale_case(index))
+        for _ in survey_ticks(kernel, 1500):
+            pass
+        reused += kernel.reused
+    assert reused > 10_000
+
+
+scale_maps = st.tuples(st.integers(0, 2**30), st.integers(1, 64), st.integers(1, 64),
+                       st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45]))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(scale_maps, st.integers(1, 6), st.integers(4, 80))
+def test_kept_kernel_keeps_claims_exclusive_and_batteries_up_at_scale(
+        tube, robots, battery_ticks):
+    """Surveys on a kept kernel, which keep targets across ticks: no two
+    robots hold one target, and no battery reaches 0 off the entrance
+    unless its robot is stuck."""
+    grid = generate_tube(*tube)
+    fleet = make_fleet(grid, robots, battery_full_s=battery_ticks / 1.7)
+    kernel = _Kernel(grid, fleet, Station(charge_time_s=5.0), ())
+    for _ in survey_ticks(kernel, 1000):
+        targets = [sc.target for sc in kernel.scouts if sc.target is not None]
+        assert len(targets) == len(set(targets))
+        for sc in kernel.scouts:
+            if sc.v != kernel.entrance and sc.state is not RobotState.STUCK:
+                assert sc.battery_s > 0.0
+
+
+def test_survey_counts_searches_and_reuses():
+    """One fixed 28x28 survey with three robots pins how many target
+    choices ``nearest`` made and how many were kept from the tick before,
+    so that a change which stops the reuse shows here."""
+    grid = generate_tube(42, 28, 28, 0.2)
+    fleet = make_fleet(grid, 3, battery_full_s=120 / 1.7)
+    sites = (SampleSite((5, 5), 1.0), SampleSite((12, 8), 2.0),
+             SampleSite((17, 15), 3.0))
+    kernel = _Kernel(grid, fleet, Station(charge_time_s=5.0), sites)
+    for _ in survey_ticks(kernel, 2000):
+        pass
+    assert kernel.covered == kernel.reachable and len(kernel.delivered) == 2
+    assert (kernel.ticks, kernel.searched, kernel.reused) == (514, 512, 454)
