@@ -17,6 +17,7 @@ import bisect
 import csv
 import enum
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -45,15 +46,16 @@ MAX_SOL_STEPS = 100_000
 
 #: Upper bound on the work of one power report, counted as (loads + 2)
 #: runs of the sol (one scheduler trial per load, the scheduler's bare
-#: sol and the full trace) times its steps times (loads + 1). In the
-#: worst case, every load always on and sheddable and the battery empty,
-#: no trial stops early or rejoins, and every step sheds every load. A
-#: shedding step empties the battery, so the runs fill each stretch
-#: between window edges by slice after its first steps, a trial walks
-#: ``_cuts`` about once a stretch, and the report reads the trace's cuts
-#: once per run of equal shed power. At the bound (20 loads at 1 s
-#: steps, 1.78M cuts in one run) the report takes 21-26 ms, 16 ms of it
-#: the scheduler (CPython 3.11, 2 x86 CPUs).
+#: sol and the full trace, which resumes the admitted run and so covers
+#: at most a sol) times its steps times (loads + 1). In the worst case,
+#: every load always on and sheddable and the battery empty, no trial
+#: stops early or rejoins, and every step sheds every load. A shedding
+#: step empties the battery, so the runs fill each stretch between
+#: window edges by slice after its first steps, a trial walks ``_cuts``
+#: about once a stretch, and the report reads the trace's cuts once per
+#: run of equal shed power. At the bound (20 loads at 1 s steps, 1.78M
+#: cuts in one run) the report takes 18-22 ms, 13-15 ms of it the
+#: scheduler (CPython 3.11, 2 x86 CPUs).
 MAX_SOL_WORK = 42_000_000
 
 
@@ -334,14 +336,24 @@ def _shed_order(loads: list[PowerLoad]) -> list[PowerLoad]:
     return sheddable + hard
 
 
+def _step_at(time_s: float, timestep_s: float, n_steps: int) -> int:
+    """The least i in [0, n_steps] with ``i * timestep_s >= time_s``: the
+    first step that starts at or after ``time_s``. ``ceil`` of the
+    quotient is within a step of it; the comparisons settle the rest."""
+    i = min(max(math.ceil(time_s / timestep_s), 0), n_steps)
+    while i > 0 and (i - 1) * timestep_s >= time_s:
+        i -= 1
+    while i < n_steps and i * timestep_s < time_s:
+        i += 1
+    return i
+
+
 def _entry(load: PowerLoad, timestep_s: float, n_steps: int) -> tuple:
     """The load's ``_cuts`` entry (lo, hi, power_w, name, sheddable), with
     [lo, hi) the steps at which ``PowerLoad.active_at`` holds."""
     lo, hi = 0, n_steps
     if load.window is not None:
-        lo, hi = (bisect.bisect_left(range(n_steps), time_s,
-                                     key=lambda i: i * timestep_s)
-                  for time_s in load.window)
+        lo, hi = (_step_at(time_s, timestep_s, n_steps) for time_s in load.window)
     return lo, hi, load.power_w, load.name, load.sheddable
 
 
@@ -393,6 +405,9 @@ class _Sol:
         #: Each load's ``_entry``, shared by every trial's shed order.
         self.entries = {load.name: _entry(load, timestep_s, self.n_steps)
                         for load in loads}
+        #: All loads in shed order; a run's shed order is this one
+        #: filtered to its loads.
+        self.shed_order = tuple(_shed_order(loads))
         #: Steps covered by this sol's runs, added once per run, and the
         #: steps among them that a fixed point filled by slice.
         self.stepped = 0
@@ -410,7 +425,8 @@ class _Sol:
         return demand_w
 
     def run(self, demand_w: np.ndarray, loads: list[PowerLoad],
-            base=None, start: int = 0, join: int | None = None):
+            base=None, start: int = 0, join: int | None = None,
+            trial: bool = False):
         """Step the battery through the sol against ``demand_w``, the
         demand of ``loads``. Returns (soc, shed_w, shed_order), with soc
         an ``array('d')`` of n_steps + 1 samples; no cuts are kept.
@@ -437,24 +453,30 @@ class _Sol:
         the battery would clamp full or empty or the SoC stop changing;
         each of those tests, once true along a ramp, stays true. From that
         step the scalar rule goes on. Ramp steps shed nothing, so they
-        change no verdict, and ``stepped`` counts them as stepped.
+        change no verdict, and ``stepped`` counts them as stepped. The
+        sums past that step are discarded and may overflow, so the run
+        ignores float overflow throughout.
 
         A full run is ``start`` = 0 with no ``base``. A run given
-        ``base``, an earlier run of this sol whose demand and active
-        loads differ from these only in steps [start, join), is a trial.
-        It copies the steps before ``start`` from ``base`` and steps from
-        there; at each stretch start at or after ``join`` it compares its
-        SoC with that of ``base`` and, once they are equal, copies the
-        rest. This is exact: outside [start, join) the demand and the
-        active loads in shed order are the same, so equal SoC at a step
-        gives the same values bit for bit from there on. Comparing only
-        there costs next to nothing: two runs under the same demand meet
-        where both batteries clamp, full or empty, so the step after is a
-        fixed point, and the trial fills to the next load edge by slice
-        and rejoins there. A trial returns None at the first step whose
-        shed power reaches a non-sheddable load. A repeated step cannot
-        be that step, since the step it repeats was not, so a trial
-        checks the cuts of a stepped step only.
+        ``base``, an earlier run of this sol whose demand differs from
+        ``demand_w`` only in steps [start, join), resumes it. It copies
+        the steps before ``start`` from ``base`` and steps from there; at
+        each stretch start at or after ``join`` it compares its SoC with
+        that of ``base`` and, once they are equal, copies the rest. This
+        is exact: outside [start, join) the demand is the same, so equal
+        SoC at a step gives the same SoC and shed power bit for bit from
+        there on. Comparing only there costs next to nothing: two runs
+        under the same demand meet where both batteries clamp, full or
+        empty, so the step after is a fixed point, and the run fills to
+        the next load edge by slice and rejoins there.
+
+        A ``trial`` is a resume whose active loads in shed order also
+        differ from those of ``base`` only in [start, join). It returns
+        None at the first step whose shed power reaches a non-sheddable
+        load. A repeated step cannot be that step, since the step it
+        repeats was not, so a trial checks the cuts of a stepped step
+        only, and the steps it copies from ``base``, a run that cut no
+        non-sheddable load, change no verdict.
         """
         import numpy as np
         battery = self.battery
@@ -463,7 +485,8 @@ class _Sol:
         discharge_eff = battery.discharge_efficiency
         dt_h = self.dt_h
         n_steps = self.n_steps
-        shed_order = _shed_order(loads)
+        names = {l.name for l in loads}
+        shed_order = [l for l in self.shed_order if l.name in names]
         order = [self.entries[l.name] for l in shed_order]
         edges = sorted({1, n_steps}.union(*(entry[:2] for entry in order)))
         shed_w = np.zeros(n_steps)
@@ -477,75 +500,74 @@ class _Sol:
         before = soc[start]
         demand_view = memoryview(demand_w)
         first = start
-        while start < n_steps:
-            if base is not None and start >= join and soc[start] == base_soc[start]:
-                soc[start:] = base_soc[start:]
-                shed_w[start:] = base_shed_w[start:]
-                break
-            end = edges[bisect.bisect_right(edges, start)]
-            demand = demand_view[start]
-            supply = self.first_supply_w if start == 0 else self.base_supply_w
-            # min(a, b) and max(a, b) are spelled out as conditionals (same
-            # result, same operand on ties) because the calls cost most of
-            # a step.
-            i = start
-            while i < end:
-                if supply >= demand - POWER_EPSILON_W:
-                    surplus_w = supply - demand
-                    stored = surplus_w * dt_h * charge_eff if surplus_w > 0.0 else 0.0
-                    room = capacity - before
-                    after = before + (room if room < stored else stored)
-                    if capacity < after:
-                        after = capacity
-                else:
-                    need_wh = (demand - supply) * dt_h
-                    delivered = before * discharge_eff
-                    if not delivered < need_wh:
-                        delivered = need_wh
-                    after = before - delivered / discharge_eff
-                    if not after > 0.0:
-                        after = 0.0
-                    unmet_w = (need_wh - delivered) / dt_h
-                    if unmet_w > POWER_EPSILON_W:
-                        shed_view[i] = unmet_w
-                        if base is not None:
-                            for _, _, sheddable, _ in _cuts(order, ((i, unmet_w),)):
-                                if not sheddable:
-                                    self.stepped += i + 1 - first
-                                    return None
-                if after == before:
-                    # A fixed point: every later step of the stretch repeats
-                    # this one, its SoC, its shed power and its verdict.
-                    soc_wh[i + 1:end + 1] = after
-                    if shed_view[i]:
-                        shed_w[i + 1:end] = shed_view[i]
-                    self.skipped += end - i - 1
+        with np.errstate(over="ignore"):
+            while start < n_steps:
+                if base is not None and start >= join and soc[start] == base_soc[start]:
+                    soc[start:] = base_soc[start:]
+                    shed_w[start:] = base_shed_w[start:]
                     break
-                if i == start and i + 1 < end:
-                    # The ramp (see above): fails(k) holds where the scalar
-                    # rule would not just add d at step k.
-                    if after > before:
-                        d = stored
-                        fails = lambda k: (capacity - soc[k] < stored
-                                           or capacity < soc[k + 1]
-                                           or soc[k + 1] == soc[k])
+                end = edges[bisect.bisect_right(edges, start)]
+                demand = demand_view[start]
+                supply = self.first_supply_w if start == 0 else self.base_supply_w
+                # min(a, b) and max(a, b) are spelled out as conditionals (same
+                # result, same operand on ties) because the calls cost most of
+                # a step.
+                i = start
+                while i < end:
+                    if supply >= demand - POWER_EPSILON_W:
+                        surplus_w = supply - demand
+                        stored = surplus_w * dt_h * charge_eff if surplus_w > 0.0 else 0.0
+                        room = capacity - before
+                        after = before + (room if room < stored else stored)
+                        if capacity < after:
+                            after = capacity
                     else:
-                        d = -(need_wh / discharge_eff)
-                        fails = lambda k: (soc[k] * discharge_eff < need_wh
-                                           or not soc[k + 1] > 0.0
-                                           or soc[k + 1] == soc[k])
-                    ramp = soc_wh[i + 1:end + 1]
-                    ramp[0] = after
-                    ramp[1:] = d
-                    # Past the first failing step the sum may overflow.
-                    with np.errstate(over="ignore"):
+                        need_wh = (demand - supply) * dt_h
+                        delivered = before * discharge_eff
+                        if not delivered < need_wh:
+                            delivered = need_wh
+                        after = before - delivered / discharge_eff
+                        if not after > 0.0:
+                            after = 0.0
+                        unmet_w = (need_wh - delivered) / dt_h
+                        if unmet_w > POWER_EPSILON_W:
+                            shed_view[i] = unmet_w
+                            if trial:
+                                for _, _, sheddable, _ in _cuts(order, ((i, unmet_w),)):
+                                    if not sheddable:
+                                        self.stepped += i + 1 - first
+                                        return None
+                    if after == before:
+                        # A fixed point: every later step of the stretch repeats
+                        # this one, its SoC, its shed power and its verdict.
+                        soc_wh[i + 1:end + 1] = after
+                        if shed_view[i]:
+                            shed_w[i + 1:end] = shed_view[i]
+                        self.skipped += end - i - 1
+                        break
+                    if i == start and i + 1 < end:
+                        # The ramp (see above): fails(k) holds where the scalar
+                        # rule would not just add d at step k.
+                        if after > before:
+                            d = stored
+                            fails = lambda k: (capacity - soc[k] < stored
+                                               or capacity < soc[k + 1]
+                                               or soc[k + 1] == soc[k])
+                        else:
+                            d = -(need_wh / discharge_eff)
+                            fails = lambda k: (soc[k] * discharge_eff < need_wh
+                                               or not soc[k + 1] > 0.0
+                                               or soc[k + 1] == soc[k])
+                        ramp = soc_wh[i + 1:end + 1]
+                        ramp[0] = after
+                        ramp[1:] = d
                         np.add.accumulate(ramp, out=ramp)
-                    i = bisect.bisect_left(range(end), True, i + 1, key=fails)
-                    before = soc[i]
-                    continue
-                soc[i + 1] = before = after
-                i += 1
-            start = end
+                        i = bisect.bisect_left(range(end), True, i + 1, key=fails)
+                        before = soc[i]
+                        continue
+                    soc[i + 1] = before = after
+                    i += 1
+                start = end
         self.stepped += start - first
         return soc, shed_w, shed_order
 
@@ -618,12 +640,24 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     and after the trial's SoC rejoins the admitted run's, demand, shed
     order and SoC are all equal, so each trial resumes the admitted run
     at ``lo`` and stops at the first load edge at or after ``hi`` where
-    its SoC equals the admitted run's (see ``_Sol.run``). The
-    admitted run never cuts a non-sheddable load, so the steps a trial
-    copies cannot change its verdict.
+    its SoC equals the admitted run's (see ``_Sol.run``).
     """
-    import numpy as np
     sol = _Sol(sources, loads, battery, env, timestep_s)
+    admitted, verdicts, demand_w, run = _schedule(sol, loads)
+    return ScheduleResult(
+        admitted=tuple(admitted),
+        feasible=len(admitted) == len(loads),
+        verdicts=verdicts,
+        trace=sol.trace(demand_w, run),
+        stepped=sol.stepped,
+    )
+
+
+def _schedule(sol: _Sol, loads: list[PowerLoad]):
+    """The greedy scheduler on ``sol`` (see ``schedule_loads``). Returns
+    (admitted, verdicts, demand_w, run) with the admitted set's demand
+    and run."""
+    import numpy as np
     admitted: list[PowerLoad] = []
     admitted_demand_w = np.zeros(sol.n_steps)
     admitted_run = sol.run(admitted_demand_w, admitted)
@@ -632,18 +666,41 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
         demand_w = admitted_demand_w.copy()
         sol.add(demand_w, load)
         run = sol.run(demand_w, admitted + [load], admitted_run,
-                      *sol.entries[load.name][:2])
+                      *sol.entries[load.name][:2], trial=True)
         verdicts[load.name] = run is not None
         if run is not None:
             admitted.append(load)
             admitted_demand_w, admitted_run = demand_w, run
-    return ScheduleResult(
-        admitted=tuple(admitted),
-        feasible=len(admitted) == len(loads),
-        verdicts=verdicts,
-        trace=sol.trace(admitted_demand_w, admitted_run),
-        stepped=sol.stepped,
-    )
+    return admitted, verdicts, admitted_demand_w, admitted_run
+
+
+def schedule_and_simulate(sources: list[PowerSource], loads: list[PowerLoad],
+                          battery: Battery, env: MarsEnvironment,
+                          timestep_s: float = DEFAULT_TIMESTEP_S
+                          ) -> tuple[tuple[PowerLoad, ...], dict[str, bool], SocTrace]:
+    """``schedule_loads``' admitted loads and verdicts, and the trace of
+    ``simulate_sol`` over every load, bit for bit, from one kernel.
+
+    Returns (admitted, verdicts, trace). The full demand, summed in input
+    order, may differ from the admitted set's, summed in admission order,
+    at the rejected loads' steps and, by a few units in the last place,
+    where the two orders round apart. The full run resumes the admitted
+    run at the first step whose demand differs in any bit and joins it
+    again from the step after the last (see ``_Sol.run``); where none
+    differs, it is the admitted run. The resume is no trial: it goes on
+    through the cuts of non-sheddable loads.
+    """
+    import numpy as np
+    sol = _Sol(sources, loads, battery, env, timestep_s)
+    admitted, verdicts, admitted_demand_w, run = _schedule(sol, loads)
+    demand_w = sol.demand(loads)
+    differ = np.flatnonzero(demand_w != admitted_demand_w)
+    del admitted_demand_w
+    if len(differ):
+        run = sol.run(demand_w, loads, run, int(differ[0]), int(differ[-1]) + 1)
+    # Without a resume the run's shed order is the admitted set's.
+    trace = sol.trace(demand_w, run[:2] + (sol.shed_order,))
+    return tuple(admitted), verdicts, trace
 
 
 def _time_text(time_s: float) -> str:

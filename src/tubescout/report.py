@@ -21,8 +21,7 @@ from tubescout.energy import (
     PowerSource,
     SocTrace,
     WinchSpec,
-    schedule_loads,
-    simulate_sol,
+    schedule_and_simulate,
     winch_power,
     winch_regen_energy,
 )
@@ -228,14 +227,14 @@ def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...]
                   timestep_s: float) -> tuple[dict, list[Finding], SocTrace]:
     """Simulate one sol with every load attached, and ask the greedy
     scheduler which subset would have been admissible. Returns the full
-    trace as well, for callers that emit CSV. The scheduler runs first
-    and only its verdicts are kept, so one trace is alive at a time."""
-    schedule = schedule_loads(list(sources), list(loads), battery, env, timestep_s)
-    plan = {"admitted": [l.name for l in schedule.admitted],
-            "feasible": schedule.feasible,
-            "verdicts": schedule.verdicts}
-    del schedule
-    trace = simulate_sol(list(sources), list(loads), battery, env, timestep_s)
+    trace as well, for callers that emit CSV. One sol kernel does both:
+    the full trace resumes the scheduler's admitted run, and no trace of
+    the admitted set is built (see ``schedule_and_simulate``)."""
+    admitted, verdicts, trace = schedule_and_simulate(
+        list(sources), list(loads), battery, env, timestep_s)
+    plan = {"admitted": [l.name for l in admitted],
+            "feasible": all(verdicts.values()),
+            "verdicts": verdicts}
     # Runs come in time order: the first hard cut is the earliest. Times
     # are step * timestep_s, as ``SocTrace.cuts`` gives them.
     count = hard_count = 0

@@ -425,6 +425,41 @@ class TestCli:
                          "verdicts": {"drill": True}},
             "total_shed_wh": 0.0, "unmet_loads": [], "violation_count": 0}
 
+    @pytest.mark.parametrize("command", ["power", "mission"])
+    def test_an_infeasible_sol_near_the_float_limit_prints_nothing_on_stderr(
+            self, tmp_path, command):
+        """The pump, non-sheddable, outdraws the 1e307 W source at step 1
+        on the little step 0 stored, so the scheduler rejects it. The
+        power report's full trace then resumes the admitted run at step 1,
+        and a mission sol runs from step 0: either sheds the pump, then
+        charges over a running sum that passes the clamp and the largest
+        float."""
+        config = write_config(tmp_path, {
+            "power": {
+                "battery": {"capacity_wh": 1e308, "initial_soc_wh": 0.0},
+                "sources": [{"name": "rtg", "kind": "constant",
+                             "rating_w": 1e307}],
+                "loads": [{"name": "pump", "power_w": 2e307,
+                           "window_s": [25.0, 50.0]}]},
+            "mission": {"events": [], "germination": None}})
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "tubescout.cli", command, "--config", config,
+             "--out", str(out)], env=env, capture_output=True, text=True,
+            timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        report = read_report(out)
+        if command == "power":
+            power = report["energy"]["power"]
+            assert power["schedule"]["verdicts"] == {"pump": False}
+            assert power["feasible"] is False
+            assert power["final_soc_wh"] == 1e308
+        else:
+            first_sol = report["mission"]["sol_log"][0]
+            assert first_sol["hard_violations"] == 1
+            assert first_sol["final_soc_wh"] == 1e308
+
     def test_csv_format_writes_robot_stats(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("explore", "--config", BASELINE, "--out", str(out),

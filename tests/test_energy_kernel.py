@@ -205,6 +205,59 @@ def test_kernel_matches_reference_on_seeded_cases(chunk):
         assert_same_trace(result.trace, expected)
 
 
+def assert_same_sol(trace, expected):
+    for name in ARRAYS:
+        assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
+    assert trace.shed_order == expected.shed_order
+
+
+def test_the_report_trace_is_the_full_sol_on_seeded_cases():
+    """The power report resumes the scheduler's admitted run where the
+    full demand differs from it. Its trace is ``simulate_sol``'s over
+    every load, bit for bit, on the 200 seeded cases: feasible ones whose
+    demands agree, feasible ones whose sums differ in the last places,
+    and infeasible ones, some cutting a non-sheddable load after the
+    resume's first step."""
+    seen = set()
+    for seed in range(200):
+        sources, loads, battery, timestep_s = random_case(random.Random(seed))
+        _, _, trace = power_section(tuple(sources), tuple(loads), battery, ENV,
+                                    timestep_s)
+        full = simulate_sol(sources, loads, battery, ENV, timestep_s)
+        assert_same_sol(trace, full)
+        schedule = schedule_loads(sources, loads, battery, ENV, timestep_s)
+        differ = np.flatnonzero(full.demand_w != schedule.trace.demand_w)
+        if schedule.feasible:
+            seen.add("feasible_differs" if len(differ) else "feasible_equal")
+            continue
+        seen.add("infeasible")
+        hard = {l.name for l in loads if not l.sheddable}
+        if len(differ) and any(name in hard and i > differ[0]
+                               for i, _, name, _, _ in full.cut_runs()):
+            seen.add("hard_cut_after_resume")
+    assert seen == {"feasible_equal", "feasible_differs", "infeasible",
+                    "hard_cut_after_resume"}
+
+
+def test_the_report_resume_goes_on_through_hard_cuts():
+    """The scheduler rejects the heater and admits the lamp. The report's
+    full trace resumes the lamp's run at the heater's first step, cuts the
+    heater from there to the end of the sol and is ``simulate_sol``'s.
+    A resume that stopped at the first hard cut, as a trial does, would
+    give no trace."""
+    heater = PowerLoad("heater", 511.5, (44375.0, SOL_S))
+    lamp = PowerLoad("lamp", 50.0, sheddable=True)
+    sources, battery = [PowerSource("rtg", rating_w=110.0)], Battery(1000.0, 0.0)
+    section, findings, trace = power_section(
+        tuple(sources), (heater, lamp), battery, ENV, 25.0)
+    assert section["schedule"]["verdicts"] == {"heater": False, "lamp": True}
+    assert_same_sol(trace, simulate_sol(sources, [heater, lamp], battery, ENV, 25.0))
+    lo = round(44375.0 / 25.0)
+    assert trace.demand_w[lo - 1] == 50.0 < trace.demand_w[lo]
+    assert findings[0].data["first_violation_s"] > 44375.0
+    assert findings[0].data["last_violation_s"] == SOL_S - 25.0
+
+
 def test_seeded_cases_cover_the_edges():
     """The seeded cases reach every edge the differential test is for."""
     seen = set()
@@ -243,9 +296,9 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None):
+    def observed(sol, demand_w, loads, base=None, start=0, join=None, trial=False):
         stepped = sol.stepped
-        result = run(sol, demand_w, loads, base, start, join)
+        result = run(sol, demand_w, loads, base, start, join, trial)
         end = start + sol.stepped - stepped
         if join is None:
             return result
@@ -279,9 +332,9 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None):
+    def observed(sol, demand_w, loads, base=None, start=0, join=None, trial=False):
         stepped, skipped = sol.stepped, sol.skipped
-        result = run(sol, demand_w, loads, base, start, join)
+        result = run(sol, demand_w, loads, base, start, join, trial)
         end = start + sol.stepped - stepped
         skipped = sol.skipped - skipped
         # A trial's SoC and shed power are those of the full run, also
@@ -395,9 +448,9 @@ def test_seeded_cases_reach_every_ramp_ending(ramps, monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None):
+    def observed(sol, demand_w, loads, base=None, start=0, join=None, trial=False):
         del ramps[:]
-        result = run(sol, demand_w, loads, base, start, join)
+        result = run(sol, demand_w, loads, base, start, join, trial)
         mine = ramps[:]
         # A trial's SoC and shed power are those of the full run, also
         # past the step that rejects it.
@@ -476,7 +529,7 @@ def test_a_trial_stops_where_its_ramp_empties_the_battery(ramps):
     bare = sol.run(sol.demand([]), [])
     del ramps[:]
     stepped = sol.stepped
-    assert sol.run(sol.demand([drill]), [drill], bare, 1000, 3000) is None
+    assert sol.run(sol.demand([drill]), [drill], bare, 1000, 3000, trial=True) is None
     cut = reference_simulate_sol(sources, [drill], battery, ENV, 25.0)["violations"][0]
     hard = round(cut.time_s / 25.0)
     assert 1001 < hard < 3000
@@ -630,20 +683,36 @@ def test_a_trial_steps_from_its_load_start(rating_w, battery, joined):
     assert result.stepped - n_steps == (1000 if joined else n_steps - 1000)
 
 
-@pytest.mark.parametrize("timestep_s", [5.0, 25.0, 1775.5, 88775.0])
+@pytest.mark.parametrize("timestep_s", [5.0, 25.0, 355.1, 1775.5, 88775.0, 0.88775])
 def test_load_spans_are_the_active_steps(timestep_s):
+    """A load's [lo, hi) holds exactly the steps where ``active_at`` does,
+    also for window ends on a step's start time ``k * timestep_s``, one
+    float either side of it, at 0 and at the sol's end."""
     rng = random.Random(7)
     n_steps = round(SOL_S / timestep_s)
     windows = [None, (0.0, SOL_S), (timestep_s / 2, timestep_s)]
     windows += [tuple(sorted((rng.uniform(0, SOL_S), rng.uniform(0, SOL_S))))
                 for _ in range(40)]
     windows += [(k * timestep_s, SOL_S) for k in (0, n_steps - 1)]
-    loads = [PowerLoad(f"l{k}", 1.0, w) for k, w in enumerate(windows)]
-    sol = _Sol([PowerSource("rtg", rating_w=1.0)], loads, Battery(), ENV, timestep_s)
-    for load in loads:
-        active = [i for i in range(n_steps) if load.active_at(i * timestep_s)]
-        lo, hi, *_ = sol.entries[load.name]
-        assert active == list(range(lo, hi)), load.window
+    ends = [0.0, SOL_S, math.nextafter(0.0, 1.0), math.nextafter(SOL_S, 0.0)]
+    for k in {1, 2, 3, n_steps // 3, n_steps // 2, n_steps - 1, n_steps}:
+        on = k * timestep_s
+        ends += [math.nextafter(on, 0.0), on, math.nextafter(on, math.inf)]
+    windows += [(start, end) for start in ends for end in ends
+                if 0.0 <= start < end <= SOL_S]
+    starts = np.array([i * timestep_s for i in range(n_steps)])
+    for window in windows:
+        load = PowerLoad("l", 1.0, window)
+        lo, hi, *_ = energy._entry(load, timestep_s, n_steps)
+        if window is None:
+            active = np.arange(n_steps)
+        else:
+            active = np.flatnonzero((window[0] <= starts) & (starts < window[1]))
+            # The mask is ``active_at``'s test; ask it too at the edges.
+            for i in (lo - 1, lo, hi - 1, hi):
+                if 0 <= i < n_steps:
+                    assert load.active_at(i * timestep_s) == (lo <= i < hi), window
+        assert np.array_equal(active, np.arange(lo, hi)), window
 
 
 @pytest.mark.parametrize("timestep_s", [0.5, 0.001, 5e-324])
