@@ -64,7 +64,12 @@ from tubescout.program import (
     rollup_cost,
 )
 from tubescout.report import JSON_KEYS, echo, json_fields
-from tubescout.thermal import REFERENCE_GREENHOUSE, AvionicsEnvelope, GlazedEnclosure
+from tubescout.thermal import (
+    REFERENCE_GREENHOUSE,
+    AvionicsEnvelope,
+    GlazedEnclosure,
+    thermal_problems,
+)
 from tubescout.tube_explorer import (
     OBSTACLE,
     SampleSite,
@@ -591,6 +596,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
             keys = JSON_KEYS.get(type(items[argument][i]).__name__, {})
             path += f"[{i}].{keys.get(name, name)}"
         errors.append((path, message))
+    for argument, message in thermal_problems(config.enclosure, config.avionics,
+                                              config.env):
+        errors.append((f"config.{argument}", message))
     if errors:
         raise ConfigError(errors)
     return config

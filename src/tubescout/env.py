@@ -16,9 +16,11 @@ from dataclasses import dataclass, replace
 
 UNIVERSAL_GAS_CONSTANT = 8.314462618  # J/(mol K)
 
-#: Upper bound on ``sol_length_s``, about 11 Mars sols. Models sweep the
-#: sol in fixed steps (the avionics check every 60 s), so a longer sol
-#: would run for hours instead of being rejected.
+#: Upper bound on ``sol_length_s``, about 11 Mars sols. It keeps the
+#: avionics check's 60 s samples (at most 16,667) far enough apart on the
+#: day arc that adjacent cosines differ by far more than ``math.cos``'s
+#: rounding error, which the check's closed form relies on, and keeps a
+#: sweep over every sample short, which tests use as its reference.
 MAX_SOL_LENGTH_S = 1e6
 
 
@@ -69,6 +71,10 @@ class MarsEnvironment:
             raise ValueError(
                 f"day_high_c must exceed night_low_c, got "
                 f"{self.day_high_c} <= {self.night_low_c}")
+        if not math.isfinite(self.day_high_c - self.night_low_c):
+            raise ValueError(
+                f"day_high_c - night_low_c must be finite, got "
+                f"{self.day_high_c} - {self.night_low_c}")
         if not self.dose_surface_msv > self.dose_cave_msv >= 0:
             raise ValueError(
                 "need dose_surface_msv > dose_cave_msv >= 0, got "

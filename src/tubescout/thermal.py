@@ -2,20 +2,23 @@
 
 The greenhouse is modeled as a single glazed surface held at a target
 temperature: steady-state loss is U*A*dT, clamped at zero when the
-outside is warmer (no cooling model). The avionics check sweeps the
-diurnal profile and asks whether the electronics stay inside their
-qualified temperature range, optionally with a thermostatted survival
-heater.
+outside is warmer (no cooling model). The avionics check asks whether
+the electronics stay inside their qualified temperature range,
+optionally with a thermostatted survival heater. Samples of the diurnal
+profile every 60 s define its answer; because the sampled day arc rises
+to one peak and then falls, it is found in closed form by bisecting for
+the few samples where the answer changes, not by evaluating them all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .energy import PowerLoad
 from .env import MarsEnvironment, diurnal_temperature
 
-#: Sampling resolution for the sol sweep in avionics_envelope_check.
+#: Spacing of the samples that define avionics_envelope_check's answer.
 ENVELOPE_SAMPLE_STEP_S = 60.0
 
 
@@ -80,7 +83,7 @@ class AvionicsEnvelope:
 
 @dataclass(frozen=True)
 class EnvelopeCheck:
-    """Result of sweeping one sol against the avionics envelope."""
+    """Result of checking one sol against the avionics envelope."""
 
     ok: bool
     worst_margin_c: float
@@ -126,44 +129,121 @@ def _effective_temp(ambient_c: float, envelope: AvionicsEnvelope) -> float:
     return min(ambient_c + envelope.heater_boost_c, ceiling)
 
 
+def thermal_problems(enclosure: GlazedEnclosure, envelope: AvionicsEnvelope,
+                     env: MarsEnvironment):
+    """Yield every reason the thermal report would hold a number that is
+    not finite, as (argument, message) with argument ``"enclosure"`` or
+    ``"avionics"``. The ambient spans [night_low_c, day_high_c] and the
+    effective temperature is monotone in it, so margins that are finite
+    at both ends are finite at every sample."""
+    loss = heat_loss(enclosure, env.night_low_c)
+    if not math.isfinite(loss):
+        yield ("enclosure", f"heat loss at the {env.night_low_c} degC night "
+                            f"low is {loss} W, not a finite number")
+    elif not math.isfinite(night_heating_energy(enclosure, env)):
+        yield ("enclosure", f"night heating energy of {loss} W over the "
+                            f"{env.night_duration_s} s night overflows")
+    for label, ambient in (("night low", env.night_low_c),
+                           ("day high", env.day_high_c)):
+        effective = _effective_temp(ambient, envelope)
+        if not (math.isfinite(effective - envelope.min_ok_c)
+                and math.isfinite(envelope.max_ok_c - effective)):
+            yield ("avionics", f"margin to [min_ok_c, max_ok_c] at the "
+                               f"{ambient} degC {label} overflows")
+
+
 def avionics_envelope_check(env: MarsEnvironment,
                             envelope: AvionicsEnvelope) -> EnvelopeCheck:
-    """Sweep one sol, sampled every ``ENVELOPE_SAMPLE_STEP_S``, and check
-    the electronics stay inside the envelope. An installed survival
-    heater (``heater_power_w > 0``) runs whenever the sweep needs it.
+    """Check that the electronics stay inside the envelope over one sol,
+    sampled every ``ENVELOPE_SAMPLE_STEP_S``. An installed survival
+    heater (``heater_power_w > 0``) runs whenever a sample needs it.
 
     ``worst_margin_c`` is the minimum distance from the effective
-    internal temperature to either bound over the sol (negative when the
-    envelope is violated). ``violation_windows`` are the maximal sampled
-    intervals, as (start_s, end_s) pairs, during which the temperature is
-    out of range.
+    internal temperature to either bound over the samples (negative when
+    the envelope is violated). ``violation_windows`` are the maximal
+    sampled intervals, as (start_s, end_s) pairs, during which the
+    temperature is out of range.
 
-    The sweep stops at the first sample at or past ``env.night_start_s``:
-    the night is flat, so every later sample repeats that one's margin,
-    and a window still open there runs to the end of the sol.
+    The samples are ``t_k = k * ENVELOPE_SAMPLE_STEP_S`` for k = 0..K,
+    with K the first sample at or past ``env.night_start_s`` (or the last
+    sample of the sol if none is): the night is flat, so every later
+    sample repeats that one's margin, and a window still open there runs
+    to the end of the sol.
+
+    Only the few samples that decide the answer are evaluated, each by
+    the same expressions as a full sweep, so every value keeps its bits.
+    The premise: the computed ambient is non-decreasing up to a peak
+    sample P and non-increasing after it. Each day sample's cosine
+    argument is monotone in t, ``math.cos`` is even, and adjacent samples
+    lie far more than its rounding error apart. The effective temperature
+    is monotone in the ambient, so "too cold" holds on a prefix of
+    [0, P] and a suffix of [P, K], and "too hot" on one run around P:
+    bisection finds those edges. A margin is the minimum of a rising and
+    a falling function of the temperature, so its least value is at
+    sample 0, P or K.
     """
-    worst = float("inf")
-    windows: list[tuple[float, float]] = []
-    open_start: float | None = None
-    t = 0.0
-    while t < env.sol_length_s:
-        ambient = diurnal_temperature(env, t)
-        effective = _effective_temp(ambient, envelope)
-        margin = min(effective - envelope.min_ok_c, envelope.max_ok_c - effective)
-        worst = min(worst, margin)
-        if margin < 0:
-            if open_start is None:
-                open_start = t
-        elif open_start is not None:
-            windows.append((open_start, t))
-            open_start = None
-        if t >= env.night_start_s:
-            break
-        t += ENVELOPE_SAMPLE_STEP_S
-    if open_start is not None:
-        windows.append((open_start, env.sol_length_s))
+    step = ENVELOPE_SAMPLE_STEP_S
+    low, high = envelope.min_ok_c, envelope.max_ok_c
+
+    def effective(k: int) -> float:
+        return _effective_temp(diurnal_temperature(env, step * k), envelope)
+
+    def cold(k: int) -> bool:
+        return effective(k) - low < 0
+
+    def hot(k: int) -> bool:
+        return high - effective(k) < 0
+
+    def first(pred, lo: int, hi: int) -> int:
+        """The least k in (lo, hi] with ``pred(k)``: false at lo, true at hi."""
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+        return hi
+
+    # The step is a whole number of seconds, so step * k is exact and
+    # equals k additions of the step.
+    night = env.night_start_s
+    last = math.ceil(night / step)
+    while last > 0 and step * (last - 1) >= night:
+        last -= 1
+    while step * last < night:
+        last += 1
+    if step * last >= env.sol_length_s:
+        last -= 1
+    # The day arc peaks at mid-day, within a sample of the starting guess.
+    peak = min(round(0.5 * env.day_duration_s / step), last)
+    e_peak = effective(peak)
+    while peak < last and (e := effective(peak + 1)) > e_peak:
+        peak, e_peak = peak + 1, e
+    while peak > 0 and (e := effective(peak - 1)) > e_peak:
+        peak, e_peak = peak - 1, e
+    e_first, e_last = effective(0), effective(last)
+
+    worst = min(min(e - low, high - e) for e in (e_first, e_peak, e_last))
+    # Out-of-range runs of samples as [start, end) index pairs, in order.
+    if e_peak - low < 0:
+        runs = [(0, last + 1)]
+    else:
+        runs = []
+        if e_first - low < 0:
+            runs.append((0, first(lambda k: not cold(k), 0, peak)))
+        if high - e_peak < 0:
+            start = 0 if high - e_first < 0 else first(hot, 0, peak)
+            end = (last + 1 if high - e_last < 0
+                   else first(lambda k: not hot(k), peak, last))
+            runs.append((start, end))
+        if e_last - low < 0:
+            runs.append((first(cold, peak, last), last + 1))
+    merged: list[tuple[int, int]] = []
+    for start, end in runs:
+        if merged and merged[-1][1] == start:
+            start = merged.pop()[0]
+        merged.append((start, end))
     return EnvelopeCheck(
         ok=worst >= 0.0,
         worst_margin_c=worst,
-        violation_windows=tuple(windows),
+        violation_windows=tuple(
+            (step * start, step * end if end <= last else env.sol_length_s)
+            for start, end in merged),
     )

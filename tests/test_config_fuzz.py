@@ -149,6 +149,19 @@ def check_commands(raw: dict, commands) -> None:
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(mutations(PATHS))
+@example([(("env", "overrides", "night_low_c"), -1e308)])
+@example([(("enclosure", "u_value_w_m2k"), 1e308)])
+@example([(("enclosure", "glazed_area_m2"), 1e308)])
+@example([(("enclosure", "target_temp_c"), 1e308)])
+@example([(("enclosure", "u_value_w_m2k"), 1e303)])
+@example([(("env", "overrides", "night_low_c"), -1e308),
+          (("env", "overrides", "day_high_c"), 1e308),
+          (("enclosure", "u_value_w_m2k"), 1e-10)])
+@example([(("env", "overrides", "night_low_c"), -1e308),
+          (("env", "overrides", "day_high_c"), 0),
+          (("enclosure", "u_value_w_m2k"), 1e-10),
+          (("avionics", "min_ok_c"), 1e308),
+          (("avionics", "max_ok_c"), 1.5e308)])
 def test_mutated_baseline_exits_0_or_2_with_a_config_path(changes):
     raw = baseline()
     for path, value in changes:

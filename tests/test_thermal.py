@@ -1,10 +1,17 @@
 """Greenhouse heat loss, night energy and avionics envelope checks."""
 
+import itertools
 import random
 
 import pytest
 
-from tubescout.env import MarsEnvironment, diurnal_temperature, make_environment
+from tubescout import thermal
+from tubescout.env import (
+    MAX_SOL_LENGTH_S,
+    MarsEnvironment,
+    diurnal_temperature,
+    make_environment,
+)
 from tubescout.thermal import (
     ENVELOPE_SAMPLE_STEP_S,
     REFERENCE_GREENHOUSE,
@@ -16,6 +23,7 @@ from tubescout.thermal import (
     greenhouse_night_load,
     heat_loss,
     night_heating_energy,
+    thermal_problems,
 )
 
 ENV = MarsEnvironment()
@@ -172,9 +180,35 @@ class TestAvionicsEnvelope:
             AvionicsEnvelope(**kwargs)
 
 
+class TestThermalProblems:
+    def test_shipped_inputs_have_none(self):
+        for env in (ENV, make_environment("cold_extreme")):
+            assert list(thermal_problems(REFERENCE_GREENHOUSE,
+                                         AvionicsEnvelope(), env)) == []
+
+    @pytest.mark.parametrize("enclosure, env", [
+        (GlazedEnclosure(u_value_w_m2k=1e308), ENV),        # loss overflows
+        (GlazedEnclosure(u_value_w_m2k=1e303), ENV),        # energy overflows
+        (GlazedEnclosure(u_value_w_m2k=1e308, target_temp_c=-100.0), ENV),
+        (REFERENCE_GREENHOUSE, make_environment(night_low_c=-1e308)),
+    ])
+    def test_enclosure_overflow(self, enclosure, env):
+        assert [argument for argument, _ in thermal_problems(
+            enclosure, AvionicsEnvelope(), env)] == ["enclosure"]
+
+    def test_avionics_margin_overflow(self):
+        env = make_environment(night_low_c=-1e308, day_high_c=0.0)
+        envelope = AvionicsEnvelope(min_ok_c=1e308, max_ok_c=1.5e308)
+        problems = list(thermal_problems(GlazedEnclosure(u_value_w_m2k=1e-10),
+                                         envelope, env))
+        assert [argument for argument, _ in problems] == ["avionics"]
+        assert "night low" in problems[0][1]
+
+
 def full_sweep_check(env, envelope):
-    """The envelope check sampling every step of the sol, night included:
-    the sweep ``avionics_envelope_check`` stops at the first night sample."""
+    """The envelope check evaluating every sample of the sol, night
+    included: ``avionics_envelope_check`` evaluates a few samples up to the
+    first night sample and must agree with it bit for bit."""
     worst = float("inf")
     windows = []
     open_start = None
@@ -214,14 +248,103 @@ def random_envelope_case(rng: random.Random):
     return env, envelope
 
 
-@pytest.mark.parametrize("chunk", range(4))
+def same_check(a: EnvelopeCheck, b: EnvelopeCheck) -> bool:
+    """Bit for bit: ``worst_margin_c`` by repr, so -0.0 differs from 0.0."""
+    return (a.ok, repr(a.worst_margin_c), a.violation_windows) == \
+        (b.ok, repr(b.worst_margin_c), b.violation_windows)
+
+
+@pytest.mark.parametrize("chunk", range(8))
 def test_sweep_to_first_night_sample_matches_the_full_sweep(chunk):
-    """Bit for bit, on 100 seeded environments and envelopes, heater on
+    """Bit for bit, on 2,000 seeded environments and envelopes, heater on
     and off, with nights starting on and between samples."""
-    for seed in range(chunk * 25, chunk * 25 + 25):
+    for seed in range(chunk * 250, chunk * 250 + 250):
         env, envelope = random_envelope_case(random.Random(seed))
-        assert avionics_envelope_check(env, envelope) == \
-            full_sweep_check(env, envelope), seed
+        assert same_check(avionics_envelope_check(env, envelope),
+                          full_sweep_check(env, envelope)), seed
+
+
+def edge_grid(sol_s):
+    """Environments and envelopes at the edges of the closed form, for a
+    sol of ``sol_s`` seconds."""
+    step = ENVELOPE_SAMPLE_STEP_S
+    nights = {0.5, 30.0,                                   # under a sample
+              sol_s - step * max(1, sol_s // (2 * step)),  # starts on one
+              sol_s - 1.0, sol_s - 1e-9 * sol_s}           # nearly the sol
+    for night_s, (low, high) in itertools.product(
+            sorted(n for n in nights if 0 < n < sol_s),
+            ((-73.0, 20.0), (-0.0, 10.0), (0.0, 10.0))):
+        env = MarsEnvironment(sol_length_s=sol_s, night_duration_s=night_s,
+                              night_low_c=low, day_high_c=high)
+        for bounds, heater in itertools.product(
+                ((-40.0, 40.0),
+                 (high + 1.0, high + 2.0),           # cold all sol
+                 (low - 2.0, low - 1.0),             # hot all sol
+                 (low - 1.0, 0.5 * (low + high)),    # hot only around the peak
+                 (-0.0, 10.0), (0.0, 10.0), (-10.0, -0.0), (-10.0, 0.0)),
+                ((0.0, 10.0), (510.0, 10.0),
+                 (1e308, 1e308))):                   # an infinite boost
+            yield env, AvionicsEnvelope(*bounds, *heater)
+
+
+@pytest.mark.parametrize("sol_s", [30.0, 59.0, 60.0, 61.0, 1000.0, 88775.0, 1e6])
+def test_closed_form_matches_the_full_sweep_on_an_edge_grid(sol_s):
+    # On the longest sol each full sweep takes 16,667 samples, so only
+    # every 7th case runs: 7 is prime to the 8 bounds and 3 heaters.
+    for env, envelope in itertools.islice(edge_grid(sol_s), 0, None,
+                                          7 if sol_s == 1e6 else 1):
+        assert same_check(avionics_envelope_check(env, envelope),
+                          full_sweep_check(env, envelope)), (env, envelope)
+
+
+def test_edge_grid_covers_the_window_shapes():
+    seen = set()
+    for env, envelope in edge_grid(1000.0):
+        check = full_sweep_check(env, envelope)
+        if check.violation_windows == ((0.0, env.sol_length_s),):
+            seen.add("whole_sol")
+        elif any(0.0 < start and end < env.night_start_s
+                 for start, end in check.violation_windows):
+            seen.add("around_the_peak")
+        if repr(check.worst_margin_c) == "-0.0":
+            seen.add("negative_zero_margin")
+    assert seen == {"whole_sol", "around_the_peak", "negative_zero_margin"}
+
+
+def test_check_evaluates_few_samples_on_the_longest_sol(monkeypatch):
+    """Cold at both ends and hot around the peak, so every edge is
+    bisected: a sweep would evaluate all 16,667 samples."""
+    calls = 0
+
+    def counted(env, time_of_sol):
+        nonlocal calls
+        calls += 1
+        return diurnal_temperature(env, time_of_sol)
+
+    env = MarsEnvironment(sol_length_s=MAX_SOL_LENGTH_S, night_duration_s=30.0)
+    envelope = AvionicsEnvelope(min_ok_c=-50.0, max_ok_c=0.0)
+    monkeypatch.setattr(thermal, "diurnal_temperature", counted)
+    check = avionics_envelope_check(env, envelope)
+    assert calls <= 64 < MAX_SOL_LENGTH_S / ENVELOPE_SAMPLE_STEP_S
+    monkeypatch.undo()
+    assert len(check.violation_windows) == 3
+    assert same_check(check, full_sweep_check(env, envelope))
+
+
+def test_sampled_day_arc_rises_to_one_peak_then_falls():
+    for seed in range(2000):
+        env, _ = random_envelope_case(random.Random(seed))
+        ambient = []
+        t = 0.0
+        while t < env.sol_length_s:
+            ambient.append(diurnal_temperature(env, t))
+            t += ENVELOPE_SAMPLE_STEP_S
+        peak = ambient.index(max(ambient))
+        assert (all(a <= b for a, b in zip(ambient[:peak], ambient[1:peak + 1]))
+                and all(a >= b for a, b in zip(ambient[peak:], ambient[peak + 1:]))), (
+            f"seed {seed}: the sampled ambient is not non-decreasing to its "
+            f"peak and non-increasing after it, which the closed-form "
+            f"avionics_envelope_check relies on (is math.cos monotone here?)")
 
 
 def test_seeded_envelope_cases_cover_the_edges():
