@@ -126,7 +126,7 @@ def lift_gas_density(molar_mass_kg_mol: float, env: MarsEnvironment) -> float:
         raise ValueError(
             f"molar_mass_kg_mol must be positive, got {molar_mass_kg_mol}")
     return (env.surface_pressure * molar_mass_kg_mol
-            / (env.gas_constant * env.ambient_temperature))
+            / env.gas_constant / env.ambient_temperature)  # R * T may overflow
 
 
 def lifting_volume(geometry: BalloonGeometry) -> float:

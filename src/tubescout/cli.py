@@ -24,7 +24,7 @@ from tubescout.config import (
 )
 from tubescout.energy import write_soc_csv
 from tubescout.mission import explore_tube, run_mission
-from tubescout.report import ANALYTIC_SECTIONS, dump_json, place, power_section
+from tubescout.report import ANALYTIC_SECTIONS, dump_json, guard, place, power_section
 from tubescout.tube_explorer import ExplorationReport
 
 _SUBCOMMANDS = {
@@ -114,14 +114,14 @@ def _dispatch(args: argparse.Namespace) -> int:
     report: dict = {"version": __version__, "seed": seed,
                     "config": to_echo_dict(config)}
     if args.command == "mission":
-        report.update(run_mission(config, seed_override=args.seed))
+        report.update(guard(("mission",), run_mission)(config, args.seed))
     else:
         if getattr(args, "wbs", None):
             # The echo above keeps the config file's own tree.
             config = dataclasses.replace(config, program=dataclasses.replace(
                 config.program, wbs=parse_wbs_file(args.wbs)))
         path, run, csv_name, write_csv = _RUNS[args.command]
-        section, findings, source = run(config, seed)
+        section, findings, source = guard(path, run)(config, seed)
         place(report, path, section)
         report["findings"] = [f.to_dict() for f in findings]
         if csv_name and args.format == "csv":

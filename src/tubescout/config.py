@@ -63,13 +63,8 @@ from tubescout.program import (
     parse_money,
     rollup_cost,
 )
-from tubescout.report import JSON_KEYS, echo, json_fields
-from tubescout.thermal import (
-    REFERENCE_GREENHOUSE,
-    AvionicsEnvelope,
-    GlazedEnclosure,
-    thermal_problems,
-)
+from tubescout.report import JSON_KEYS, ConfigError, echo, json_fields
+from tubescout.thermal import REFERENCE_GREENHOUSE, AvionicsEnvelope, GlazedEnclosure
 from tubescout.tube_explorer import (
     OBSTACLE,
     SampleSite,
@@ -79,15 +74,6 @@ from tubescout.tube_explorer import (
     check_tube_parameters,
     read_map_file,
 )
-
-
-class ConfigError(Exception):
-    """Carries every validation problem as (config_path, message) pairs."""
-
-    def __init__(self, errors):
-        self.errors = [(str(path), str(message)) for path, message in errors]
-        detail = "; ".join(f"{path}: {message}" for path, message in self.errors)
-        super().__init__(f"invalid configuration: {detail}")
 
 
 _PHASE_NAMES = tuple(p.value for p in MissionPhase)
@@ -596,9 +582,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
             keys = JSON_KEYS.get(type(items[argument][i]).__name__, {})
             path += f"[{i}].{keys.get(name, name)}"
         errors.append((path, message))
-    for argument, message in thermal_problems(config.enclosure, config.avionics,
-                                              config.env):
-        errors.append((f"config.{argument}", message))
     if errors:
         raise ConfigError(errors)
     return config

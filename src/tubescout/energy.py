@@ -234,7 +234,8 @@ class SocTrace:
     @property
     def total_shed_wh(self) -> float:
         import numpy as np
-        return float(np.sum(self.shed_w)) * self.timestep_s / 3600.0
+        with np.errstate(over="ignore"):  # an infinite sum is the report's to refuse
+            return float(np.sum(self.shed_w)) * self.timestep_s / 3600.0
 
     def cut_runs(self):
         """Yield (step, n, name, sheddable, deficit_w) for each load cut at
@@ -402,6 +403,9 @@ class _Sol:
         self.first_supply_w = self.base_supply_w
         if event_wh > 0:
             self.first_supply_w += event_wh / self.dt_h
+        # An overflowed demand would leave a NaN surplus; an infinite credit is reported.
+        if math.isinf(self.first_supply_w) and math.isfinite(event_wh):
+            raise ValueError("sources: the supply overflows the float range")
         #: Each load's ``_entry``, shared by every trial's shed order.
         self.entries = {load.name: _entry(load, timestep_s, self.n_steps)
                         for load in loads}
@@ -420,8 +424,9 @@ class _Sol:
     def demand(self, loads: list[PowerLoad]) -> np.ndarray:
         import numpy as np
         demand_w = np.zeros(self.n_steps)
-        for load in loads:
-            self.add(demand_w, load)
+        with np.errstate(over="ignore"):  # an infinite demand is shed in full
+            for load in loads:
+                self.add(demand_w, load)
         return demand_w
 
     def run(self, demand_w: np.ndarray, loads: list[PowerLoad],
@@ -606,8 +611,8 @@ def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
     load per step.
 
     Raises:
-        ValueError: on the first of ``sol_problems``, prefixed with the
-            argument it concerns (for example ``loads[1].window: ``).
+        ValueError: on the first of ``sol_problems``, prefixed with its
+            argument (``loads[1].window: ``), or on an overflowing supply.
     """
     sol = _Sol(sources, loads, battery, env, timestep_s)
     demand_w = sol.demand(loads)
@@ -662,15 +667,16 @@ def _schedule(sol: _Sol, loads: list[PowerLoad]):
     admitted_demand_w = np.zeros(sol.n_steps)
     admitted_run = sol.run(admitted_demand_w, admitted)
     verdicts: dict[str, bool] = {}
-    for load in sorted(loads, key=lambda l: (l.priority, l.name)):
-        demand_w = admitted_demand_w.copy()
-        sol.add(demand_w, load)
-        run = sol.run(demand_w, admitted + [load], admitted_run,
-                      *sol.entries[load.name][:2], trial=True)
-        verdicts[load.name] = run is not None
-        if run is not None:
-            admitted.append(load)
-            admitted_demand_w, admitted_run = demand_w, run
+    with np.errstate(over="ignore"):  # as in _Sol.demand
+        for load in sorted(loads, key=lambda l: (l.priority, l.name)):
+            demand_w = admitted_demand_w.copy()
+            sol.add(demand_w, load)
+            run = sol.run(demand_w, admitted + [load], admitted_run,
+                          *sol.entries[load.name][:2], trial=True)
+            verdicts[load.name] = run is not None
+            if run is not None:
+                admitted.append(load)
+                admitted_demand_w, admitted_run = demand_w, run
     return admitted, verdicts, admitted_demand_w, admitted_run
 
 

@@ -19,6 +19,7 @@ from tubescout.env import cumulative_dose
 from tubescout.program import fte_estimate
 from tubescout.report import (
     ANALYTIC_SECTIONS,
+    ConfigError,
     Finding,
     echo,
     env_section,
@@ -151,7 +152,6 @@ def explore_tube(config: "MissionConfig", seed: int,
     section (with its ``tube_seed``), its findings and the raw result."""
     exp = config.exploration
     if exp.map_file is not None:
-        from tubescout.config import ConfigError  # config imports this module
         try:
             grid = read_map_file(exp.map_file)
         except (OSError, ValueError) as exc:

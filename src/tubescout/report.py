@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 from tubescout.aerostat import AreaModel, BalloonConfig, buoyancy_margin, gas_density_for
@@ -44,6 +45,44 @@ from tubescout.thermal import (
     night_heating_energy,
 )
 from tubescout.tube_explorer import OBSTACLE, ExplorationReport, GridMap
+
+
+class ConfigError(Exception):
+    """Carries every validation problem as (config_path, message) pairs."""
+
+    def __init__(self, errors):
+        self.errors = [(str(path), str(message)) for path, message in errors]
+        detail = "; ".join(f"{path}: {message}" for path, message in self.errors)
+        super().__init__(f"invalid configuration: {detail}")
+
+
+#: The config blocks each report part is computed from, by its path (power
+#: reads of the environment only the sol length, which parsing bounds).
+PART_BLOCKS = {"aerostat": ("balloon", "env"), "energy": ("power",), "env": ("env",),
+               "energy.winch": ("winch", "env"), "mission": ("mission", "power", "env"),
+               "exploration": ("exploration", "winch", "env"), "program": ("program",),
+               "thermal": ("enclosure", "avionics", "env")}
+
+
+def part_errors(path: str, message) -> list:
+    """(config path, ``path``: message) at each config block of the longest
+    report part that leads to ``path``; none outside a part."""
+    parts = [p for p in PART_BLOCKS if f"{path}.".startswith(f"{p}.")]
+    return [(f"config.{block}", f"{path}: {message}")
+            for block in (PART_BLOCKS[max(parts, key=len)] if parts else ())]
+
+
+def guard(path: tuple, run):
+    """``run`` with an arithmetic or model error on its config raised as
+    a ConfigError at the config blocks of the report part at ``path``."""
+    def guarded(*args):
+        try:
+            return run(*args)
+        except (ArithmeticError, ValueError) as exc:
+            message = "overflows" if isinstance(exc, OverflowError) else exc
+            raise ConfigError(part_errors(".".join(path), message)) from exc
+    return guarded
+
 
 #: The three classes of report findings: a modeled system that cannot
 #: meet its own demands, a model output that contradicts the published
@@ -116,11 +155,31 @@ def echo(obj, omit=()):
     return out
 
 
+def _non_finite(node, path: str = ""):
+    """(path, value) of each NaN or infinite number in a JSON tree."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(
+        node if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _non_finite(value, f"{path}[{key}]" if isinstance(node, list)
+                               else f"{path}.{key}" if path else key)
+
+
 def dump_json(payload) -> str:
     """Canonical report serialization: sorted keys, two-space indent,
-    trailing newline. Raises ValueError on a NaN or infinite number,
-    which strict JSON cannot hold."""
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    trailing newline. A NaN or infinity raises a ConfigError naming the
+    first at each config block of the report parts, or else ValueError."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        errors: dict = {}
+        for path, value in _non_finite(payload):
+            for block, message in part_errors(path, f"{value} is not a finite number"):
+                errors.setdefault(block, message)
+        if not errors:
+            raise
+        raise ConfigError(errors.items()) from None
 
 
 def env_section(env: MarsEnvironment) -> dict:
@@ -383,10 +442,10 @@ def schedule_section(phases: tuple[LifecyclePhase, ...], launch_year: int,
 
 
 #: Each analytic subcommand: where its section sits in a report, and a
-#: builder from a config to (section, findings). The ``mission`` report
-#: holds the same sections, from the same builders, at the same paths,
-#: and collects their findings in this order.
-ANALYTIC_SECTIONS = {
+#: guarded builder from a config to (section, findings). The ``mission``
+#: report holds the same sections, from the same builders, at the same
+#: paths, and collects their findings in this order.
+ANALYTIC_SECTIONS = {name: (path, guard(path, build)) for name, (path, build) in {
     "balloon": (("aerostat",), lambda c: aerostat_section(c.balloon, c.env)),
     "winch": (("energy", "winch"), lambda c: (winch_section(c.winch, c.env), [])),
     "thermal": (("thermal",), lambda c: thermal_section(
@@ -396,7 +455,7 @@ ANALYTIC_SECTIONS = {
     "cost": (("program", "cost"), lambda c: (cost_section(c.program.wbs), [])),
     "schedule": (("program", "schedule"), lambda c: schedule_section(
         c.program.phases, c.program.launch_year, c.program.deadline_year)),
-}
+}.items()}
 
 
 def place(report: dict, path: tuple, section) -> None:

@@ -74,7 +74,7 @@ class AvionicsEnvelope:
 
     @property
     def setpoint_c(self) -> float:
-        return 0.5 * (self.min_ok_c + self.max_ok_c)
+        return 0.5 * self.min_ok_c + 0.5 * self.max_ok_c  # the sum may overflow
 
     @property
     def heater_boost_c(self) -> float:
@@ -129,34 +129,13 @@ def _effective_temp(ambient_c: float, envelope: AvionicsEnvelope) -> float:
     return min(ambient_c + envelope.heater_boost_c, ceiling)
 
 
-def thermal_problems(enclosure: GlazedEnclosure, envelope: AvionicsEnvelope,
-                     env: MarsEnvironment):
-    """Yield every reason the thermal report would hold a number that is
-    not finite, as (argument, message) with argument ``"enclosure"`` or
-    ``"avionics"``. The ambient spans [night_low_c, day_high_c] and the
-    effective temperature is monotone in it, so margins that are finite
-    at both ends are finite at every sample."""
-    loss = heat_loss(enclosure, env.night_low_c)
-    if not math.isfinite(loss):
-        yield ("enclosure", f"heat loss at the {env.night_low_c} degC night "
-                            f"low is {loss} W, not a finite number")
-    elif not math.isfinite(night_heating_energy(enclosure, env)):
-        yield ("enclosure", f"night heating energy of {loss} W over the "
-                            f"{env.night_duration_s} s night overflows")
-    for label, ambient in (("night low", env.night_low_c),
-                           ("day high", env.day_high_c)):
-        effective = _effective_temp(ambient, envelope)
-        if not (math.isfinite(effective - envelope.min_ok_c)
-                and math.isfinite(envelope.max_ok_c - effective)):
-            yield ("avionics", f"margin to [min_ok_c, max_ok_c] at the "
-                               f"{ambient} degC {label} overflows")
-
-
 def avionics_envelope_check(env: MarsEnvironment,
                             envelope: AvionicsEnvelope) -> EnvelopeCheck:
     """Check that the electronics stay inside the envelope over one sol,
     sampled every ``ENVELOPE_SAMPLE_STEP_S``. An installed survival
-    heater (``heater_power_w > 0``) runs whenever a sample needs it.
+    heater (``heater_power_w > 0``) runs whenever a sample needs it. A
+    boost and a setpoint height over the night low that both overflow,
+    so that either may be the larger, raise ValueError.
 
     ``worst_margin_c`` is the minimum distance from the effective
     internal temperature to either bound over the samples (negative when
@@ -182,6 +161,9 @@ def avionics_envelope_check(env: MarsEnvironment,
     a falling function of the temperature, so its least value is at
     sample 0, P or K.
     """
+    if math.isinf(envelope.heater_boost_c) and math.isinf(
+            envelope.setpoint_c - env.night_low_c):
+        raise ValueError("heater boost and setpoint height over the night low overflow")
     step = ENVELOPE_SAMPLE_STEP_S
     low, high = envelope.min_ok_c, envelope.max_ok_c
 

@@ -49,6 +49,14 @@ class TestLiftGasDensity:
         with pytest.raises(ValueError):
             lift_gas_density(0.0, ENV)
 
+    def test_r_times_t_past_the_float_range(self):
+        # R x T overflows, the density does not: 610 * 0.032 / 1e309
+        huge = MarsEnvironment(gas_constant=1e308, ambient_temperature=10.0)
+        assert lift_gas_density(OXYGEN, huge) == pytest.approx(1.952e-308, rel=1e-6)
+        # R x T underflows to zero, so its inverse overflows
+        tiny = MarsEnvironment(gas_constant=1e-200, ambient_temperature=1e-200)
+        assert lift_gas_density(OXYGEN, tiny) == math.inf
+
 
 class TestGeometry:
     def test_lifting_volume(self):

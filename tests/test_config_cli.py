@@ -945,3 +945,189 @@ def test_model_rules_exit_2_with_a_config_path(tmp_path, capsys, command,
     assert run_cli(command, "--config", config,
                    "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+
+def part_lines(path: str, message: str, *blocks) -> list:
+    """The error lines, less ``error: ``, of ``message`` at report ``path``."""
+    return [f"config.{block}: {path}: {message}" for block in blocks]
+
+
+def thermal_lines(number: str, value: str) -> dict:
+    """What ``thermal`` and ``mission`` print for a thermal ``number``."""
+    return {command: part_lines(f"thermal.{number}", f"{value} is not a finite "
+                                "number", "enclosure", "avionics", "env")
+            for command in ("thermal", "mission")}
+
+
+INF = "inf is not a finite number"
+#: A config that overflows a report part, and the error lines of each
+#: subcommand whose report computes it. ``mission`` computes every part.
+PART_OVERFLOWS = [
+    ({"balloon": {"geometry": {"outer_radius_m": 1e308}}},
+     {command: part_lines("aerostat", "overflows", "balloon", "env")
+      for command in ("balloon", "mission")}),
+    ({"winch": {"line_speed_mps": 1e308}},
+     {command: part_lines("energy.winch.raw_kw", INF, "winch", "env")
+      for command in ("winch", "mission")}),
+    ({"winch": {"depth_m": 1e308}},
+     {"winch": part_lines("energy.winch.regen_wh_per_descent", INF, "winch", "env"),
+      "explore": part_lines("exploration.energy_regen_wh", INF,
+                            "exploration", "winch", "env")}),
+    ({"env": {"overrides": {"night_duration_s": 5e-324}}},
+     {command: part_lines("thermal", "load window needs 0 <= start < end, got "
+                          "(88775.0, 88775.0)", "enclosure", "avionics", "env")
+      for command in ("thermal", "mission")}),
+    ({"env": {"overrides": {"dose_surface_msv": 1e308}}},
+     {"mission": part_lines("mission.total_dose_msv", INF, "mission", "power", "env")}),
+    ({"power": {"loads": [{"name": "a", "power_w": 1e308},
+                          {"name": "b", "power_w": 1e308}]}},
+     {"power": part_lines("energy.power.total_shed_wh", INF, "power")}),
+    # Thermal inputs that parsing used to refuse for every subcommand.
+    ({"enclosure": {"u_value_w_m2k": 1e308}},
+     thermal_lines("trough_heat_loss_w", "inf")),
+    ({"enclosure": {"u_value_w_m2k": 1e303}},
+     thermal_lines("night_energy_kwh", "inf")),
+    ({"enclosure": {"u_value_w_m2k": 1e308, "target_temp_c": -100.0}},
+     thermal_lines("trough_heat_loss_w", "nan")),
+    ({"env": {"overrides": {"night_low_c": -1e308}}},
+     thermal_lines("trough_heat_loss_w", "inf")),
+    ({"env": {"overrides": {"night_low_c": -1e308, "day_high_c": 0.0}},
+      "enclosure": {"u_value_w_m2k": 1e-10},
+      "avionics": {"min_ok_c": 1e308, "max_ok_c": 1.5e308}},
+     thermal_lines("avionics.worst_margin_c", "-inf")),
+]
+
+
+class TestReportParts:
+    """A report part that overflows, or whose model refuses its inputs,
+    fails only the subcommands whose reports compute it, naming the
+    config blocks the part reads. The others exit 0."""
+
+    @pytest.mark.parametrize("payload, failing", PART_OVERFLOWS)
+    def test_an_overflowing_part_fails_only_its_subcommands(
+            self, tmp_path, capsys, payload, failing):
+        config = write_config(tmp_path, payload)
+        for command in SUBCOMMANDS:
+            out = tmp_path / command
+            code = run_cli(command, "--config", config, "--out", str(out))
+            err = capsys.readouterr().err.splitlines()
+            if command in failing:
+                assert (code, err) == (2, [f"error: {e}" for e in failing[command]])
+            elif command == "mission":
+                assert code == 2 and {line.split(": ")[1] for line in err} >= {
+                    e.split(": ")[0] for lines in failing.values() for e in lines}
+            else:
+                assert (code, err) == (0, []), command
+                json.loads((out / "report.json").read_text(),
+                           parse_constant=lambda name: pytest.fail(name))
+
+    def test_two_loads_past_the_float_range_print_only_errors(self, tmp_path):
+        """A fresh interpreter shows numpy's overflow warnings, if any, as
+        Python's defaults do."""
+        config = write_config(tmp_path, PART_OVERFLOWS[5][0])  # two 1e308 loads
+        env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "tubescout.cli", "power", "--config", config,
+             "--out", str(tmp_path / "out")], env=env, capture_output=True,
+            text=True, timeout=300)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: config.power: energy.power.total_shed_wh: inf is not a "
+            "finite number"]
+
+    @pytest.mark.parametrize("command, errors", [
+        ("power", ["config.power: energy.power: sources: the supply overflows "
+                   "the float range"]),
+        ("mission", [f"config.{block}: mission: sources: the supply overflows "
+                     f"the float range" for block in ("mission", "power", "env")]),
+    ])
+    def test_a_supply_and_a_demand_past_the_float_range_exit_2(
+            self, tmp_path, capsys, command, errors):
+        """The regeneration event overflows the first step's supply, and
+        the two drills its demand: the step's surplus would be NaN, so it
+        would neither charge the battery nor shed, and the heater, short
+        of that charge at night, would cut the second drill's admission."""
+        config = write_config(tmp_path, {"power": {
+            "battery": {"capacity_wh": 5000.0, "initial_soc_wh": 0.0},
+            "sources": [{"name": "rtg", "rating_w": 110.0},
+                        {"name": "regen", "kind": "winch_regen",
+                         "event_energy_wh": 1e308}],
+            "loads": [{"name": "heater", "power_w": 250.0,
+                       "window_s": [44375.0, 88775.0]},
+                      *[{"name": name, "power_w": 1e308, "window_s": [0.0, 25.0],
+                         "priority": 1} for name in ("drill_a", "drill_b")]]}})
+        assert run_cli(command, "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {e}" for e in errors]
+
+    def test_gas_density_past_the_float_range_of_r_times_t(self, tmp_path):
+        """R x T overflows, yet the derived gas density is about 1.95e-308
+        kg/m3, denser than the 1e-308 air: the aerostat, which carries
+        nothing else, does not float."""
+        config = write_config(tmp_path, {
+            "env": {"overrides": {"gas_constant": 1e308, "ambient_temperature": 10.0,
+                                  "ambient_density": 1e-308}},
+            "balloon": {"lifting_gas_density_kg_m3": None,
+                        "surface_area_weight_kg_m2": 0.0,
+                        "tether_weight_per_length_kg_m": 0.0,
+                        "scientific_payload_weight_kg": 0.0,
+                        "windmill_weight_kg": 0.0}})
+        out = tmp_path / "out"
+        assert run_cli("balloon", "--config", config, "--out", str(out)) == 0
+        aerostat = read_report(out)["aerostat"]
+        assert aerostat["gas_density_kg_m3"] > aerostat["ambient_density_kg_m3"]
+        assert aerostat["buoyant"] is False
+
+    def test_gas_density_past_the_float_range_of_its_inverse(self, tmp_path, capsys):
+        """R x T underflows to zero; R and T each are positive."""
+        config = write_config(tmp_path, {
+            "env": {"overrides": {"gas_constant": 1e-200,
+                                  "ambient_temperature": 1e-200}},
+            "balloon": {"lifting_gas_density_kg_m3": None}})
+        assert run_cli("balloon", "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config.{block}: aerostat.gas_density_kg_m3: inf is not a "
+            f"finite number" for block in ("balloon", "env")]
+
+    def test_avionics_setpoint_past_the_float_range(self, tmp_path):
+        """The bounds sum past the float range, but their midpoint, 1.2e308
+        degC, caps the 1.5e308 degC boost 0.2e308 inside both bounds."""
+        config = write_config(tmp_path, {"avionics": {
+            "min_ok_c": 1e308, "max_ok_c": 1.4e308, "heater_power_w": 1.5e308,
+            "heater_delta_c_per_100w": 100.0}})
+        out = tmp_path / "out"
+        assert run_cli("thermal", "--config", config, "--out", str(out)) == 0
+        avionics = read_report(out)["thermal"]["avionics"]
+        assert avionics["ok"] is True
+        assert avionics["worst_margin_c"] == pytest.approx(0.2e308)
+
+    def test_an_unknown_avionics_boost_exits_2(self, tmp_path, capsys):
+        """A boost past the float range, and a setpoint 2e308 degC over the
+        night low: whether the boost reaches the setpoint is unknown."""
+        config = write_config(tmp_path, {
+            "env": {"overrides": {"night_low_c": -1e308}},
+            "avionics": {"min_ok_c": 0.95e308, "max_ok_c": 1.05e308,
+                         "heater_power_w": 1e308,
+                         "heater_delta_c_per_100w": 190.0}})
+        assert run_cli("thermal", "--config", config,
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config.{block}: thermal: heater boost and setpoint height "
+            f"over the night low overflow"
+            for block in ("enclosure", "avionics", "env")]
+
+    def test_dump_json_names_the_first_number_at_each_block(self):
+        inf = float("inf")
+        report = {"config": {}, "aerostat": {"a": 1.0, "b": [inf, -inf]},
+                  "energy": {"winch": {"x": float("nan")}}, "findings": [inf]}
+        with pytest.raises(ConfigError) as exc_info:
+            dump_json(report)
+        assert exc_info.value.errors == [
+            ("config.balloon", "aerostat.b[0]: inf is not a finite number"),
+            ("config.env", "aerostat.b[0]: inf is not a finite number"),
+            ("config.winch", "energy.winch.x: nan is not a finite number")]
+        # Findings repeat their parts' numbers; outside a part, none is named.
+        for payload in ({"findings": [inf]}, [inf], inf):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                dump_json(payload)

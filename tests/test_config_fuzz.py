@@ -7,24 +7,31 @@ Every run must end in one of two ways: exit 0 with a report that is
 strict JSON (no ``NaN`` or ``Infinity``), or exit 2 with only
 ``error: config...`` lines on stderr. An uncaught exception fails the
 test with its traceback.
+
+A sweep sets each numeric leaf of both baselines, one at a time, to each
+of ten float limits, so that no leaf at a limit depends on the draw.
 """
 
 import contextlib
 import io
 import json
+import re
+import sys
 import tempfile
 from datetime import timedelta
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubescout.cli import main
+from tubescout.config import ConfigError, parse_config
 from tubescout.env import MarsEnvironment
 from tubescout.report import echo
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-SUBCOMMANDS = ("power", "balloon", "thermal", "budget", "cost", "schedule")
+SUBCOMMANDS = ("power", "balloon", "winch", "thermal", "budget", "cost", "schedule")
 SURVEYS = ("explore", "mission")
 #: Keys whose value sets the work of a run, and the block that refuses a
 #: huge one.
@@ -150,6 +157,9 @@ def check_commands(raw: dict, commands) -> None:
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(mutations(PATHS))
 @example([(("env", "overrides", "night_low_c"), -1e308)])
+@example([(("winch", "depth_m"), 1e308)])
+@example([(("winch", "payload_mass_kg"), 1e308)])
+@example([(("balloon", "geometry", "outer_radius_m"), 1e308)])
 @example([(("enclosure", "u_value_w_m2k"), 1e308)])
 @example([(("enclosure", "glazed_area_m2"), 1e308)])
 @example([(("enclosure", "target_temp_c"), 1e308)])
@@ -200,9 +210,85 @@ def test_huge_work_exits_2_with_a_config_path(path, value):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "scenario.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
-        for command in (*SUBCOMMANDS, "winch", *SURVEYS):
+        for command in (*SUBCOMMANDS, *SURVEYS):
             rc, err = run([command, "--config", str(config),
                            "--out", str(Path(tmp) / "out")])
             assert rc == 2, (command, err)
             assert err.startswith(f"error: {WORK_KEYS[path]}: "), (command, err)
             assert str(value) in err
+
+
+#: The float limits each numeric leaf is set to, one leaf at a time.
+LIMITS = (1e308, -1e308, sys.float_info.max, 5e-324, -5e-324, 0.0, -0.0,
+          1e-300, -1.0, 1e15)
+#: Every subcommand but ``mission``, and the top-level config blocks its
+#: report reads. ``mission`` reads them all.
+READS = {"balloon": ("balloon", "env"), "winch": ("winch", "env"),
+         "thermal": ("enclosure", "avionics", "env"), "power": ("power", "env"),
+         "explore": ("exploration", "winch", "env"), "budget": ("program",),
+         "cost": ("program",), "schedule": ("program",)}
+BLOCKS = sorted({block for blocks in READS.values() for block in blocks} | {"mission"})
+
+
+def numeric_leaves(raw: dict, block: str) -> list:
+    """The paths of the numbers under ``raw[block]``, booleans aside."""
+    leaves = []
+    for path in paths(raw[block], (block,)):
+        node = raw
+        for key in path:
+            node = node[key]
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            leaves.append(path)
+    return sorted(leaves, key=repr)
+
+
+@pytest.mark.parametrize("name", ["baseline", "survey_baseline"])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_each_numeric_leaf_at_each_float_limit(name, block):
+    """Each numeric leaf of a fuzz baseline's ``block`` at each float
+    limit, through every subcommand whose report reads the block, and
+    through ``mission`` for the block's first leaf and for every leaf of
+    the ``mission`` block. ``survey_baseline`` differs only in its
+    exploration, so it runs only the subcommands that read that. A
+    config that ``parse_config`` refuses fails every subcommand with the
+    same lines, so it runs none. Every run must end as ``check_commands``
+    asks, with no warning, and an exit 2 must name ``block``."""
+    template = json.dumps(survey_baseline() if name == "survey_baseline" else baseline())
+    names_block = re.compile(rf"error: config\.{block}[.:\[]")
+    reads = [c for c, blocks in READS.items() if block in blocks
+             and (name == "baseline" or "exploration" in blocks)]
+    leaves = numeric_leaves(json.loads(template), block)
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "two.map").write_text(TWO_ENTRANCE_MAP, encoding="utf-8")
+        config, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        for leaf in leaves:
+            commands = reads + ["mission"] * (leaf == leaves[0] or block == "mission")
+            for value in LIMITS if commands else ():
+                raw = json.loads(template)
+                mutate(raw, leaf, value)
+                try:
+                    parse_config(raw, Path(tmp))
+                except ConfigError as exc:
+                    if not any(names_block.match(f"error: {path}: ")
+                               for path, _ in exc.errors):
+                        failures.append((leaf, value, "parse", exc.errors))
+                    continue
+                config.write_text(json.dumps(raw), encoding="utf-8")
+                for command in commands:
+                    (out / "report.json").unlink(missing_ok=True)
+                    try:
+                        rc, err = run([command, "--config", str(config),
+                                       "--out", str(out)])
+                        if rc == 0 and not err:
+                            json.loads((out / "report.json").read_text(),
+                                       parse_constant=reject_constant)
+                            continue
+                    except Exception as exc:  # a RuntimeWarning too (pyproject)
+                        rc, err = None, repr(exc)
+                    lines = err.splitlines()
+                    if not (rc == 2 and lines
+                            and all(line.startswith("error: config") for line in lines)
+                            and any(map(names_block.match, lines))):
+                        failures.append((leaf, value, command, rc, err))
+    assert not failures, "\n".join(map(repr, failures))

@@ -271,6 +271,28 @@ class TestSimulateSol:
             PowerLoad(**args)
 
 
+class TestSupplyPastTheFloatRange:
+    """A supply past the float range would meet a demand past it in a NaN
+    surplus, which neither charges nor sheds, so the sol refuses it."""
+
+    @pytest.mark.parametrize("sources", [
+        [PowerSource("a", rating_w=1e308), PowerSource("b", rating_w=1e308)],
+        [RTG, PowerSource("regen", SourceKind.WINCH_REGEN, event_energy_wh=1e308)],
+    ])
+    def test_refused(self, sources):
+        with pytest.raises(ValueError, match="sources: the supply overflows"):
+            simulate_sol(sources, [], Battery(), ENV)
+        with pytest.raises(ValueError, match="sources: the supply overflows"):
+            schedule_loads(sources, [], Battery(), ENV)
+
+    def test_an_infinite_regeneration_credit_runs(self):
+        """The mission reports the credit itself, so the report refuses it."""
+        regen = PowerSource("regen", SourceKind.WINCH_REGEN,
+                            event_energy_wh=float("inf"))
+        trace = simulate_sol([RTG, regen], [], Battery(), ENV)
+        assert trace.final_soc_wh == Battery().capacity_wh
+
+
 class TestScheduleLoads:
     def test_heater_rejected_under_rtg_only(self):
         avionics = PowerLoad("avionics", 40.0, priority=0, sheddable=False)

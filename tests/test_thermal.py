@@ -23,7 +23,6 @@ from tubescout.thermal import (
     greenhouse_night_load,
     heat_loss,
     night_heating_energy,
-    thermal_problems,
 )
 
 ENV = MarsEnvironment()
@@ -163,6 +162,23 @@ class TestAvionicsEnvelope:
                 assert not check.ok
             previous_ok = check.ok
 
+    def test_setpoint_of_bounds_past_the_float_range(self):
+        envelope = AvionicsEnvelope(min_ok_c=1e308, max_ok_c=1.4e308)
+        assert envelope.setpoint_c == 1.2e308
+
+    def test_unknown_boost_is_refused(self):
+        """The boost overflows, and so does the setpoint's 2e308 degC
+        height over the night low: either may be the larger."""
+        env = make_environment(night_low_c=-1e308)
+        envelope = AvionicsEnvelope(min_ok_c=0.95e308, max_ok_c=1.05e308,
+                                    heater_power_w=1e308,
+                                    heater_delta_c_per_100w=190.0)
+        with pytest.raises(ValueError, match="setpoint height over the night low overflow"):
+            avionics_envelope_check(env, envelope)
+        # Over a -73 degC night the boost surely reaches the setpoint.
+        check = avionics_envelope_check(ENV, envelope)
+        assert check.ok and check.worst_margin_c == pytest.approx(0.05e308)
+
     def test_undersized_heater_still_fails(self):
         cold = make_environment("cold_extreme")
         envelope = AvionicsEnvelope(heater_power_w=100.0)  # +10 degC only
@@ -178,31 +194,6 @@ class TestAvionicsEnvelope:
     def test_invalid_envelope(self, kwargs):
         with pytest.raises(ValueError):
             AvionicsEnvelope(**kwargs)
-
-
-class TestThermalProblems:
-    def test_shipped_inputs_have_none(self):
-        for env in (ENV, make_environment("cold_extreme")):
-            assert list(thermal_problems(REFERENCE_GREENHOUSE,
-                                         AvionicsEnvelope(), env)) == []
-
-    @pytest.mark.parametrize("enclosure, env", [
-        (GlazedEnclosure(u_value_w_m2k=1e308), ENV),        # loss overflows
-        (GlazedEnclosure(u_value_w_m2k=1e303), ENV),        # energy overflows
-        (GlazedEnclosure(u_value_w_m2k=1e308, target_temp_c=-100.0), ENV),
-        (REFERENCE_GREENHOUSE, make_environment(night_low_c=-1e308)),
-    ])
-    def test_enclosure_overflow(self, enclosure, env):
-        assert [argument for argument, _ in thermal_problems(
-            enclosure, AvionicsEnvelope(), env)] == ["enclosure"]
-
-    def test_avionics_margin_overflow(self):
-        env = make_environment(night_low_c=-1e308, day_high_c=0.0)
-        envelope = AvionicsEnvelope(min_ok_c=1e308, max_ok_c=1.5e308)
-        problems = list(thermal_problems(GlazedEnclosure(u_value_w_m2k=1e-10),
-                                         envelope, env))
-        assert [argument for argument, _ in problems] == ["avionics"]
-        assert "night low" in problems[0][1]
 
 
 def full_sweep_check(env, envelope):
