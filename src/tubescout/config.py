@@ -606,7 +606,7 @@ def _read_json(path: Path):
     too_deep = f"JSON nesting deeper than {MAX_JSON_DEPTH} levels"
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([(str(path), f"cannot read file: {exc}")]) from exc
     try:
         value = json.loads(text)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .env import MarsEnvironment
-from .numeric import fold_sum
+from .numeric import first_step_at, fold_sum
 
 # numpy is imported inside the functions that build or read arrays, so
 # that the analytic subcommands, which import this module, never load it.
@@ -337,24 +337,13 @@ def _shed_order(loads: list[PowerLoad]) -> list[PowerLoad]:
     return sheddable + hard
 
 
-def _step_at(time_s: float, timestep_s: float, n_steps: int) -> int:
-    """The least i in [0, n_steps] with ``i * timestep_s >= time_s``: the
-    first step that starts at or after ``time_s``. ``ceil`` of the
-    quotient is within a step of it; the comparisons settle the rest."""
-    i = min(max(math.ceil(time_s / timestep_s), 0), n_steps)
-    while i > 0 and (i - 1) * timestep_s >= time_s:
-        i -= 1
-    while i < n_steps and i * timestep_s < time_s:
-        i += 1
-    return i
-
-
 def _entry(load: PowerLoad, timestep_s: float, n_steps: int) -> tuple:
     """The load's ``_cuts`` entry (lo, hi, power_w, name, sheddable), with
     [lo, hi) the steps at which ``PowerLoad.active_at`` holds."""
     lo, hi = 0, n_steps
     if load.window is not None:
-        lo, hi = (_step_at(time_s, timestep_s, n_steps) for time_s in load.window)
+        lo, hi = (first_step_at(time_s, timestep_s, n_steps)
+                  for time_s in load.window)
     return lo, hi, load.power_w, load.name, load.sheddable
 
 

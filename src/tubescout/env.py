@@ -71,10 +71,6 @@ class MarsEnvironment:
             raise ValueError(
                 f"day_high_c must exceed night_low_c, got "
                 f"{self.day_high_c} <= {self.night_low_c}")
-        if not math.isfinite(self.day_high_c - self.night_low_c):
-            raise ValueError(
-                f"day_high_c - night_low_c must be finite, got "
-                f"{self.day_high_c} - {self.night_low_c}")
         if not self.dose_surface_msv > self.dose_cave_msv >= 0:
             raise ValueError(
                 "need dose_surface_msv > dose_cave_msv >= 0, got "

@@ -24,6 +24,7 @@ from tubescout.report import (
     echo,
     env_section,
     exploration_section,
+    guard,
     place,
     power_inputs,
 )
@@ -300,7 +301,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
     }
     # The analytic sections and their findings, as their subcommands give them.
     for path, build in ANALYTIC_SECTIONS.values():
-        section, found = build(config)
+        section, found = guard(path, build)(config)
         place(body, path, section)
         findings.extend(found)
     body["findings"] = [f.to_dict() for f in findings]

@@ -442,10 +442,10 @@ def schedule_section(phases: tuple[LifecyclePhase, ...], launch_year: int,
 
 
 #: Each analytic subcommand: where its section sits in a report, and a
-#: guarded builder from a config to (section, findings). The ``mission``
-#: report holds the same sections, from the same builders, at the same
-#: paths, and collects their findings in this order.
-ANALYTIC_SECTIONS = {name: (path, guard(path, build)) for name, (path, build) in {
+#: builder from a config to (section, findings), which its caller guards.
+#: The ``mission`` report holds the same sections, from the same builders,
+#: at the same paths, and collects their findings in this order.
+ANALYTIC_SECTIONS = {
     "balloon": (("aerostat",), lambda c: aerostat_section(c.balloon, c.env)),
     "winch": (("energy", "winch"), lambda c: (winch_section(c.winch, c.env), [])),
     "thermal": (("thermal",), lambda c: thermal_section(
@@ -455,7 +455,7 @@ ANALYTIC_SECTIONS = {name: (path, guard(path, build)) for name, (path, build) in
     "cost": (("program", "cost"), lambda c: (cost_section(c.program.wbs), [])),
     "schedule": (("program", "schedule"), lambda c: schedule_section(
         c.program.phases, c.program.launch_year, c.program.deadline_year)),
-}.items()}
+}
 
 
 def place(report: dict, path: tuple, section) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .energy import PowerLoad
 from .env import MarsEnvironment, diurnal_temperature
+from .numeric import first_step_at
 
 #: Spacing of the samples that define avionics_envelope_check's answer.
 ENVELOPE_SAMPLE_STEP_S = 60.0
@@ -186,11 +187,7 @@ def avionics_envelope_check(env: MarsEnvironment,
     # The step is a whole number of seconds, so step * k is exact and
     # equals k additions of the step.
     night = env.night_start_s
-    last = math.ceil(night / step)
-    while last > 0 and step * (last - 1) >= night:
-        last -= 1
-    while step * last < night:
-        last += 1
+    last = first_step_at(night, step, math.ceil(night / step) + 1)
     if step * last >= env.sol_length_s:
         last -= 1
     # The day arc peaks at mid-day, within a sample of the starting guess.

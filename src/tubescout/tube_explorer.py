@@ -19,7 +19,6 @@ import enum
 import heapq
 from array import array
 from collections import deque
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -769,11 +768,11 @@ class _Kernel:
 
         target = move_to = None
         if state is RobotState.EXPLORING:
-            # known uncollected sample sites compete with frontiers
-            goals = set()
-            if len(scout.samples) < robot.aux_slots:
-                goals = {self.index(site.cell) for site in self.sites
-                         if site.mass_kg <= robot.aux_capacity_kg}
+            # the uncollected sites it can take now compete with frontiers
+            carryable = [site for site in self.sites
+                         if len(scout.samples) < robot.aux_slots
+                         and site.mass_kg <= robot.aux_capacity_kg]
+            goals = {self.index(site.cell) for site in carryable}
             found = self.reuse(scout, claimed, goals)
             if found is None:
                 self.searched += 1
@@ -803,12 +802,10 @@ class _Kernel:
             scout.moves += 1
         if state is RobotState.EXPLORING:
             cell = self.cell(v)
-            site = next((site for site in self.sites if site.cell == cell), None)
+            site = next((site for site in carryable if site.cell == cell), None)
             if site is not None:
-                with suppress(CapacityExhausted, OverMass):  # else the site waits
-                    scout.samples += (_seal(robot, scout.samples, site.mass_kg,
-                                            site.cell),)
-                    self.sites.remove(site)
+                scout.samples += (_seal(robot, scout.samples, site.mass_kg, site.cell),)
+                self.sites.remove(site)
         elif v == self.entrance:
             scout.handed += len(scout.samples)
             self.delivered.extend(scout.samples)
@@ -839,8 +836,9 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
 
     Per tick: every robot senses its surroundings; exploring robots are
     processed in id order, each claiming the nearest unclaimed frontier
-    or known sample site (ties toward the lowest (row, col)) and moving
-    one cell along a shortest known path; robots with nothing to claim
+    or known sample site it can carry (ties toward the lowest (row, col)),
+    moving one cell along a shortest known path and taking the first
+    such site listed on the cell it reaches; robots with nothing to claim
     head home; returning robots move one cell toward the entrance and
     hand samples over on arrival; charging robots refill. Battery drains
     one tick of time per tick whether moving or waiting. Robots plan on

@@ -510,6 +510,19 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
         assert "4300 digits" in err[0]
 
+    @pytest.mark.parametrize("command, flag", [
+        ("balloon", "--config"), ("cost", "--wbs"),
+    ], ids=["config", "wbs"])
+    def test_non_utf8_file_exits_2_at_its_path(self, tmp_path, capsys, command,
+                                               flag):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "Sch\u00e4fer"}'.encode("latin-1"))
+        assert run_cli(command, flag, str(path),
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: cannot read file: 'utf-8' codec can't decode byte "
+            "0xe4 in position 13: invalid continuation byte"]
+
     @pytest.mark.parametrize("flag, wrap", [
         ("--config", lambda tree: {"program": {"wbs": tree}}),
         ("--wbs", lambda tree: tree),
@@ -995,6 +1008,9 @@ PART_OVERFLOWS = [
       "enclosure": {"u_value_w_m2k": 1e-10},
       "avionics": {"min_ok_c": 1e308, "max_ok_c": 1.5e308}},
      thermal_lines("avionics.worst_margin_c", "-inf")),
+    # Each end is finite but the day arc's amplitude is not.
+    ({"env": {"overrides": {"night_low_c": -1e308, "day_high_c": 1e308}}},
+     thermal_lines("trough_heat_loss_w", "inf")),
 ]
 
 

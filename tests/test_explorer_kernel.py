@@ -83,11 +83,14 @@ def reference_sense(explored, cells, position):
 
 
 def reference_collect(robot, sites):
+    """Take the first site on the robot's cell that it can carry."""
     for i, site in enumerate(sites):
         if site.cell == robot.position:
             try:
                 robot = collect_sample(robot, site.mass_kg, origin=site.cell)
-            except (CapacityExhausted, OverMass):
+            except OverMass:
+                continue
+            except CapacityExhausted:
                 return robot, sites
             return robot, sites[:i] + sites[i + 1:]
     return robot, sites
@@ -386,28 +389,43 @@ def test_no_robot_is_rebuilt_per_tick(monkeypatch):
 
 
 def test_kept_kernel_searches_again_beside_the_goal_it_left():
-    """The left-cell condition of ``_Kernel.reuse``, pinned. scout_1
-    starts on (0, 1), where a 7.5 kg site is listed before a 4.9 kg one;
-    its 6 kg modules cannot take the first, so it takes neither and the
-    cell stays a goal, which no search from that cell tests. At tick 2 it
-    heads for (0, 3), two cells away, and one step on, at tick 3, the
-    cell it left is the nearest goal at distance 1."""
-    grid = grid_from_text("#E...\n.#..#\n.....\n...#.\n###..\n")
-    fleet = [ScoutRobot(id="scout_1", module_count=2, position=(0, 1),
-                        battery_full_s=8 / 1.7)]
-    reference_sense(grid.explored, grid.cells, (0, 1))
-    sites = (SampleSite((2, 0), 7.0), SampleSite((0, 1), 7.5),
-             SampleSite((0, 1), 4.9), SampleSite((3, 4), 5.0))
-    world = TubeWorld(grid=grid, station=Station(charge_time_s=30.0),
-                      sample_sites=sites)
+    """The left-cell condition of ``_Kernel.reuse``, pinned. A search
+    never tests its own start cell, so scout_1, starting on a 4.9 kg site
+    at (0, 2), heads for the frontier (0, 4), two cells away. One step
+    on, the cell it left is the nearest goal at distance 1, and it turns
+    back to take the site."""
+    grid = grid_from_text("E.....\n")
+    grid.explored[0, :5] = True
+    fleet = [ScoutRobot(id="scout_1", module_count=2, position=(0, 2))]
+    sites = (SampleSite((0, 2), 4.9),)
+    world = TubeWorld(grid=grid, sample_sites=sites)
     kernel = _Kernel(grid, fleet, world.station, sites)
     targets = []
-    for tick in range(6):
+    for tick in range(2):
         world, fleet = reference_step(world, fleet)
         kernel.tick()
         assert robot_view(kernel.robots()) == robot_view(fleet), f"tick {tick}"
         targets.append(fleet[0].target)
-    assert targets[2:4] == [(0, 3), (0, 1)]
+    assert targets == [(0, 4), (0, 2)]
+    assert kernel.sites == [] and fleet[0].samples[0].origin == (0, 2)
+
+
+def test_robot_takes_the_light_site_listed_after_a_heavy_one():
+    """A 7.5 kg site listed before a 4.9 kg one on the same cell: the
+    robot's 6 kg modules take the light one on its first visit and leave
+    the heavy one, and the survey ends once it is delivered."""
+    grid = grid_from_text("E....\n")
+    sites = (SampleSite((0, 2), 7.5), SampleSite((0, 2), 4.9))
+    fleet = [ScoutRobot(id="scout_1", module_count=2, position=grid.entrance)]
+    world = TubeWorld(grid=fresh_map(grid.cells), sample_sites=sites)
+    for _ in range(2):
+        world, fleet = step(world, fleet)
+    assert fleet[0].position == (0, 2)
+    assert fleet[0].samples == (Sample(4.9, (0, 2), 1),)
+    assert world.sample_sites == sites[:1]
+    report = run_exploration(grid, make_fleet(grid, 1, module_count=2),
+                             max_steps=1000, sample_sites=sites)
+    assert report.samples_delivered == 1 and report.steps < 20
 
 
 def scale_case(index):

@@ -1,6 +1,7 @@
 """Greenhouse heat loss, night energy and avionics envelope checks."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -372,3 +373,52 @@ def test_seeded_envelope_cases_cover_the_edges():
 ])
 def test_sweep_to_first_night_sample_on_fixed_cases(env, envelope):
     assert avionics_envelope_check(env, envelope) == full_sweep_check(env, envelope)
+
+
+def loop_last_sample(env):
+    """The first sample at or past the night start, or the sol's last
+    sample if none is: the walk ``avionics_envelope_check`` made before it
+    called ``numeric.first_step_at``, kept as its reference."""
+    step = ENVELOPE_SAMPLE_STEP_S
+    night = env.night_start_s
+    last = math.ceil(night / step)
+    while last > 0 and step * (last - 1) >= night:
+        last -= 1
+    while step * last < night:
+        last += 1
+    if step * last >= env.sol_length_s:
+        last -= 1
+    return last
+
+
+def night_starts(sol_s):
+    """On-sample night starts near dawn, mid-sol and the sol end, the
+    instants just under the sol end, each with its ``nextafter``
+    neighbours, kept inside (0, sol_s)."""
+    step = ENVELOPE_SAMPLE_STEP_S
+    n = math.ceil(sol_s / step)
+    on_grid = {step * k for k in (1, 2, n // 2, n - 2, n - 1, n) if k > 0}
+    for t in sorted(on_grid | {0.5, sol_s - 1.0, math.nextafter(sol_s, 0.0)}):
+        for start in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)):
+            if 0.0 < start < sol_s:
+                yield start
+
+
+@pytest.mark.parametrize("sol_s", [30.0, 59.0, 60.0, 61.0, 119.0, 120.0, 121.0,
+                                   1000.0, 88775.0, 1e6])
+def test_last_sample_matches_the_walk(monkeypatch, sol_s):
+    """The last sample the check evaluates, seen as the latest time it
+    reads the ambient at, is the walk's."""
+    times = []
+
+    def recorded(env, time_of_sol):
+        times.append(time_of_sol)
+        return diurnal_temperature(env, time_of_sol)
+
+    monkeypatch.setattr(thermal, "diurnal_temperature", recorded)
+    for start in night_starts(sol_s):
+        env = MarsEnvironment(sol_length_s=sol_s, night_duration_s=sol_s - start)
+        times.clear()
+        avionics_envelope_check(env, AvionicsEnvelope())
+        assert max(times) == ENVELOPE_SAMPLE_STEP_S * loop_last_sample(env), (
+            sol_s, env.night_start_s)
