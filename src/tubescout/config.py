@@ -10,6 +10,10 @@ Blocks are read field by field from the model dataclasses they build:
 each key is converted by its field's type hint, and the key names come
 from the fields, or from ``report.JSON_KEYS`` where the two differ. Only
 input that is not a plain field is read by hand.
+
+Parsing checks the file's own values only: it reads no map file and
+walks no event script. ``mission.explore_tube`` checks the tube and
+``mission.phase_visits`` the script, so only the runs that do so fail.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from pathlib import Path
 from tubescout.aerostat import REFERENCE_BALLOON, BalloonConfig
 from tubescout.energy import (
     DEFAULT_TIMESTEP_S,
-    MAX_SOL_STEPS,
     REFERENCE_WINCH,
     Battery,
     PowerLoad,
@@ -40,11 +43,8 @@ from tubescout.energy import (
 from tubescout.env import MarsEnvironment, make_environment
 from tubescout.mission import (
     REGEN_SOURCE_NAME,
-    IllegalTransition,
     MissionEvent,
     MissionPhase,
-    MissionState,
-    advance,
     check_germination,
 )
 from tubescout.program import (
@@ -65,18 +65,18 @@ from tubescout.program import (
 )
 from tubescout.report import JSON_KEYS, ConfigError, echo, json_fields
 from tubescout.thermal import REFERENCE_GREENHOUSE, AvionicsEnvelope, GlazedEnclosure
-from tubescout.tube_explorer import (
-    OBSTACLE,
-    SampleSite,
-    ScoutRobot,
-    Station,
-    check_survey_work,
-    check_tube_parameters,
-    read_map_file,
-)
+from tubescout.tube_explorer import SampleSite, ScoutRobot, Station, check_tube_parameters
+
+#: The phases that run sols, the only ones a sol setting may name.
+_SOL_PHASES = tuple(p.value for p in MissionPhase if p is not MissionPhase.COMPLETE)
 
 
-_PHASE_NAMES = tuple(p.value for p in MissionPhase)
+def _phase_problem(phase: str) -> str | None:
+    """Why a sol setting may not name ``phase``, or None if it may."""
+    if phase in _SOL_PHASES:
+        return None
+    what = "no sols run in" if phase == MissionPhase.COMPLETE.value else "unknown"
+    return f"{what} phase {phase!r} (phases that run sols: {', '.join(_SOL_PHASES)})"
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,9 @@ class TaggedLoad:
     phases: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.phases is not None:
-            for phase in self.phases:
-                if phase not in _PHASE_NAMES:
-                    raise ValueError(
-                        f"unknown phase {phase!r} (known: {', '.join(_PHASE_NAMES)})")
+        for phase in self.phases or ():
+            if problem := _phase_problem(phase):
+                raise ValueError(problem)
 
     def active_in(self, phase_name: str) -> bool:
         return self.phases is None or phase_name in self.phases
@@ -113,7 +111,7 @@ class GeneratorSettings:
 
 
 #: Upper bounds on the fleet and on the ticks of one survey, each on its
-#: own; ``check_survey_work`` bounds their product with the map's size.
+#: own; ``mission.explore_tube`` bounds their product with the map's size.
 #: A survey stops once the tube is covered and every sample delivered,
 #: so only a stalled one runs to ``max_steps``.
 MAX_ROBOTS = 100
@@ -138,9 +136,6 @@ class ExplorationSettings:
         if not 1 <= self.max_steps <= MAX_STEPS:
             raise ValueError(f"max_steps must be in 1..{MAX_STEPS}, "
                              f"got {self.max_steps}")
-        if self.map_file is None:  # a map file is checked once it is read
-            check_survey_work(self.robot_count, self.max_steps,
-                              self.generator.width * self.generator.height)
 
 
 @dataclass(frozen=True)
@@ -170,25 +165,9 @@ class GerminationSettings:
 
 
 #: Upper bound on ``mission.sols_per_phase`` values: a Martian year is 669
-#: sols, and every sol is a full power simulation.
+#: sols, and every sol is a full power simulation. The whole mission is
+#: bounded by ``mission.MAX_MISSION_*``.
 MAX_SOLS_PER_PHASE = 1000
-
-#: Upper bounds on a whole mission: the sols its events simulate (each
-#: phase visit's ``sols_per_phase``) and the tubes they survey. A sol at
-#: 25 s steps takes 0.05-0.1 ms, from one without loads to one whose SoC
-#: never settles, and up to about 3 ms at 1 s steps; the shipped tubes
-#: survey in 2-7 ms, but one survey at ``MAX_SURVEY_WORK`` can take about
-#: a minute (CPython 3.11, 2 x86 CPUs).
-MAX_MISSION_SOLS = 10_000
-MAX_MISSION_SURVEYS = 20
-#: Upper bound on the steps a mission's sols simulate in all: 10,000
-#: default sols of 88,775 s at 25 s steps, 35.51M, which is 400 sols at
-#: 1 s steps. With a load that keeps the SoC from ever settling, a
-#: mission at the bound takes about 1.5 s at either step (CPython 3.11, 2
-#: x86 CPUs), where 10,000 such sols at 1 s steps would take 25 times as
-#: long.
-MAX_MISSION_SOL_STEPS = MAX_MISSION_SOLS * round(
-    MarsEnvironment().sol_length_s / DEFAULT_TIMESTEP_S)
 
 
 def _default_sols() -> dict:
@@ -431,7 +410,6 @@ _ROBOT_OVERRIDE_KEYS = ("module_count", "battery_full_s", "speed_mps",
 
 def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
     map_file = block.read("map_file", str)
-    cells = None
     if map_file is not None:
         if "generator" in block.data:
             block.err("map_file and generator are mutually exclusive")
@@ -439,13 +417,6 @@ def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
         if base_dir is not None and not resolved.is_absolute():
             resolved = base_dir / resolved
         map_file = str(resolved)
-        if not resolved.is_file():
-            block.err(f"map file not found: {resolved}", "map_file")
-        elif "sample_sites" in block.data:  # only sample sites need the map
-            try:
-                cells = read_map_file(resolved).cells
-            except (OSError, ValueError) as exc:
-                block.err(str(exc), "map_file")
 
     robots = block.obj("robots")
     count = robots.read("count", int, ExplorationSettings.robot_count)
@@ -473,23 +444,9 @@ def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
         block.err(f"station final drop {final_drop} m exceeds the robot drop "
                   f"tolerance {prototype.drop_tolerance_m} m")
 
-    settings = _parse_dataclass(block, ExplorationSettings, {
+    return _parse_dataclass(block, ExplorationSettings, {
         "map_file": map_file, "robot_count": count, "robot_overrides": overrides,
         "station": station, "final_drop_m": final_drop})
-    if (settings is _INVALID or not settings.sample_sites
-            or (map_file and cells is None)):
-        return settings
-    height, width = (cells.shape if cells is not None else
-                     (settings.generator.height, settings.generator.width))
-    for i, site in enumerate(settings.sample_sites):
-        row, col = site.cell
-        if not (0 <= row < height and 0 <= col < width):
-            block.err(f"cell {list(site.cell)} is outside the {width}x{height} map",
-                      f"sample_sites[{i}]")
-        elif cells is not None and cells[row, col] == OBSTACLE:
-            block.err(f"cell {list(site.cell)} is an obstacle in the map",
-                      f"sample_sites[{i}]")
-    return settings
 
 
 def parse_wbs_file(path) -> WbsNode:
@@ -506,9 +463,8 @@ def _parse_phase_map(block: _Block, key: str, default: dict, hint,
     result = dict(default)
     sub = block.obj(key)
     for phase in sorted(sub.data):
-        if phase not in _PHASE_NAMES:
-            sub.err(f"unknown phase {phase!r} (known: {', '.join(_PHASE_NAMES)})",
-                    phase)
+        if problem := _phase_problem(phase):
+            sub.err(problem, phase)
             continue
         value = sub.read(phase, hint)
         if value is None:
@@ -542,36 +498,6 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
         "cave_fraction": _parse_phase_map(mission, "cave_fraction",
                                           _default_cave_fraction(), float, 1)})
     config = _parse_dataclass(top, MissionConfig, given)
-
-    state = MissionState()
-    sols_per_phase = config.mission.sols_per_phase
-    sols, surveys = sols_per_phase.get(state.phase.value, 0), 0
-    steps = (config.env.sol_length_s / config.timestep_s
-             if config.timestep_s > 0 else 0)
-    # A sol that simulate_sol refuses is sol_problems' error, not this one.
-    sol_steps = round(steps) if steps <= MAX_SOL_STEPS else 0
-    for i, event in enumerate(config.mission.events):
-        try:
-            state = advance(state, event)
-        except IllegalTransition as exc:
-            errors.append((f"config.mission.events[{i}]", str(exc)))
-            break
-        if state.phase is not MissionPhase.COMPLETE:
-            sols += sols_per_phase.get(state.phase.value, 0)
-        surveys += event is MissionEvent.TUBE_SURVEY_COMPLETE
-        if sols > MAX_MISSION_SOLS:
-            too_many = f"{sols} sols, more than {MAX_MISSION_SOLS}"
-        elif sols * sol_steps > MAX_MISSION_SOL_STEPS:
-            too_many = (f"{sols} sols x {sol_steps} steps = "
-                        f"{sols * sol_steps} sol steps, more than "
-                        f"{MAX_MISSION_SOL_STEPS}")
-        elif surveys > MAX_MISSION_SURVEYS:
-            too_many = f"{surveys} tube surveys, more than {MAX_MISSION_SURVEYS}"
-        else:
-            continue
-        errors.append(("config.mission.events",
-                       f"the first {i + 1} events run {too_many}"))
-        break
     items = {"sources": config.sources, "loads": [t.load for t in config.loads]}
     for argument, i, name, message in sol_problems(
             config.sources, items["loads"], config.battery, config.env,

@@ -14,8 +14,8 @@ import enum
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from tubescout.energy import PowerSource, SourceKind, simulate_sol
-from tubescout.env import cumulative_dose
+from tubescout.energy import DEFAULT_TIMESTEP_S, PowerSource, SourceKind, simulate_sol
+from tubescout.env import MarsEnvironment, cumulative_dose
 from tubescout.program import fte_estimate
 from tubescout.report import (
     ANALYTIC_SECTIONS,
@@ -30,6 +30,7 @@ from tubescout.report import (
 )
 from tubescout.rng import GERMINATION_STREAM, chance_count, derive_seed
 from tubescout.tube_explorer import (
+    OBSTACLE,
     ExplorationReport,
     check_survey_work,
     generate_tube,
@@ -107,6 +108,61 @@ def advance(state: MissionState, event: MissionEvent) -> MissionState:
                         tubes_explored=tubes)
 
 
+#: Upper bounds on a whole mission: the sols its visits simulate (each
+#: phase visit's ``sols_per_phase``) and the tubes they survey. A sol at
+#: 25 s steps takes 0.05-0.2 ms, from one without loads to one that
+#: sheds six loads, and 1.6-3.2 ms at 1 s steps; the shipped tubes survey
+#: in 3-6 ms, but one survey may take up to about a minute at
+#: ``MAX_SURVEY_WORK`` (CPython 3.11, numpy 2.4, 2 x86 CPUs).
+MAX_MISSION_SOLS = 10_000
+MAX_MISSION_SURVEYS = 20
+#: Upper bound on the steps a mission's sols simulate in all: 10,000
+#: default sols of 88,775 s at 25 s steps, 35.51M, which is 400 sols at
+#: 1 s steps. With a battery that never fills, so that its SoC never
+#: settles, a mission at the bound takes about 0.95 s at either step
+#: (CPython 3.11, numpy 2.4, 2 x86 CPUs), where 10,000 such sols at 1 s
+#: steps would take 25 times as long.
+MAX_MISSION_SOL_STEPS = MAX_MISSION_SOLS * round(
+    MarsEnvironment().sol_length_s / DEFAULT_TIMESTEP_S)
+
+
+def phase_visits(config: "MissionConfig") -> list[tuple]:
+    """The visits of the mission script from ``MissionState()``, each as
+    (event, state entered, sols run): the first, in Initial, has no event,
+    ``state.sol`` is the visit's first sol, and Complete runs no sols.
+    Raises ConfigError before any sol runs: at ``config.mission.events[i]``
+    for an event its phase does not accept, and at ``config.mission.events``
+    once the visits so far pass a ``MAX_MISSION_*`` bound."""
+    settings = config.mission
+    sol_steps = round(config.env.sol_length_s / config.timestep_s)
+    visits, state = [], MissionState()
+    for i, event in enumerate((None, *settings.events)):
+        if event is not None:
+            try:
+                state = advance(state, event)
+            except IllegalTransition as exc:
+                raise ConfigError([(f"config.mission.events[{i - 1}]",
+                                    str(exc))]) from exc
+        sols = (0 if state.phase is MissionPhase.COMPLETE
+                else settings.sols_per_phase.get(state.phase.value, 0))
+        visits.append((event, state, sols))
+        state = replace(state, sol=state.sol + sols)
+        if state.sol > MAX_MISSION_SOLS:
+            too_many = f"{state.sol} sols, more than {MAX_MISSION_SOLS}"
+        elif state.sol * sol_steps > MAX_MISSION_SOL_STEPS:
+            too_many = (f"{state.sol} sols x {sol_steps} steps = "
+                        f"{state.sol * sol_steps} sol steps, more than "
+                        f"{MAX_MISSION_SOL_STEPS}")
+        elif state.tubes_explored > MAX_MISSION_SURVEYS:
+            too_many = (f"{state.tubes_explored} tube surveys, more than "
+                        f"{MAX_MISSION_SURVEYS}")
+        else:
+            continue
+        raise ConfigError([("config.mission.events",
+                            f"the first {i} events run {too_many}")])
+    return visits
+
+
 #: Upper bound on the seeds of a germination trial: counted by jumps in
 #: numpy (``rng.chance_count``), a million draws take 0.06-0.08 s and
 #: 10,000 draws 1.4-2.1 ms (CPython 3.11, numpy 2.4, 2 x86 CPUs).
@@ -150,22 +206,47 @@ def explore_tube(config: "MissionConfig", seed: int,
                  index: int) -> tuple[dict, list[Finding], ExplorationReport]:
     """Survey tube ``index``: the configured map file, or else a tube
     generated from ``derive_seed(seed, index)``. Returns the exploration
-    section (with its ``tube_seed``), its findings and the raw result."""
+    section (with its ``tube_seed``), its findings and the raw result.
+
+    Every check of the tube runs here, before a tube is generated, and
+    raises ConfigError: at ``config.exploration.map_file`` for a file that
+    does not read as a map, at ``config.exploration`` for a survey past
+    ``MAX_SURVEY_WORK``, and at ``config.exploration.sample_sites[i]`` for
+    a site outside the tube or on a map file's obstacle (a site on a
+    generated tube's obstacle is an undeliverable finding)."""
     exp = config.exploration
+    grid = tube_seed = None
     if exp.map_file is not None:
         try:
             grid = read_map_file(exp.map_file)
+        except FileNotFoundError as exc:
+            raise ConfigError([("config.exploration.map_file",
+                                f"map file not found: {exp.map_file}")]) from exc
         except (OSError, ValueError) as exc:
             raise ConfigError([("config.exploration.map_file", str(exc))]) from exc
-        try:
-            check_survey_work(exp.robot_count, exp.max_steps, grid.cells.size)
-        except ValueError as exc:
-            raise ConfigError([("config.exploration", str(exc))]) from exc
-        tube_seed = None
+        height, width = grid.cells.shape
     else:
+        height, width = exp.generator.height, exp.generator.width
+    try:
+        check_survey_work(exp.robot_count, exp.max_steps, height * width)
+    except ValueError as exc:
+        raise ConfigError([("config.exploration", str(exc))]) from exc
+    problems = []
+    for i, site in enumerate(exp.sample_sites):
+        row, col = cell = site.cell
+        if not (0 <= row < height and 0 <= col < width):
+            problem = f"cell {list(cell)} is outside the {width}x{height} map"
+        elif grid is not None and grid.cells[row, col] == OBSTACLE:
+            problem = f"cell {list(cell)} is an obstacle in the map"
+        else:
+            continue
+        problems.append((f"config.exploration.sample_sites[{i}]", problem))
+    if problems:
+        raise ConfigError(problems)
+    if grid is None:
         gen = exp.generator
         tube_seed = derive_seed(seed, index)
-        grid = generate_tube(tube_seed, gen.width, gen.height,
+        grid = generate_tube(tube_seed, width, height,
                              gen.obstacle_density, gen.resolution_m)
     robots = make_fleet(grid, exp.robot_count, **exp.robot_overrides)
     result = run_exploration(grid, robots, station=exp.station,
@@ -179,21 +260,21 @@ def explore_tube(config: "MissionConfig", seed: int,
 def run_mission(config: "MissionConfig", seed_override: int | None = None) -> dict:
     """Execute the scripted mission and return the consolidated report.
 
-    Per phase visit the runner simulates the configured number of sols,
+    The runner runs the visits of ``phase_visits``, which checks the
+    whole script first. Per visit it simulates the visit's sols,
     carrying battery state of charge from sol to sol; loads tagged with
     phase names only draw during those phases. Each survey-complete
-    event explores one tube (a fixed map file if configured, otherwise a
-    tube generated from a per-tube derived seed) and credits the
-    station's winch regeneration to the following sol. The germination
-    trial runs on the first settlement entry.
+    event explores one tube with ``explore_tube`` (a fixed map file if
+    configured, otherwise a tube generated from a per-tube derived seed)
+    and credits the station's winch regeneration to the following sol.
+    The germination trial runs on the first settlement entry.
     """
     settings = config.mission
     seed = settings.seed if seed_override is None else seed_override
     env = config.env
     findings: list[Finding] = []
 
-    state = MissionState()
-    phase_log = [state.phase]
+    visits = phase_visits(config)
     sol_log: list[dict] = []
     tube_sections: list[dict] = []
     battery = config.battery
@@ -203,11 +284,24 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
     germination: GerminationTrial | None = None
     infeasible_sols: list[int] = []
 
-    def simulate_segment(phase: MissionPhase) -> None:
-        nonlocal state, battery, pending_regen_wh, total_dose_msv
-        cave_fraction = settings.cave_fraction.get(phase.value, 0.0)
-        loads = [t.load for t in config.loads if t.active_in(phase.value)]
-        for _ in range(settings.sols_per_phase.get(phase.value, 0)):
+    for event, state, sols in visits:
+        phase = state.phase.value
+        if event is MissionEvent.TUBE_SURVEY_COMPLETE:
+            index = state.tubes_explored - 1
+            section, tube_findings, result = explore_tube(config, seed, index)
+            section["tube_index"] = index
+            tube_sections.append(section)
+            findings.extend(tube_findings)
+            pending_regen_wh += result.energy_regen_wh
+            total_regen_wh += result.energy_regen_wh
+        if (state.phase is MissionPhase.SETTLEMENT and germination is None
+                and settings.germination is not None):
+            germination = germination_trial(settings.germination.n_seeds,
+                                            settings.germination.p_germinate,
+                                            seed)
+        cave_fraction = settings.cave_fraction.get(phase, 0.0)
+        loads = [t.load for t in config.loads if t.active_in(phase)]
+        for sol in range(state.sol, state.sol + sols):
             sources = list(config.sources)
             injected_wh = pending_regen_wh
             if injected_wh > 0.0:
@@ -220,12 +314,12 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                 violations += n
                 hard_violations += 0 if sheddable else n
             if hard_violations:
-                infeasible_sols.append(state.sol)
+                infeasible_sols.append(sol)
             dose_msv = cumulative_dose(env, cave_fraction, 1.0)
             total_dose_msv += dose_msv
             sol_log.append({
-                "sol": state.sol,
-                "phase": phase.value,
+                "sol": sol,
+                "phase": phase,
                 "final_soc_wh": trace.final_soc_wh,
                 "total_shed_wh": trace.total_shed_wh,
                 "violations": violations,
@@ -236,32 +330,6 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             battery = replace(battery, initial_soc_wh=trace.final_soc_wh)
             # Drop this sol's trace before the next one is simulated.
             del trace
-            state = replace(state, sol=state.sol + 1)
-
-    simulate_segment(MissionPhase.INITIAL)
-    for position, event in enumerate(settings.events, start=1):
-        try:
-            advanced = advance(state, event)
-        except IllegalTransition as exc:
-            raise IllegalTransition(
-                f"mission event {position} of {len(settings.events)}: {exc}") from exc
-        if event is MissionEvent.TUBE_SURVEY_COMPLETE:
-            section, tube_findings, result = explore_tube(
-                config, seed, state.tubes_explored)
-            section["tube_index"] = state.tubes_explored
-            tube_sections.append(section)
-            findings.extend(tube_findings)
-            pending_regen_wh += result.energy_regen_wh
-            total_regen_wh += result.energy_regen_wh
-        state = advanced
-        phase_log.append(state.phase)
-        if (state.phase is MissionPhase.SETTLEMENT and germination is None
-                and settings.germination is not None):
-            germination = germination_trial(settings.germination.n_seeds,
-                                            settings.germination.p_germinate,
-                                            seed)
-        if state.phase is not MissionPhase.COMPLETE:
-            simulate_segment(state.phase)
 
     if infeasible_sols:
         findings.append(Finding(
@@ -289,11 +357,12 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
         }},
         "mission": {
             "events": [e.value for e in settings.events],
-            "phase_log": [p.value for p in phase_log],
-            "phases_visited": sorted({p.value for p in phase_log
-                                      if p is not MissionPhase.COMPLETE}),
+            "phase_log": [visit.phase.value for _, visit, _ in visits],
+            "phases_visited": sorted({visit.phase.value for _, visit, _ in visits
+                                      if visit.phase is not MissionPhase.COMPLETE}),
+            # The last visit's state and sols.
             "tubes_explored": state.tubes_explored,
-            "sols_simulated": state.sol,
+            "sols_simulated": state.sol + sols,
             "total_dose_msv": total_dose_msv,
             "germination": echo(germination),
             "sol_log": sol_log,

@@ -2,7 +2,8 @@
 
 Each check starts a fresh interpreter, since this test process has
 imported numpy long before. Loading any shipped scenario and the six
-analytic subcommands must leave ``numpy`` out of ``sys.modules``;
+analytic subcommands, also on a scenario with sample sites, must leave
+``numpy`` out of ``sys.modules``;
 ``power``, ``explore`` and ``mission``, which import it on first use,
 must still write their golden reports.
 """
@@ -40,18 +41,25 @@ print(json.dumps("numpy" in sys.modules))
 
 
 def test_analytic_subcommands_import_no_numpy():
+    """The last config is paper_baseline with one sample site on its map."""
     codes, numpy_loaded = fresh(f"""
 import contextlib, io, json, sys, tempfile
+from pathlib import Path
 from tubescout.cli import main
 codes = []
 with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-    for scenario in {SHIPPED!r}:
+    raw = json.loads(Path("scenarios/paper_baseline.json").read_text())
+    exploration = raw["exploration"]
+    exploration["map_file"] = str(Path("scenarios", exploration["map_file"]).resolve())
+    exploration["sample_sites"] = [{{"cell": [1, 1], "mass_kg": 1.0}}]
+    site = Path(out, "site.json")
+    site.write_text(json.dumps(raw))
+    for config in [*(f"scenarios/{{s}}.json" for s in {SHIPPED!r}), str(site)]:
         for command in {ANALYTIC!r}:
-            codes.append(main([command, "--config", f"scenarios/{{scenario}}.json",
-                               "--out", out]))
+            codes.append(main([command, "--config", config, "--out", out]))
 print(json.dumps([codes, "numpy" in sys.modules]))
 """)
-    assert codes == [0] * len(SHIPPED) * len(ANALYTIC)
+    assert codes == [0] * (len(SHIPPED) + 1) * len(ANALYTIC)
     assert numpy_loaded is False
 
 

@@ -13,9 +13,6 @@ from tubescout.aerostat import AreaModel
 from tubescout.cli import main
 from tubescout.config import (
     MAX_JSON_DEPTH,
-    MAX_MISSION_SOL_STEPS,
-    MAX_MISSION_SOLS,
-    MAX_MISSION_SURVEYS,
     ConfigError,
     MissionConfig,
     _read_json,
@@ -25,7 +22,12 @@ from tubescout.config import (
     to_echo_dict,
 )
 from tubescout.energy import MAX_SOL_WORK, SourceKind
-from tubescout.mission import MissionEvent
+from tubescout.mission import (
+    MAX_MISSION_SOL_STEPS,
+    MAX_MISSION_SOLS,
+    MAX_MISSION_SURVEYS,
+    MissionEvent,
+)
 from tubescout.program import rollup_cost
 from tubescout.report import dump_json
 
@@ -100,10 +102,13 @@ class TestParseConfig:
                 "generator": {"width": 8, "height": 8},
             }}, base_dir=tmp_path)
 
-    def test_missing_map_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            parse_config({"exploration": {"map_file": "absent.map"}},
-                         base_dir=tmp_path)
+    def test_missing_map_file(self, tmp_path, capsys):
+        """Parsing reads no map file; the runs that survey the tube do."""
+        config = write_config(tmp_path, {"exploration": {"map_file": "absent.map"}})
+        assert load_config(config).exploration.map_file == str(tmp_path / "absent.map")
+        assert run_all(tmp_path, capsys, config) == only(SURVEYS, [
+            f"config.exploration.map_file: map file not found: "
+            f"{tmp_path / 'absent.map'}"])
 
     def test_map_file_resolved_relative_to_config_dir(self, tmp_path):
         from tubescout.tube_explorer import generate_tube, write_map_file
@@ -633,15 +638,14 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert f"error: config.exploration.sample_sites[1]: cell {cell}" in err
 
-    def test_sample_site_checked_against_map_file(self, tmp_path):
+    def test_sample_site_checked_against_map_file(self, tmp_path, capsys):
         from tubescout.tube_explorer import generate_tube, write_map_file
         write_map_file(tmp_path / "t.map", generate_tube(3, 6, 4))
-        with pytest.raises(ConfigError) as exc_info:
-            parse_config({"exploration": {"map_file": "t.map", "sample_sites": [
-                {"cell": [5, 0], "mass_kg": 1.0}]}}, base_dir=tmp_path)
-        assert exc_info.value.errors == [(
-            "config.exploration.sample_sites[0]",
-            "cell [5, 0] is outside the 6x4 map")]
+        config = write_config(tmp_path, {"exploration": {
+            "map_file": "t.map", "sample_sites": [{"cell": [5, 0], "mass_kg": 1.0}]}})
+        load_config(config)
+        assert run_all(tmp_path, capsys, config) == only(SURVEYS, [
+            "config.exploration.sample_sites[0]: cell [5, 0] is outside the 6x4 map"])
 
     @pytest.mark.parametrize("key", ["aux_capacity_l", "max_obstacle_mm"])
     def test_unsimulated_robot_keys_rejected(self, key):
@@ -666,15 +670,17 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("command", ["winch", "explore", "mission"])
     def test_sample_site_on_map_obstacle_exits_2(self, tmp_path, capsys, command):
+        """Only the runs that survey the tube read the map: ``winch``,
+        which does not, exits 0."""
         (tmp_path / "t.map").write_text("E.#\n...\n")
         config = write_config(tmp_path, {"exploration": {
             "map_file": "t.map",
             "sample_sites": [{"cell": [1, 2], "mass_kg": 1.0},
                              {"cell": [0, 2], "mass_kg": 1.0}]}})
-        assert run_cli(command, "--config", config,
-                       "--out", str(tmp_path / "out")) == 2
-        assert ("error: config.exploration.sample_sites[1]: cell [0, 2] is an "
-                "obstacle in the map" in capsys.readouterr().err)
+        code = run_cli(command, "--config", config, "--out", str(tmp_path / "out"))
+        assert (code, capsys.readouterr().err.splitlines()) == only(SURVEYS, [
+            "config.exploration.sample_sites[1]: cell [0, 2] is an obstacle in "
+            "the map"])[command]
 
     def test_undeliverable_sample_sites_reported(self, tmp_path):
         # E on top; (2, 0) is walled off, (1, 3) lies on an obstacle of the
@@ -792,21 +798,63 @@ class TestInputValidation:
         assert not (out / "report.json").exists()
 
     def test_illegal_event_script_exits_2(self, tmp_path, capsys):
+        """Only ``mission`` walks the script."""
         config = write_config(tmp_path, {"mission": {"events": [
             "DeploymentDone", "TubeSurveyComplete", "EndMission"]}})
-        assert run_cli("winch", "--config", config,
-                       "--out", str(tmp_path / "out")) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: config.mission.events[1]: event TubeSurveyComplete is not "
-            "legal in phase Transit"]
+        assert run_all(tmp_path, capsys, config) == only(("mission",), [
+            "config.mission.events[1]: event TubeSurveyComplete is not legal in "
+            "phase Transit"])
+
+    @pytest.mark.parametrize("payload, path", [
+        ({"mission": {"sols_per_phase": {"Complete": 5}}},
+         "config.mission.sols_per_phase.Complete"),
+        ({"mission": {"cave_fraction": {"Complete": 0.5}}},
+         "config.mission.cave_fraction.Complete"),
+        ({"power": {"loads": [{"name": "lamp", "power_w": 5.0,
+                               "phases": ["Settlement", "Complete"]}]}},
+         "config.power.loads[0]"),
+    ])
+    def test_sol_settings_for_complete_rejected(self, payload, path):
+        """Complete runs no sols, so a setting for its sols would be
+        silently ignored."""
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(payload)
+        assert exc_info.value.errors == [(path, (
+            "no sols run in phase 'Complete' (phases that run sols: Initial, "
+            "Transit, Settlement)"))]
 
 
 SUBCOMMANDS = ("balloon", "winch", "thermal", "power", "explore", "budget",
                "cost", "schedule", "mission")
+SURVEYS = ("explore", "mission")
 ONE_SITE = [{"cell": [1, 1], "mass_kg": 1.0}]
 
+
+def run_all(tmp_path, capsys, config: str) -> dict:
+    """(exit code, stderr lines) of each subcommand on ``config``."""
+    results = {}
+    for command in SUBCOMMANDS:
+        code = run_cli(command, "--config", config, "--out", str(tmp_path / command))
+        results[command] = (code, capsys.readouterr().err.splitlines())
+    return results
+
+
+def only(commands, errors) -> dict:
+    """``run_all``'s result when ``commands`` exit 2 with ``errors`` (less
+    ``error: ``) and every other subcommand exits 0."""
+    return {command: (2, [f"error: {e}" for e in errors]) if command in commands
+            else (0, []) for command in SUBCOMMANDS}
+
+
+TWO_ENTRANCES = ("config.exploration.map_file: map must have exactly one "
+                 "entrance, found 2")
+SURVEY_WORK = ("config.exploration: survey work robots.count x max_steps x (map "
+               "cells + 60) = 100 x 1000000 x (400 + 60) = 46000000000 exceeds "
+               "250000000")
+
 #: (payload, error line) for inputs a model refuses. Every subcommand
-#: must reject them at parse time, naming the config path.
+#: must reject them at parse time, naming the config path, except where
+#: ``RUN_RULES`` names the subcommands that reject them.
 MODEL_RULES = [
     ({"exploration": {"generator": {"obstacle_density": 1.0}}},
      "config.exploration.generator: obstacle_density must be in [0, 1), "
@@ -822,10 +870,9 @@ MODEL_RULES = [
     ({"power": {"sources": [{"name": "winch_regen", "rating_w": 5.0}]}},
      "config.power.sources[0].name: duplicate name 'winch_regen' (also the "
      "mission's winch regeneration source)"),
-    # Sample sites make the config read the map.
+    # Only the survey reads the map, sample sites or not.
     ({"exploration": {"map_file": "two.map", "sample_sites": ONE_SITE}},
-     "config.exploration.map_file: map must have exactly one entrance, "
-     "found 2"),
+     TWO_ENTRANCES),
     ({"exploration": {"station": {"final_drop_m": -1}}},
      "config.exploration.station.final_drop_m: final_drop_m must be "
      "nonnegative, got -1.0"),
@@ -838,19 +885,16 @@ MODEL_RULES = [
      "config.power.sources[0]: event_energy_wh must be nonnegative, got -2.0"),
     ({"env": {"overrides": {"gas_constant": 0}}},
      "config.env: gas_constant must be positive, got 0.0"),
+    # Only the survey bounds its work, on a generated tube as on a map file.
     ({"exploration": {"robots": {"count": 100}, "max_steps": 1_000_000}},
-     "config.exploration: survey work robots.count x max_steps x (map cells "
-     "+ 60) = 100 x 1000000 x (400 + 60) = 46000000000 exceeds 250000000"),
+     SURVEY_WORK),
 ]
-#: The same for map files without sample sites, which only the survey reads.
+#: The tube's rules, which only the survey checks.
 SURVEY_RULES = [
-    ({"exploration": {"map_file": "two.map"}},
-     "config.exploration.map_file: map must have exactly one entrance, "
-     "found 2"),
+    ({"exploration": {"map_file": "two.map"}}, TWO_ENTRANCES),
     ({"exploration": {"map_file": str(SCENARIOS / "tube_20x20_seed42.map"),
                       "robots": {"count": 100}, "max_steps": 1_000_000}},
-     "config.exploration: survey work robots.count x max_steps x (map cells "
-     "+ 60) = 100 x 1000000 x (400 + 60) = 46000000000 exceeds 250000000"),
+     SURVEY_WORK),
     # Within the survey work budget, but past the tube-size cap.
     ({"exploration": {"map_file": "wide.map", "max_steps": 1}},
      "config.exploration.map_file: map dimensions 1001x1000 exceed 1000000 "
@@ -914,6 +958,17 @@ MISSION_RULES = [
      "config.mission.events: the first 2 events run 401 sols x 88775 steps "
      "= 35598775 sol steps, more than 35510000"),
 ]
+#: A sample site off a generated tube, which only the survey checks too.
+SITE_RULES = [
+    ({"exploration": {"generator": {"width": 8, "height": 8},
+                      "sample_sites": [{"cell": [0, 8], "mass_kg": 1.0}]}},
+     "config.exploration.sample_sites[0]: cell [0, 8] is outside the 8x8 map"),
+]
+#: The rules that a run checks on what it derives, by error line, and the
+#: only subcommands that reject them: the survey's on the tube, the
+#: mission's on its script. Every other subcommand exits 0.
+RUN_RULES = {**{error: SURVEYS for _, error in SURVEY_RULES + SITE_RULES},
+             **{error: ("mission",) for _, error in MISSION_RULES}}
 #: Map files the rules above name, written beside the config.
 MAP_FILES = {
     "two.map": "E.E\n...\n",
@@ -948,6 +1003,12 @@ def test_missions_at_the_bounds_load(tmp_path):
       for command in ("power", "mission")],
     *[(command, payload, error) for payload, error in MISSION_RULES
       for command in ("winch", "mission")],
+    # The other subcommands, which exit 0 on the rules of RUN_RULES.
+    *[(command, payload, error)
+      for rules, run in ((SURVEY_RULES, SURVEYS), (MISSION_RULES, ("winch", "mission")))
+      for payload, error in rules for command in SUBCOMMANDS if command not in run],
+    *[(command, payload, error) for payload, error in SITE_RULES
+      for command in SUBCOMMANDS],
 ])
 def test_model_rules_exit_2_with_a_config_path(tmp_path, capsys, command,
                                                payload, error):
@@ -955,9 +1016,18 @@ def test_model_rules_exit_2_with_a_config_path(tmp_path, capsys, command,
     if map_file in MAP_FILES:
         (tmp_path / map_file).write_text(MAP_FILES[map_file])
     config = write_config(tmp_path, payload)
-    assert run_cli(command, "--config", config,
-                   "--out", str(tmp_path / "out")) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    code = run_cli(command, "--config", config, "--out", str(tmp_path / "out"))
+    assert (code, capsys.readouterr().err.splitlines()) == only(
+        RUN_RULES.get(error, SUBCOMMANDS), [error])[command]
+
+
+def test_an_empty_script_past_the_sol_step_bound_exits_2(tmp_path, capsys):
+    """The Initial visit counts too, before any event."""
+    config = write_config(tmp_path, {"power": {"timestep_s": 1.0}, "mission": {
+        "sols_per_phase": {"Initial": 401}, "events": []}})
+    assert run_all(tmp_path, capsys, config) == only(("mission",), [
+        "config.mission.events: the first 0 events run 401 sols x 88775 steps "
+        "= 35598775 sol steps, more than 35510000"])
 
 
 def part_lines(path: str, message: str, *blocks) -> list:

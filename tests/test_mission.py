@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import tubescout.mission
 from tubescout.cli import main
 from tubescout.config import (
     ConfigError,
@@ -287,10 +288,29 @@ class TestRunMission:
         assert tubes[0]["inputs"] == tubes[1]["inputs"]
         assert tubes[0]["coverage_fraction"] == 1.0
 
-    def test_illegal_script_reports_event_position(self):
+    def test_illegal_script_reports_event_position(self, monkeypatch):
+        monkeypatch.setattr(tubescout.mission, "simulate_sol", pytest.fail)
         config = small_config(events=(E.DEPLOYMENT_DONE, E.TUBE_SURVEY_COMPLETE))
-        with pytest.raises(IllegalTransition, match="event 2 of 2"):
+        with pytest.raises(ConfigError) as exc_info:
             run_mission(config)
+        assert exc_info.value.errors == [(
+            "config.mission.events[1]",
+            "event TubeSurveyComplete is not legal in phase Transit")]
+
+    def test_script_past_a_bound_runs_no_sol(self, monkeypatch):
+        """The whole script is walked before the first sol: the eleventh
+        visit of 1000 sols passes ``MAX_MISSION_SOLS``."""
+        monkeypatch.setattr(tubescout.mission, "simulate_sol", pytest.fail)
+        config = small_config(
+            sols_per_phase={"Initial": 1000, "Transit": 1000, "Settlement": 1000},
+            events=(E.DEPLOYMENT_DONE, E.ARRIVED_AT_TUBE,
+                    *(E.RELOCATE_TO_NEXT_TUBE, E.ARRIVED_AT_TUBE) * 4,
+                    E.END_MISSION))
+        with pytest.raises(ConfigError) as exc_info:
+            run_mission(config)
+        assert exc_info.value.errors == [(
+            "config.mission.events",
+            "the first 10 events run 11000 sols, more than 10000")]
 
     def test_battery_carries_between_sols(self):
         config = MissionConfig(
