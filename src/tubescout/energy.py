@@ -41,7 +41,8 @@ DEFAULT_TIMESTEP_S = 25.0
 #: step the scalar rule takes costs 0.25 to 0.4 us (CPython 3.11, 2 x86
 #: CPUs), a step of a ramp about 9 ns (a 1 s sol whose SoC never settles
 #: runs in 0.8 ms), a step filled by slice after a fixed point next to
-#: nothing, and each step 48 bytes of trace arrays.
+#: nothing, and each step 24 bytes of trace arrays (SoC, demand and
+#: shed power; the trace derives the rest when read).
 MAX_SOL_STEPS = 100_000
 
 #: Upper bound on the work of one power report, counted as (loads + 2)
@@ -199,11 +200,20 @@ class Violation:
 class SocTrace:
     """Stepwise record of one simulated sol.
 
-    ``soc_wh`` has one more sample than the step arrays: entry i is the
-    state of charge at time i*timestep_s, entry [-1] at the end of the
-    sol. ``charged_wh``/``discharged_wh`` are the actual per-step battery
-    deltas, at most one of them nonzero per step, and SoC stays within
-    [0, capacity_wh]. SoC closure,
+    The trace stores what the kernel measured: ``soc_wh``, which has one
+    more sample than the step arrays (entry i is the state of charge at
+    time i*timestep_s, entry [-1] at the end of the sol), each step's
+    ``demand_w`` and ``shed_w``, the shed order, and the sol's two
+    supply figures: ``base_supply_w`` from the constant sources at every
+    step and ``first_supply_w`` at step 0, which adds any regeneration
+    credit.
+
+    It derives the rest, as a new array on every read. ``supply_w`` is
+    ``first_supply_w`` at step 0 and ``base_supply_w`` after it.
+    ``charged_wh``/``discharged_wh`` are the two signs of
+    ``np.diff(soc_wh)``: the actual per-step battery deltas, at most one
+    of them nonzero per step, and SoC stays within [0, capacity_wh]. SoC
+    closure,
     soc[i+1] = soc[i] + charged_wh[i] - discharged_wh[i],
     holds exactly at every step where some float64 charge can close it.
     A step clamped at capacity may have none: when soc[i] is an odd
@@ -220,12 +230,31 @@ class SocTrace:
 
     timestep_s: float
     soc_wh: np.ndarray
-    supply_w: np.ndarray
     demand_w: np.ndarray
     shed_w: np.ndarray
-    charged_wh: np.ndarray
-    discharged_wh: np.ndarray
+    base_supply_w: float
+    first_supply_w: float
     shed_order: tuple[PowerLoad, ...] = ()
+
+    @property
+    def supply_w(self) -> np.ndarray:
+        import numpy as np
+        # dtype=float: a sol without constant sources has the integer 0.
+        supply_w = np.full(len(self.demand_w), self.base_supply_w, dtype=float)
+        supply_w[0] = self.first_supply_w
+        return supply_w
+
+    @property
+    def charged_wh(self) -> np.ndarray:
+        import numpy as np
+        return np.maximum(np.diff(self.soc_wh), 0.0)
+
+    @property
+    def discharged_wh(self) -> np.ndarray:
+        import numpy as np
+        delta = np.diff(self.soc_wh)
+        # charged - delta is -delta exactly where SoC fell and +0.0 elsewhere.
+        return np.subtract(np.maximum(delta, 0.0), delta, out=delta)
 
     @property
     def final_soc_wh(self) -> float:
@@ -568,21 +597,13 @@ class _Sol:
     def trace(self, demand_w: np.ndarray, run) -> SocTrace:
         import numpy as np
         soc, shed_w, shed_order = run
-        soc_wh = np.frombuffer(soc)
-        supply_w = np.full(self.n_steps, self.base_supply_w, dtype=float)
-        supply_w[0] = self.first_supply_w
-        delta = np.diff(soc_wh)
-        charged_wh = np.maximum(delta, 0.0)
-        # charged - delta is -delta exactly where SoC fell and +0.0 elsewhere.
-        discharged_wh = np.subtract(charged_wh, delta, out=delta)
         return SocTrace(
             timestep_s=self.timestep_s,
-            soc_wh=soc_wh,
-            supply_w=supply_w,
+            soc_wh=np.frombuffer(soc),
             demand_w=demand_w,
             shed_w=shed_w,
-            charged_wh=charged_wh,
-            discharged_wh=discharged_wh,
+            base_supply_w=self.base_supply_w,
+            first_supply_w=self.first_supply_w,
             shed_order=tuple(shed_order),
         )
 
@@ -611,12 +632,16 @@ def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
 @dataclass(frozen=True)
 class ScheduleResult:
     admitted: tuple[PowerLoad, ...]
-    feasible: bool
     verdicts: dict[str, bool]
     trace: SocTrace
     #: Steps covered by the bare sol and the trials together, those
     #: filled by slice after a fixed point included.
     stepped: int
+
+    @property
+    def feasible(self) -> bool:
+        """Whether every input load was admitted."""
+        return all(self.verdicts.values())
 
 
 def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
@@ -640,7 +665,6 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     admitted, verdicts, demand_w, run = _schedule(sol, loads)
     return ScheduleResult(
         admitted=tuple(admitted),
-        feasible=len(admitted) == len(loads),
         verdicts=verdicts,
         trace=sol.trace(demand_w, run),
         stepped=sol.stepped,
@@ -711,12 +735,13 @@ def write_soc_csv(path, trace: SocTrace) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "soc_wh", "supply_w", "demand_w", "shed_w"])
-        n = len(trace.supply_w)
-        for i in range(n):
+        # Each property builds its array on every read: read it once.
+        supply_w = trace.supply_w
+        for i in range(len(supply_w)):
             writer.writerow([
                 _time_text(i * trace.timestep_s),
                 f"{trace.soc_wh[i + 1]:.6f}",
-                f"{trace.supply_w[i]:.6f}",
+                f"{supply_w[i]:.6f}",
                 f"{trace.demand_w[i]:.6f}",
                 f"{trace.shed_w[i]:.6f}",
             ])

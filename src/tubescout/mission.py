@@ -265,8 +265,9 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
     carrying battery state of charge from sol to sol; loads tagged with
     phase names only draw during those phases. Each survey-complete
     event explores one tube with ``explore_tube`` (a fixed map file if
-    configured, otherwise a tube generated from a per-tube derived seed)
-    and credits the station's winch regeneration to the following sol.
+    configured, surveyed once and reused, otherwise a tube generated from
+    a per-tube derived seed) and credits the station's winch regeneration
+    to the following sol.
     The germination trial runs on the first settlement entry.
     """
     settings = config.mission
@@ -283,14 +284,17 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
     total_dose_msv = 0.0
     germination: GerminationTrial | None = None
     infeasible_sols: list[int] = []
+    survey = None
 
     for event, state, sols in visits:
         phase = state.phase.value
         if event is MissionEvent.TUBE_SURVEY_COMPLETE:
             index = state.tubes_explored - 1
-            section, tube_findings, result = explore_tube(config, seed, index)
-            section["tube_index"] = index
-            tube_sections.append(section)
+            # A map file's survey does not depend on the tube index.
+            if survey is None or config.exploration.map_file is None:
+                survey = explore_tube(config, seed, index)
+            section, tube_findings, result = survey
+            tube_sections.append(dict(section, tube_index=index))
             findings.extend(tube_findings)
             pending_regen_wh += result.energy_regen_wh
             total_regen_wh += result.energy_regen_wh

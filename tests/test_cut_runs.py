@@ -169,10 +169,9 @@ def test_a_gap_in_equal_shed_within_a_stretch_starts_a_new_run():
     """A sol does not shed, stop and shed the same power again between two
     edges, but a run is still only ever consecutive steps."""
     shed_w = np.array([5.0, 5.0, 0.0, 5.0, 5.0, 0.0])
-    zeros = np.zeros(len(shed_w))
     trace = SocTrace(timestep_s=25.0, soc_wh=np.zeros(len(shed_w) + 1),
-                     supply_w=zeros, demand_w=zeros, shed_w=shed_w,
-                     charged_wh=zeros, discharged_wh=zeros,
+                     demand_w=np.zeros(len(shed_w)), shed_w=shed_w,
+                     base_supply_w=0.0, first_supply_w=0.0,
                      shed_order=(PowerLoad("lamp", 10.0),))
     runs = assert_runs_expand_to_per_step_cuts(trace)
     assert runs == [(0, 2, "lamp", False, 5.0), (3, 2, "lamp", False, 5.0)]

@@ -13,6 +13,7 @@ import bisect
 import itertools
 import math
 import random
+import tracemalloc
 from array import array
 from functools import reduce
 from operator import add
@@ -846,3 +847,28 @@ def test_closure_is_inexact_only_where_the_charge_is_clamped():
     lower = math.nextafter(before, 0.0)
     assert not no_charge_closes(lower, after)
     assert lower + (after - lower) == after
+
+
+def test_trace_stores_under_32_bytes_a_step():
+    """A trace stores SoC, demand and shed power, 24 bytes a step; supply,
+    charge and discharge it derives when read. A 1 s sol with a
+    regeneration credit and a shedding night heater peaks under 32 bytes
+    a step, where three more stored arrays would take 48."""
+    sources = [PowerSource("rtg", rating_w=110.0),
+               PowerSource("regen", SourceKind.WINCH_REGEN, 0.0, 50.0)]
+    loads = [PowerLoad("lamp", 90.0, (0.0, 30000.0)),
+             PowerLoad("heater", 200.0, (44375.0, 80000.0), sheddable=True)]
+    battery = Battery(1000.0, 200.0)
+
+    def run():
+        return simulate_sol(sources, loads, battery, ENV, 1.0)
+
+    run()  # warm: imports and caches
+    tracemalloc.start()
+    try:
+        trace = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.any(trace.shed_w) and trace.supply_w[0] > trace.supply_w[1]
+    assert peak < 32 * len(trace.demand_w)

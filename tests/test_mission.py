@@ -288,6 +288,32 @@ class TestRunMission:
         assert tubes[0]["inputs"] == tubes[1]["inputs"]
         assert tubes[0]["coverage_fraction"] == 1.0
 
+    @pytest.mark.parametrize("map_file, surveys", [(True, 1), (False, 3)])
+    def test_map_file_is_surveyed_once(self, tmp_path, monkeypatch, map_file,
+                                       surveys):
+        from tubescout.tube_explorer import generate_tube, write_map_file
+        exploration = SMALL_EXPLORATION
+        if map_file:
+            path = tmp_path / "fixed.map"
+            write_map_file(path, generate_tube(5, 8, 8, 0.15))
+            exploration = ExplorationSettings(map_file=str(path), robot_count=2)
+        events = (E.DEPLOYMENT_DONE, E.ARRIVED_AT_TUBE, E.TUBE_SURVEY_COMPLETE,
+                  E.TUBE_SURVEY_COMPLETE, E.TUBE_SURVEY_COMPLETE, E.END_MISSION)
+        config = MissionConfig(exploration=exploration,
+                               mission=MissionSettings(events=events))
+        runs = []
+        explore = tubescout.mission.run_exploration
+        monkeypatch.setattr(tubescout.mission, "run_exploration",
+                            lambda *args, **kwargs: runs.append(1)
+                            or explore(*args, **kwargs))
+        tubes = run_mission(config)["exploration"]["tubes"]
+        assert len(runs) == surveys
+        assert [t["tube_index"] for t in tubes] == [0, 1, 2]
+        if map_file:
+            assert all(dict(t, tube_index=0) == tubes[0] for t in tubes)
+        else:
+            assert len({t["tube_seed"] for t in tubes}) == 3
+
     def test_illegal_script_reports_event_position(self, monkeypatch):
         monkeypatch.setattr(tubescout.mission, "simulate_sol", pytest.fail)
         config = small_config(events=(E.DEPLOYMENT_DONE, E.TUBE_SURVEY_COMPLETE))
