@@ -508,6 +508,9 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
             keys = JSON_KEYS.get(type(items[argument][i]).__name__, {})
             path += f"[{i}].{keys.get(name, name)}"
         errors.append((path, message))
+    if not config.sources and config.battery.initial_soc_wh == 0 and config.loads:
+        errors.append(("config.power.sources",
+                       "no power source and an empty battery cannot serve loads"))
     if errors:
         raise ConfigError(errors)
     return config

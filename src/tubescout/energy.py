@@ -351,9 +351,6 @@ def sol_problems(sources: list[PowerSource], loads: list[PowerLoad],
         if load.window is not None and load.window[1] > sol_s:
             yield ("loads", i, "window", f"window {list(load.window)} ends "
                                          f"past the {sol_s:.0f} s sol")
-    if not sources and battery.initial_soc_wh == 0 and loads:
-        yield ("sources", None, None,
-               "no power source and an empty battery cannot serve loads")
 
 
 def _shed_order(loads: list[PowerLoad]) -> list[PowerLoad]:

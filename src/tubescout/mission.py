@@ -3,7 +3,7 @@
 The runner composes every model in the package: it drives the phase
 machine over a scripted event list, simulates a power sol per phase
 visit, runs a tube survey on each survey-complete event (crediting the
-winch regeneration into the next sol's supply), accumulates radiation
+winch regeneration into the next sol's supply), logs each sol's radiation
 dose with a phase-dependent cave fraction, and emits one consolidated
 report dictionary. Identical config and seed give identical reports.
 """
@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 from tubescout.energy import DEFAULT_TIMESTEP_S, PowerSource, SourceKind, simulate_sol
 from tubescout.env import MarsEnvironment, cumulative_dose
+from tubescout.numeric import fold_sum
 from tubescout.program import fte_estimate
 from tubescout.report import (
     ANALYTIC_SECTIONS,
@@ -269,6 +270,11 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
     a per-tube derived seed) and credits the station's winch regeneration
     to the following sol.
     The germination trial runs on the first settlement entry.
+
+    The sol log (one entry per sol) and the tube sections (one per
+    survey) are the mission's records: its counts, its infeasible sols
+    and its dose and regeneration totals are read from them after the
+    last visit, each total added left to right from 0.0.
     """
     settings = config.mission
     seed = settings.seed if seed_override is None else seed_override
@@ -280,10 +286,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
     tube_sections: list[dict] = []
     battery = config.battery
     pending_regen_wh = 0.0
-    total_regen_wh = 0.0
-    total_dose_msv = 0.0
     germination: GerminationTrial | None = None
-    infeasible_sols: list[int] = []
     survey = None
 
     for event, state, sols in visits:
@@ -297,13 +300,12 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             tube_sections.append(dict(section, tube_index=index))
             findings.extend(tube_findings)
             pending_regen_wh += result.energy_regen_wh
-            total_regen_wh += result.energy_regen_wh
         if (state.phase is MissionPhase.SETTLEMENT and germination is None
                 and settings.germination is not None):
             germination = germination_trial(settings.germination.n_seeds,
                                             settings.germination.p_germinate,
                                             seed)
-        cave_fraction = settings.cave_fraction.get(phase, 0.0)
+        dose_msv = cumulative_dose(env, settings.cave_fraction.get(phase, 0.0), 1.0)
         loads = [t.load for t in config.loads if t.active_in(phase)]
         for sol in range(state.sol, state.sol + sols):
             sources = list(config.sources)
@@ -317,10 +319,6 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             for _, n, _, sheddable, _ in trace.cut_runs():
                 violations += n
                 hard_violations += 0 if sheddable else n
-            if hard_violations:
-                infeasible_sols.append(sol)
-            dose_msv = cumulative_dose(env, cave_fraction, 1.0)
-            total_dose_msv += dose_msv
             sol_log.append({
                 "sol": sol,
                 "phase": phase,
@@ -335,6 +333,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             # Drop this sol's trace before the next one is simulated.
             del trace
 
+    infeasible_sols = [entry["sol"] for entry in sol_log if entry["hard_violations"]]
     if infeasible_sols:
         findings.append(Finding(
             kind="infeasible",
@@ -343,6 +342,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                      f"{len(infeasible_sols)} sol(s)"),
             data={"sols": list(infeasible_sols)},
         ))
+    total_regen_wh = 0.0 + fold_sum(s["energy_regen_wh"] for s in tube_sections)
     prog = config.program
     body = {
         "env": env_section(env),
@@ -350,7 +350,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             "inputs": power_inputs(config.battery, config.sources,
                                    config.loads, config.timestep_s),
             "total_regen_credited_wh": total_regen_wh,
-            "infeasible_sols": list(infeasible_sols),
+            "infeasible_sols": infeasible_sols,
         },
         "exploration": {"tubes": tube_sections, "total_regen_wh": total_regen_wh},
         "program": {"staffing": {
@@ -364,10 +364,9 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             "phase_log": [visit.phase.value for _, visit, _ in visits],
             "phases_visited": sorted({visit.phase.value for _, visit, _ in visits
                                       if visit.phase is not MissionPhase.COMPLETE}),
-            # The last visit's state and sols.
-            "tubes_explored": state.tubes_explored,
-            "sols_simulated": state.sol + sols,
-            "total_dose_msv": total_dose_msv,
+            "tubes_explored": len(tube_sections),
+            "sols_simulated": len(sol_log),
+            "total_dose_msv": 0.0 + fold_sum(entry["dose_msv"] for entry in sol_log),
             "germination": echo(germination),
             "sol_log": sol_log,
         },

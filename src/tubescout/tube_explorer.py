@@ -19,7 +19,7 @@ import enum
 import heapq
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .energy import WinchSpec, winch_regen_energy
@@ -49,12 +49,14 @@ class GridMap:
 
     ``cells`` is int8 with FREE/OBSTACLE/ENTRANCE values and never
     changes after construction; ``explored`` marks traversable cells the
-    fleet has sensed. The entrance is always explored.
+    fleet has sensed. The entrance, found once at construction, is
+    always explored.
     """
 
     cells: np.ndarray
     explored: np.ndarray
     resolution_m: float = 1.0
+    entrance: tuple[int, int] = field(init=False)
 
     def __post_init__(self):
         import numpy as np
@@ -68,7 +70,9 @@ class GridMap:
         self.explored = np.array(self.explored, dtype=bool)
         if self.explored.shape != self.cells.shape:
             raise MapError("explored mask shape must match cells")
-        self.explored[tuple(entrances[0])] = True
+        r, c = entrances[0]
+        self.entrance = (int(r), int(c))
+        self.explored[self.entrance] = True
 
     @property
     def height(self) -> int:
@@ -77,12 +81,6 @@ class GridMap:
     @property
     def width(self) -> int:
         return self.cells.shape[1]
-
-    @property
-    def entrance(self) -> tuple[int, int]:
-        import numpy as np
-        r, c = np.argwhere(self.cells == ENTRANCE)[0]
-        return int(r), int(c)
 
     def traversable(self) -> np.ndarray:
         return self.cells != OBSTACLE
@@ -182,16 +180,21 @@ def grid_to_text(grid: GridMap) -> str:
 
 
 def grid_from_text(text: str, resolution_m: float = 1.0) -> GridMap:
-    """Parse a '.'/'#'/'E' map; rows must be equal length, exactly one E,
-    and at most ``MAX_TUBE_CELLS`` cells."""
+    """Parse a '.'/'#'/'E' map; rows must be contiguous and of equal
+    length, with exactly one E and at most ``MAX_TUBE_CELLS`` cells.
+    Blank lines may only come before the first row or after the last."""
     import numpy as np
-    rows = [line for line in text.splitlines() if line.strip()]
-    if not rows:
+    lines = text.splitlines()
+    filled = [r for r, line in enumerate(lines) if line.strip()]
+    if not filled:
         raise MapError("map text is empty")
+    rows = lines[filled[0]:filled[-1] + 1]
     width = len(rows[0])
     check_tube_size(width, len(rows))
     cells = np.zeros((len(rows), width), dtype=np.int8)
     for r, line in enumerate(rows):
+        if not line.strip():
+            raise MapError(f"blank line at row {r}: map rows must be contiguous")
         if len(line) != width:
             raise MapError(
                 f"ragged map: row {r} has length {len(line)}, expected {width}")

@@ -964,15 +964,23 @@ SITE_RULES = [
                       "sample_sites": [{"cell": [0, 8], "mass_kg": 1.0}]}},
      "config.exploration.sample_sites[0]: cell [0, 8] is outside the 8x8 map"),
 ]
+#: A map whose rows a blank line splits, which only the survey reads too.
+MAP_GAP_RULES = [
+    ({"exploration": {"map_file": "gap.map"}},
+     "config.exploration.map_file: blank line at row 2: map rows must be "
+     "contiguous"),
+]
 #: The rules that a run checks on what it derives, by error line, and the
 #: only subcommands that reject them: the survey's on the tube, the
 #: mission's on its script. Every other subcommand exits 0.
-RUN_RULES = {**{error: SURVEYS for _, error in SURVEY_RULES + SITE_RULES},
+RUN_RULES = {**{error: SURVEYS
+                for _, error in SURVEY_RULES + SITE_RULES + MAP_GAP_RULES},
              **{error: ("mission",) for _, error in MISSION_RULES}}
 #: Map files the rules above name, written beside the config.
 MAP_FILES = {
     "two.map": "E.E\n...\n",
     "wide.map": "E" + "." * 1000 + "\n" + ("." * 1001 + "\n") * 999,
+    "gap.map": "..E..\n.....\n\n#####\n.....\n",
 }
 
 
@@ -1008,6 +1016,8 @@ def test_missions_at_the_bounds_load(tmp_path):
       for rules, run in ((SURVEY_RULES, SURVEYS), (MISSION_RULES, ("winch", "mission")))
       for payload, error in rules for command in SUBCOMMANDS if command not in run],
     *[(command, payload, error) for payload, error in SITE_RULES
+      for command in SUBCOMMANDS],
+    *[(command, payload, error) for payload, error in MAP_GAP_RULES
       for command in SUBCOMMANDS],
 ])
 def test_model_rules_exit_2_with_a_config_path(tmp_path, capsys, command,

@@ -210,9 +210,13 @@ class TestSimulateSol:
         with pytest.raises(ValueError):
             simulate_sol([RTG], [load], Battery(), ENV)
 
-    def test_no_source_empty_battery_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_sol([], [PowerLoad("bus", 10.0)], Battery(1000.0, 0.0), ENV)
+    def test_no_source_empty_battery_sheds_every_step(self):
+        """The kernel serves what it has: nothing, so the load is shed in
+        full at every step. Only a configured scenario is refused."""
+        trace = simulate_sol([], [PowerLoad("bus", 10.0)], Battery(1000.0, 0.0), ENV)
+        assert np.all(trace.soc_wh == 0.0)
+        # one run of cuts of the whole load, from step 0 through step 3550
+        assert list(trace.cut_runs()) == [(0, 3551, "bus", False, 10.0)]
 
     def test_every_problem_named_by_argument_index_and_field(self):
         loads = [PowerLoad("a", 1.0), PowerLoad("b", 1.0, (0.0, 90000.0)),
@@ -229,9 +233,7 @@ class TestSimulateSol:
             ("loads", 1, "window",
              "window [0.0, 90000.0] ends past the 88775 s sol")]
         assert list(sol_problems([], loads[:1], Battery(1000.0, 0.0), ENV,
-                                 25.0)) == [
-            ("sources", None, None,
-             "no power source and an empty battery cannot serve loads")]
+                                 25.0)) == []
 
     def test_sol_work_bounded(self):
         """24 always-on loads, the largest benchmark case, fit at 25 s

@@ -378,7 +378,7 @@ class TestRunMission:
             sols_per_phase={"Initial": 2, "Transit": 0, "Settlement": 3}))
         m = report["mission"]
         # 2 initial + 0 transit + 3 per settlement visit (arrival + survey)
-        assert m["sols_simulated"] == 2 + 0 + 3 + 3
+        assert m["sols_simulated"] == len(m["sol_log"]) == 2 + 0 + 3 + 3
         phases = [e["phase"] for e in m["sol_log"]]
         assert phases == ["Initial"] * 2 + ["Settlement"] * 6
 
@@ -399,6 +399,42 @@ class TestRunMission:
         )
         report = run_mission(config)
         assert report["energy"]["total_regen_credited_wh"] == 0.0
+
+    def test_drained_battery_without_source_sheds_to_the_end(self):
+        """The configured battery is full, so the config is valid; once it
+        drains, each later sol has no power and sheds its load in full."""
+        config = parse_config({
+            "power": {"battery": {"capacity_wh": 100.0, "initial_soc_wh": 100.0},
+                      "sources": [],
+                      "loads": [{"name": "heater", "power_w": 50.0,
+                                 "sheddable": True}]},
+            "mission": {"sols_per_phase": {"Initial": 2}}})
+        report = run_mission(config)
+        log = report["mission"]["sol_log"]
+        assert report["mission"]["sols_simulated"] == len(log) == 5
+        assert [e["final_soc_wh"] for e in log] == [0.0] * 5
+        assert all(e["violations"] > 0 and e["total_shed_wh"] > 0
+                   and e["hard_violations"] == 0 for e in log)
+        assert report["energy"]["infeasible_sols"] == []
+
+    def test_totals_of_a_mission_without_sols_or_surveys_are_floats(self):
+        report = run_mission(small_config(events=(), sols_per_phase={"Initial": 0}))
+        assert report["mission"]["sol_log"] == []
+        assert report["mission"]["sols_simulated"] == 0
+        text = dump_json(report)
+        assert '"total_dose_msv": 0.0,' in text
+        assert '"total_regen_credited_wh": 0.0' in text
+        assert '"total_regen_wh": 0.0' in text
+
+    def test_survey_in_a_visit_without_sols_is_credited(self):
+        report = run_mission(small_config(
+            sols_per_phase={"Initial": 0, "Transit": 0, "Settlement": 0}))
+        [tube] = report["exploration"]["tubes"]
+        assert report["mission"]["sol_log"] == []
+        assert tube["energy_regen_wh"] > 0.0
+        assert (report["energy"]["total_regen_credited_wh"]
+                == report["exploration"]["total_regen_wh"]
+                == tube["energy_regen_wh"])
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

@@ -158,10 +158,26 @@ class TestMapText:
         "E.E\n...\n",      # two entrances
         "E..\n..\n",       # ragged
         "E.x\n...\n",      # unknown char
+        "E..\n\n...\n",    # blank line between rows
     ])
     def test_malformed_rejected(self, text):
         with pytest.raises(MapError):
             grid_from_text(text)
+
+    def test_blank_lines_around_the_rows_accepted(self):
+        grid = grid_from_text("\n \nE..\n.#.\n\n\t\n")
+        assert grid.cells.shape == (2, 3)
+        assert grid.entrance == (0, 0)
+
+    def test_fleet_reads_the_entrance_found_at_construction(self, monkeypatch):
+        grid = generate_tube(3, 20, 20, 0.2)
+        calls = []
+        argwhere = np.argwhere
+        monkeypatch.setattr(np, "argwhere",
+                            lambda *a: calls.append(a) or argwhere(*a))
+        fleet = make_fleet(grid, 100)
+        assert calls == []
+        assert {robot.position for robot in fleet} == {grid.entrance}
 
 
 class TestRobotAndSamples:
