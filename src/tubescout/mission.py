@@ -165,8 +165,8 @@ def phase_visits(config: "MissionConfig") -> list[tuple]:
 
 
 #: Upper bound on the seeds of a germination trial: counted by jumps in
-#: numpy (``rng.chance_count``), a million draws take 0.06-0.08 s and
-#: 10,000 draws 1.4-2.1 ms (CPython 3.11, numpy 2.4, 2 x86 CPUs).
+#: numpy (``rng.chance_count``), a million draws take 0.04-0.05 s and
+#: 10,000 draws 1.1-1.7 ms (CPython 3.11, numpy 2.4, 2 x86 CPUs).
 MAX_GERMINATION_SEEDS = 1_000_000
 
 
@@ -267,7 +267,8 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
     phase names only draw during those phases. Each survey-complete
     event explores one tube with ``explore_tube`` (a fixed map file if
     configured, surveyed once and reused, otherwise a tube generated from
-    a per-tube derived seed) and credits the station's winch regeneration
+    a per-tube derived seed), guarded as the ``exploration`` part as
+    ``explore`` guards it, and credits the station's winch regeneration
     to the following sol.
     The germination trial runs on the first settlement entry.
 
@@ -295,7 +296,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
             index = state.tubes_explored - 1
             # A map file's survey does not depend on the tube index.
             if survey is None or config.exploration.map_file is None:
-                survey = explore_tube(config, seed, index)
+                survey = guard(("exploration",), explore_tube)(config, seed, index)
             section, tube_findings, result = survey
             tube_sections.append(dict(section, tube_index=index))
             findings.extend(tube_findings)

@@ -96,13 +96,13 @@ class Rng:
 #: coefficient of x**i. Every bit of the ``s[1]`` word sequence, and so
 #: the words themselves under XOR, satisfy the recurrence it gives.
 _CHAR_POLY = 0x10003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001
-#: Draws stepped by ``Rng`` before ``chance_count`` jumps. A jump of m
+#: Draws stepped by ``Rng`` before ``chance_blocks`` jumps. A jump of m
 #: words, w[k + m] = XOR of w[k + i] over the bits i of x**m mod
 #: _CHAR_POLY, reads 256 words and so turns a prefix of L >= m words
 #: into one of L + m - 255.
 _HEAD = 384
-#: The longest jump, and the words ``chance_count`` keeps once its prefix
-#: has grown past them: its window holds _WINDOW + (_WINDOW - 255) words.
+#: The longest jump, and the words ``chance_blocks`` keeps once its prefix
+#: has grown past them: its window holds at most 2 * _WINDOW - 255 words.
 _WINDOW = 2048
 
 
@@ -134,39 +134,43 @@ def _jump_plan(m: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return d, tuple(paired), tuple(sorted(single))
 
 
-def chance_count(seed: int, stream: int, n: int, p: float) -> int:
-    """How many of ``n`` successive ``Rng(seed, stream).chance(p)`` draws
-    come out true, bit for bit as the scalar loop would count them.
+def chance_blocks(rng: Rng, n: int, p: float):
+    """Yield the next ``n`` ``rng.chance(p)`` draws as boolean numpy
+    blocks, in order, bit for bit as the scalar loop would draw them.
 
-    The ``**`` output reads only ``s[1]``. ``Rng`` steps the first
+    The ``**`` output reads only ``s[1]``. ``rng`` steps the first
     ``_HEAD`` draws and records ``s[1]`` before each. Every later word
     comes in numpy ``uint64`` XORs from a jump as long as the known
     words, up to ``_WINDOW``, so the prefix grows 384 -> 513 -> 771 ->
     1287 -> 2319 words; from there each jump of ``_WINDOW`` adds
     ``_WINDOW - 255`` words to a window of the last ``_WINDOW``: jump
     ahead for F2-linear generators (Haramoto et al., INFORMS J. Computing
-    2008), with its taps paired as ``_jump_plan`` gives them. The words
-    are scrambled and compared with ``p`` as float64, as ``Rng.random``
-    and ``Rng.chance`` do.
+    2008), with its taps paired as ``_jump_plan`` gives them. The window
+    holds no more words than the draws need. The words are scrambled and
+    compared with ``p`` as float64, as ``Rng.random`` and ``Rng.chance``
+    do, and each block is a fresh array.
+
+    ``rng`` is left past its head draws only, not past all ``n``, so a
+    caller must not draw from it afterwards.
     """
     import numpy as np
-    rng = Rng(seed, stream)
     known = min(n, _HEAD)
     state, step = rng._s, rng.next_u64
-    window = np.empty(2 * _WINDOW - 255, dtype=np.uint64)
-    sums = np.empty(_WINDOW, dtype=np.uint64)  # window[j] ^ window[j + d]
+    size = min(2 * _WINDOW - 255, max(n, _HEAD))
+    window = np.empty(size, dtype=np.uint64)
+    sums = np.empty(min(size, _WINDOW), dtype=np.uint64)  # window[j] ^ window[j + d]
     for k in range(known):
         window[k] = state[1]
         step()
 
-    def chances(w: np.ndarray) -> int:
+    def chances(w: np.ndarray) -> np.ndarray:
         out = w * np.uint64(5)
         out = (out << np.uint64(7)) | (out >> np.uint64(57))
         out *= np.uint64(9)
         out >>= np.uint64(11)
-        return int(np.count_nonzero(out.astype(np.float64) * 2.0 ** -53 < p))
+        return out.astype(np.float64) * 2.0 ** -53 < p
 
-    count = chances(window[:known])
+    yield chances(window[:known])
     done, jump = known, None
     while done < n:
         block = min(known - 255, n - done)
@@ -181,10 +185,18 @@ def chance_count(seed: int, stream: int, n: int, p: float) -> int:
         np.copyto(new, first)
         for source in rest:
             new ^= source
-        count += chances(new)
+        yield chances(new)
         done += block
         known += block
         if known > _WINDOW:
             window[:_WINDOW] = window[known - _WINDOW:known]
             known = _WINDOW
-    return count
+
+
+def chance_count(seed: int, stream: int, n: int, p: float) -> int:
+    """How many of ``n`` successive ``Rng(seed, stream).chance(p)`` draws
+    come out true, bit for bit as the scalar loop would count them: the
+    sum over ``chance_blocks``."""
+    import numpy as np
+    return sum(int(np.count_nonzero(block))
+               for block in chance_blocks(Rng(seed, stream), n, p))

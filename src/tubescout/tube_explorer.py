@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from .energy import WinchSpec, winch_regen_energy
 from .env import MarsEnvironment
 from .numeric import fold_sum
-from .rng import TUBE_STREAM, Rng
+from .rng import TUBE_STREAM, Rng, chance_blocks
 
 # numpy is imported inside the functions that build or read arrays, so
 # that the analytic subcommands, which import this module, never load it.
@@ -96,8 +96,8 @@ def check_resolution(resolution_m: float) -> None:
 
 
 #: Upper bound on the cells of a tube map, drawn or read: a 1000x1000
-#: map takes 1.1 to 1.8 s to draw at obstacle densities 0 to 0.5
-#: (CPython 3.11, 2 x86 CPUs).
+#: map takes 0.05 to 0.07 s to draw at obstacle densities 0 to 0.5
+#: (CPython 3.11, numpy 2.4, 2 x86 CPUs).
 MAX_TUBE_CELLS = 1_000_000
 
 
@@ -158,17 +158,15 @@ def generate_tube(seed: int, width: int, height: int,
 
     The same seed always yields the bit-identical map. The entrance
     column is drawn first, then one obstacle draw per cell in row-major
-    order, so maps of equal size share a prefix of the random stream.
+    order (``rng.chance_blocks``), so maps of equal size share a prefix
+    of the random stream.
     """
     import numpy as np
     check_tube_parameters(width, height, obstacle_density, resolution_m)
     rng = Rng(seed, stream=TUBE_STREAM)
     entrance_col = rng.below(width)
-    cells = np.zeros((height, width), dtype=np.int8)
-    for r in range(height):
-        for c in range(width):
-            if rng.chance(obstacle_density):
-                cells[r, c] = OBSTACLE
+    obstacles = np.concatenate([*chance_blocks(rng, width * height, obstacle_density)])
+    cells = np.where(obstacles, np.int8(OBSTACLE), np.int8(FREE)).reshape(height, width)
     cells[0, entrance_col] = ENTRANCE
     return fresh_map(cells, resolution_m)
 

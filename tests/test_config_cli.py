@@ -1091,6 +1091,11 @@ PART_OVERFLOWS = [
     # Each end is finite but the day arc's amplitude is not.
     ({"env": {"overrides": {"night_low_c": -1e308, "day_high_c": 1e308}}},
      thermal_lines("trough_heat_loss_w", "inf")),
+    # The survey's regeneration overflows inside ``mission`` as in ``explore``.
+    *(({"exploration": {"station": {"descents": descents}}},
+       {command: part_lines("exploration", "overflows", "exploration", "winch", "env")
+        for command in SURVEYS})
+      for descents in (10**400, 2**1030)),
 ]
 
 

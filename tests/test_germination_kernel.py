@@ -3,8 +3,8 @@
 generator's own output, the word recurrences it gives, the chain of
 jumps that grows the known prefix and the pairing of their taps, a
 differential grid around every growth and block edge, the largest
-allowed trial and a memory bound that does not grow with the number of
-draws."""
+allowed trial, a memory bound that does not grow with the number of
+draws and a window no larger than a small draw needs."""
 
 import math
 import tracemalloc
@@ -173,3 +173,16 @@ def test_memory_does_not_grow_with_the_draws():
             tracemalloc.stop()
 
     assert peak(10_000) == peak(MAX_GERMINATION_SEEDS)
+
+
+def test_a_small_draw_sizes_its_window_to_the_draws():
+    """100 draws keep a window of ``_HEAD`` words, not of
+    ``2 * _WINDOW - 255``."""
+    chance_count(1, GERMINATION_STREAM, 100, 0.7)  # warm
+    tracemalloc.start()
+    try:
+        chance_count(1, GERMINATION_STREAM, 100, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 1024

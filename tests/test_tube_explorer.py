@@ -4,6 +4,7 @@ The reachability oracle used throughout is an independent deque-based
 flood fill, deliberately separate from the library implementation.
 """
 
+import random
 from collections import deque
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from tubescout.energy import WinchSpec, winch_regen_energy
 from tubescout.env import MarsEnvironment
+from tubescout.rng import _HEAD, _WINDOW, TUBE_STREAM, Rng
 from tubescout.tube_explorer import (
     ENTRANCE,
     FREE,
@@ -68,7 +70,49 @@ def open_map(size: int = 5) -> GridMap:
     return fresh_map(cells)
 
 
+def per_cell_tube(seed: int, width: int, height: int,
+                  obstacle_density: float) -> np.ndarray:
+    """The cells of ``generate_tube`` drawn one ``Rng.chance`` per cell:
+    the entrance column, then the cells in row-major order."""
+    rng = Rng(seed, stream=TUBE_STREAM)
+    entrance_col = rng.below(width)
+    cells = np.zeros((height, width), dtype=np.int8)
+    for r in range(height):
+        for c in range(width):
+            if rng.chance(obstacle_density):
+                cells[r, c] = OBSTACLE
+    cells[0, entrance_col] = ENTRANCE
+    return cells
+
+
+def assert_per_cell_map(seed, width, height, obstacle_density):
+    cells = generate_tube(seed, width, height, obstacle_density).cells
+    expect = per_cell_tube(seed, width, height, obstacle_density)
+    assert cells.dtype == expect.dtype
+    assert np.array_equal(cells, expect), (seed, width, height, obstacle_density)
+
+
+#: Large and thin maps, and draw counts at and around ``_HEAD`` and past
+#: the kernel's largest window of ``2 * _WINDOW - 255`` words.
+EDGE_SIZES = [(200, 200), (1000, 3), (3, 1000), (45, 91),
+              (_HEAD - 1, 1), (1, _HEAD), (_HEAD + 1, 1),
+              (2 * _WINDOW - 255, 1), (1, 2 * _WINDOW - 254), (62, 62)]
+
+
 class TestGenerateTube:
+    @pytest.mark.parametrize("density", [0.0, 0.2, 0.999])
+    @pytest.mark.parametrize("width, height", EDGE_SIZES)
+    def test_edge_sizes_match_the_per_cell_draws(self, width, height, density):
+        assert_per_cell_map(width * height, width, height, density)
+
+    def test_random_maps_match_the_per_cell_draws(self):
+        """300 seeded maps of 1-60 cells a side at densities 0-0.999."""
+        cases = random.Random(2026)
+        for _ in range(300):
+            density = cases.choice([0.0, 0.999, cases.uniform(0.0, 0.999)])
+            assert_per_cell_map(cases.randrange(1 << 64), cases.randint(1, 60),
+                                cases.randint(1, 60), density)
+
     def test_same_seed_bit_identical(self):
         a = generate_tube(42, 20, 20, 0.2)
         b = generate_tube(42, 20, 20, 0.2)
