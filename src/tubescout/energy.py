@@ -47,16 +47,16 @@ MAX_SOL_STEPS = 100_000
 
 #: Upper bound on the work of one power report, counted as (loads + 2)
 #: runs of the sol (one scheduler trial per load, the scheduler's bare
-#: sol and the full trace, which resumes the admitted run and so covers
-#: at most a sol) times its steps times (loads + 1). In the worst case,
-#: every load always on and sheddable and the battery empty, no trial
-#: stops early or rejoins, and every step sheds every load. A shedding
-#: step empties the battery, so the runs fill each stretch between
-#: window edges by slice after its first steps, a trial walks ``_cuts``
-#: about once a stretch, and the report reads the trace's cuts once per
-#: run of equal shed power. At the bound (20 loads at 1 s steps, 1.78M
-#: cuts in one run) the report takes 18-22 ms, 13-15 ms of it the
-#: scheduler (CPython 3.11, 2 x86 CPUs).
+#: sol and the full trace, a plain run of the sol) times its steps times
+#: (loads + 1). In the worst case, every load always on and sheddable
+#: and the battery empty, no trial stops early or rejoins, and every
+#: step sheds every load. A shedding step empties the battery, so the
+#: runs fill each stretch between window edges by slice after its first
+#: steps, a trial walks ``_cuts`` about once a stretch, and the report
+#: reads the trace's cuts once per run of equal shed power. At the bound
+#: (20 loads at 1 s steps, 1.78M cuts in one run) the report takes
+#: 14-23 ms, 10-18 ms of it the scheduler and 1.3-2.3 ms the full trace
+#: (CPython 3.11, 2 x86 CPUs, medians of 15 calls).
 MAX_SOL_WORK = 42_000_000
 
 
@@ -445,8 +445,7 @@ class _Sol:
         return demand_w
 
     def run(self, demand_w: np.ndarray, loads: list[PowerLoad],
-            base=None, start: int = 0, join: int | None = None,
-            trial: bool = False):
+            base=None, start: int = 0, join: int | None = None):
         """Step the battery through the sol against ``demand_w``, the
         demand of ``loads``. Returns (soc, shed_w, shed_order), with soc
         an ``array('d')`` of n_steps + 1 samples; no cuts are kept.
@@ -477,26 +476,25 @@ class _Sol:
         sums past that step are discarded and may overflow, so the run
         ignores float overflow throughout.
 
-        A full run is ``start`` = 0 with no ``base``. A run given
-        ``base``, an earlier run of this sol whose demand differs from
-        ``demand_w`` only in steps [start, join), resumes it. It copies
-        the steps before ``start`` from ``base`` and steps from there; at
-        each stretch start at or after ``join`` it compares its SoC with
-        that of ``base`` and, once they are equal, copies the rest. This
-        is exact: outside [start, join) the demand is the same, so equal
-        SoC at a step gives the same SoC and shed power bit for bit from
-        there on. Comparing only there costs next to nothing: two runs
-        under the same demand meet where both batteries clamp, full or
-        empty, so the step after is a fixed point, and the run fills to
-        the next load edge by slice and rejoins there.
+        A run is full or a trial. A full run is ``start`` = 0 with no
+        ``base``. A trial is given ``base``, an earlier run of this sol
+        that cut no non-sheddable load, whose demand and active loads in
+        shed order differ from this run's only in steps [start, join). It
+        copies the steps before ``start`` from ``base`` and steps from
+        there; at each stretch start at or after ``join`` it compares its
+        SoC with that of ``base`` and, once they are equal, copies the
+        rest. This is exact: outside [start, join) the demand is the
+        same, so equal SoC at a step gives the same SoC and shed power
+        bit for bit from there on. Comparing only there costs next to
+        nothing: two runs under the same demand meet where both batteries
+        clamp, full or empty, so the step after is a fixed point, and the
+        trial fills to the next load edge by slice and rejoins there.
 
-        A ``trial`` is a resume whose active loads in shed order also
-        differ from those of ``base`` only in [start, join). It returns
-        None at the first step whose shed power reaches a non-sheddable
-        load. A repeated step cannot be that step, since the step it
-        repeats was not, so a trial checks the cuts of a stepped step
-        only, and the steps it copies from ``base``, a run that cut no
-        non-sheddable load, change no verdict.
+        A trial returns None at the first step whose shed power reaches a
+        non-sheddable load. A repeated step cannot be that step, since the
+        step it repeats was not, so a trial checks the cuts of a stepped
+        step only, and the steps it copies from ``base`` change no
+        verdict.
         """
         import numpy as np
         battery = self.battery
@@ -552,7 +550,7 @@ class _Sol:
                         unmet_w = (need_wh - delivered) / dt_h
                         if unmet_w > POWER_EPSILON_W:
                             shed_view[i] = unmet_w
-                            if trial:
+                            if base is not None:  # a trial
                                 for _, _, sheddable, _ in _cuts(order, ((i, unmet_w),)):
                                     if not sheddable:
                                         self.stepped += i + 1 - first
@@ -658,21 +656,8 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     at ``lo`` and stops at the first load edge at or after ``hi`` where
     its SoC equals the admitted run's (see ``_Sol.run``).
     """
-    sol = _Sol(sources, loads, battery, env, timestep_s)
-    admitted, verdicts, demand_w, run = _schedule(sol, loads)
-    return ScheduleResult(
-        admitted=tuple(admitted),
-        verdicts=verdicts,
-        trace=sol.trace(demand_w, run),
-        stepped=sol.stepped,
-    )
-
-
-def _schedule(sol: _Sol, loads: list[PowerLoad]):
-    """The greedy scheduler on ``sol`` (see ``schedule_loads``). Returns
-    (admitted, verdicts, demand_w, run) with the admitted set's demand
-    and run."""
     import numpy as np
+    sol = _Sol(sources, loads, battery, env, timestep_s)
     admitted: list[PowerLoad] = []
     admitted_demand_w = np.zeros(sol.n_steps)
     admitted_run = sol.run(admitted_demand_w, admitted)
@@ -682,41 +667,17 @@ def _schedule(sol: _Sol, loads: list[PowerLoad]):
             demand_w = admitted_demand_w.copy()
             sol.add(demand_w, load)
             run = sol.run(demand_w, admitted + [load], admitted_run,
-                          *sol.entries[load.name][:2], trial=True)
+                          *sol.entries[load.name][:2])
             verdicts[load.name] = run is not None
             if run is not None:
                 admitted.append(load)
                 admitted_demand_w, admitted_run = demand_w, run
-    return admitted, verdicts, admitted_demand_w, admitted_run
-
-
-def schedule_and_simulate(sources: list[PowerSource], loads: list[PowerLoad],
-                          battery: Battery, env: MarsEnvironment,
-                          timestep_s: float = DEFAULT_TIMESTEP_S
-                          ) -> tuple[tuple[PowerLoad, ...], dict[str, bool], SocTrace]:
-    """``schedule_loads``' admitted loads and verdicts, and the trace of
-    ``simulate_sol`` over every load, bit for bit, from one kernel.
-
-    Returns (admitted, verdicts, trace). The full demand, summed in input
-    order, may differ from the admitted set's, summed in admission order,
-    at the rejected loads' steps and, by a few units in the last place,
-    where the two orders round apart. The full run resumes the admitted
-    run at the first step whose demand differs in any bit and joins it
-    again from the step after the last (see ``_Sol.run``); where none
-    differs, it is the admitted run. The resume is no trial: it goes on
-    through the cuts of non-sheddable loads.
-    """
-    import numpy as np
-    sol = _Sol(sources, loads, battery, env, timestep_s)
-    admitted, verdicts, admitted_demand_w, run = _schedule(sol, loads)
-    demand_w = sol.demand(loads)
-    differ = np.flatnonzero(demand_w != admitted_demand_w)
-    del admitted_demand_w
-    if len(differ):
-        run = sol.run(demand_w, loads, run, int(differ[0]), int(differ[-1]) + 1)
-    # Without a resume the run's shed order is the admitted set's.
-    trace = sol.trace(demand_w, run[:2] + (sol.shed_order,))
-    return tuple(admitted), verdicts, trace
+    return ScheduleResult(
+        admitted=tuple(admitted),
+        verdicts=verdicts,
+        trace=sol.trace(admitted_demand_w, admitted_run),
+        stepped=sol.stepped,
+    )
 
 
 def _time_text(time_s: float) -> str:

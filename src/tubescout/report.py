@@ -22,7 +22,8 @@ from tubescout.energy import (
     PowerSource,
     SocTrace,
     WinchSpec,
-    schedule_and_simulate,
+    schedule_loads,
+    simulate_sol,
     winch_power,
     winch_regen_energy,
 )
@@ -284,16 +285,15 @@ def power_inputs(battery: Battery, sources: tuple, loads: tuple,
 def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...],
                   battery: Battery, env: MarsEnvironment,
                   timestep_s: float) -> tuple[dict, list[Finding], SocTrace]:
-    """Simulate one sol with every load attached, and ask the greedy
-    scheduler which subset would have been admissible. Returns the full
-    trace as well, for callers that emit CSV. One sol kernel does both:
-    the full trace resumes the scheduler's admitted run, and no trace of
-    the admitted set is built (see ``schedule_and_simulate``)."""
-    admitted, verdicts, trace = schedule_and_simulate(
-        list(sources), list(loads), battery, env, timestep_s)
-    plan = {"admitted": [l.name for l in admitted],
-            "feasible": all(verdicts.values()),
-            "verdicts": verdicts}
+    """Ask the greedy scheduler which subset of the loads is admissible
+    (``schedule_loads``), and simulate one sol with every load attached
+    (``simulate_sol``). Returns the full trace as well, for callers that
+    emit CSV."""
+    schedule = schedule_loads(list(sources), list(loads), battery, env, timestep_s)
+    plan = {"admitted": [l.name for l in schedule.admitted],
+            "feasible": schedule.feasible,
+            "verdicts": schedule.verdicts}
+    trace = simulate_sol(list(sources), list(loads), battery, env, timestep_s)
     # Runs come in time order: the first hard cut is the earliest. Times
     # are step * timestep_s, as ``SocTrace.cuts`` gives them.
     count = hard_count = 0

@@ -789,8 +789,10 @@ class _Kernel:
                               scout.samples)
                 claimed.add(goal)
                 target = self.cell(goal)
-            else:
-                # nothing left to claim: head home to deliver and park
+            elif v not in goals:
+                # nothing left to claim: head home to deliver and park. A
+                # site on its own cell, which ``nearest`` never tests, keeps
+                # it exploring, so the pickup below takes it this tick.
                 state = RobotState.RETURNING
         if state is RobotState.RETURNING and move_to is None and dist_home[v] > 0:
             move_to = next(v + off for off in self.offsets
@@ -841,7 +843,8 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
     or known sample site it can carry (ties toward the lowest (row, col)),
     moving one cell along a shortest known path and taking the first
     such site listed on the cell it reaches; robots with nothing to claim
-    head home; returning robots move one cell toward the entrance and
+    take such a site on their own cell where they stand, or else head
+    home; returning robots move one cell toward the entrance and
     hand samples over on arrival; charging robots refill. Battery drains
     one tick of time per tick whether moving or waiting. Robots plan on
     the map as sensed at the start of the tick.

@@ -212,21 +212,33 @@ def assert_same_sol(trace, expected):
     assert trace.shed_order == expected.shed_order
 
 
-def test_the_report_trace_is_the_full_sol_on_seeded_cases():
-    """The power report resumes the scheduler's admitted run where the
-    full demand differs from it. Its trace is ``simulate_sol``'s over
-    every load, bit for bit, on the 200 seeded cases: feasible ones whose
+def assert_report_is_schedule_and_sol(section, trace, sources, loads, battery,
+                                      timestep_s):
+    """The report's verdicts are ``schedule_loads``' and its trace is
+    ``simulate_sol``'s over every load, bit for bit. Returns both."""
+    schedule = schedule_loads(sources, loads, battery, ENV, timestep_s)
+    assert section["schedule"] == {
+        "admitted": [l.name for l in schedule.admitted],
+        "feasible": schedule.feasible, "verdicts": schedule.verdicts}
+    full = simulate_sol(sources, loads, battery, ENV, timestep_s)
+    assert_same_sol(trace, full)
+    return schedule, full
+
+
+def test_the_report_is_the_schedule_and_the_full_sol_on_seeded_cases():
+    """On the 200 seeded cases the power report's verdicts are
+    ``schedule_loads``' and its trace ``simulate_sol``'s over every load,
+    bit for bit. The cases include feasible ones whose full and admitted
     demands agree, feasible ones whose sums differ in the last places,
     and infeasible ones, some cutting a non-sheddable load after the
-    resume's first step."""
+    first step where the two demands differ."""
     seen = set()
     for seed in range(200):
         sources, loads, battery, timestep_s = random_case(random.Random(seed))
-        _, _, trace = power_section(tuple(sources), tuple(loads), battery, ENV,
-                                    timestep_s)
-        full = simulate_sol(sources, loads, battery, ENV, timestep_s)
-        assert_same_sol(trace, full)
-        schedule = schedule_loads(sources, loads, battery, ENV, timestep_s)
+        section, _, trace = power_section(tuple(sources), tuple(loads), battery,
+                                          ENV, timestep_s)
+        schedule, full = assert_report_is_schedule_and_sol(
+            section, trace, sources, loads, battery, timestep_s)
         differ = np.flatnonzero(full.demand_w != schedule.trace.demand_w)
         if schedule.feasible:
             seen.add("feasible_differs" if len(differ) else "feasible_equal")
@@ -235,24 +247,25 @@ def test_the_report_trace_is_the_full_sol_on_seeded_cases():
         hard = {l.name for l in loads if not l.sheddable}
         if len(differ) and any(name in hard and i > differ[0]
                                for i, _, name, _, _ in full.cut_runs()):
-            seen.add("hard_cut_after_resume")
+            seen.add("hard_cut_after_demands_differ")
     assert seen == {"feasible_equal", "feasible_differs", "infeasible",
-                    "hard_cut_after_resume"}
+                    "hard_cut_after_demands_differ"}
 
 
-def test_the_report_resume_goes_on_through_hard_cuts():
+def test_the_report_trace_goes_on_through_hard_cuts():
     """The scheduler rejects the heater and admits the lamp. The report's
-    full trace resumes the lamp's run at the heater's first step, cuts the
-    heater from there to the end of the sol and is ``simulate_sol``'s.
-    A resume that stopped at the first hard cut, as a trial does, would
-    give no trace."""
+    verdicts are ``schedule_loads``', and its trace is ``simulate_sol``'s
+    over both loads: it cuts the heater from the heater's first step to
+    the end of the sol, where a scheduler trial stops at the first hard
+    cut."""
     heater = PowerLoad("heater", 511.5, (44375.0, SOL_S))
     lamp = PowerLoad("lamp", 50.0, sheddable=True)
     sources, battery = [PowerSource("rtg", rating_w=110.0)], Battery(1000.0, 0.0)
     section, findings, trace = power_section(
         tuple(sources), (heater, lamp), battery, ENV, 25.0)
     assert section["schedule"]["verdicts"] == {"heater": False, "lamp": True}
-    assert_same_sol(trace, simulate_sol(sources, [heater, lamp], battery, ENV, 25.0))
+    assert_report_is_schedule_and_sol(section, trace, sources, [heater, lamp],
+                                      battery, 25.0)
     lo = round(44375.0 / 25.0)
     assert trace.demand_w[lo - 1] == 50.0 < trace.demand_w[lo]
     assert findings[0].data["first_violation_s"] > 44375.0
@@ -297,9 +310,9 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None, trial=False):
+    def observed(sol, demand_w, loads, base=None, start=0, join=None):
         stepped = sol.stepped
-        result = run(sol, demand_w, loads, base, start, join, trial)
+        result = run(sol, demand_w, loads, base, start, join)
         end = start + sol.stepped - stepped
         if join is None:
             return result
@@ -333,9 +346,9 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None, trial=False):
+    def observed(sol, demand_w, loads, base=None, start=0, join=None):
         stepped, skipped = sol.stepped, sol.skipped
-        result = run(sol, demand_w, loads, base, start, join, trial)
+        result = run(sol, demand_w, loads, base, start, join)
         end = start + sol.stepped - stepped
         skipped = sol.skipped - skipped
         # A trial's SoC and shed power are those of the full run, also
@@ -449,9 +462,9 @@ def test_seeded_cases_reach_every_ramp_ending(ramps, monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None, trial=False):
+    def observed(sol, demand_w, loads, base=None, start=0, join=None):
         del ramps[:]
-        result = run(sol, demand_w, loads, base, start, join, trial)
+        result = run(sol, demand_w, loads, base, start, join)
         mine = ramps[:]
         # A trial's SoC and shed power are those of the full run, also
         # past the step that rejects it.
@@ -530,7 +543,7 @@ def test_a_trial_stops_where_its_ramp_empties_the_battery(ramps):
     bare = sol.run(sol.demand([]), [])
     del ramps[:]
     stepped = sol.stepped
-    assert sol.run(sol.demand([drill]), [drill], bare, 1000, 3000, trial=True) is None
+    assert sol.run(sol.demand([drill]), [drill], bare, 1000, 3000) is None
     cut = reference_simulate_sol(sources, [drill], battery, ENV, 25.0)["violations"][0]
     hard = round(cut.time_s / 25.0)
     assert 1001 < hard < 3000

@@ -166,7 +166,9 @@ def reference_step(world, robots):
                 claimed.add(target)
                 dist_target = reference_bfs(known, target)
                 move_to = reference_step_toward(known, robot.position, dist_target)
-            else:
+            elif not (len(robot.samples) < robot.aux_slots and any(
+                    site.cell == robot.position and site.mass_kg <= robot.aux_capacity_kg
+                    for site in sites)):
                 state = RobotState.RETURNING
         if state is RobotState.RETURNING and move_to is None:
             if dist_home[robot.position] < 0:
@@ -426,6 +428,36 @@ def test_robot_takes_the_light_site_listed_after_a_heavy_one():
     report = run_exploration(grid, make_fleet(grid, 1, module_count=2),
                              max_steps=1000, sample_sites=sites)
     assert report.samples_delivered == 1 and report.steps < 20
+
+
+def test_a_robot_takes_the_site_on_the_entrance_where_it_stands():
+    """``nearest`` never tests its start cell. A robot standing on a site
+    it can carry, with nothing else to claim, takes it there instead of
+    heading home: on the one-cell map it picks the site up in the first
+    tick and hands it over in the second, and the survey ends."""
+    grid = grid_from_text("E\n")
+    sites = (SampleSite((0, 0), 1.0),)
+    fleet = make_fleet(grid, 1)
+    world = TubeWorld(grid=fresh_map(grid.cells), sample_sites=sites)
+    world, fleet = step(world, fleet)
+    assert fleet[0].state is RobotState.EXPLORING
+    assert fleet[0].samples == (Sample(1.0, (0, 0), 1),)
+    report = run_exploration(grid, make_fleet(grid, 1), max_steps=1000,
+                             sample_sites=sites)
+    assert (report.steps, report.samples_delivered) == (2, 1)
+
+
+@pytest.mark.parametrize("seed", [25, 51])
+@pytest.mark.parametrize("robots", [1, 2, 3])
+def test_a_survey_with_a_site_on_the_entrance_delivers_it(seed, robots):
+    """On these 6x6 tubes the robot that would take the entrance site
+    comes to stand on it with nothing else to claim; the survey still
+    delivers it and ends well within its step cap."""
+    grid = generate_tube(seed, 6, 6, 0.2)
+    report = run_exploration(grid, make_fleet(grid, robots, battery_full_s=60.0),
+                             station=Station(charge_time_s=5.0), max_steps=3000,
+                             sample_sites=(SampleSite(grid.entrance, 1.0),))
+    assert report.samples_delivered == 1 and report.steps < 3000
 
 
 def scale_case(index):
