@@ -113,6 +113,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     report: dict = {"version": __version__, "seed": seed,
                     "config": to_echo_dict(config)}
+    csv_name = None
     if args.command == "mission":
         report.update(guard(("mission",), run_mission)(config, args.seed))
     else:
@@ -124,11 +125,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         section, findings, source = guard(path, run)(config, seed)
         place(report, path, section)
         report["findings"] = [f.to_dict() for f in findings]
-        if csv_name and args.format == "csv":
-            write_csv(out_dir / csv_name, source)
 
+    # dump_json may refuse the report: serialize it before writing any file.
+    text = dump_json(report)
+    if csv_name and args.format == "csv":
+        write_csv(out_dir / csv_name, source)
     report_path = out_dir / "report.json"
-    report_path.write_text(dump_json(report), encoding="utf-8")
+    report_path.write_text(text, encoding="utf-8")
     print(f"wrote {report_path}")
     for found in report["findings"]:
         print(f"finding[{found['kind']}] {found['module']}: {found['message']}")

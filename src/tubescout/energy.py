@@ -391,11 +391,12 @@ def _cuts(order, shed):
 
 class _Sol:
     """The power sol kernel: one sol of fixed sources and battery, able
-    to run any subset of the loads it was built with.
+    to run any subset of the loads it was built with. ``run`` is its one
+    run method, and a ``SocTrace`` its one result.
 
-    Demand is a numpy array built by adding each load's power over its
-    step range in load order, which repeats the float additions of
-    summing the active loads step by step. The SoC recurrence runs on
+    A run's demand is a numpy array built by adding each load's power
+    over its step range in list order, which repeats the float additions
+    of summing the active loads step by step. The SoC recurrence runs on
     Python floats, and each stretch's ramp in one numpy running sum.
     ``simulate_sol``, every ``schedule_loads`` trial and each mission sol
     run this same code.
@@ -432,23 +433,11 @@ class _Sol:
         self.stepped = 0
         self.skipped = 0
 
-    def add(self, demand_w: np.ndarray, load: PowerLoad) -> None:
-        lo, hi, power_w, _, _ = self.entries[load.name]
-        demand_w[lo:hi] += power_w
-
-    def demand(self, loads: list[PowerLoad]) -> np.ndarray:
-        import numpy as np
-        demand_w = np.zeros(self.n_steps)
-        with np.errstate(over="ignore"):  # an infinite demand is shed in full
-            for load in loads:
-                self.add(demand_w, load)
-        return demand_w
-
-    def run(self, demand_w: np.ndarray, loads: list[PowerLoad],
-            base=None, start: int = 0, join: int | None = None):
-        """Step the battery through the sol against ``demand_w``, the
-        demand of ``loads``. Returns (soc, shed_w, shed_order), with soc
-        an ``array('d')`` of n_steps + 1 samples; no cuts are kept.
+    def run(self, loads: list[PowerLoad],
+            base: SocTrace | None = None) -> SocTrace | None:
+        """Step the battery through the sol against the demand of
+        ``loads`` and return the trace of the run, or None for a rejected
+        trial; no cuts are kept.
 
         The run walks the sol one stretch at a time. The stretches are cut
         at step 1, at ``n_steps`` and at each load's ``lo`` and ``hi``
@@ -476,19 +465,22 @@ class _Sol:
         sums past that step are discarded and may overflow, so the run
         ignores float overflow throughout.
 
-        A run is full or a trial. A full run is ``start`` = 0 with no
-        ``base``. A trial is given ``base``, an earlier run of this sol
-        that cut no non-sheddable load, whose demand and active loads in
-        shed order differ from this run's only in steps [start, join). It
-        copies the steps before ``start`` from ``base`` and steps from
-        there; at each stretch start at or after ``join`` it compares its
-        SoC with that of ``base`` and, once they are equal, copies the
-        rest. This is exact: outside [start, join) the demand is the
-        same, so equal SoC at a step gives the same SoC and shed power
-        bit for bit from there on. Comparing only there costs next to
-        nothing: two runs under the same demand meet where both batteries
-        clamp, full or empty, so the step after is a fixed point, and the
-        trial fills to the next load edge by slice and rejoins there.
+        A run is full or a trial. A full run, with no ``base``, steps the
+        whole sol. A trial is given ``base``, the trace of the run of
+        ``loads[:-1]``, which cut no non-sheddable load, and tries the
+        candidate ``loads[-1]``, active over steps [start, join). Its
+        demand, that of ``base`` plus the candidate's, is the array the
+        full run of ``loads`` builds, bit for bit. It copies the steps
+        before ``start`` from ``base`` and steps from there; at each
+        stretch start at or after ``join`` it compares its SoC with that
+        of ``base`` and, once they are equal, copies the rest. This is
+        exact: outside [start, join) the demand and active loads are those
+        of ``base``, so equal SoC at a step gives the same SoC and shed
+        power bit for bit from there on. Comparing only there costs next
+        to nothing: two runs under the same demand meet where both
+        batteries clamp, full or empty, so the step after is a fixed
+        point, and the trial fills to the next load edge by slice and
+        rejoins there.
 
         A trial returns None at the first step whose shed power reaches a
         non-sheddable load. A repeated step cannot be that step, since the
@@ -511,18 +503,28 @@ class _Sol:
         shed_view = memoryview(shed_w)
         soc = array("d", [battery.initial_soc_wh]) * (n_steps + 1)
         soc_wh = np.frombuffer(soc)
-        if base is not None:
-            base_soc, base_shed_w, _ = base
-            soc[:start + 1] = base_soc[:start + 1]
-            shed_w[:start] = base_shed_w[:start]
-        before = soc[start]
-        demand_view = memoryview(demand_w)
-        first = start
+        start = 0
+        # An infinite demand is shed in full, and a ramp may overflow (see above).
         with np.errstate(over="ignore"):
+            if base is None:
+                demand_w = np.zeros(n_steps)
+                for load in loads:
+                    lo, hi, power_w, _, _ = self.entries[load.name]
+                    demand_w[lo:hi] += power_w
+            else:
+                start, join, power_w, _, _ = self.entries[loads[-1].name]
+                demand_w = base.demand_w.copy()
+                demand_w[start:join] += power_w
+                soc_wh[:start + 1] = base.soc_wh[:start + 1]
+                shed_w[:start] = base.shed_w[:start]
+            before = soc[start]
+            demand_view = memoryview(demand_w)
+            first = start
             while start < n_steps:
-                if base is not None and start >= join and soc[start] == base_soc[start]:
-                    soc[start:] = base_soc[start:]
-                    shed_w[start:] = base_shed_w[start:]
+                if (base is not None and start >= join
+                        and soc[start] == base.soc_wh[start]):
+                    soc_wh[start:] = base.soc_wh[start:]
+                    shed_w[start:] = base.shed_w[start:]
                     break
                 end = edges[bisect.bisect_right(edges, start)]
                 demand = demand_view[start]
@@ -587,14 +589,9 @@ class _Sol:
                     i += 1
                 start = end
         self.stepped += start - first
-        return soc, shed_w, shed_order
-
-    def trace(self, demand_w: np.ndarray, run) -> SocTrace:
-        import numpy as np
-        soc, shed_w, shed_order = run
         return SocTrace(
             timestep_s=self.timestep_s,
-            soc_wh=np.frombuffer(soc),
+            soc_wh=soc_wh,
             demand_w=demand_w,
             shed_w=shed_w,
             base_supply_w=self.base_supply_w,
@@ -619,9 +616,7 @@ def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
         ValueError: on the first of ``sol_problems``, prefixed with its
             argument (``loads[1].window: ``), or on an overflowing supply.
     """
-    sol = _Sol(sources, loads, battery, env, timestep_s)
-    demand_w = sol.demand(loads)
-    return sol.trace(demand_w, sol.run(demand_w, loads))
+    return _Sol(sources, loads, battery, env, timestep_s).run(loads)
 
 
 @dataclass(frozen=True)
@@ -649,33 +644,28 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     such cut. ``feasible`` is true iff every input load is admitted. The
     returned trace is that of the final admitted set.
 
-    The admitted run starts as a bare sol without loads. A trial differs
-    from it only at the candidate's active steps [lo, hi): before ``lo``
-    and after the trial's SoC rejoins the admitted run's, demand, shed
-    order and SoC are all equal, so each trial resumes the admitted run
-    at ``lo`` and stops at the first load edge at or after ``hi`` where
-    its SoC equals the admitted run's (see ``_Sol.run``).
+    The scheduler keeps one admitted trace, which starts as the bare sol
+    without loads. Each candidate's trial is ``_Sol.run`` on the admitted
+    loads plus the candidate, given that trace: it differs from the
+    admitted run only at the candidate's active steps [lo, hi), so it
+    resumes the admitted run at ``lo`` and stops at the first load edge
+    at or after ``hi`` where its SoC equals the admitted run's. An
+    admitted trial's trace becomes the admitted trace.
     """
-    import numpy as np
     sol = _Sol(sources, loads, battery, env, timestep_s)
     admitted: list[PowerLoad] = []
-    admitted_demand_w = np.zeros(sol.n_steps)
-    admitted_run = sol.run(admitted_demand_w, admitted)
+    trace = sol.run(admitted)
     verdicts: dict[str, bool] = {}
-    with np.errstate(over="ignore"):  # as in _Sol.demand
-        for load in sorted(loads, key=lambda l: (l.priority, l.name)):
-            demand_w = admitted_demand_w.copy()
-            sol.add(demand_w, load)
-            run = sol.run(demand_w, admitted + [load], admitted_run,
-                          *sol.entries[load.name][:2])
-            verdicts[load.name] = run is not None
-            if run is not None:
-                admitted.append(load)
-                admitted_demand_w, admitted_run = demand_w, run
+    for load in sorted(loads, key=lambda l: (l.priority, l.name)):
+        trial = sol.run(admitted + [load], trace)
+        verdicts[load.name] = trial is not None
+        if trial is not None:
+            admitted.append(load)
+            trace = trial
     return ScheduleResult(
         admitted=tuple(admitted),
         verdicts=verdicts,
-        trace=sol.trace(admitted_demand_w, admitted_run),
+        trace=trace,
         stepped=sol.stepped,
     )
 

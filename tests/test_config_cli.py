@@ -1136,6 +1136,23 @@ class TestReportParts:
             "error: config.power: energy.power.total_shed_wh: inf is not a "
             "finite number"]
 
+    @pytest.mark.parametrize("command, payload, csv_name", [
+        ("power", PART_OVERFLOWS[5][0], "soc_trace.csv"),  # two 1e308 loads
+        ("explore", PART_OVERFLOWS[2][0], "exploration_robots.csv"),  # 1e308 m depth
+    ])
+    def test_a_refused_report_writes_no_file(self, tmp_path, capsys, command,
+                                             payload, csv_name):
+        """The report is serialized before any file is written, so one
+        that exits 2 on a non-finite number leaves neither its CSV nor
+        ``report.json`` behind."""
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", config, "--format", "csv",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: config.")
+        assert not (out / csv_name).exists()
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("command, errors", [
         ("power", ["config.power: energy.power: sources: the supply overflows "
                    "the float range"]),

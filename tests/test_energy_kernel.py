@@ -310,17 +310,18 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None):
+    def observed(sol, loads, base=None):
         stepped = sol.stepped
-        result = run(sol, demand_w, loads, base, start, join)
-        end = start + sol.stepped - stepped
-        if join is None:
+        result = run(sol, loads, base)
+        if base is None:
             return result
+        start, join = sol.entries[loads[-1].name][:2]
+        end = start + sol.stepped - stepped
         if result is not None and end < sol.n_steps:
             seen.add("rejoined_before_sol_end")
         if result is None and end > start + 1:
             seen.add("rejected_after_start")
-        if result is not None and base[1][:start].any():
+        if result is not None and base.shed_w[:start].any():
             seen.add("kept_violation_before_start")
         if start == join:
             seen.add("empty_span")
@@ -346,21 +347,25 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None):
+    def observed(sol, loads, base=None):
+        start, join = 0, None
+        if base is not None:
+            start, join = sol.entries[loads[-1].name][:2]
         stepped, skipped = sol.stepped, sol.skipped
-        result = run(sol, demand_w, loads, base, start, join)
+        result = run(sol, loads, base)
         end = start + sol.stepped - stepped
         skipped = sol.skipped - skipped
         # A trial's SoC and shed power are those of the full run, also
         # past the step that rejects it.
-        soc, shed_w, _ = run(sol, demand_w, loads)
+        full = run(sol, loads)
+        soc, shed_w, demand_w = full.soc_wh, full.shed_w, full.demand_w
         # A stretch ends at step 1, at n_steps and at each load's lo and hi.
         load_bounds = {b for load in loads for b in sol.entries[load.name][:2]}
         bounds = sorted(b for b in load_bounds | {1, sol.n_steps} if b > start)
         rejoined = result is not None and end < sol.n_steps
         if rejoined:
             assert end in load_bounds and end >= join
-            assert soc[end] == base[0][end]
+            assert soc[end] == base.soc_wh[end]
             if end > join:
                 seen.add("rejoins_at_load_edge_after_join")
         capacity = sol.battery.capacity_wh
@@ -462,13 +467,14 @@ def test_seeded_cases_reach_every_ramp_ending(ramps, monkeypatch):
     seen = set()
     run = _Sol.run
 
-    def observed(sol, demand_w, loads, base=None, start=0, join=None):
+    def observed(sol, loads, base=None):
         del ramps[:]
-        result = run(sol, demand_w, loads, base, start, join)
+        result = run(sol, loads, base)
         mine = ramps[:]
         # A trial's SoC and shed power are those of the full run, also
         # past the step that rejects it.
-        soc, shed_w, _ = run(sol, demand_w, loads)
+        full = run(sol, loads)
+        soc, shed_w, demand_w = full.soc_wh, full.shed_w, full.demand_w
         capacity = sol.battery.capacity_wh
         for first, stop, end in mine:
             assert all(plain_step(sol, demand_w, soc, j) for j in range(first, stop))
@@ -540,10 +546,10 @@ def test_a_trial_stops_where_its_ramp_empties_the_battery(ramps):
     drill = PowerLoad("drill", 300.0, (1000 * 25.0, 3000 * 25.0))
     sources, battery = [PowerSource("rtg", rating_w=100.0)], Battery(1000.0, 1000.0)
     sol = _Sol(sources, [drill], battery, ENV, 25.0)
-    bare = sol.run(sol.demand([]), [])
+    bare = sol.run([])
     del ramps[:]
     stepped = sol.stepped
-    assert sol.run(sol.demand([drill]), [drill], bare, 1000, 3000) is None
+    assert sol.run([drill], bare) is None
     cut = reference_simulate_sol(sources, [drill], battery, ENV, 25.0)["violations"][0]
     hard = round(cut.time_s / 25.0)
     assert 1001 < hard < 3000
@@ -563,19 +569,17 @@ def test_a_trial_rejoins_at_the_load_edge_after_its_battery_fills():
     battery = Battery(1000.0, 1000.0)
     sol = _Sol([PowerSource("rtg", rating_w=100.0)], [lamp, drill], battery,
                ENV, 25.0)
-    admitted_demand_w = sol.demand([lamp])
-    admitted = sol.run(admitted_demand_w, [lamp])
-    demand_w = admitted_demand_w.copy()
-    sol.add(demand_w, drill)
+    admitted = sol.run([lamp])
     stepped, skipped = sol.stepped, sol.skipped
-    soc, shed_w, _ = sol.run(demand_w, [lamp, drill], admitted, 1000, 1100)
+    trial = sol.run([lamp, drill], admitted)
+    soc, shed_w = trial.soc_wh, trial.shed_w
     clamp = next(i for i in range(1100, 2000) if soc[i + 1] == battery.capacity_wh)
     assert 1100 < clamp < 2000 - 2 and soc[1100] < battery.capacity_wh
     assert sol.stepped - stepped == 2000 - 1000
     assert sol.skipped - skipped == 2000 - (clamp + 2)
-    assert soc[2000:] == admitted[0][2000:]
-    full_soc, full_shed_w, _ = sol.run(demand_w, [lamp, drill])
-    assert soc == full_soc and np.array_equal(shed_w, full_shed_w)
+    assert np.array_equal(soc[2000:], admitted.soc_wh[2000:])
+    full = sol.run([lamp, drill])
+    assert np.array_equal(soc, full.soc_wh) and np.array_equal(shed_w, full.shed_w)
 
 
 def power_sweep_case(rng: random.Random, n_loads: int):
@@ -660,7 +664,8 @@ def test_a_full_battery_with_a_surplus_skips_all_but_two_steps(timestep_s):
     and fills the rest of the sol."""
     sol = _Sol([PowerSource("rtg", rating_w=100.0)], [], Battery(1000.0, 1000.0),
                ENV, timestep_s)
-    soc, shed_w, _ = sol.run(sol.demand([]), [])
+    trace = sol.run([])
+    soc, shed_w = trace.soc_wh, trace.shed_w
     assert sol.skipped == sol.n_steps - 2
     assert sol.stepped == sol.n_steps
     assert set(soc) == {1000.0} and not shed_w.any()
@@ -673,7 +678,7 @@ def test_winch_regen_step_is_never_the_start_of_a_skip():
     loads = [PowerLoad("lamp", 50.0)]
     battery = Battery(1000.0, 1000.0)
     sol = _Sol(sources, loads, battery, ENV, 25.0)
-    soc, _, _ = sol.run(sol.demand(loads), loads)
+    soc = sol.run(loads).soc_wh
     assert soc[0] == soc[1] == 1000.0 > soc[2]
     trace = simulate_sol(sources, loads, battery, ENV, 25.0)
     assert_same_trace(trace, reference_simulate_sol(sources, loads, battery,
