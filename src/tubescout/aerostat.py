@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .env import MarsEnvironment
+from .numeric import require_nonnegative, require_positive
 
 #: Maximum fraction of upstream kinetic power a disc actuator can extract.
 BETZ_LIMIT = 16.0 / 27.0
@@ -48,16 +49,12 @@ class BalloonGeometry:
     tube_length_m: float = 6.0
 
     def __post_init__(self):
-        if self.inner_radius_m < 0:
-            raise ValueError(
-                f"inner_radius_m must be nonnegative, got {self.inner_radius_m}")
+        require_nonnegative(self, "inner_radius_m")
         if not self.outer_radius_m > self.inner_radius_m:
             raise ValueError(
                 "outer_radius_m must exceed inner_radius_m, got "
                 f"{self.outer_radius_m} <= {self.inner_radius_m}")
-        if self.tube_length_m <= 0:
-            raise ValueError(
-                f"tube_length_m must be positive, got {self.tube_length_m}")
+        require_positive(self, "tube_length_m")
 
 
 @dataclass(frozen=True)
@@ -83,15 +80,10 @@ class BalloonConfig:
             raise ValueError(
                 "lifting_gas_density_kg_m3 must be positive when given, got "
                 f"{self.lifting_gas_density_kg_m3}")
-        if self.gas_molar_mass_kg_mol <= 0:
-            raise ValueError(
-                f"gas_molar_mass_kg_mol must be positive, got {self.gas_molar_mass_kg_mol}")
-        for name in ("surface_area_weight_kg_m2", "tether_length_m",
-                     "tether_weight_per_length_kg_m", "scientific_payload_weight_kg",
-                     "windmill_weight_kg"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+        require_positive(self, "gas_molar_mass_kg_mol")
+        require_nonnegative(self, "surface_area_weight_kg_m2", "tether_length_m",
+                            "tether_weight_per_length_kg_m",
+                            "scientific_payload_weight_kg", "windmill_weight_kg")
 
 
 #: Baseline ring-envelope design used throughout the reports: oxygen fill

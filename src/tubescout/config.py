@@ -47,6 +47,7 @@ from tubescout.mission import (
     MissionPhase,
     check_germination,
 )
+from tubescout.numeric import require_nonnegative
 from tubescout.program import (
     DEFAULT_DEADLINE_YEAR,
     DEFAULT_LAUNCH_YEAR,
@@ -193,8 +194,7 @@ class MissionSettings:
     germination: GerminationSettings | None = GerminationSettings()
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        require_nonnegative(self, "seed")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .env import MarsEnvironment
-from .numeric import first_step_at, fold_sum
+from .numeric import first_step_at, fold_sum, require_nonnegative, require_positive
 
 # numpy is imported inside the functions that build or read arrays, so
 # that the analytic subcommands, which import this module, never load it.
@@ -71,16 +71,8 @@ class WinchSpec:
     regen_efficiency: float = 0.70
 
     def __post_init__(self):
-        if self.payload_mass_kg <= 0:
-            raise ValueError(
-                f"payload_mass_kg must be positive, got {self.payload_mass_kg}")
-        if self.line_speed_mps <= 0:
-            raise ValueError(
-                f"line_speed_mps must be positive, got {self.line_speed_mps}")
-        if self.depth_m <= 0:
-            raise ValueError(f"depth_m must be positive, got {self.depth_m}")
-        if self.motor_margin < 0:
-            raise ValueError(f"motor_margin must be nonnegative, got {self.motor_margin}")
+        require_positive(self, "payload_mass_kg", "line_speed_mps", "depth_m")
+        require_nonnegative(self, "motor_margin")
         if not 0.0 <= self.regen_efficiency <= 1.0:
             raise ValueError(
                 f"regen_efficiency must be in [0, 1], got {self.regen_efficiency}")
@@ -130,11 +122,7 @@ class PowerSource:
     def __post_init__(self):
         if not self.name:
             raise ValueError("source name must be nonempty")
-        if self.rating_w < 0:
-            raise ValueError(f"rating_w must be nonnegative, got {self.rating_w}")
-        if self.event_energy_wh < 0:
-            raise ValueError(
-                f"event_energy_wh must be nonnegative, got {self.event_energy_wh}")
+        require_nonnegative(self, "rating_w", "event_energy_wh")
 
 
 @dataclass(frozen=True)
@@ -153,8 +141,7 @@ class PowerLoad:
     def __post_init__(self):
         if not self.name:
             raise ValueError("load name must be nonempty")
-        if self.power_w < 0:
-            raise ValueError(f"power_w must be nonnegative, got {self.power_w}")
+        require_nonnegative(self, "power_w")
         if self.window is not None:
             start, end = self.window
             if not 0.0 <= start < end:
@@ -175,8 +162,7 @@ class Battery:
     discharge_efficiency: float = 0.95
 
     def __post_init__(self):
-        if self.capacity_wh < 0:
-            raise ValueError(f"capacity_wh must be nonnegative, got {self.capacity_wh}")
+        require_nonnegative(self, "capacity_wh")
         if not 0.0 <= self.initial_soc_wh <= self.capacity_wh:
             raise ValueError(
                 f"initial_soc_wh must be in [0, {self.capacity_wh}], "

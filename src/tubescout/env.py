@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .numeric import require_positive
+
 UNIVERSAL_GAS_CONSTANT = 8.314462618  # J/(mol K)
 
 #: Upper bound on ``sol_length_s``, about 11 Mars sols. It keeps the
@@ -46,20 +48,8 @@ class MarsEnvironment:
     dose_cave_msv: float = 0.012          # mSv per reference period
 
     def __post_init__(self):
-        if self.gravity <= 0:
-            raise ValueError(f"gravity must be positive, got {self.gravity}")
-        if self.ambient_density <= 0:
-            raise ValueError(
-                f"ambient_density must be positive, got {self.ambient_density}")
-        if self.surface_pressure <= 0:
-            raise ValueError(
-                f"surface_pressure must be positive, got {self.surface_pressure}")
-        if self.gas_constant <= 0:
-            raise ValueError(
-                f"gas_constant must be positive, got {self.gas_constant}")
-        if self.ambient_temperature <= 0:
-            raise ValueError(
-                f"ambient_temperature must be positive, got {self.ambient_temperature}")
+        require_positive(self, "gravity", "ambient_density", "surface_pressure",
+                         "gas_constant", "ambient_temperature")
         if not self.sol_length_s <= MAX_SOL_LENGTH_S:
             raise ValueError(f"sol_length_s must be at most {MAX_SOL_LENGTH_S:.0f}, "
                              f"got {self.sol_length_s}")

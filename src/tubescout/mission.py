@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from tubescout.energy import DEFAULT_TIMESTEP_S, PowerSource, SourceKind, simulate_sol
 from tubescout.env import MarsEnvironment, cumulative_dose
-from tubescout.numeric import fold_sum
+from tubescout.numeric import fold_sum, require_nonnegative
 from tubescout.program import fte_estimate
 from tubescout.report import (
     ANALYTIC_SECTIONS,
@@ -75,11 +75,7 @@ class MissionState:
     tubes_explored: int = 0
 
     def __post_init__(self):
-        if self.sol < 0:
-            raise ValueError(f"sol must be nonnegative, got {self.sol}")
-        if self.tubes_explored < 0:
-            raise ValueError(
-                f"tubes_explored must be nonnegative, got {self.tubes_explored}")
+        require_nonnegative(self, "sol", "tubes_explored")
 
 
 #: Transit and settlement can loop to visit further tubes; a survey

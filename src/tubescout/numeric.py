@@ -7,6 +7,12 @@ a report go through ``fold_sum``.
 
 ``first_step_at`` is the one reading of a fixed-step time grid that the
 power sol's load windows and the avionics check's night samples share.
+
+``require_positive`` and ``require_nonnegative`` hold the sign rule
+that the model dataclasses apply to their fields: a field refused by
+``<= 0`` reads ``<name> must be positive, got <value>`` and one refused
+by ``< 0`` reads ``<name> must be nonnegative, got <value>``. A NaN
+passes both, as the comparisons are written.
 """
 
 from __future__ import annotations
@@ -34,3 +40,21 @@ def first_step_at(time_s: float, step_s: float, n_steps: int) -> int:
     while i < n_steps and i * step_s < time_s:
         i += 1
     return i
+
+
+def require_positive(owner, *names: str) -> None:
+    """Raise ``ValueError`` at the first field of ``owner`` in ``names``
+    that is ``<= 0``."""
+    for name in names:
+        value = getattr(owner, name)
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
+def require_nonnegative(owner, *names: str) -> None:
+    """Raise ``ValueError`` at the first field of ``owner`` in ``names``
+    that is ``< 0``."""
+    for name in names:
+        value = getattr(owner, name)
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")

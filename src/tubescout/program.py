@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NewType
 
-from .numeric import fold_sum
+from .numeric import fold_sum, require_nonnegative, require_positive
 
 #: Whole US dollars. A config file may give one as a money string too.
 Money = NewType("Money", int)
@@ -33,14 +33,11 @@ class PayloadSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("payload name must be nonempty")
-        for attr in ("mass_kg", "volume_m3", "power_w"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be nonnegative, got {getattr(self, attr)}")
+        require_nonnegative(self, "mass_kg", "volume_m3", "power_w")
         if not isinstance(self.wbs_cost_usd, int) or isinstance(self.wbs_cost_usd, bool):
             raise ValueError(
                 f"wbs_cost_usd must be an integer dollar amount, got {self.wbs_cost_usd!r}")
-        if self.wbs_cost_usd < 0:
-            raise ValueError(f"wbs_cost_usd must be nonnegative, got {self.wbs_cost_usd}")
+        require_nonnegative(self, "wbs_cost_usd")
 
 
 #: Baseline payload registry. Masses are the per-payload design values;
@@ -71,9 +68,8 @@ class BudgetLimits:
     volume_limit_m3: float = 8.0
 
     def __post_init__(self):
-        for attr in ("payload_mass_limit_kg", "platform_mass_limit_kg", "volume_limit_m3"):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"{attr} must be positive, got {getattr(self, attr)}")
+        require_positive(self, "payload_mass_limit_kg", "platform_mass_limit_kg",
+                         "volume_limit_m3")
 
 
 @dataclass(frozen=True)
@@ -127,8 +123,7 @@ class WbsNode:
     def __post_init__(self):
         if not self.name:
             raise ValueError("WBS node name must be nonempty")
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
+        require_nonnegative(self, "level")
         if self.cost_usd is not None:
             if self.children:
                 raise ValueError(
@@ -242,6 +237,8 @@ def fte_estimate(people: int, years: int, fte_per_person_year: int = 220) -> int
 
 
 class PhaseCode(enum.Enum):
+    """Lifecycle phases in their fixed order; phases never repeat."""
+
     PRE_A = "PreA"
     A = "A"
     B = "B"
@@ -249,11 +246,6 @@ class PhaseCode(enum.Enum):
     D = "D"
     E = "E"
     F = "F"
-
-
-#: Lifecycle order; phases never repeat.
-PHASE_ORDER = (PhaseCode.PRE_A, PhaseCode.A, PhaseCode.B, PhaseCode.C,
-               PhaseCode.D, PhaseCode.E, PhaseCode.F)
 
 
 @dataclass(frozen=True)
@@ -318,7 +310,7 @@ def validate_schedule(phases: list[LifecyclePhase] | tuple[LifecyclePhase, ...],
     """
     check_phase_list(phases)
     findings: list[ScheduleFinding] = []
-    order_index = {code: i for i, code in enumerate(PHASE_ORDER)}
+    order_index = {code: i for i, code in enumerate(PhaseCode)}
     ordered = sorted(phases, key=lambda p: order_index[p.code])
     for earlier, later in zip(ordered, ordered[1:]):
         if later.start_year <= earlier.start_year:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .energy import PowerLoad
 from .env import MarsEnvironment, diurnal_temperature
-from .numeric import first_step_at
+from .numeric import first_step_at, require_nonnegative, require_positive
 
 #: Spacing of the samples that define avionics_envelope_check's answer.
 ENVELOPE_SAMPLE_STEP_S = 60.0
@@ -32,12 +32,7 @@ class GlazedEnclosure:
     target_temp_c: float = 20.0
 
     def __post_init__(self):
-        if self.glazed_area_m2 <= 0:
-            raise ValueError(
-                f"glazed_area_m2 must be positive, got {self.glazed_area_m2}")
-        if self.u_value_w_m2k <= 0:
-            raise ValueError(
-                f"u_value_w_m2k must be positive, got {self.u_value_w_m2k}")
+        require_positive(self, "glazed_area_m2", "u_value_w_m2k")
 
 
 #: Baseline greenhouse: 5 m2 of double glazing at U = 1.1 W/(m2 K),
@@ -65,13 +60,7 @@ class AvionicsEnvelope:
         if not self.min_ok_c < self.max_ok_c:
             raise ValueError(
                 f"need min_ok_c < max_ok_c, got {self.min_ok_c} / {self.max_ok_c}")
-        if self.heater_power_w < 0:
-            raise ValueError(
-                f"heater_power_w must be nonnegative, got {self.heater_power_w}")
-        if self.heater_delta_c_per_100w < 0:
-            raise ValueError(
-                f"heater_delta_c_per_100w must be nonnegative, "
-                f"got {self.heater_delta_c_per_100w}")
+        require_nonnegative(self, "heater_power_w", "heater_delta_c_per_100w")
 
     @property
     def setpoint_c(self) -> float:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from .energy import WinchSpec, winch_regen_energy
 from .env import MarsEnvironment
-from .numeric import fold_sum
+from .numeric import require_nonnegative, require_positive
 from .rng import TUBE_STREAM, Rng, chance_blocks
 
 # numpy is imported inside the functions that build or read arrays, so
@@ -306,8 +306,7 @@ class Sample:
     module_slot: int
 
     def __post_init__(self):
-        if self.mass_kg < 0:
-            raise ValueError(f"mass_kg must be nonnegative, got {self.mass_kg}")
+        require_nonnegative(self, "mass_kg")
         if self.module_slot < 1:
             raise ValueError(f"module_slot must be >= 1, got {self.module_slot}")
 
@@ -343,19 +342,13 @@ class ScoutRobot:
         if not 2 <= self.module_count <= 5:
             raise ValueError(
                 f"module_count must be in 2..5, got {self.module_count}")
-        if self.battery_full_s <= 0:
-            raise ValueError(
-                f"battery_full_s must be positive, got {self.battery_full_s}")
+        require_positive(self, "battery_full_s")
         if self.battery_s is None:
             object.__setattr__(self, "battery_s", self.battery_full_s)
         if not 0.0 <= self.battery_s <= self.battery_full_s:
             raise ValueError(
                 f"battery_s must be in [0, {self.battery_full_s}], got {self.battery_s}")
-        if self.speed_mps <= 0:
-            raise ValueError(f"speed_mps must be positive, got {self.speed_mps}")
-        if self.aux_capacity_kg <= 0:
-            raise ValueError(
-                f"aux_capacity_kg must be positive, got {self.aux_capacity_kg}")
+        require_positive(self, "speed_mps", "aux_capacity_kg")
         if self.reserve_factor < 1.0:
             raise ValueError(
                 f"reserve_factor must be >= 1, got {self.reserve_factor}")
@@ -376,10 +369,6 @@ class ScoutRobot:
     @property
     def aux_slots(self) -> int:
         return self.module_count - 1
-
-    @property
-    def payload_mass_kg(self) -> float:
-        return fold_sum(s.mass_kg for s in self.samples)
 
 
 def make_fleet(grid: GridMap, count: int, **overrides) -> list[ScoutRobot]:
@@ -426,8 +415,7 @@ class SampleSite:
     mass_kg: float
 
     def __post_init__(self):
-        if self.mass_kg < 0:
-            raise ValueError(f"mass_kg must be nonnegative, got {self.mass_kg}")
+        require_nonnegative(self, "mass_kg")
 
 
 @dataclass(frozen=True)
@@ -440,11 +428,7 @@ class Station:
     descents: int = 1
 
     def __post_init__(self):
-        if self.charge_time_s < 0:
-            raise ValueError(
-                f"charge_time_s must be nonnegative, got {self.charge_time_s}")
-        if self.descents < 0:
-            raise ValueError(f"descents must be nonnegative, got {self.descents}")
+        require_nonnegative(self, "charge_time_s", "descents")
 
 
 @dataclass(frozen=True)
@@ -473,8 +457,8 @@ class _Scout:
     """A robot's changing state in a survey; ``robot`` keeps the rest.
 
     ``plan`` records its last choice of target, as (tick, target,
-    distance, the cell it left, the claims, goals and samples it chose
-    under), and ``path`` iterates over the cells still to walk to that
+    distance, the cell it left, the claims and goals it chose under),
+    and ``path`` iterates over the cells still to walk to that
     target once ``_Kernel.reuse`` keeps it.
     """
 
@@ -675,7 +659,7 @@ class _Kernel:
         stepped toward it is d - 1 from T now. Distances over ``known``
         only shrink, and only through cells learned since, and a frontier
         flag turns on only on such a cell, so the answer stays T when:
-        its goals and samples are unchanged; T is still an unclaimed
+        its goals are unchanged; T is still an unclaimed
         frontier or goal; every fresh cell is more than d cells away in
         Manhattan distance, which bounds the distance over ``known``
         from below; every cell claimed at the choice and unclaimed now is
@@ -686,10 +670,9 @@ class _Kernel:
         """
         if scout.plan is None:
             return None
-        tick, target, d, left, was_claimed, was_goals, samples = scout.plan
+        tick, target, d, left, was_claimed, was_goals = scout.plan
         frontier = self.frontier
-        if (tick != self.ticks - 1 or d < 2 or samples is not scout.samples
-                or goals != was_goals or target in claimed
+        if (tick != self.ticks - 1 or d < 2 or goals != was_goals or target in claimed
                 or not (frontier[target] or target in goals)
                 or ((frontier[left] or left in goals) and left not in claimed)):
             return None
@@ -785,8 +768,7 @@ class _Kernel:
             if found is not None:
                 goal, move_to, d = found
                 # a robot that finds a target always steps onto move_to
-                scout.plan = (self.ticks, goal, d, v, frozenset(claimed), goals,
-                              scout.samples)
+                scout.plan = (self.ticks, goal, d, v, frozenset(claimed), goals)
                 claimed.add(goal)
                 target = self.cell(goal)
             elif v not in goals:

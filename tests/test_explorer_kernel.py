@@ -510,6 +510,38 @@ def test_reused_choices_match_a_search(monkeypatch):
     assert reused > 10_000
 
 
+def test_a_reuse_follows_a_pickup_that_leaves_the_goals_equal(monkeypatch):
+    """Two sites on X = (0, 3), claimed by scout_1 from three cells down
+    the side shaft. scout_2 passes over X toward its own site at (0, 6)
+    and takes one of the two; X still holds the other, so its goals are
+    unchanged and the next tick keeps its target without a search, as
+    ``nearest`` would choose."""
+    reuse, kept = _Kernel.reuse, []
+
+    def checking(kernel, scout, claimed, goals):
+        found = reuse(kernel, scout, claimed, goals)
+        if found is not None:
+            assert found == kernel.nearest(scout.v, claimed, goals)
+            kept.append((kernel.ticks, scout.robot.id, len(scout.samples), found))
+        return found
+
+    monkeypatch.setattr(_Kernel, "reuse", checking)
+    grid = grid_from_text("E......\n###.###\n###.###\n###.###\n")
+    grid.explored[:] = True
+    fleet = [ScoutRobot(id="scout_1", position=(3, 3)),
+             ScoutRobot(id="scout_2", position=(0, 2))]
+    sites = (SampleSite((0, 3), 1.0), SampleSite((0, 3), 2.0), SampleSite((0, 6), 3.0))
+    kernel = _Kernel(grid, fleet, Station(), sites)
+    kernel.tick()
+    scout_2 = kernel.by_id[1]
+    assert scout_2.target == (0, 6) and scout_2.v == kernel.index((0, 3))
+    assert len(scout_2.samples) == 1
+    kernel.tick()
+    x, t = kernel.index((0, 3)), kernel.index((0, 6))
+    assert kept == [(1, "scout_1", 0, (x, kernel.index((1, 3)), 2)),
+                    (1, "scout_2", 1, (t, kernel.index((0, 4)), 3))]
+
+
 scale_maps = st.tuples(st.integers(0, 2**30), st.integers(1, 64), st.integers(1, 64),
                        st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.45]))
 

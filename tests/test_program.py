@@ -8,7 +8,6 @@ from tubescout.program import (
     DEFAULT_PAYLOADS,
     DEFAULT_PHASES,
     DEFAULT_WBS,
-    PHASE_ORDER,
     BudgetLimits,
     LifecyclePhase,
     PayloadSpec,
@@ -313,10 +312,10 @@ class TestSchedule:
         for _ in range(50):
             shuffled = sorted(years, key=lambda _: rng.random())
             phases = tuple(LifecyclePhase(code, year)
-                           for code, year in zip(PHASE_ORDER, shuffled))
+                           for code, year in zip(PhaseCode, shuffled))
             check = validate_schedule(phases, max(shuffled), max(shuffled))
             expect_ok = all(a < b for a, b in zip(shuffled, shuffled[1:]))
-            d_year = shuffled[PHASE_ORDER.index(PhaseCode.D)]
+            d_year = shuffled[list(PhaseCode).index(PhaseCode.D)]
             expect_ok = expect_ok and max(shuffled) >= d_year
             assert check.ok == expect_ok
 

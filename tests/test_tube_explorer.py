@@ -259,7 +259,7 @@ class TestRobotAndSamples:
         robot = ScoutRobot(id="s1", module_count=5)
         for mass in (1.0, 2.0, 3.0):
             robot = collect_sample(robot, mass)
-        assert robot.payload_mass_kg == 6.0
+        assert [s.mass_kg for s in robot.samples] == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("kwargs", [
         dict(module_count=1),
