@@ -81,17 +81,23 @@ def _phase_problem(phase: str) -> str | None:
 
 
 @dataclass(frozen=True)
-class TaggedLoad:
-    """A power load plus the mission phases during which it draws.
-    ``phases`` of None means the load is always attached."""
+class TaggedLoad(PowerLoad):
+    """A ``PowerLoad`` with the mission phases during which it draws.
+    ``phases`` of None means the load is always attached. ``load`` is the
+    phase-less load, as the ``power`` report echoes it."""
 
-    load: PowerLoad
     phases: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         for phase in self.phases or ():
             if problem := _phase_problem(phase):
                 raise ValueError(problem)
+
+    @property
+    def load(self) -> PowerLoad:
+        return PowerLoad(**{f.name: getattr(self, f.name)
+                            for f in dataclasses.fields(PowerLoad)})
 
     def active_in(self, phase_name: str) -> bool:
         return self.phases is None or phase_name in self.phases
@@ -351,13 +357,9 @@ def _parse_dataclass(block: _Block, cls, given: dict | None = None):
     given = given or {}
     kwargs = {k: v for k, v in given.items() if v is not _INVALID}
     groups: dict = {}
-    inlined = []
     complete = True
     for name, group, key, hint, convert, required in _schema(cls):
         if name in given:
-            continue
-        if not key:
-            inlined.append((name, hint))
             continue
         if group and group not in groups:
             groups[group] = block.obj(group)
@@ -373,10 +375,6 @@ def _parse_dataclass(block: _Block, cls, given: dict | None = None):
         complete = complete and not required
     for sub in groups.values():
         sub.close()
-    # An inlined object reads the keys left over, so it goes last.
-    for name, hint in inlined:
-        kwargs[name] = _parse_dataclass(block, hint)
-        complete = complete and kwargs[name] is not _INVALID
     block.close()
     if not complete:
         return _INVALID
@@ -498,15 +496,14 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
         "cave_fraction": _parse_phase_map(mission, "cave_fraction",
                                           _default_cave_fraction(), float, 1)})
     config = _parse_dataclass(top, MissionConfig, given)
-    items = {"sources": config.sources, "loads": [t.load for t in config.loads]}
     for argument, i, name, message in sol_problems(
-            config.sources, items["loads"], config.battery, config.env,
+            config.sources, config.loads, config.battery, config.env,
             config.timestep_s,
             {REGEN_SOURCE_NAME: "the mission's winch regeneration source"}):
         path = "config." + JSON_KEYS["MissionConfig"][argument]
         if i is not None:
-            keys = JSON_KEYS.get(type(items[argument][i]).__name__, {})
-            path += f"[{i}].{keys.get(name, name)}"
+            fields = json_fields(type(getattr(config, argument)[i]))
+            path += f"[{i}]." + next(k for f, _, k in fields if f == name)
         errors.append((path, message))
     if not config.sources and config.battery.initial_soc_wh == 0 and config.loads:
         errors.append(("config.power.sources",

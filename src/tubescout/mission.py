@@ -303,7 +303,7 @@ def run_mission(config: "MissionConfig", seed_override: int | None = None) -> di
                                             settings.germination.p_germinate,
                                             seed)
         dose_msv = cumulative_dose(env, settings.cave_fraction.get(phase, 0.0), 1.0)
-        loads = [t.load for t in config.loads if t.active_in(phase)]
+        loads = [t for t in config.loads if t.active_in(phase)]
         for sol in range(state.sol, state.sol + sols):
             sources = list(config.sources)
             injected_wh = pending_regen_wh

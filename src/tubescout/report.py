@@ -8,6 +8,7 @@ byte-identical output.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import functools
@@ -110,12 +111,11 @@ class Finding:
                 "message": self.message, "data": dict(self.data)}
 
 
-#: JSON keys that differ from field names, by class name. A dotted key
-#: nests the field in a sub-object; an empty key inlines the field's own
-#: object into its parent. Config parsing and ``echo`` both read this.
+#: JSON keys that differ from field names, by class name; a subclass
+#: inherits its bases' keys. A dotted key nests the field in a sub-object.
+#: Config parsing and ``echo`` both read this.
 JSON_KEYS = {
     "PowerLoad": {"window": "window_s"},
-    "TaggedLoad": {"load": ""},
     "ProgramSettings": {"fte_people": "fte.people", "fte_years": "fte.years",
                         "fte_rate": "fte.fte_per_person_year"},
     "MissionConfig": {"env_preset": "env.preset", "env_overrides": "env.overrides",
@@ -127,7 +127,7 @@ JSON_KEYS = {
 @functools.cache
 def json_fields(cls) -> tuple:
     """(field name, JSON group, JSON key) for each field of a dataclass."""
-    keys = JSON_KEYS.get(cls.__name__, {})
+    keys = collections.ChainMap(*(JSON_KEYS.get(c.__name__, {}) for c in cls.__mro__))
     return tuple((f.name, *keys.get(f.name, f.name).rpartition(".")[::2])
                  for f in dataclasses.fields(cls))
 
@@ -148,11 +148,7 @@ def echo(obj, omit=()):
     for name, group, key in json_fields(type(obj)):
         if name in omit:
             continue
-        value = echo(getattr(obj, name))
-        if not key:
-            out.update(value)
-        else:
-            (out.setdefault(group, {}) if group else out)[key] = value
+        (out.setdefault(group, {}) if group else out)[key] = echo(getattr(obj, name))
     return out
 
 

@@ -60,9 +60,15 @@ class GridMap:
 
     def __post_init__(self):
         import numpy as np
-        self.cells = np.asarray(self.cells, dtype=np.int8)
-        if self.cells.ndim != 2 or self.cells.shape[0] < 1 or self.cells.shape[1] < 1:
-            raise MapError(f"cells must be a 2D grid, got shape {self.cells.shape}")
+        cells = np.asarray(self.cells)
+        if cells.ndim != 2 or cells.shape[0] < 1 or cells.shape[1] < 1:
+            raise MapError(f"cells must be a 2D grid, got shape {cells.shape}")
+        unknown = (cells != FREE) & (cells != OBSTACLE) & (cells != ENTRANCE)
+        if unknown.any():
+            r, c = np.argwhere(unknown)[0]
+            raise MapError(
+                f"unknown cell code {cells[r, c].item()!r} at row {r}, col {c}")
+        self.cells = np.asarray(cells, dtype=np.int8)
         check_resolution(self.resolution_m)
         entrances = np.argwhere(self.cells == ENTRANCE)
         if len(entrances) != 1:
@@ -147,7 +153,7 @@ def check_survey_work(robot_count: int, max_steps: int, cells: int) -> None:
 def fresh_map(cells: np.ndarray, resolution_m: float = 1.0) -> GridMap:
     """Wrap an occupancy array into a GridMap with nothing explored yet."""
     import numpy as np
-    cells = np.asarray(cells, dtype=np.int8)
+    cells = np.asarray(cells)
     return GridMap(cells=cells, explored=np.zeros(cells.shape, dtype=bool),
                    resolution_m=resolution_m)
 
@@ -311,9 +317,8 @@ class Sample:
             raise ValueError(f"module_slot must be >= 1, got {self.module_slot}")
 
 
-#: Battery run times for the single and double battery fits.
+#: Battery run time of the single battery fit.
 SINGLE_BATTERY_S = 5.0 * 3600.0
-DOUBLE_BATTERY_S = 10.0 * 3600.0
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from tubescout.config import (
     parse_wbs_file,
     to_echo_dict,
 )
-from tubescout.energy import MAX_SOL_WORK, SourceKind
+from tubescout.energy import MAX_SOL_WORK, PowerLoad, SourceKind
 from tubescout.mission import (
     MAX_MISSION_SOL_STEPS,
     MAX_MISSION_SOLS,
@@ -179,6 +179,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown phase"):
             parse_config({"power": {"loads": [
                 {"name": "x", "power_w": 5.0, "phases": ["Orbit"]}]}})
+
+    def test_load_errors_come_in_field_order(self):
+        """A load's own keys and its phases are one object's fields."""
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config({"power": {"loads": [
+                {"name": "x", "power_w": "a", "phases": 5}]}})
+        assert exc_info.value.errors == [
+            ("config.power.loads[0].power_w", "expected a number, got 'a'"),
+            ("config.power.loads[0].phases", "expected an array or null, got 5")]
+
+    def test_tagged_load_is_a_power_load(self):
+        config = parse_config({"power": {"loads": [
+            {"name": "x", "power_w": 5.0, "window_s": [1.0, 2.0], "priority": 3,
+             "sheddable": True, "phases": ["Settlement"]}]}})
+        [tagged] = config.loads
+        assert isinstance(tagged, PowerLoad)
+        assert tagged.phases == ("Settlement",)
+        assert tagged.load == PowerLoad("x", 5.0, (1.0, 2.0), 3, True)
 
     def test_timestep_must_divide_sol(self):
         with pytest.raises(ConfigError) as exc_info:
@@ -667,6 +685,17 @@ class TestInputValidation:
         report = read_report(out)
         assert report["config"]["power"]["loads"][0]["phases"] == []
         assert report["energy"]["inputs"]["loads"][0]["phases"] == []
+
+    def test_power_report_echoes_loads_without_phases(self, tmp_path):
+        config = write_config(tmp_path, {"power": {"loads": [
+            {"name": "idle", "power_w": 5.0, "phases": []}]}})
+        out = tmp_path / "out"
+        assert run_cli("power", "--config", config, "--out", str(out)) == 0
+        report = read_report(out)
+        assert report["config"]["power"]["loads"][0]["phases"] == []
+        assert report["energy"]["power"]["inputs"]["loads"][0] == {
+            "name": "idle", "power_w": 5.0, "window_s": None, "priority": 0,
+            "sheddable": False}
 
     @pytest.mark.parametrize("command", ["winch", "explore", "mission"])
     def test_sample_site_on_map_obstacle_exits_2(self, tmp_path, capsys, command):

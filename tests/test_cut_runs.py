@@ -298,12 +298,12 @@ def test_mission_sol_log_counts_match_the_per_step_cuts(monkeypatch, scenario):
 
 
 def test_mission_counts_sheddable_and_hard_cuts_apart(monkeypatch):
-    heater = PowerLoad("heater", 511.5, (44375.0, 88775.0), sheddable=False)
-    lamp = PowerLoad("lamp", 50.0, sheddable=True)
+    heater = TaggedLoad("heater", 511.5, (44375.0, 88775.0), sheddable=False)
+    lamp = TaggedLoad("lamp", 50.0, sheddable=True)
     config = MissionConfig(
         battery=Battery(capacity_wh=0.0, initial_soc_wh=0.0),
         sources=(PowerSource("rtg", rating_w=110.0),),
-        loads=(TaggedLoad(heater), TaggedLoad(lamp)),
+        loads=(heater, lamp),
         mission=MissionSettings(events=(), germination=None))
     [sol], [trace] = mission_traces(monkeypatch, config)
     cuts = per_step_cuts(trace)

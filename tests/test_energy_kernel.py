@@ -624,12 +624,12 @@ def test_runs_and_reports_build_no_violation(monkeypatch):
     section, findings, _ = power_section(tuple(sources), tuple(loads), battery,
                                          ENV, 25.0)
     assert section["violation_count"] > findings[0].data["violation_count"] > 0
-    heater = PowerLoad("heater", 511.5, (44375.0, 88775.0), sheddable=False)
-    lamp = PowerLoad("lamp", 50.0, sheddable=True)
+    heater = TaggedLoad("heater", 511.5, (44375.0, 88775.0), sheddable=False)
+    lamp = TaggedLoad("lamp", 50.0, sheddable=True)
     report = run_mission(MissionConfig(
         battery=Battery(capacity_wh=0.0, initial_soc_wh=0.0),
         sources=(PowerSource("rtg", rating_w=110.0),),
-        loads=(TaggedLoad(heater), TaggedLoad(lamp)),
+        loads=(heater, lamp),
         mission=MissionSettings(events=(), germination=None)))
     sol = report["mission"]["sol_log"][0]
     assert sol["violations"] > sol["hard_violations"] > 0

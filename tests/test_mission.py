@@ -17,7 +17,7 @@ from tubescout.config import (
     TaggedLoad,
     parse_config,
 )
-from tubescout.energy import Battery, PowerLoad, PowerSource, SourceKind, winch_regen_energy
+from tubescout.energy import Battery, PowerSource, SourceKind, winch_regen_energy
 from tubescout.mission import (
     MAX_GERMINATION_SEEDS,
     GerminationTrial,
@@ -355,12 +355,12 @@ class TestRunMission:
         assert socs == pytest.approx([500.0, 500.0, 500.0, expected_last])
 
     def test_phase_tagged_load_draws_only_in_its_phase(self):
-        heater = PowerLoad("greenhouse_heater", 511.5, (44375.0, 88775.0),
-                           priority=2, sheddable=False)
+        heater = TaggedLoad("greenhouse_heater", 511.5, (44375.0, 88775.0),
+                            priority=2, sheddable=False, phases=("Settlement",))
         config = MissionConfig(
             battery=Battery(capacity_wh=0.0, initial_soc_wh=0.0),
             sources=(PowerSource("rtg", SourceKind.CONSTANT, 110.0),),
-            loads=(TaggedLoad(heater, ("Settlement",)),),
+            loads=(heater,),
             exploration=SMALL_EXPLORATION,
             mission=MissionSettings(),
         )

@@ -208,6 +208,12 @@ class TestMapText:
         with pytest.raises(MapError):
             grid_from_text(text)
 
+    @pytest.mark.parametrize("code", [7, -1, 300, 0.5])
+    def test_unknown_cell_code_rejected(self, code):
+        with pytest.raises(MapError,
+                           match=rf"^unknown cell code {code} at row 1, col 0$"):
+            fresh_map(np.array([[ENTRANCE, FREE], [code, OBSTACLE]]))
+
     def test_blank_lines_around_the_rows_accepted(self):
         grid = grid_from_text("\n \nE..\n.#.\n\n\t\n")
         assert grid.cells.shape == (2, 3)
