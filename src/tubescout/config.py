@@ -497,8 +497,7 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
                                           _default_cave_fraction(), float, 1)})
     config = _parse_dataclass(top, MissionConfig, given)
     for argument, i, name, message in sol_problems(
-            config.sources, config.loads, config.battery, config.env,
-            config.timestep_s,
+            config.sources, config.loads, config.env, config.timestep_s,
             {REGEN_SOURCE_NAME: "the mission's winch regeneration source"}):
         path = "config." + JSON_KEYS["MissionConfig"][argument]
         if i is not None:

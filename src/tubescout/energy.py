@@ -55,7 +55,7 @@ MAX_SOL_STEPS = 100_000
 #: steps, a trial walks ``_cuts`` about once a stretch, and the report
 #: reads the trace's cuts once per run of equal shed power. At the bound
 #: (20 loads at 1 s steps, 1.78M cuts in one run) the report takes
-#: 14-23 ms, 10-18 ms of it the scheduler and 1.3-2.3 ms the full trace
+#: 20-22 ms, 12-15 ms of it the scheduler and 1.5-1.8 ms the full trace
 #: (CPython 3.11, 2 x86 CPUs, medians of 15 calls).
 MAX_SOL_WORK = 42_000_000
 
@@ -301,7 +301,7 @@ class SocTrace:
 
 
 def sol_problems(sources: list[PowerSource], loads: list[PowerLoad],
-                 battery: Battery, env: MarsEnvironment, timestep_s: float,
+                 env: MarsEnvironment, timestep_s: float,
                  taken_source_names: dict[str, str] | None = None):
     """Yield every reason ``simulate_sol`` refuses these arguments, as
     (argument, item index or None, item field or None, message): for
@@ -377,21 +377,22 @@ def _cuts(order, shed):
 
 class _Sol:
     """The power sol kernel: one sol of fixed sources and battery, able
-    to run any subset of the loads it was built with. ``run`` is its one
-    run method, and a ``SocTrace`` its one result.
+    to run any subset of the loads it was built with. Its two calls are
+    ``run``, which returns a run's ``SocTrace``, and ``schedule``, the
+    greedy scheduler over ``run``; between calls it keeps only counters.
 
     A run's demand is a numpy array built by adding each load's power
     over its step range in list order, which repeats the float additions
     of summing the active loads step by step. The SoC recurrence runs on
     Python floats, and each stretch's ramp in one numpy running sum.
-    ``simulate_sol``, every ``schedule_loads`` trial and each mission sol
-    run this same code.
+    ``simulate_sol``, every ``schedule`` trial and each mission sol run
+    this same code.
     """
 
     def __init__(self, sources: list[PowerSource], loads: list[PowerLoad],
                  battery: Battery, env: MarsEnvironment, timestep_s: float):
-        for argument, i, name, message in sol_problems(sources, loads, battery,
-                                                       env, timestep_s):
+        for argument, i, name, message in sol_problems(sources, loads, env,
+                                                       timestep_s):
             where = argument if i is None else f"{argument}[{i}].{name}"
             raise ValueError(f"{where}: {message}")
         self.timestep_s = timestep_s
@@ -585,6 +586,20 @@ class _Sol:
             shed_order=tuple(shed_order),
         )
 
+    def schedule(self, loads: list[PowerLoad]) -> ScheduleResult:
+        """``schedule_loads`` on this fresh sol; ``stepped`` is its counter."""
+        admitted: list[PowerLoad] = []
+        trace = self.run(admitted)
+        verdicts: dict[str, bool] = {}
+        for load in sorted(loads, key=lambda l: (l.priority, l.name)):
+            trial = self.run(admitted + [load], trace)
+            verdicts[load.name] = trial is not None
+            if trial is not None:
+                admitted.append(load)
+                trace = trial
+        return ScheduleResult(admitted=tuple(admitted), verdicts=verdicts,
+                              trace=trace, stepped=self.stepped)
+
 
 def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
                  battery: Battery, env: MarsEnvironment,
@@ -630,30 +645,15 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     such cut. ``feasible`` is true iff every input load is admitted. The
     returned trace is that of the final admitted set.
 
-    The scheduler keeps one admitted trace, which starts as the bare sol
-    without loads. Each candidate's trial is ``_Sol.run`` on the admitted
+    ``_Sol.schedule`` keeps one admitted trace, which starts as the bare
+    sol without loads. Each candidate's trial is ``_Sol.run`` on the admitted
     loads plus the candidate, given that trace: it differs from the
     admitted run only at the candidate's active steps [lo, hi), so it
     resumes the admitted run at ``lo`` and stops at the first load edge
     at or after ``hi`` where its SoC equals the admitted run's. An
     admitted trial's trace becomes the admitted trace.
     """
-    sol = _Sol(sources, loads, battery, env, timestep_s)
-    admitted: list[PowerLoad] = []
-    trace = sol.run(admitted)
-    verdicts: dict[str, bool] = {}
-    for load in sorted(loads, key=lambda l: (l.priority, l.name)):
-        trial = sol.run(admitted + [load], trace)
-        verdicts[load.name] = trial is not None
-        if trial is not None:
-            admitted.append(load)
-            trace = trial
-    return ScheduleResult(
-        admitted=tuple(admitted),
-        verdicts=verdicts,
-        trace=trace,
-        stepped=sol.stepped,
-    )
+    return _Sol(sources, loads, battery, env, timestep_s).schedule(loads)
 
 
 def _time_text(time_s: float) -> str:

@@ -23,8 +23,7 @@ from tubescout.energy import (
     PowerSource,
     SocTrace,
     WinchSpec,
-    schedule_loads,
-    simulate_sol,
+    _Sol,
     winch_power,
     winch_regen_energy,
 )
@@ -281,15 +280,15 @@ def power_inputs(battery: Battery, sources: tuple, loads: tuple,
 def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...],
                   battery: Battery, env: MarsEnvironment,
                   timestep_s: float) -> tuple[dict, list[Finding], SocTrace]:
-    """Ask the greedy scheduler which subset of the loads is admissible
-    (``schedule_loads``), and simulate one sol with every load attached
-    (``simulate_sol``). Returns the full trace as well, for callers that
-    emit CSV."""
-    schedule = schedule_loads(list(sources), list(loads), battery, env, timestep_s)
+    """One sol kernel gives both answers: which loads its greedy scheduler
+    admits (``schedule_loads``), and the trace of the sol with every load
+    attached (``simulate_sol``), returned too for callers that emit CSV."""
+    sol = _Sol(list(sources), list(loads), battery, env, timestep_s)
+    schedule = sol.schedule(list(loads))
     plan = {"admitted": [l.name for l in schedule.admitted],
             "feasible": schedule.feasible,
             "verdicts": schedule.verdicts}
-    trace = simulate_sol(list(sources), list(loads), battery, env, timestep_s)
+    trace = sol.run(list(loads))
     # Runs come in time order: the first hard cut is the earliest. Times
     # are step * timestep_s, as ``SocTrace.cuts`` gives them.
     count = hard_count = 0

@@ -222,8 +222,8 @@ class TestSimulateSol:
         loads = [PowerLoad("a", 1.0), PowerLoad("b", 1.0, (0.0, 90000.0)),
                  PowerLoad("a", 2.0)]
         sources = [PowerSource("regen")]
-        problems = list(sol_problems(sources, loads, Battery(1000.0, 0.0), ENV,
-                                     60.0, {"regen": "the caller's source"}))
+        problems = list(sol_problems(sources, loads, ENV, 60.0,
+                                     {"regen": "the caller's source"}))
         assert problems == [
             ("timestep_s", None, None,
              "timestep 60.0 s does not divide the 88775 s sol evenly"),
@@ -232,15 +232,14 @@ class TestSimulateSol:
             ("loads", 2, "name", "duplicate name 'a' (also loads[0])"),
             ("loads", 1, "window",
              "window [0.0, 90000.0] ends past the 88775 s sol")]
-        assert list(sol_problems([], loads[:1], Battery(1000.0, 0.0), ENV,
-                                 25.0)) == []
+        assert list(sol_problems([], loads[:1], ENV, 25.0)) == []
 
     def test_sol_work_bounded(self):
         """24 always-on loads, the largest benchmark case, fit at 25 s
         steps; at 1 s steps their scheduler work is over the bound."""
         loads = [PowerLoad(f"l{k}", 1.0) for k in range(24)]
-        assert list(sol_problems([RTG], loads, Battery(), ENV, 25.0)) == []
-        assert list(sol_problems([RTG], loads, Battery(), ENV, 1.0)) == [
+        assert list(sol_problems([RTG], loads, ENV, 25.0)) == []
+        assert list(sol_problems([RTG], loads, ENV, 1.0)) == [
             ("loads", None, None, "sol work (loads + 2) x sol steps x "
              "(loads + 1) = 26 x 88775 x 25 = 57703750 exceeds 42000000")]
 

@@ -17,6 +17,7 @@ import tracemalloc
 from array import array
 from functools import reduce
 from operator import add
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubescout import energy
+from tubescout.cli import main
 from tubescout.config import MissionConfig, MissionSettings, TaggedLoad
 from tubescout.energy import (
     POWER_EPSILON_W,
@@ -43,6 +45,7 @@ from tubescout.mission import run_mission
 from tubescout.report import power_section
 
 ENV = MarsEnvironment()
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SOL_S = ENV.sol_length_s
 ARRAYS = ("soc_wh", "supply_w", "demand_w", "shed_w", "charged_wh", "discharged_wh")
 
@@ -250,6 +253,29 @@ def test_the_report_is_the_schedule_and_the_full_sol_on_seeded_cases():
             seen.add("hard_cut_after_demands_differ")
     assert seen == {"feasible_equal", "feasible_differs", "infeasible",
                     "hard_cut_after_demands_differ"}
+
+
+def trace_fields(trace) -> dict:
+    """``trace`` in the form ``assert_same_trace`` expects."""
+    return {name: getattr(trace, name) for name in ARRAYS + ("violations",)}
+
+
+def test_a_sol_keeps_no_run_state_between_calls():
+    """The power report's one kernel rests on this: on the 200 seeded
+    cases, ``schedule`` then ``run`` on one fresh ``_Sol`` give the
+    verdicts, admitted loads and traces that ``run`` then ``schedule``
+    give on another, bit for bit."""
+    for seed in range(200):
+        sources, loads, battery, timestep_s = random_case(random.Random(seed))
+        sol = _Sol(sources, loads, battery, ENV, timestep_s)
+        schedule, full = sol.schedule(loads), sol.run(loads)
+        sol = _Sol(sources, loads, battery, ENV, timestep_s)
+        full_first = sol.run(loads)
+        schedule_last = sol.schedule(loads)
+        assert schedule.verdicts == schedule_last.verdicts
+        assert schedule.admitted == schedule_last.admitted
+        assert_same_trace(schedule.trace, trace_fields(schedule_last.trace))
+        assert_same_trace(full, trace_fields(full_first))
 
 
 def test_the_report_trace_goes_on_through_hard_cuts():
@@ -634,6 +660,26 @@ def test_runs_and_reports_build_no_violation(monkeypatch):
     sol = report["mission"]["sol_log"][0]
     assert sol["violations"] > sol["hard_violations"] > 0
     assert built == []
+
+
+def test_a_power_report_builds_one_sol_kernel(monkeypatch, tmp_path):
+    """The power report asks one ``_Sol`` for its schedule and its full
+    trace, in process and through the CLI."""
+    built = []
+    init = energy._Sol.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(energy._Sol, "__init__", counted)
+    sources, loads, battery = power_sweep_case(random.Random(24), 24)
+    power_section(tuple(sources), tuple(loads), battery, ENV, 25.0)
+    assert len(built) == 1
+    built.clear()
+    assert main(["power", "--config", str(SCENARIOS / "cold_extreme.json"),
+                 "--format", "csv", "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
 
 
 def test_a_trial_walks_the_cuts_once_a_stretch(monkeypatch):
