@@ -7,6 +7,12 @@ differently under Python 3.12's compensated ``sum()``. Each report must
 equal, byte for byte, the one this interpreter writes. These
 subcommands import no numpy, so an interpreter without it will do.
 
+The ``power``, ``explore`` and ``mission`` reports need numpy to run, so
+this interpreter writes them for the three shipped scenarios, and each
+other interpreter serializes them again with ``report.dump_json``: the
+bytes must not change, whichever encoder that Python's ``dump_json``
+picks.
+
 An interpreter that cannot be found, or does not start, is skipped; a
 run that fails once it has started fails the test.
 """
@@ -24,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 VERSIONS = ("3.10", "3.12", "3.13")
 ANALYTIC = ("balloon", "winch", "thermal", "budget", "cost", "schedule")
+ARRAYS = ("power", "explore", "mission")
+SHIPPED = ("paper_baseline", "cold_extreme", "two_tube_mission")
 
 RUN = f"""
 import sys
@@ -33,6 +41,16 @@ for i, config in enumerate(configs):
     for command in {ANALYTIC!r}:
         code = main([command, "--config", config, "--out", f"{{out}}/{{i}}/{{command}}"])
         assert code == 0, (command, config, code)
+"""
+
+REWRITE = """
+import json, sys
+from pathlib import Path
+from tubescout.report import dump_json
+out, reports = Path(sys.argv[1]), sys.argv[2:]
+for i, report in enumerate(reports):
+    text = dump_json(json.loads(Path(report).read_text(encoding="utf-8")))
+    (out / f"{i}.json").write_text(text, encoding="utf-8")
 """
 
 
@@ -93,3 +111,33 @@ def test_analytic_reports_match_across_interpreters(version, configs,
     assert reports.keys() == reference.keys()
     differ = [name for name in reports if reports[name] != reference[name]]
     assert not differ, f"python{version} ({exe}) wrote different reports: {differ}"
+
+
+@pytest.fixture(scope="module")
+def array_reports(tmp_path_factory) -> list:
+    """This interpreter's power, explore and mission reports of the
+    shipped scenarios."""
+    from tubescout.cli import main
+    out = tmp_path_factory.mktemp("arrays")
+    for scenario in SHIPPED:
+        for command in ARRAYS:
+            code = main([command, "--config", str(SCENARIOS / f"{scenario}.json"),
+                         "--out", str(out / scenario / command)])
+            assert code == 0, (command, scenario)
+    return sorted(out.rglob("report.json"))
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_array_reports_rewrite_identically_across_interpreters(
+        version, array_reports, tmp_path):
+    exe = find_interpreter(version)
+    if exe is None:
+        pytest.skip(f"no working python{version} found")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([exe, "-c", REWRITE, str(tmp_path), *map(str, array_reports)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert len(array_reports) == len(SHIPPED) * len(ARRAYS)
+    differ = [str(report) for i, report in enumerate(array_reports)
+              if (tmp_path / f"{i}.json").read_bytes() != report.read_bytes()]
+    assert not differ, f"python{version} ({exe}) rewrote reports differently: {differ}"
