@@ -230,6 +230,9 @@ _INVALID = object()
 #: How fixed-length arrays are described in errors, by JSON key.
 _SHAPES = {"window_s": "[start_s, end_s]", "cell": "[row, col]"}
 
+#: The largest finite float: a JSON number past it is NaN or infinite.
+_FLOAT_MAX = sys.float_info.max
+
 _SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
             Money: ((int, str), "an integer or money string"),
             str: (str, "a string"), bool: (bool, "true or false")}
@@ -263,7 +266,10 @@ def _converter(hint, nullable: bool = False):
                             _SHAPES.get(path.rpartition(".")[2], "an array"))
             values = [items[i if fixed else 0](v, f"{path}[{i}]", errors)
                       for i, v in enumerate(raw)]
-            return _INVALID if any(v is _INVALID for v in values) else tuple(values)
+            for v in values:
+                if v is _INVALID:
+                    return _INVALID
+            return tuple(values)
     elif dataclasses.is_dataclass(hint):
         def convert(raw, path, errors):
             if isinstance(raw, dict):
@@ -285,7 +291,7 @@ def _converter(hint, nullable: bool = False):
         def convert(raw, path, errors):
             if not isinstance(raw, kinds) or (isinstance(raw, bool) and hint is not bool):
                 return fail(raw, path, errors, what)
-            if hint is float and not abs(raw) <= sys.float_info.max:
+            if hint is float and not abs(raw) <= _FLOAT_MAX:
                 # json.loads accepts NaN and Infinity; no model means them.
                 errors.append((path, f"expected a finite number, got {raw!r}"))
                 return _INVALID
@@ -339,15 +345,24 @@ class _Block:
 
 @functools.cache
 def _schema(cls) -> tuple:
-    """(name, JSON group, JSON key, type hint, converter, required) per
-    field. Resolving type hints is slow, so it happens once per class."""
+    """(name, JSON group, JSON key, type hint, converter, required, plain,
+    nullable) per field. A JSON value whose type is exactly ``plain``
+    (finite, for a float) is the field's value as it stands, and so is
+    null where ``nullable``; any other goes through the converter.
+    Resolving type hints is slow, so it happens once per class."""
     hints = typing.get_type_hints(cls)
     required = {f.name for f in dataclasses.fields(cls)
                 if f.default is dataclasses.MISSING
                 and f.default_factory is dataclasses.MISSING}
-    return tuple((name, group, key, hints[name], _converter(hints[name]),
-                  name in required)
-                 for name, group, key in json_fields(cls))
+    rows = []
+    for name, group, key in json_fields(cls):
+        hint = hints[name]
+        nullable = typing.get_origin(hint) in (types.UnionType, typing.Union)
+        scalar = typing.get_args(hint)[0] if nullable else hint
+        plain = int if scalar is Money else scalar if scalar in _SCALARS else None
+        rows.append((name, group, key, hint, _converter(hint), name in required,
+                     plain, nullable))
+    return tuple(rows)
 
 
 def _parse_dataclass(block: _Block, cls, given: dict | None = None):
@@ -355,18 +370,26 @@ def _parse_dataclass(block: _Block, cls, given: dict | None = None):
     in ``given`` were read by hand and are not looked up. Returns
     ``_INVALID`` once the problems are recorded."""
     given = given or {}
-    kwargs = {k: v for k, v in given.items() if v is not _INVALID}
+    kwargs = {k: v for k, v in given.items() if v is not _INVALID} if given else {}
     groups: dict = {}
     complete = True
-    for name, group, key, hint, convert, required in _schema(cls):
+    for name, group, key, _, convert, required, plain, nullable in _schema(cls):
         if name in given:
             continue
-        if group and group not in groups:
-            groups[group] = block.obj(group)
-        source = groups[group] if group else block
+        if group:
+            if group not in groups:
+                groups[group] = block.obj(group)
+            source = groups[group]
+        else:
+            source = block
         if key in source.data:
-            value = convert(source.data.pop(key), f"{source.path}.{key}",
-                            block.errors)
+            raw = source.data.pop(key)
+            if (type(raw) is plain and (plain is not float
+                                        or -_FLOAT_MAX <= raw <= _FLOAT_MAX)
+                    or raw is None and nullable):
+                kwargs[name] = raw
+                continue
+            value = convert(raw, f"{source.path}.{key}", block.errors)
             if value is not _INVALID:
                 kwargs[name] = value
                 continue
@@ -374,8 +397,10 @@ def _parse_dataclass(block: _Block, cls, given: dict | None = None):
             block.err(f"missing required key {key!r}")
         complete = complete and not required
     for sub in groups.values():
-        sub.close()
-    block.close()
+        if sub.data:
+            sub.close()
+    if block.data:
+        block.close()
     if not complete:
         return _INVALID
     try:
@@ -389,7 +414,7 @@ def _parse_env(top: _Block):
     block = top.obj("env")
     preset = block.read("preset", str, MissionConfig.env_preset)
     sub = block.obj("overrides")
-    overrides = {name: value for name, _, key, hint, _, _ in _schema(MarsEnvironment)
+    overrides = {name: value for name, _, key, hint, *_ in _schema(MarsEnvironment)
                  if (value := sub.read(key, hint)) is not None}
     sub.close()
     block.close()
@@ -418,7 +443,7 @@ def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
 
     robots = block.obj("robots")
     count = robots.read("count", int, ExplorationSettings.robot_count)
-    overrides = {name: value for name, _, key, hint, _, _ in _schema(ScoutRobot)
+    overrides = {name: value for name, _, key, hint, *_ in _schema(ScoutRobot)
                  if name in _ROBOT_OVERRIDE_KEYS
                  and (value := robots.read(key, hint)) is not None}
     robots.close()

@@ -132,14 +132,18 @@ def json_fields(cls) -> tuple:
                  for f in dataclasses.fields(cls))
 
 
+#: Types whose values are their own JSON form (a Money is an int).
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
 def echo(obj, omit=()):
     """The JSON form of a model value, keyed as in a config file:
     dataclasses become objects, tuples arrays and enums their values.
     ``omit`` names top-level fields to leave out."""
     if isinstance(obj, (tuple, list)):
-        return [echo(v) for v in obj]
+        return [v if type(v) in _PLAIN else echo(v) for v in obj]
     if isinstance(obj, dict):
-        return {k: echo(v) for k, v in obj.items()}
+        return {k: v if type(v) in _PLAIN else echo(v) for k, v in obj.items()}
     if isinstance(obj, enum.Enum):
         return obj.value
     if not hasattr(obj, "__dataclass_fields__"):
@@ -148,19 +152,25 @@ def echo(obj, omit=()):
     for name, group, key in json_fields(type(obj)):
         if name in omit:
             continue
-        (out.setdefault(group, {}) if group else out)[key] = echo(getattr(obj, name))
+        value = getattr(obj, name)
+        (out.setdefault(group, {}) if group else out)[key] = (
+            value if type(value) in _PLAIN else echo(value))
     return out
 
 
-def _non_finite(node, path: str = ""):
-    """(path, value) of each NaN or infinite number in a JSON tree."""
+def _non_finite(node, path: str = "", above: frozenset = frozenset()):
+    """(path, value) of each NaN or infinite number in a JSON tree. A
+    container already ``above`` (by id) on the path is a cycle, and is
+    not walked again."""
     if isinstance(node, float) and not math.isfinite(node):
         yield path, node
-    items = node.items() if isinstance(node, dict) else enumerate(
-        node if isinstance(node, (list, tuple)) else ())
+    if not isinstance(node, (dict, list, tuple)) or id(node) in above:
+        return
+    above |= {id(node)}
+    items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, value in items:
         yield from _non_finite(value, f"{path}[{key}]" if isinstance(node, (list, tuple))
-                               else f"{path}.{key}" if path else key)
+                               else f"{path}.{key}" if path else key, above)
 
 
 _escape = json.encoder.encode_basestring_ascii

@@ -322,6 +322,72 @@ class TestParseWbsFile:
             parse_wbs_file(path)
 
 
+def load(tmp_path, payload) -> MissionConfig:
+    return load_config(write_config(tmp_path, payload))
+
+
+def one_load(**fields) -> dict:
+    return {"power": {"loads": [{"name": "a", "power_w": 1.0, **fields}]}}
+
+
+def wbs(**fields) -> dict:
+    return {"program": {"wbs": {"name": "r", "level": 1, **fields}}}
+
+
+MAX = sys.float_info.max
+
+
+class TestPlainValues:
+    """A JSON value of its field's exact type is taken as it stands; any
+    other goes through the field's converter. ``repr`` tells 6 from 6.0,
+    1 from True and 0.0 from -0.0."""
+
+    @pytest.mark.parametrize("payload, read, expected", [
+        ({"balloon": {"geometry": {"tube_length_m": 6}}},
+         lambda c: c.balloon.geometry.tube_length_m, 6.0),
+        (one_load(window_s=[0, 100]), lambda c: c.loads[0].window, (0.0, 100.0)),
+        ({"enclosure": {"target_temp_c": -0.0}},
+         lambda c: c.enclosure.target_temp_c, -0.0),
+        ({"enclosure": {"target_temp_c": MAX}},
+         lambda c: c.enclosure.target_temp_c, MAX),
+        ({"enclosure": {"target_temp_c": -MAX}},
+         lambda c: c.enclosure.target_temp_c, -MAX),
+        ({"enclosure": {"glazed_area_m2": 5e-324}},
+         lambda c: c.enclosure.glazed_area_m2, 5e-324),
+        ({"mission": {"seed": 7}}, lambda c: c.mission.seed, 7),
+        (one_load(sheddable=True), lambda c: c.loads[0].sheddable, True),
+        (one_load(phases=None), lambda c: c.loads[0].phases, None),
+        (wbs(note=None), lambda c: c.program.wbs.note, None),
+        (wbs(note="n"), lambda c: c.program.wbs.note, "n"),
+        (wbs(cost_usd=5), lambda c: c.program.wbs.cost_usd, 5),
+        (wbs(cost_usd="$1,000"), lambda c: c.program.wbs.cost_usd, 1000),
+        (wbs(cost_usd=None), lambda c: c.program.wbs.cost_usd, None),
+    ])
+    def test_loads_with_exact_value_and_type(self, tmp_path, payload, read,
+                                             expected):
+        assert repr(read(load(tmp_path, payload))) == repr(expected)
+
+    @pytest.mark.parametrize("payload, path, message", [
+        ({"mission": {"seed": True}}, "config.mission.seed",
+         "expected an integer, got True"),
+        ({"mission": {"seed": 7.0}}, "config.mission.seed",
+         "expected an integer, got 7.0"),
+        (one_load(sheddable=1), "config.power.loads[0].sheddable",
+         "expected true or false, got 1"),
+        ({"winch": {"depth_m": None}}, "config.winch.depth_m",
+         "expected a number, got None"),
+        (wbs(name=None), "config.program.wbs.name", "expected a string, got None"),
+        (wbs(cost_usd=True), "config.program.wbs.cost_usd",
+         "expected an integer or money string or null, got True"),
+        (wbs(cost_usd=1.0), "config.program.wbs.cost_usd",
+         "expected an integer or money string or null, got 1.0"),
+    ])
+    def test_refused_by_the_converter(self, tmp_path, payload, path, message):
+        with pytest.raises(ConfigError) as exc_info:
+            load(tmp_path, payload)
+        assert exc_info.value.errors == [(path, message)]
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
 
@@ -622,6 +688,8 @@ class TestInputValidation:
         ({"power": {"loads": [{"name": "x", "power_w": 1.0,
                                "window_s": [0.0, float("-inf")]}]}},
          "config.power.loads[0].window_s[1]", "-inf"),
+        ({"enclosure": {"target_temp_c": float("-inf")}},
+         "config.enclosure.target_temp_c", "-inf"),
     ])
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, payload, path,
                                        shown):

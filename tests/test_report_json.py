@@ -136,3 +136,14 @@ def test_non_finite_number_in_a_tuple_names_its_path():
             dump_json({"energy": {"x": x}})
         assert exc_info.value.errors == [
             ("config.power", "energy.x[0]: nan is not a finite number")]
+
+
+def test_dump_json_refuses_a_cycle_with_jsons_error():
+    """A cycle is walked once, not forever: with no number to name,
+    ``json``'s ValueError stands; with one, it is named at its path."""
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        dump_json({"a": circular})
+    with pytest.raises(ConfigError) as exc_info:
+        dump_json({"energy": {"c": {"d": circular}, "x": [nan]}})
+    assert exc_info.value.errors == [
+        ("config.power", "energy.x[0]: nan is not a finite number")]
