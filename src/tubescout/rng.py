@@ -56,17 +56,27 @@ class Rng:
             state[0] = _SPLITMIX_GAMMA
         self._s = state
 
+    def words(self, k: int) -> list[int]:
+        """Step the generator ``k`` times and return the ``s[1]`` word
+        before each step, the word the ``**`` output scrambles."""
+        s0, s1, s2, s3 = self._s
+        out = []
+        append = out.append
+        for _ in range(k):
+            append(s1)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s[:] = s0, s1, s2, s3
+        return out
+
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        (word,) = self.words(1)
+        return (_rotl((word * 5) & _MASK64, 7) * 9) & _MASK64
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -138,8 +148,8 @@ def chance_blocks(rng: Rng, n: int, p: float):
     """Yield the next ``n`` ``rng.chance(p)`` draws as boolean numpy
     blocks, in order, bit for bit as the scalar loop would draw them.
 
-    The ``**`` output reads only ``s[1]``. ``rng`` steps the first
-    ``_HEAD`` draws and records ``s[1]`` before each. Every later word
+    The ``**`` output reads only ``s[1]``. ``Rng.words`` steps the first
+    ``_HEAD`` draws and returns ``s[1]`` before each. Every later word
     comes in numpy ``uint64`` XORs from a jump as long as the known
     words, up to ``_WINDOW``, so the prefix grows 384 -> 513 -> 771 ->
     1287 -> 2319 words; from there each jump of ``_WINDOW`` adds
@@ -155,13 +165,10 @@ def chance_blocks(rng: Rng, n: int, p: float):
     """
     import numpy as np
     known = min(n, _HEAD)
-    state, step = rng._s, rng.next_u64
     size = min(2 * _WINDOW - 255, max(n, _HEAD))
     window = np.empty(size, dtype=np.uint64)
     sums = np.empty(min(size, _WINDOW), dtype=np.uint64)  # window[j] ^ window[j + d]
-    for k in range(known):
-        window[k] = state[1]
-        step()
+    window[:known] = rng.words(known)
 
     def chances(w: np.ndarray) -> np.ndarray:
         out = w * np.uint64(5)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -129,12 +130,15 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 
 #: Upper bound on the work of one survey, counted per robot tick as the
 #: map's cells plus ``SURVEY_TICK_CELLS``. A stalled survey runs all of
-#: its ``max_steps``; a robot tick then costs about 0.6 us plus up to
-#: 0.25 us per map cell (a target search over the whole known map), so a
-#: survey at the bound takes at most about a minute (CPython 3.11, 2 x86
-#: CPUs). ``SURVEY_TICK_CELLS`` covers the fixed cost many times over.
-#: Keeping a target (``_Kernel.reuse``) does not lower the bound: in the
-#: worst case the search finds nothing, and no choice is kept.
+#: its ``max_steps``; a robot tick then costs about 4-5 us plus up to
+#: 0.25 us per map cell (a target search over the whole known map that
+#: finds nothing, timed on open maps of 100x100 to 1000x1000), so a survey
+#: at the bound takes at most about a minute (CPython 3.11, 2 x86 CPUs).
+#: ``SURVEY_TICK_CELLS`` covers the fixed cost about three times over.
+#: Keeping a target (``_Kernel.reuse``) and the "nothing" answer of
+#: ``_Kernel.nearest`` do not lower the bound: in the worst case a target
+#: is left unclaimed out of reach, the search finds nothing, and no
+#: choice is kept.
 MAX_SURVEY_WORK = 250_000_000
 SURVEY_TICK_CELLS = 60
 
@@ -461,17 +465,25 @@ def _return_threshold_s(distance_cells: int, tick_s: float, factor: float) -> fl
 class _Scout:
     """A robot's changing state in a survey; ``robot`` keeps the rest.
 
-    ``plan`` records its last choice of target, as (tick, target,
-    distance, the cell it left, the claims and goals it chose under),
-    and ``path`` iterates over the cells still to walk to that
-    target once ``_Kernel.reuse`` keeps it.
+    ``tick_s`` is the time a tick takes it and ``charge_s`` the battery
+    one charging tick adds (infinite for an instant charge). ``plan``
+    records its last choice of target, as (tick, target, distance, the
+    cell it left, the claims and goals it chose under), and ``path``
+    iterates over the cells still to walk to that target once
+    ``_Kernel.reuse`` keeps it.
     """
 
-    __slots__ = ("robot", "v", "state", "battery_s", "samples", "target",
-                 "moves", "handed", "plan", "path")
+    __slots__ = ("robot", "v", "tick_s", "charge_s", "state", "battery_s",
+                 "samples", "target", "moves", "handed", "plan", "path")
 
-    def __init__(self, robot: ScoutRobot, v: int):
+    def __init__(self, robot: ScoutRobot, v: int, resolution_m: float,
+                 station: Station):
         self.robot, self.v = robot, v
+        self.tick_s = tick_s = resolution_m / robot.speed_mps
+        if station.charge_time_s == 0:
+            self.charge_s = math.inf
+        else:
+            self.charge_s = robot.battery_full_s / station.charge_time_s * tick_s
         self.state, self.battery_s = robot.state, robot.battery_s
         self.samples, self.target = robot.samples, robot.target
         self.moves = self.handed = 0
@@ -489,20 +501,21 @@ class _Kernel:
     orders ``(row, col)``. A cell off the map is index 0, a border cell.
 
     ``explored`` is the live sensed mask. ``known`` (explored open cells),
-    ``frontier`` and ``dist_home`` (hops from the entrance over ``known``,
-    -1 where unreachable) are the snapshot every robot plans on within a
-    tick; ``learn`` builds it from the cells sensed since its last call,
-    all explored cells at construction, and keeps them as ``fresh``.
+    ``frontier`` with its count of set flags ``frontier_count``, and
+    ``dist_home`` (hops from the entrance over ``known``, -1 where
+    unreachable) are the snapshot every robot plans on within a tick;
+    ``learn`` builds it from the cells sensed since its last call, all
+    explored cells at construction, and keeps them as ``fresh``.
     ``reach`` is the entrance-connected open set, computed once, and
     ``covered`` counts its known cells. ``ticks`` counts ticks, and
     ``searched`` and ``reused`` count the target choices made by a
     search and kept from the tick before.
 
     It holds all a survey changes: a ``_Scout`` per robot (``scouts``, in
-    input order), the uncollected ``sites`` and the ``delivered``
-    samples. It checks the robots' ids and cells as ``step`` describes:
-    each robot senses its cell at construction, and afterwards only the
-    cells it moves to.
+    input order), the uncollected ``sites`` with the index of each one's
+    cell in ``site_cells``, and the ``delivered`` samples. It checks the
+    robots' ids and cells as ``step`` describes: each robot senses its
+    cell at construction, and afterwards only the cells it moves to.
     """
 
     def __init__(self, grid: GridMap, robots: list[ScoutRobot], station: Station,
@@ -511,9 +524,8 @@ class _Kernel:
         self.height, self.width = grid.cells.shape
         self.stride = stride = self.width + 2
         self.offsets = (-stride, -1, 1, stride)
-        self.resolution_m = grid.resolution_m
-        self.station = station
         self.sites = list(sites)
+        self.site_cells = [self.index(site.cell) for site in self.sites]
         self.delivered = list(delivered)
         self.entrance = self.index(grid.entrance)
         traversable = grid.traversable()
@@ -521,6 +533,7 @@ class _Kernel:
         self.explored = _padded(grid.explored)  # GridMap keeps the entrance explored
         self.known = bytearray(len(self.open))
         self.frontier = bytearray(len(self.open))
+        self.frontier_count = 0
         self.dist_home = array("i", [-1]) * len(self.open)
         self.dist_home[self.entrance] = 0
         self.pending = np.flatnonzero(np.pad(traversable & grid.explored, 1)).tolist()
@@ -540,7 +553,7 @@ class _Kernel:
             if not self.open[v]:
                 raise ValueError(f"robot {robot.id} is on an obstacle at {robot.position}")
             self.sense(v)
-            self.scouts.append(_Scout(robot, v))
+            self.scouts.append(_Scout(robot, v, grid.resolution_m, station))
         self.by_id = sorted(self.scouts, key=lambda sc: sc.robot.id)
         self.learn()
 
@@ -577,30 +590,43 @@ class _Kernel:
         """Add the cells sensed since the last call to the snapshot.
 
         A cell's frontier flag can change only where it or a neighbour
-        was added. The known map only grows, so home distances only
-        shrink: the added cells start one hop beyond their nearest
-        neighbour known before the call, and a Dijkstra pass from them
-        lowers the rest (incremental shortest paths, Ramalingam and Reps
-        1996). The entrance keeps its distance 0.
+        was added, and ``frontier_count`` follows the flags. The known
+        map only grows, so home distances only shrink: the added cells
+        start one hop beyond their nearest neighbour known before the
+        call, and a Dijkstra pass from them lowers the rest (incremental
+        shortest paths, Ramalingam and Reps 1996). The pass is skipped
+        when no cell was added or none touches a cell with a home
+        distance, since it would lower nothing. The entrance keeps its
+        distance 0.
         """
-        self.fresh = fresh = self.pending
+        fresh = self.fresh = self.pending
         self.pending = []
+        if not fresh:
+            return
         s, known, open_, dist = self.stride, self.known, self.open, self.dist_home
+        frontier, reach, count = self.frontier, self.reach, self.frontier_count
         for v in fresh:
             known[v] = 1
-            self.covered += self.reach[v]
-        for x in {x for v in fresh for x in (v, v - s, v - 1, v + 1, v + s)}:
-            if known[x]:
-                self.frontier[x] = (open_[x - s] > known[x - s]
-                                    or open_[x - 1] > known[x - 1]
-                                    or open_[x + 1] > known[x + 1]
-                                    or open_[x + s] > known[x + s])
+            self.covered += reach[v]
+        for v in fresh:  # a cell next to two fresh ones is set twice alike
+            for x in (v, v - s, v - 1, v + 1, v + s):
+                if known[x]:
+                    flag = (open_[x - s] > known[x - s] or open_[x - 1] > known[x - 1]
+                            or open_[x + 1] > known[x + 1] or open_[x + s] > known[x + s])
+                    count += flag - frontier[x]
+                    frontier[x] = flag
+        self.frontier_count = count
         heap = []
         for v in fresh:
-            near = [d for d in (dist[v - s], dist[v - 1], dist[v + 1], dist[v + s])
-                    if d >= 0]
-            if near and dist[v] < 0:
-                heap.append((min(near) + 1, v))
+            if dist[v] < 0:
+                near = -1  # the least known distance around v
+                for d in (dist[v - s], dist[v - 1], dist[v + 1], dist[v + s]):
+                    if d >= 0 and (near < 0 or d < near):
+                        near = d
+                if near >= 0:
+                    heap.append((near + 1, v))
+        if not heap:
+            return
         for d, v in heap:
             dist[v] = d
         heapq.heapify(heap)
@@ -620,39 +646,65 @@ class _Kernel:
         lowest index among equals), the first cell on the way to it and
         its distance.
 
-        The search goes level by level and stops at the first level that
-        holds a target. Each cell takes the first move of the cell that
-        reaches it first. The first level lists the moves in N, W, E, S
-        order and every level is expanded in list order, so each level
-        stays sorted by first move, and a cell's first move is the first,
-        in N, W, E, S order, of all moves that begin a shortest path to
-        it: the step a search back from the target would choose.
+        When every frontier cell and goal is claimed it answers None at
+        once: a search can only find an unclaimed one, and frontier flags
+        change only in ``learn``, so ``frontier_count`` holds all tick.
+        Otherwise the search goes level by level and stops at the first
+        level that holds a target. A level is four lists, one per first
+        move in N, W, E, S order, and each cell joins the list of the
+        cell that reaches it first. The lists are expanded in order, so
+        end to end they are the level sorted by first move, and a cell's
+        first move is the first, in N, W, E, S order, of all moves that
+        begin a shortest path to it: the step a search back from the
+        target would choose.
         """
-        known, frontier, offsets = self.known, self.frontier, self.offsets
-        move = bytearray(len(known))  # first move + 1; 0 while unreached
-        move[start] = 1
+        known, frontier, s = self.known, self.frontier, self.stride
+        # N, W, E, S, which is also index order: the first hit is the lowest
+        first = (start - s, start - 1, start + 1, start + s)
+        for n in first:
+            if known[n] and (frontier[n] or n in goals) and n not in claimed:
+                return n, n, 1
+        if len(claimed) >= self.frontier_count:
+            targets = self.frontier_count + sum(not frontier[v] for v in goals)
+            if sum(1 for v in claimed if frontier[v] or v in goals) == targets:
+                return None
+        unseen = known[:]  # cleared as the search reaches each cell
+        unseen[start] = 0
         level = []
-        for k, off in enumerate(offsets, 1):
-            if known[start + off]:
-                move[start + off] = k
-                level.append(start + off)
+        for n in first:
+            level.append([n] if unseen[n] else [])
+            unseen[n] = 0
         depth = 1
-        while level:
-            hits = [v for v in level
-                    if (frontier[v] or v in goals) and v not in claimed]
-            if hits:
-                target = min(hits)
-                return target, start + offsets[move[target] - 1], depth
+        while any(level):
             nxt = []
-            for v in level:
-                k = move[v]
-                for off in offsets:
-                    n = v + off
-                    if known[n] and not move[n]:
-                        move[n] = k
-                        nxt.append(n)
+            for cells in level:
+                reached = []
+                add = reached.append
+                for v in cells:
+                    n = v - s
+                    if unseen[n]:
+                        unseen[n] = 0
+                        add(n)
+                    n = v - 1
+                    if unseen[n]:
+                        unseen[n] = 0
+                        add(n)
+                    n = v + 1
+                    if unseen[n]:
+                        unseen[n] = 0
+                        add(n)
+                    n = v + s
+                    if unseen[n]:
+                        unseen[n] = 0
+                        add(n)
+                nxt.append(reached)
             level = nxt
             depth += 1
+            hits = [(v, k) for k, cells in enumerate(level) for v in cells
+                    if (frontier[v] or v in goals) and v not in claimed]
+            if hits:
+                target, k = min(hits)
+                return target, first[k], depth
         return None
 
     def reuse(self, scout: _Scout, claimed: set[int],
@@ -733,16 +785,11 @@ class _Kernel:
         self.ticks += 1
 
     def _advance(self, scout: _Scout, claimed: set[int]) -> None:
-        robot, state = scout.robot, scout.state
-        tick_s = self.resolution_m / robot.speed_mps
+        robot, state, tick_s = scout.robot, scout.state, scout.tick_s
         if state is RobotState.STUCK:
             return
         if state is RobotState.CHARGING:
-            if self.station.charge_time_s == 0:
-                battery = robot.battery_full_s
-            else:
-                rate = robot.battery_full_s / self.station.charge_time_s
-                battery = min(robot.battery_full_s, scout.battery_s + rate * tick_s)
+            battery = min(robot.battery_full_s, scout.battery_s + scout.charge_s)
             scout.battery_s = battery
             scout.state = RobotState.EXPLORING if battery >= robot.battery_full_s else state
             return
@@ -759,10 +806,11 @@ class _Kernel:
         target = move_to = None
         if state is RobotState.EXPLORING:
             # the uncollected sites it can take now compete with frontiers
-            carryable = [site for site in self.sites
-                         if len(scout.samples) < robot.aux_slots
-                         and site.mass_kg <= robot.aux_capacity_kg]
-            goals = {self.index(site.cell) for site in carryable}
+            goals = frozenset()
+            if self.sites and len(scout.samples) < robot.aux_slots:
+                capacity = robot.aux_capacity_kg
+                goals = {c for site, c in zip(self.sites, self.site_cells)
+                         if site.mass_kg <= capacity}
             found = self.reuse(scout, claimed, goals)
             if found is None:
                 self.searched += 1
@@ -782,8 +830,9 @@ class _Kernel:
                 # it exploring, so the pickup below takes it this tick.
                 state = RobotState.RETURNING
         if state is RobotState.RETURNING and move_to is None and dist_home[v] > 0:
-            move_to = next(v + off for off in self.offsets
-                           if dist_home[v + off] == dist_home[v] - 1)
+            closer = dist_home[v] - 1
+            move_to = next(n for n in (v - self.stride, v - 1, v + 1, v + self.stride)
+                           if dist_home[n] == closer)
 
         scout.battery_s = max(0.0, scout.battery_s - tick_s)
         scout.state, scout.target = state, target
@@ -792,11 +841,12 @@ class _Kernel:
             scout.v = v = move_to
             scout.moves += 1
         if state is RobotState.EXPLORING:
-            cell = self.cell(v)
-            site = next((site for site in carryable if site.cell == cell), None)
-            if site is not None:
+            if v in goals:  # take the first listed site here it can carry
+                i = next(i for i, (site, c) in enumerate(zip(self.sites, self.site_cells))
+                         if c == v and site.mass_kg <= capacity)
+                site = self.sites.pop(i)
+                del self.site_cells[i]
                 scout.samples += (_seal(robot, scout.samples, site.mass_kg, site.cell),)
-                self.sites.remove(site)
         elif v == self.entrance:
             scout.handed += len(scout.samples)
             self.delivered.extend(scout.samples)
@@ -909,8 +959,8 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
             return True
         max_capacity = max(sc.robot.aux_capacity_kg for sc in active)
         return any(
-            kernel.explored[kernel.index(site.cell)] and site.mass_kg <= max_capacity
-            for site in kernel.sites)
+            kernel.explored[v] and site.mass_kg <= max_capacity
+            for site, v in zip(kernel.sites, kernel.site_cells))
 
     while work_remaining() and steps < max_steps:
         kernel.tick()

@@ -5,6 +5,9 @@ it replaced, plus property tests on generated maps.
 runs a full BFS from home, from every exploring robot and from its
 target on every tick, scans every frontier cell, and steps toward the
 target by the first N/W/E/S neighbour one hop closer to it.
+``reference_nearest`` is the kernel's earlier target search, with one
+level list and a first move stored per cell, kept as the oracle of
+``_Kernel.nearest``.
 """
 
 import random
@@ -577,3 +580,126 @@ def test_survey_counts_searches_and_reuses():
         pass
     assert kernel.covered == kernel.reachable and len(kernel.delivered) == 2
     assert (kernel.ticks, kernel.searched, kernel.reused) == (514, 512, 454)
+
+
+def reference_nearest(kernel, start, claimed, goals):
+    """``_Kernel.nearest`` as it was: one list per level, expanded in list
+    order, and each reached cell's first move + 1 in a per-cell array."""
+    known, frontier, offsets = kernel.known, kernel.frontier, kernel.offsets
+    move = bytearray(len(known))  # first move + 1; 0 while unreached
+    move[start] = 1
+    level = []
+    for k, off in enumerate(offsets, 1):
+        if known[start + off]:
+            move[start + off] = k
+            level.append(start + off)
+    depth = 1
+    while level:
+        hits = [v for v in level
+                if (frontier[v] or v in goals) and v not in claimed]
+        if hits:
+            target = min(hits)
+            return target, start + offsets[move[target] - 1], depth
+        nxt = []
+        for v in level:
+            k = move[v]
+            for off in offsets:
+                n = v + off
+                if known[n] and not move[n]:
+                    move[n] = k
+                    nxt.append(n)
+        level = nxt
+        depth += 1
+    return None
+
+
+def crowd_case(index):
+    """A seeded tube of 6-40 cells square with 1-30 robots, long or short
+    batteries, a charging station and up to 8 sample sites; every third
+    case drops one robot on a random open cell, which may be cut off."""
+    rng = random.Random(f"crowd:{index}")
+    grid = generate_tube(rng.randrange(1 << 30), rng.randint(6, 40),
+                         rng.randint(6, 40), rng.choice([0.1, 0.2, 0.3]))
+    battery = rng.choice([1e9, rng.randint(10, 80) / 1.7])
+    fleet = make_fleet(grid, rng.randint(1, 30), module_count=rng.randint(2, 4),
+                       battery_full_s=battery)
+    open_cells = [tuple(map(int, rc)) for rc in np.argwhere(grid.cells != OBSTACLE)]
+    if index % 3 == 0:
+        fleet[-1] = replace(fleet[-1], position=rng.choice(open_cells))
+    sites = tuple(SampleSite(rng.choice(open_cells), round(rng.uniform(0.5, 8.0), 1))
+                  for _ in range(rng.randint(0, 8)))
+    return grid, fleet, Station(charge_time_s=rng.choice([0.0, 5.0, 30.0])), sites
+
+
+def test_nearest_matches_the_reference_search(monkeypatch):
+    """Side by side on seeded surveys with 1-30 robots, sample sites and
+    the claims of the robots before: every ``nearest`` answer equals the
+    earlier search's, the "nothing" answers given without a search
+    included."""
+    nearest, seen, where = _Kernel.nearest, Counter(), {}
+
+    def checking(kernel, start, claimed, goals):
+        found = nearest(kernel, start, claimed, goals)
+        assert found == reference_nearest(kernel, start, claimed, goals), (
+            f"case {where['case']}, tick {kernel.ticks}")
+        seen["searches"] += 1
+        seen["claimed"] += bool(claimed)
+        seen["goals"] += bool(goals)
+        seen["none"] += found is None
+        seen["deep"] += found is not None and found[2] > 1
+        return found
+
+    monkeypatch.setattr(_Kernel, "nearest", checking)
+    for index in range(24):
+        where["case"] = index
+        kernel = _Kernel(*crowd_case(index))
+        for _ in survey_ticks(kernel, 600):
+            pass
+    assert seen["searches"] > 20_000
+    assert min(seen["claimed"], seen["goals"], seen["none"], seen["deep"]) > 5000, seen
+
+
+def test_frontier_count_follows_the_flags():
+    """``learn`` keeps ``frontier_count`` equal to the set frontier flags,
+    after construction and after every tick."""
+    for index in range(12):
+        kernel = _Kernel(*crowd_case(index))
+        assert kernel.frontier_count == sum(kernel.frontier), f"case {index}"
+        for _ in survey_ticks(kernel, 300):
+            assert kernel.frontier_count == sum(kernel.frontier), (
+                f"case {index}, tick {kernel.ticks}")
+
+
+def test_nothing_left_to_claim_is_answered_without_a_search(monkeypatch):
+    """On a 1x3 tube both robots start at the entrance, and (0, 1) is the
+    only frontier. scout_1 claims it; scout_2 then gets None from
+    ``nearest`` without copying ``known`` for a search, as the reference
+    search answers, and heads home, where it parks to charge."""
+
+    class Watched(bytearray):
+        copies = 0
+
+        def __getitem__(self, i):
+            Watched.copies += isinstance(i, slice)
+            return super().__getitem__(i)
+
+    nearest, answers = _Kernel.nearest, []
+
+    def recording(kernel, start, claimed, goals):
+        before = Watched.copies
+        found = nearest(kernel, start, claimed, goals)
+        assert found == reference_nearest(kernel, start, claimed, goals)
+        answers.append((set(claimed), found, Watched.copies - before))
+        return found
+
+    monkeypatch.setattr(_Kernel, "nearest", recording)
+    grid = grid_from_text("E..\n")
+    kernel = _Kernel(grid, make_fleet(grid, 2), Station(), ())
+    kernel.known = Watched(kernel.known)
+    x = kernel.index((0, 1))
+    assert kernel.frontier_count == 1 and kernel.frontier[x]
+    kernel.tick()
+    assert answers == [(set(), (x, x, 1), 0), ({x}, None, 0)]
+    scout_1, scout_2 = kernel.by_id
+    assert scout_1.target == (0, 1) and scout_1.v == x
+    assert scout_2.state is RobotState.CHARGING and scout_2.target is None

@@ -159,10 +159,10 @@ class TestGerminationTrial:
     @pytest.mark.parametrize("n_seeds, p_germinate", [
         (MAX_GERMINATION_SEEDS + 1, 0.7), (10, 1.5)])
     def test_bounds_checked_before_any_draw(self, monkeypatch, n_seeds, p_germinate):
-        draws = []
-        next_u64 = Rng.next_u64
-        monkeypatch.setattr(Rng, "next_u64",
-                            lambda rng: draws.append(rng) or next_u64(rng))
+        draws = []  # one entry per stepped word
+        words = Rng.words
+        monkeypatch.setattr(Rng, "words",
+                            lambda rng, k: draws.extend([rng] * k) or words(rng, k))
         assert germination_trial(3, 0.5, 1).n_seeds == len(draws) == 3
         draws.clear()
         with pytest.raises(ValueError):

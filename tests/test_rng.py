@@ -2,7 +2,28 @@
 
 import pytest
 
+from tubescout import rng as rng_module
 from tubescout.rng import GERMINATION_STREAM, TUBE_STREAM, Rng, derive_seed
+
+_MASK64 = (1 << 64) - 1
+
+
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+def reference_next_u64(s):
+    """One xoshiro256** step on the state list ``s``, indexed in place,
+    as ``Rng.next_u64`` stepped before ``Rng.words``."""
+    result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
+    t = (s[1] << 17) & _MASK64
+    s[2] ^= s[0]
+    s[3] ^= s[1]
+    s[1] ^= s[2]
+    s[0] ^= s[3]
+    s[2] ^= t
+    s[3] = _rotl(s[3], 45)
+    return result
 
 
 def test_same_seed_same_sequence():
@@ -109,3 +130,34 @@ def test_below_joins_words_high_first():
     expected = [(words.next_u64() << 64) | words.next_u64() for _ in range(5)]
     r = Rng(21)
     assert [r.below(2**128) for _ in range(5)] == expected
+
+
+def _words_and_draws_match_the_reference(rng):
+    state = list(rng._s)
+    expected = []
+    for _ in range(700):
+        expected.append(state[1])
+        reference_next_u64(state)
+    assert rng.words(0) == []
+    assert rng.words(1) + rng.words(383) + rng.words(316) == expected
+    assert rng._s == state
+    assert [rng.next_u64() for _ in range(200)] == [
+        reference_next_u64(state) for _ in range(200)]
+    assert rng._s == state
+
+
+@pytest.mark.parametrize("stream", [TUBE_STREAM, GERMINATION_STREAM])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1, -7])
+def test_words_and_next_u64_match_the_indexed_step(seed, stream):
+    """``Rng.words`` returns ``s[1]`` before each step and ``next_u64``
+    scrambles it, as the list-indexed step did, across calls of any size."""
+    _words_and_draws_match_the_reference(Rng(seed, stream))
+
+
+def test_words_match_the_indexed_step_from_the_zero_state_fallback(monkeypatch):
+    """A seed whose splitmix words are all zero starts from the fallback
+    state (gamma, 0, 0, 0); forcing the mixer to 0 reaches it."""
+    monkeypatch.setattr(rng_module, "_mix64", lambda z: 0)
+    rng = Rng(5)
+    assert rng._s == [rng_module._SPLITMIX_GAMMA, 0, 0, 0]
+    _words_and_draws_match_the_reference(rng)
