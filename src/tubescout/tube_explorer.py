@@ -131,10 +131,11 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 #: Upper bound on the work of one survey, counted per robot tick as the
 #: map's cells plus ``SURVEY_TICK_CELLS``. A stalled survey runs all of
 #: its ``max_steps``; a robot tick then costs about 4-5 us plus up to
-#: 0.25 us per map cell (a target search over the whole known map that
-#: finds nothing, timed on open maps of 100x100 to 1000x1000), so a survey
-#: at the bound takes at most about a minute (CPython 3.11, 2 x86 CPUs).
-#: ``SURVEY_TICK_CELLS`` covers the fixed cost about three times over.
+#: 0.3 us per map cell (a target search over the whole known map that
+#: finds nothing, recording the move that reached each cell: 0.27-0.31 us
+#: a cell on open maps of 100x100 to 1000x1000), so a survey at the bound
+#: takes at most about 75 s (CPython 3.11, 2 x86 CPUs).
+#: ``SURVEY_TICK_CELLS`` covers the fixed cost three to four times over.
 #: Keeping a target (``_Kernel.reuse``) and the "nothing" answer of
 #: ``_Kernel.nearest`` do not lower the bound: in the worst case a target
 #: is left unclaimed out of reach, the search finds nothing, and no
@@ -467,14 +468,14 @@ class _Scout:
 
     ``tick_s`` is the time a tick takes it and ``charge_s`` the battery
     one charging tick adds (infinite for an instant charge). ``plan``
-    records its last choice of target, as (tick, target, distance, the
-    cell it left, the claims and goals it chose under), and ``path``
-    iterates over the cells still to walk to that target once
-    ``_Kernel.reuse`` keeps it.
+    records its last choice of target, as (tick, the route still to walk
+    to it, the cell it left, the claims and goals it chose under); the
+    route is the stack ``_Kernel.nearest`` answered, target first, less
+    the cell it stepped onto, and ``_Kernel.reuse`` keeps it.
     """
 
     __slots__ = ("robot", "v", "tick_s", "charge_s", "state", "battery_s",
-                 "samples", "target", "moves", "handed", "plan", "path")
+                 "samples", "target", "moves", "handed", "plan")
 
     def __init__(self, robot: ScoutRobot, v: int, resolution_m: float,
                  station: Station):
@@ -487,7 +488,7 @@ class _Scout:
         self.state, self.battery_s = robot.state, robot.battery_s
         self.samples, self.target = robot.samples, robot.target
         self.moves = self.handed = 0
-        self.plan = self.path = None
+        self.plan = None
 
 
 class _Kernel:
@@ -641,10 +642,11 @@ class _Kernel:
                     heapq.heappush(heap, (d, n))
 
     def nearest(self, start: int, claimed: set[int],
-                goals: set[int]) -> tuple[int, int, int] | None:
-        """The nearest unclaimed frontier or goal cell over ``known`` (the
-        lowest index among equals), the first cell on the way to it and
-        its distance.
+                goals: set[int]) -> list[int] | None:
+        """The way to the nearest unclaimed frontier or goal cell over
+        ``known`` (the lowest index among equals), as a stack of the cells
+        to walk: the target first and the next step last, so its length
+        is the target's distance.
 
         When every frontier cell and goal is claimed it answers None at
         once: a search can only find an unclaimed one, and frontier flags
@@ -653,22 +655,26 @@ class _Kernel:
         level that holds a target. A level is four lists, one per first
         move in N, W, E, S order, and each cell joins the list of the
         cell that reaches it first. The lists are expanded in order, so
-        end to end they are the level sorted by first move, and a cell's
-        first move is the first, in N, W, E, S order, of all moves that
-        begin a shortest path to it: the step a search back from the
-        target would choose.
+        end to end a level comes in the order of its cells' least move
+        sequences (moves ordered N, W, E, S), and the cell that first
+        reaches a cell comes before it on its least shortest path. The
+        search records that move for each cell it reaches (``came``), and
+        the way back along those moves from the target is the route: at
+        each cell, the first N, W, E, S neighbour a level closer to the
+        target, as a search back from the target would step.
         """
         known, frontier, s = self.known, self.frontier, self.stride
         # N, W, E, S, which is also index order: the first hit is the lowest
         first = (start - s, start - 1, start + 1, start + s)
         for n in first:
             if known[n] and (frontier[n] or n in goals) and n not in claimed:
-                return n, n, 1
+                return [n]
         if len(claimed) >= self.frontier_count:
             targets = self.frontier_count + sum(not frontier[v] for v in goals)
             if sum(1 for v in claimed if frontier[v] or v in goals) == targets:
                 return None
         unseen = known[:]  # cleared as the search reaches each cell
+        came = bytearray(len(known))  # the move that reached a cell: 1-4 for N, W, E, S
         unseen[start] = 0
         level = []
         for n in first:
@@ -684,33 +690,41 @@ class _Kernel:
                     n = v - s
                     if unseen[n]:
                         unseen[n] = 0
+                        came[n] = 1
                         add(n)
                     n = v - 1
                     if unseen[n]:
                         unseen[n] = 0
+                        came[n] = 2
                         add(n)
                     n = v + 1
                     if unseen[n]:
                         unseen[n] = 0
+                        came[n] = 3
                         add(n)
                     n = v + s
                     if unseen[n]:
                         unseen[n] = 0
+                        came[n] = 4
                         add(n)
                 nxt.append(reached)
             level = nxt
             depth += 1
-            hits = [(v, k) for k, cells in enumerate(level) for v in cells
+            hits = [v for cells in level for v in cells
                     if (frontier[v] or v in goals) and v not in claimed]
             if hits:
-                target, k = min(hits)
-                return target, first[k], depth
+                v = min(hits)
+                route, back = [v], (0, s, 1, -1, -s)  # back[code] undoes a move
+                for _ in range(depth - 1):
+                    v += back[came[v]]
+                    route.append(v)
+                return route
         return None
 
     def reuse(self, scout: _Scout, claimed: set[int],
-              goals: set[int]) -> tuple[int, int, int] | None:
+              goals: set[int]) -> list[int] | None:
         """What ``nearest`` would answer for ``scout``, without a search,
-        when its last answer still holds; else None.
+        when its last answer still holds: the rest of its route; else None.
 
         A robot that chose target T at distance d >= 2 last tick and
         stepped toward it is d - 1 from T now. Distances over ``known``
@@ -721,15 +735,18 @@ class _Kernel:
         Manhattan distance, which bounds the distance over ``known``
         from below; every cell claimed at the choice and unclaimed now is
         more than d - 1 away; and the cell it left, which a search skips
-        as its start, is no unclaimed frontier or goal. The first reuse
-        lays the path the search would step along (``path``); later ones
-        take its next cell.
+        as its start, is no unclaimed frontier or goal. No fresh cell
+        then lies on a way of d - 1 hops from the robot, so the route a
+        search would lay now is the rest of the kept one.
         """
         if scout.plan is None:
             return None
-        tick, target, d, left, was_claimed, was_goals = scout.plan
+        tick, route, left, was_claimed, was_goals = scout.plan
+        if tick != self.ticks - 1 or not route:
+            return None
+        target, d = route[0], len(route) + 1
         frontier = self.frontier
-        if (tick != self.ticks - 1 or d < 2 or goals != was_goals or target in claimed
+        if (goals != was_goals or target in claimed
                 or not (frontier[target] or target in goals)
                 or ((frontier[left] or left in goals) and left not in claimed)):
             return None
@@ -743,38 +760,7 @@ class _Kernel:
             vr, vc = divmod(v, s)
             if abs(vr - r) + abs(vc - c) < d:
                 return None
-        if scout.path is None:
-            scout.path = iter(self.path(scout.v, target, d - 1))
-        return target, next(scout.path), d - 1
-
-    def path(self, start: int, target: int, length: int) -> list[int]:
-        """The cells after ``start`` on its way to ``target``, ``length``
-        hops away over ``known``: each is the first N, W, E, S neighbour
-        of the one before that is a level closer to ``target`` in a
-        search back from it, as ``nearest`` steps."""
-        known, offsets, s = self.known, self.offsets, self.stride
-        r0, c0 = divmod(start, s)
-        dist, level = {target: 0}, [target]
-        for d in range(1, length):
-            nxt = []
-            for v in level:
-                for off in offsets:
-                    n = v + off
-                    if known[n] and n not in dist:
-                        r, c = divmod(n, s)
-                        # only a cell no further from start than the hops
-                        # left can lie on a shortest path; -1 marks the rest
-                        if abs(r - r0) + abs(c - c0) <= length - d:
-                            dist[n] = d
-                            nxt.append(n)
-                        else:
-                            dist[n] = -1
-            level = nxt
-        cells, v = [], start
-        for d in range(length - 1, -1, -1):
-            v = next(v + off for off in offsets if dist.get(v + off) == d)
-            cells.append(v)
-        return cells
+        return route
 
     def tick(self) -> None:
         """One tick, as ``step`` describes it."""
@@ -811,17 +797,17 @@ class _Kernel:
                 capacity = robot.aux_capacity_kg
                 goals = {c for site, c in zip(self.sites, self.site_cells)
                          if site.mass_kg <= capacity}
-            found = self.reuse(scout, claimed, goals)
-            if found is None:
+            route = self.reuse(scout, claimed, goals)
+            if route is None:
                 self.searched += 1
-                scout.path = None
-                found = self.nearest(v, claimed, goals)
+                route = self.nearest(v, claimed, goals)
             else:
                 self.reused += 1
-            if found is not None:
-                goal, move_to, d = found
-                # a robot that finds a target always steps onto move_to
-                scout.plan = (self.ticks, goal, d, v, frozenset(claimed), goals)
+            if route is not None:
+                goal = route[0]
+                # a robot that finds a target always steps onto the next cell
+                move_to = route.pop()
+                scout.plan = (self.ticks, route, v, frozenset(claimed), goals)
                 claimed.add(goal)
                 target = self.cell(goal)
             elif v not in goals:

@@ -6,8 +6,9 @@ runs a full BFS from home, from every exploring robot and from its
 target on every tick, scans every frontier cell, and steps toward the
 target by the first N/W/E/S neighbour one hop closer to it.
 ``reference_nearest`` is the kernel's earlier target search, with one
-level list and a first move stored per cell, kept as the oracle of
-``_Kernel.nearest``.
+level list and a first move stored per cell, and ``reference_path`` the
+search back from the target that once laid a kept route; together they
+are the oracle of ``_Kernel.nearest`` and the route it answers.
 """
 
 import random
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tubescout import tube_explorer
 from tubescout.tube_explorer import (
     ENTRANCE,
     OBSTACLE,
@@ -491,8 +493,8 @@ def survey_ticks(kernel, limit):
 def test_reused_choices_match_a_search(monkeypatch):
     """Side by side on large maps with many robots and sample sites:
     wherever ``_Kernel.reuse`` keeps a target, ``nearest`` from the same
-    cell under the same claims and goals gives the same target, step and
-    distance."""
+    cell under the same claims and goals lays the same route as the rest
+    of the kept one, cell for cell: the same target, step and distance."""
     reuse, where = _Kernel.reuse, {}
 
     def checking(kernel, scout, claimed, goals):
@@ -518,14 +520,14 @@ def test_a_reuse_follows_a_pickup_that_leaves_the_goals_equal(monkeypatch):
     the side shaft. scout_2 passes over X toward its own site at (0, 6)
     and takes one of the two; X still holds the other, so its goals are
     unchanged and the next tick keeps its target without a search, as
-    ``nearest`` would choose."""
+    ``nearest`` would choose, along the rest of the route it kept."""
     reuse, kept = _Kernel.reuse, []
 
     def checking(kernel, scout, claimed, goals):
         found = reuse(kernel, scout, claimed, goals)
         if found is not None:
             assert found == kernel.nearest(scout.v, claimed, goals)
-            kept.append((kernel.ticks, scout.robot.id, len(scout.samples), found))
+            kept.append((kernel.ticks, scout.robot.id, len(scout.samples), found[:]))
         return found
 
     monkeypatch.setattr(_Kernel, "reuse", checking)
@@ -541,8 +543,8 @@ def test_a_reuse_follows_a_pickup_that_leaves_the_goals_equal(monkeypatch):
     assert len(scout_2.samples) == 1
     kernel.tick()
     x, t = kernel.index((0, 3)), kernel.index((0, 6))
-    assert kept == [(1, "scout_1", 0, (x, kernel.index((1, 3)), 2)),
-                    (1, "scout_2", 1, (t, kernel.index((0, 4)), 3))]
+    assert kept == [(1, "scout_1", 0, [x, kernel.index((1, 3))]),
+                    (1, "scout_2", 1, [t, kernel.index((0, 5)), kernel.index((0, 4))])]
 
 
 scale_maps = st.tuples(st.integers(0, 2**30), st.integers(1, 64), st.integers(1, 64),
@@ -613,6 +615,36 @@ def reference_nearest(kernel, start, claimed, goals):
     return None
 
 
+def reference_path(kernel, start, target, length):
+    """The cells after ``start`` on its way to ``target``, ``length``
+    hops away over ``known``: each is the first N, W, E, S neighbour of
+    the one before that is a level closer to ``target`` in a search back
+    from it."""
+    known, offsets, s = kernel.known, kernel.offsets, kernel.stride
+    r0, c0 = divmod(start, s)
+    dist, level = {target: 0}, [target]
+    for d in range(1, length):
+        nxt = []
+        for v in level:
+            for off in offsets:
+                n = v + off
+                if known[n] and n not in dist:
+                    r, c = divmod(n, s)
+                    # only a cell no further from start than the hops left
+                    # can lie on a shortest path; -1 marks the rest
+                    if abs(r - r0) + abs(c - c0) <= length - d:
+                        dist[n] = d
+                        nxt.append(n)
+                    else:
+                        dist[n] = -1
+        level = nxt
+    cells, v = [], start
+    for d in range(length - 1, -1, -1):
+        v = next(v + off for off in offsets if dist.get(v + off) == d)
+        cells.append(v)
+    return cells
+
+
 def crowd_case(index):
     """A seeded tube of 6-40 cells square with 1-30 robots, long or short
     batteries, a charging station and up to 8 sample sites; every third
@@ -633,21 +665,27 @@ def crowd_case(index):
 
 def test_nearest_matches_the_reference_search(monkeypatch):
     """Side by side on seeded surveys with 1-30 robots, sample sites and
-    the claims of the robots before: every ``nearest`` answer equals the
-    earlier search's, the "nothing" answers given without a search
-    included."""
+    the claims of the robots before: every ``nearest`` answer names the
+    target, first step and distance of the earlier search's, the "nothing"
+    answers given without a search included, and every route of two or
+    more hops is the one a search back from the target lays."""
     nearest, seen, where = _Kernel.nearest, Counter(), {}
 
     def checking(kernel, start, claimed, goals):
-        found = nearest(kernel, start, claimed, goals)
+        route = nearest(kernel, start, claimed, goals)
+        found = None if route is None else (route[0], route[-1], len(route))
         assert found == reference_nearest(kernel, start, claimed, goals), (
             f"case {where['case']}, tick {kernel.ticks}")
+        if found is not None and found[2] > 1:
+            target, first, depth = found
+            assert route[-2::-1] == reference_path(kernel, first, target, depth - 1), (
+                f"case {where['case']}, tick {kernel.ticks}")
+            seen["deep"] += 1
         seen["searches"] += 1
         seen["claimed"] += bool(claimed)
         seen["goals"] += bool(goals)
         seen["none"] += found is None
-        seen["deep"] += found is not None and found[2] > 1
-        return found
+        return route
 
     monkeypatch.setattr(_Kernel, "nearest", checking)
     for index in range(24):
@@ -673,29 +711,37 @@ def test_frontier_count_follows_the_flags():
 def test_nothing_left_to_claim_is_answered_without_a_search(monkeypatch):
     """On a 1x3 tube both robots start at the entrance, and (0, 1) is the
     only frontier. scout_1 claims it; scout_2 then gets None from
-    ``nearest`` without copying ``known`` for a search, as the reference
-    search answers, and heads home, where it parks to charge."""
+    ``nearest`` without building a map for a search, as the reference
+    search answers, and heads home, where it parks to charge. The maps a
+    search builds are counted as copies of ``known`` and as bytearrays
+    made in ``tube_explorer``, which is how a search makes them."""
 
     class Watched(bytearray):
-        copies = 0
+        maps = 0
 
         def __getitem__(self, i):
-            Watched.copies += isinstance(i, slice)
+            Watched.maps += isinstance(i, slice)
             return super().__getitem__(i)
+
+    def made(*args):
+        Watched.maps += 1
+        return bytearray(*args)
 
     nearest, answers = _Kernel.nearest, []
 
     def recording(kernel, start, claimed, goals):
-        before = Watched.copies
-        found = nearest(kernel, start, claimed, goals)
+        before = Watched.maps
+        route = nearest(kernel, start, claimed, goals)
+        found = None if route is None else (route[0], route[-1], len(route))
         assert found == reference_nearest(kernel, start, claimed, goals)
-        answers.append((set(claimed), found, Watched.copies - before))
-        return found
+        answers.append((set(claimed), found, Watched.maps - before))
+        return route
 
     monkeypatch.setattr(_Kernel, "nearest", recording)
     grid = grid_from_text("E..\n")
     kernel = _Kernel(grid, make_fleet(grid, 2), Station(), ())
     kernel.known = Watched(kernel.known)
+    monkeypatch.setattr(tube_explorer, "bytearray", made, raising=False)
     x = kernel.index((0, 1))
     assert kernel.frontier_count == 1 and kernel.frontier[x]
     kernel.tick()
