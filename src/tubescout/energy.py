@@ -49,11 +49,11 @@ MAX_SOL_STEPS = 100_000
 #: runs of the sol (one scheduler trial per load, the scheduler's bare
 #: sol and the full trace, a plain run of the sol) times its steps times
 #: (loads + 1). In the worst case, every load always on and sheddable
-#: and the battery empty, no trial stops early or rejoins, and every
-#: step sheds every load. A shedding step empties the battery, so the
-#: runs fill each stretch between window edges by slice after its first
-#: steps, a trial walks ``_cuts`` about once a stretch, and the report
-#: reads the trace's cuts once per run of equal shed power. At the bound
+#: and the battery empty, no trial stops early, and every step sheds
+#: every load. A shedding step empties the battery, so the runs fill
+#: each stretch between window edges by slice after its first steps, a
+#: trial walks ``_cuts`` about once a stretch, and the report reads the
+#: trace's cuts once per run of equal shed power. At the bound
 #: (20 loads at 1 s steps, 1.78M cuts in one run) the report takes
 #: 20-22 ms, 12-15 ms of it the scheduler and 1.5-1.8 ms the full trace
 #: (CPython 3.11, 2 x86 CPUs, medians of 15 calls).
@@ -455,19 +455,12 @@ class _Sol:
         A run is full or a trial. A full run, with no ``base``, steps the
         whole sol. A trial is given ``base``, the trace of the run of
         ``loads[:-1]``, which cut no non-sheddable load, and tries the
-        candidate ``loads[-1]``, active over steps [start, join). Its
-        demand, that of ``base`` plus the candidate's, is the array the
-        full run of ``loads`` builds, bit for bit. It copies the steps
-        before ``start`` from ``base`` and steps from there; at each
-        stretch start at or after ``join`` it compares its SoC with that
-        of ``base`` and, once they are equal, copies the rest. This is
-        exact: outside [start, join) the demand and active loads are those
-        of ``base``, so equal SoC at a step gives the same SoC and shed
-        power bit for bit from there on. Comparing only there costs next
-        to nothing: two runs under the same demand meet where both
-        batteries clamp, full or empty, so the step after is a fixed
-        point, and the trial fills to the next load edge by slice and
-        rejoins there.
+        candidate ``loads[-1]``, active over steps [lo, hi). Its demand,
+        that of ``base`` plus the candidate's, is the array the full run of
+        ``loads`` builds, bit for bit. Before ``lo`` its demand and active
+        loads are those of ``base``, so it copies the SoC and shed power of
+        those steps from ``base`` and steps from ``lo`` to the end of the
+        sol; an admitted trial's trace is the full run's, bit for bit.
 
         A trial returns None at the first step whose shed power reaches a
         non-sheddable load. A repeated step cannot be that step, since the
@@ -499,20 +492,16 @@ class _Sol:
                     lo, hi, power_w, _, _ = self.entries[load.name]
                     demand_w[lo:hi] += power_w
             else:
-                start, join, power_w, _, _ = self.entries[loads[-1].name]
+                lo, hi, power_w, _, _ = self.entries[loads[-1].name]
                 demand_w = base.demand_w.copy()
-                demand_w[start:join] += power_w
-                soc_wh[:start + 1] = base.soc_wh[:start + 1]
-                shed_w[:start] = base.shed_w[:start]
+                demand_w[lo:hi] += power_w
+                soc_wh[:lo + 1] = base.soc_wh[:lo + 1]
+                shed_w[:lo] = base.shed_w[:lo]
+                start = lo
             before = soc[start]
             demand_view = memoryview(demand_w)
             first = start
             while start < n_steps:
-                if (base is not None and start >= join
-                        and soc[start] == base.soc_wh[start]):
-                    soc_wh[start:] = base.soc_wh[start:]
-                    shed_w[start:] = base.shed_w[start:]
-                    break
                 end = edges[bisect.bisect_right(edges, start)]
                 demand = demand_view[start]
                 supply = self.first_supply_w if start == 0 else self.base_supply_w
@@ -648,10 +637,10 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     ``_Sol.schedule`` keeps one admitted trace, which starts as the bare
     sol without loads. Each candidate's trial is ``_Sol.run`` on the admitted
     loads plus the candidate, given that trace: it differs from the
-    admitted run only at the candidate's active steps [lo, hi), so it
-    resumes the admitted run at ``lo`` and stops at the first load edge
-    at or after ``hi`` where its SoC equals the admitted run's. An
-    admitted trial's trace becomes the admitted trace.
+    admitted run only from the candidate's first active step ``lo`` on,
+    so it copies the admitted run before ``lo`` and steps from there to
+    the end of the sol or to its first hard cut. An admitted trial's
+    trace becomes the admitted trace.
     """
     return _Sol(sources, loads, battery, env, timestep_s).schedule(loads)
 

@@ -331,8 +331,9 @@ def test_seeded_cases_cover_the_edges():
 
 def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
     """The seeded cases' scheduler trials reach every edge of resuming the
-    admitted run at the candidate's first active step and joining it
-    again, so the differential test above covers them."""
+    admitted run at the candidate's first active step ``lo``, so the
+    differential test above covers them. An admitted trial covers exactly
+    the steps [lo, n_steps)."""
     seen = set()
     run = _Sol.run
 
@@ -341,17 +342,19 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
         result = run(sol, loads, base)
         if base is None:
             return result
-        start, join = sol.entries[loads[-1].name][:2]
-        end = start + sol.stepped - stepped
-        if result is not None and end < sol.n_steps:
-            seen.add("rejoined_before_sol_end")
-        if result is None and end > start + 1:
+        lo, hi = sol.entries[loads[-1].name][:2]
+        end = lo + sol.stepped - stepped
+        if result is not None:
+            assert end == sol.n_steps
+            if 0 < lo < sol.n_steps:
+                seen.add("admitted_from_mid_sol")
+        if result is None and end > lo + 1:
             seen.add("rejected_after_start")
-        if result is not None and base.shed_w[:start].any():
+        if result is not None and base.shed_w[:lo].any():
             seen.add("kept_violation_before_start")
-        if start == join:
+        if lo == hi:
             seen.add("empty_span")
-        if start == 0 and sol.first_supply_w != sol.base_supply_w:
+        if lo == 0 and sol.first_supply_w != sol.base_supply_w:
             seen.add("winch_regen_at_step_0")
         return result
 
@@ -359,24 +362,22 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
     for seed in range(200):
         sources, loads, battery, timestep_s = random_case(random.Random(seed))
         schedule_loads(sources, loads, battery, ENV, timestep_s)
-    assert seen == {"rejoined_before_sol_end", "rejected_after_start",
+    assert seen == {"admitted_from_mid_sol", "rejected_after_start",
                     "kept_violation_before_start", "empty_span",
                     "winch_regen_at_step_0"}
 
 
 def test_seeded_cases_reach_every_skip_edge(monkeypatch):
     """Every run of the seeded cases fills by slice exactly the steps
-    after the first fixed point of each stretch, and a trial rejoins its
-    base run only at a stretch start at or after its join. Those runs
-    reach every edge of the fill and of the rejoin, so the differential
-    test above covers them."""
+    after the first fixed point of each stretch. Those runs reach every
+    edge of the fill, so the differential test above covers them."""
     seen = set()
     run = _Sol.run
 
     def observed(sol, loads, base=None):
-        start, join = 0, None
+        start = 0
         if base is not None:
-            start, join = sol.entries[loads[-1].name][:2]
+            start = sol.entries[loads[-1].name][0]
         stepped, skipped = sol.stepped, sol.skipped
         result = run(sol, loads, base)
         end = start + sol.stepped - stepped
@@ -388,12 +389,6 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
         # A stretch ends at step 1, at n_steps and at each load's lo and hi.
         load_bounds = {b for load in loads for b in sol.entries[load.name][:2]}
         bounds = sorted(b for b in load_bounds | {1, sol.n_steps} if b > start)
-        rejoined = result is not None and end < sol.n_steps
-        if rejoined:
-            assert end in load_bounds and end >= join
-            assert soc[end] == base.soc_wh[end]
-            if end > join:
-                seen.add("rejoins_at_load_edge_after_join")
         capacity = sol.battery.capacity_wh
         filled = 0
         for a, b in zip([start] + bounds, bounds):
@@ -410,8 +405,6 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
             filled += stop - fixed - 1
             if stop in load_bounds:
                 seen.add("ends_at_load_edge")
-            if rejoined and stop == end > join:
-                seen.add("rejoins_after_fill")
             if shed_w[fixed]:
                 seen.add("shedding")
             if (0.0 < soc[fixed] < capacity
@@ -427,9 +420,8 @@ def test_seeded_cases_reach_every_skip_edge(monkeypatch):
         sources, loads, battery, timestep_s = random_case(random.Random(seed))
         simulate_sol(sources, loads, battery, ENV, timestep_s)
         schedule_loads(sources, loads, battery, ENV, timestep_s)
-    assert seen == {"rejected_at_fixed_point", "ends_at_load_edge",
-                    "rejoins_at_load_edge_after_join", "rejoins_after_fill",
-                    "shedding", "not_full_within_epsilon", "zero_capacity"}
+    assert seen == {"rejected_at_fixed_point", "ends_at_load_edge", "shedding",
+                    "not_full_within_epsilon", "zero_capacity"}
 
 
 @pytest.fixture
@@ -583,13 +575,15 @@ def test_a_trial_stops_where_its_ramp_empties_the_battery(ramps):
     assert sol.stepped - stepped == hard + 1 - 1000
 
 
-def test_a_trial_rejoins_at_the_load_edge_after_its_battery_fills():
+def test_a_trial_steps_on_to_the_sols_end_after_its_battery_fills():
     """The drill's trial drains the full battery over the drill's window,
     steps [1000, 1100), and recharges it after: the battery clamps full
     at a step in the middle of the stretch [1100, 2000) that the lamp's
     window ends. The trial steps one step past the clamp, the fixed
-    point, fills the rest of the stretch by slice and rejoins the
-    admitted run at the lamp's edge."""
+    point, and fills the rest of the stretch by slice. Each later stretch
+    has a surplus on the full battery, so its first step is a fixed point
+    and the trial fills the rest, to the sol's end. Its trace is the full
+    run's, and from the lamp's edge on the admitted run's."""
     lamp = PowerLoad("lamp", 50.0, (2000 * 25.0, 3000 * 25.0))
     drill = PowerLoad("drill", 300.0, (1000 * 25.0, 1100 * 25.0))
     battery = Battery(1000.0, 1000.0)
@@ -601,8 +595,9 @@ def test_a_trial_rejoins_at_the_load_edge_after_its_battery_fills():
     soc, shed_w = trial.soc_wh, trial.shed_w
     clamp = next(i for i in range(1100, 2000) if soc[i + 1] == battery.capacity_wh)
     assert 1100 < clamp < 2000 - 2 and soc[1100] < battery.capacity_wh
-    assert sol.stepped - stepped == 2000 - 1000
-    assert sol.skipped - skipped == 2000 - (clamp + 2)
+    assert sol.stepped - stepped == sol.n_steps - 1000
+    assert sol.skipped - skipped == ((2000 - (clamp + 2)) + (3000 - 2000 - 1)
+                                     + (sol.n_steps - 3000 - 1))
     assert np.array_equal(soc[2000:], admitted.soc_wh[2000:])
     full = sol.run([lamp, drill])
     assert np.array_equal(soc, full.soc_wh) and np.array_equal(shed_w, full.shed_w)
@@ -626,10 +621,41 @@ def power_sweep_case(rng: random.Random, n_loads: int):
     return sources, loads, Battery(8.0 * mean_w, 6.4 * mean_w)
 
 
-def test_scheduler_steps_well_under_a_full_sol_per_trial():
-    sources, loads, battery = power_sweep_case(random.Random(24), 24)
-    result = schedule_loads(sources, loads, battery, ENV, 25.0)
-    assert result.stepped < len(loads) * round(SOL_S / 25.0) // 2
+def reference_stepped(sources, loads, battery, timestep_s) -> int:
+    """The steps the scheduler's runs cover, from the per-step simulator:
+    the bare sol's n_steps, plus n_steps - lo for each admitted trial and
+    its first hard step + 1 - lo for each rejected one."""
+    n_steps = round(SOL_S / timestep_s)
+    _, _, verdicts, _ = reference_schedule_loads(sources, loads, battery, ENV,
+                                                 timestep_s)
+    admitted = []
+    stepped = n_steps
+    for load in sorted(loads, key=lambda l: (l.priority, l.name)):
+        lo = energy._entry(load, timestep_s, n_steps)[0]
+        if verdicts[load.name]:
+            admitted.append(load)
+            stepped += n_steps - lo
+            continue
+        trial = reference_simulate_sol(sources, admitted + [load], battery, ENV,
+                                       timestep_s)
+        hard = {l.name for l in admitted + [load] if not l.sheddable}
+        first_s = next(v.time_s for v in trial["violations"]
+                       if v.unmet_load_name in hard)
+        stepped += round(first_s / timestep_s) + 1 - lo
+    return stepped
+
+
+def test_scheduler_steps_each_trial_from_its_load_start_to_its_end():
+    """Each trial covers the steps from its candidate's ``lo`` to the
+    sol's end, or to its first hard cut: ``ScheduleResult.stepped`` is
+    exactly ``reference_stepped`` on the 200 seeded cases and on a
+    ``power_sweep`` case of 24 loads."""
+    cases = [random_case(random.Random(seed)) for seed in range(200)]
+    cases.append((*power_sweep_case(random.Random(24), 24), 25.0))
+    for sources, loads, battery, timestep_s in cases:
+        result = schedule_loads(sources, loads, battery, ENV, timestep_s)
+        assert result.stepped == reference_stepped(sources, loads, battery,
+                                                   timestep_s)
 
 
 def test_runs_and_reports_build_no_violation(monkeypatch):
@@ -731,21 +757,21 @@ def test_winch_regen_step_is_never_the_start_of_a_skip():
                                                     ENV, 25.0))
 
 
-@pytest.mark.parametrize("rating_w, battery, joined", [
+@pytest.mark.parametrize("rating_w, battery, ends_full", [
     (50.0, Battery(10000.0, 5000.0), False),
     (500.0, Battery(1000.0, 1000.0), True)])
-def test_a_trial_steps_from_its_load_start(rating_w, battery, joined):
+def test_a_trial_steps_from_its_load_start(rating_w, battery, ends_full):
     """The bare sol steps in full; the trial of a load active from step
-    k = 1000 to 2000 steps none of [0, k). On a deficit, with a battery
-    that never fills, its SoC stays below the bare sol's to the end; on a
-    surplus that keeps the battery full, it rejoins the bare sol at the
-    window's end."""
+    k = 1000 to 2000 steps none of [0, k) and all of [k, n_steps), on a
+    deficit with a battery that never fills and on a surplus that keeps
+    the battery full alike."""
     n_steps = round(SOL_S / 25.0)
     load = PowerLoad("drill", 100.0, (1000 * 25.0, 2000 * 25.0))
     result = schedule_loads([PowerSource("rtg", rating_w=rating_w)], [load],
                             battery, ENV, 25.0)
     assert result.feasible
-    assert result.stepped - n_steps == (1000 if joined else n_steps - 1000)
+    assert (result.trace.soc_wh[-1] == battery.capacity_wh) == ends_full
+    assert result.stepped - n_steps == n_steps - 1000
 
 
 @pytest.mark.parametrize("timestep_s", [5.0, 25.0, 355.1, 1775.5, 88775.0, 0.88775])
@@ -874,6 +900,25 @@ def test_kernel_matches_reference_on_drawn_sols(case):
     trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
     assert_same_trace(trace, reference_simulate_sol(sources, loads, battery,
                                                     ENV, timestep_s))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(sols())
+@example(FILL_IN_ONE_STEP)
+@example(RAMP_CASES[0])
+@example(RAMP_CASES[1])
+@example(RAMP_CASES[2])
+def test_a_power_report_covers_at_most_loads_plus_two_sols(case):
+    """The step factor of ``MAX_SOL_WORK``: a power report's two calls on
+    one ``_Sol``, ``schedule`` then ``run``, cover at most (loads + 2)
+    sols of steps, those filled by slice included, on the drawn sols of
+    ``test_kernel_matches_reference_on_drawn_sols``."""
+    sources, loads, battery, timestep_s = case
+    sol = _Sol(sources, loads, battery, ENV, timestep_s)
+    result = sol.schedule(loads)
+    sol.run(loads)
+    assert result.stepped <= sol.stepped <= (len(loads) + 2) * sol.n_steps
+    assert sol.skipped <= sol.stepped
 
 
 def no_charge_closes(before: float, after: float) -> bool:
