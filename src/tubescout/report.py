@@ -177,43 +177,20 @@ _escape = json.encoder.encode_basestring_ascii
 _json_dumps = functools.partial(json.dumps, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _float_text(value: float) -> str:
-    text = float.__repr__(value)
-    if text in ("nan", "inf", "-inf"):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return text
-
-
-def _scalar_text(value) -> str:
-    """``value`` as ``json`` writes a non-container, tested in its order."""
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as the string ``json`` writes for it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _scalar_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+class _NotPlain(Exception):
+    """A node that ``_write`` leaves to ``json``."""
 
 
 def _write(node, out: list, head: str, indent: str) -> None:
-    """Append to ``out`` the text of a dict, list or tuple that starts
-    its line with ``head``; its items sit at ``indent`` plus two spaces."""
-    keyed = isinstance(node, dict)
+    """Append to ``out`` the text of a plain dict, list or tuple that
+    starts its line with ``head``; its items sit at ``indent`` plus two
+    spaces. A plain tree holds only these exact types: dicts with ``str``
+    keys, lists, tuples, ``str``, ``int``, finite ``float``, ``True``,
+    ``False`` and ``None``. At any other node this raises _NotPlain."""
+    kind = type(node)
+    if kind not in (dict, list, tuple):
+        raise _NotPlain
+    keyed = kind is dict
     items = sorted(node.items()) if keyed else node
     if not items:
         out.append(head + ("{}" if keyed else "[]"))
@@ -224,39 +201,47 @@ def _write(node, out: list, head: str, indent: str) -> None:
     for value in items:
         if keyed:
             key, value = value
-            head += _escape(key if type(key) is str else _key_text(key)) + ": "
+            if type(key) is not str:
+                raise _NotPlain
+            head += _escape(key) + ": "
         kind = type(value)
-        if kind is float:
-            out.append(head + _float_text(value))
-        elif kind is str:
+        if kind is str:
             out.append(head + _escape(value))
-        elif isinstance(value, (dict, list, tuple)):
-            _write(value, out, head, inner)
+        elif kind is float:
+            if not math.isfinite(value):
+                raise _NotPlain
+            out.append(head + float.__repr__(value))
+        elif kind is int:
+            out.append(head + int.__repr__(value))
+        elif kind is bool:
+            out.append(head + ("true" if value else "false"))
+        elif value is None:
+            out.append(head + "null")
         else:
-            out.append(head + _scalar_text(value))
+            _write(value, out, head, inner)
         head = sep
     out.append("\n" + indent + ("}" if keyed else "]"))
 
 
 def indented_json(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``,
-    byte for byte, and refusing what it refuses with the same exception
-    type, but without ``json``'s pure-Python encoder."""
-    if not isinstance(payload, (dict, list, tuple)):
-        return _scalar_text(payload)
+    byte for byte. A plain JSON tree (see ``_write``) is written here,
+    without ``json``'s pure-Python encoder; every other payload, and a
+    cycle or nesting past the interpreter's limit, by ``json``, which
+    writes it or refuses it as it would."""
     out: list = []
     try:
         _write(payload, out, "", "")
-    except RecursionError:
-        # a cycle, or nesting past the interpreter's limit: json says which
+    except (_NotPlain, TypeError, RecursionError):
+        # TypeError: sorting a dict whose keys do not compare
         return _json_dumps(payload)
     return "".join(out)
 
 
 #: Before CPython 3.13, ``indent`` sends ``json`` to its pure-Python
-#: encoder, which ``indented_json`` beats 1.7x on 3.10 and 3.11 and 1.4x
-#: on 3.12; from 3.13 ``json``'s C encoder takes ``indent`` and is 2.4x
-#: faster than ``indented_json`` (18 reports of the shipped scenarios).
+#: encoder, which ``indented_json`` beats 1.9-2.1x on 3.10 and 3.11 and
+#: 1.5-1.6x on 3.12; from 3.13 ``json``'s C encoder takes ``indent`` and
+#: is 2x faster than ``indented_json`` (27 reports of the shipped scenarios).
 _dumps = indented_json if sys.version_info < (3, 13) else _json_dumps
 
 
@@ -264,8 +249,9 @@ def dump_json(payload) -> str:
     """Canonical report serialization: sorted keys, two-space indent,
     trailing newline, the bytes of ``json.dumps(payload, indent=2,
     sort_keys=True, allow_nan=False)``. Before Python 3.13 ``json`` would
-    encode them in pure Python, so ``indented_json`` writes them faster;
-    from 3.13 on ``json``'s C encoder does. A NaN or infinity raises a
+    encode them in pure Python, so ``indented_json`` writes plain trees
+    faster and leaves every other payload to ``json``; from 3.13 on
+    ``json``'s C encoder writes them all. A NaN or infinity raises a
     ConfigError naming the first at each config block of the report
     parts, or else ValueError."""
     try:

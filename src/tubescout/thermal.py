@@ -12,6 +12,7 @@ the few samples where the answer changes, not by evaluating them all.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -168,10 +169,7 @@ def avionics_envelope_check(env: MarsEnvironment,
 
     def first(pred, lo: int, hi: int) -> int:
         """The least k in (lo, hi] with ``pred(k)``: false at lo, true at hi."""
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if pred(mid) else (mid, hi)
-        return hi
+        return bisect.bisect_left(range(hi), True, lo + 1, key=pred)
 
     # The step is a whole number of seconds, so step * k is exact and
     # equals k additions of the step.

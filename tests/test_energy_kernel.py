@@ -19,6 +19,7 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -909,16 +910,35 @@ def test_kernel_matches_reference_on_drawn_sols(case):
 @example(RAMP_CASES[1])
 @example(RAMP_CASES[2])
 def test_a_power_report_covers_at_most_loads_plus_two_sols(case):
-    """The step factor of ``MAX_SOL_WORK``: a power report's two calls on
-    one ``_Sol``, ``schedule`` then ``run``, cover at most (loads + 2)
-    sols of steps, those filled by slice included, on the drawn sols of
-    ``test_kernel_matches_reference_on_drawn_sols``."""
+    """Both factors of ``MAX_SOL_WORK``, on the drawn sols of
+    ``test_kernel_matches_reference_on_drawn_sols``. A power report's two
+    calls on one ``_Sol``, ``schedule`` then ``run``, cover at most
+    (loads + 2) sols of steps, those filled by slice included. Those
+    steps plus the shed-order entries ``_cuts`` walks, for the runs and
+    for the report's ``cut_runs``, stay within (loads + 2) x steps x
+    (loads + 1)."""
     sources, loads, battery, timestep_s = case
-    sol = _Sol(sources, loads, battery, ENV, timestep_s)
-    result = sol.schedule(loads)
-    sol.run(loads)
+    walked = 0
+    cuts = energy._cuts
+
+    def entries(order):
+        nonlocal walked
+        for entry in order:
+            walked += 1
+            yield entry
+
+    def counted(order, shed):
+        for item in shed:
+            yield from cuts(entries(order), (item,))
+
+    with mock.patch.object(energy, "_cuts", counted):
+        sol = _Sol(sources, loads, battery, ENV, timestep_s)
+        result = sol.schedule(loads)
+        for _ in sol.run(loads).cut_runs():  # read in full, as power_section does
+            pass
     assert result.stepped <= sol.stepped <= (len(loads) + 2) * sol.n_steps
     assert sol.skipped <= sol.stepped
+    assert sol.stepped + walked <= (len(loads) + 2) * sol.n_steps * (len(loads) + 1)
 
 
 def no_charge_closes(before: float, after: float) -> bool:

@@ -2,19 +2,26 @@
 ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)`` byte
 for byte, and refuse what it refuses with the same exception type.
 
+The writer writes plain trees (exact builtin types, ``str`` keys, finite
+numbers) itself and hands every other payload to ``json``. The tests
+count those hand-offs: none for a shipped report or a plain drawn tree,
+one for any other drawn tree.
+
 The writer is called directly, not through ``dump_json``, so these tests
 check it on Python 3.13 and later too, where ``dump_json`` calls ``json``.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tubescout import report
+from tubescout import cli, report
 from tubescout.cli import _SUBCOMMANDS, main
 from tubescout.config import MAX_JSON_DEPTH
 from tubescout.report import ConfigError, dump_json, indented_json
@@ -27,11 +34,30 @@ def stdlib(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
+def json_calls():
+    """Count the calls ``indented_json`` hands to ``json``."""
+    return mock.patch.object(report, "_json_dumps", wraps=report._json_dumps)
+
+
+def plain(node) -> bool:
+    """Whether ``node`` holds only nodes the writer writes itself."""
+    kind = type(node)
+    if kind is dict:
+        return all(type(k) is str and plain(v) for k, v in node.items())
+    if kind in (list, tuple):
+        return all(map(plain, node))
+    return kind in (str, int, bool, type(None)) or kind is float and math.isfinite(node)
+
+
 class Real(float):
     pass
 
 
 class Whole(int):
+    pass
+
+
+class Text(str):
     pass
 
 
@@ -43,6 +69,7 @@ scalars = st.one_of(
     # any code point, lone surrogates, and JSON's own syntax
     st.text(st.one_of(st.characters(exclude_categories=()),
                       st.sampled_from('"\\{}[],:\x00\x1f\x7f\u2028\ud800\udc00\udfff'))),
+    st.builds(Text, st.text()),
 )
 
 
@@ -53,6 +80,7 @@ def containers(children):
     return st.one_of(
         st.lists(children), st.lists(children).map(tuple),
         st.dictionaries(st.text(), children),
+        st.dictionaries(st.one_of(st.text(), st.builds(Text, st.text())), children),
         st.dictionaries(numbers, children),
         st.dictionaries(st.none(), children),
     )
@@ -64,22 +92,41 @@ trees = st.recursive(scalars, containers, max_leaves=40)
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(trees)
 @example({"": [(), {}, []], "\ud800\U0001f600": (1, -0.0), "{\"}": {1: 2.5, True: None}})
+@example({"a": [1, 2.5, None], "b": {"c": Whole(3)}})
+@example([Text("x"), {Text("k"): "v", "j": Text("")}])
 def test_writer_equals_json_on_drawn_trees(tree):
-    assert indented_json(tree) == stdlib(tree)
+    """A plain dict, list or tuple is written without ``json``; a scalar,
+    or a tree that holds a ``Whole``, a ``Real``, a ``Text`` or a number
+    key, is handed to it once."""
+    with json_calls() as fallback:
+        assert indented_json(tree) == stdlib(tree)
+    written = type(tree) in (dict, list, tuple) and plain(tree)
+    assert fallback.call_count == (0 if written else 1)
 
 
-def test_writer_equals_json_on_every_shipped_report(tmp_path):
-    """Every subcommand on every shipped scenario, and ``explore --seed 7``
-    on the built-in baseline: the reports of the golden matrix."""
-    argvs = [[command, "--config", str(SCENARIOS / f"{scenario}.json")]
-             for scenario in SHIPPED for command in _SUBCOMMANDS]
+def test_writer_equals_json_on_every_shipped_report(tmp_path, monkeypatch):
+    """Every subcommand on every shipped scenario, plain and with ``--seed
+    7 --format csv --strict``, and ``explore --seed 7`` on the built-in
+    baseline: the reports of the golden matrix. The payloads ``main``
+    hands to ``dump_json`` are plain trees, which the writer writes
+    without ``json``."""
+    payloads = []
+    monkeypatch.setattr(cli, "dump_json",
+                        lambda payload: payloads.append(payload) or dump_json(payload))
+    argvs = [[command, "--config", str(SCENARIOS / f"{scenario}.json"), *extra]
+             for scenario in SHIPPED for command in _SUBCOMMANDS
+             for extra in ([], ["--seed", "7", "--format", "csv", "--strict"])]
     argvs.append(["explore", "--seed", "7"])
+    texts = []
     for i, argv in enumerate(argvs):
         out = tmp_path / str(i)
-        assert main([*argv, "--out", str(out)]) == 0, argv
-        text = (out / "report.json").read_text(encoding="utf-8")
-        tree = json.loads(text)
-        assert indented_json(tree) + "\n" == stdlib(tree) + "\n" == text, argv
+        assert main([*argv, "--out", str(out)]) == 0 or "--strict" in argv, argv
+        texts.append((out / "report.json").read_text(encoding="utf-8"))
+    assert len(payloads) == len(argvs)
+    with json_calls() as fallback:
+        for argv, payload, text in zip(argvs, payloads, texts):
+            assert indented_json(payload) + "\n" == stdlib(payload) + "\n" == text, argv
+    assert fallback.call_count == 0
 
 
 nan, inf = float("nan"), float("inf")
@@ -91,6 +138,8 @@ circular.append(circular)
     nan, inf, -inf, [1.0, nan], {"a": {"b": (inf,)}}, {nan: 1}, {"a": Real(-inf)},
     set(), [b""], {"a": 1j}, {(1,): 2}, {"a": 1, 2: 3}, {None: 1, "a": 2},
     circular,
+    # refused after items already written, and under str subclasses
+    {"a": 1, "b": [2.0, nan]}, [1, "x", b""], {Text("k"): [Text("v"), 1j]},
 ], ids=repr)
 def test_writer_refuses_what_json_refuses(payload):
     with pytest.raises(Exception) as expected:
