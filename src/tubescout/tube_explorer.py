@@ -130,11 +130,17 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 
 #: Upper bound on the work of one survey, counted per robot tick as the
 #: map's cells plus ``SURVEY_TICK_CELLS``. A stalled survey runs all of
-#: its ``max_steps``; a robot tick then costs about 4-5 us plus up to
+#: its ``max_steps``; a robot tick then costs about 4-5 us plus about
 #: 0.3 us per map cell (a target search over the whole known map that
-#: finds nothing, recording the move that reached each cell: 0.27-0.31 us
-#: a cell on open maps of 100x100 to 1000x1000), so a survey at the bound
-#: takes at most about 75 s (CPython 3.11, 2 x86 CPUs).
+#: finds nothing: from a corner of an open map 0.05, 0.09 and 0.27-0.32 us
+#: a cell at 100x100, 300x300 and 1000x1000, where its bit sets span the
+#: map), so a survey at the bound on open maps takes at most about 75 s
+#: (CPython 3.11, 2 x86 CPUs). Where a level is one cell a search costs
+#: about 2-3 us a level: on a 150x100 serpentine of one-cell corridors,
+#: with 2 robots and a sample site cut off from the entrance, the 8300
+#: ticks the bound allows take 22-27 s, but a survey there that a robot
+#: placed on the cut-off cells keeps from ending takes about 61 ms a tick
+#: with 6 robots, about 170 s at the bound.
 #: ``SURVEY_TICK_CELLS`` covers the fixed cost three to four times over.
 #: Keeping a target (``_Kernel.reuse``) and the "nothing" answer of
 #: ``_Kernel.nearest`` do not lower the bound: in the worst case a target
@@ -142,6 +148,14 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 #: choice is kept.
 MAX_SURVEY_WORK = 250_000_000
 SURVEY_TICK_CELLS = 60
+
+#: Cells in the first row window of a target search (``_Kernel.nearest``).
+#: With 30 robots on a 200x200 tube the survey takes 1.5 s with a first
+#: window of 2048 cells, 1.6 s with 8192, 2.1 s with 512 and 2.5 s with
+#: the whole map; with 3 robots 0.43, 0.43, 0.47 and 0.53 s (best of 3,
+#: CPython 3.11, 2 x86 CPUs). The first window holds every shipped and
+#: benchmark tube (up to 28x28) whole.
+SEARCH_WINDOW_CELLS = 2048
 
 
 def check_survey_work(robot_count: int, max_steps: int, cells: int) -> None:
@@ -502,15 +516,17 @@ class _Kernel:
     orders ``(row, col)``. A cell off the map is index 0, a border cell.
 
     ``explored`` is the live sensed mask. ``known`` (explored open cells),
-    ``frontier`` with its count of set flags ``frontier_count``, and
-    ``dist_home`` (hops from the entrance over ``known``, -1 where
+    ``frontier`` with its count of set flags ``frontier_count``, the same
+    two as ints with bit i for cell i (``known_bits``, ``frontier_bits``)
+    and ``dist_home`` (hops from the entrance over ``known``, -1 where
     unreachable) are the snapshot every robot plans on within a tick;
     ``learn`` builds it from the cells sensed since its last call, all
     explored cells at construction, and keeps them as ``fresh``.
     ``reach`` is the entrance-connected open set, computed once, and
-    ``covered`` counts its known cells. ``ticks`` counts ticks, and
+    ``covered`` counts its known cells. ``ticks`` counts ticks,
     ``searched`` and ``reused`` count the target choices made by a
-    search and kept from the tick before.
+    search and kept from the tick before, and ``levels`` the levels the
+    searches expanded.
 
     It holds all a survey changes: a ``_Scout`` per robot (``scouts``, in
     input order), the uncollected ``sites`` with the index of each one's
@@ -534,7 +550,7 @@ class _Kernel:
         self.explored = _padded(grid.explored)  # GridMap keeps the entrance explored
         self.known = bytearray(len(self.open))
         self.frontier = bytearray(len(self.open))
-        self.frontier_count = 0
+        self.known_bits = self.frontier_bits = self.frontier_count = 0
         self.dist_home = array("i", [-1]) * len(self.open)
         self.dist_home[self.entrance] = 0
         self.pending = np.flatnonzero(np.pad(traversable & grid.explored, 1)).tolist()
@@ -542,7 +558,7 @@ class _Kernel:
                               dtype=np.intc) >= 0
         self.reach = bytearray(reach.tobytes())
         self.reachable = int(np.count_nonzero(reach))
-        self.covered = self.ticks = self.searched = self.reused = 0
+        self.covered = self.ticks = self.searched = self.reused = self.levels = 0
         ids = [r.id for r in robots]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate robot ids in {ids}")
@@ -606,17 +622,22 @@ class _Kernel:
             return
         s, known, open_, dist = self.stride, self.known, self.open, self.dist_home
         frontier, reach, count = self.frontier, self.reach, self.frontier_count
+        known_bits, frontier_bits = self.known_bits, self.frontier_bits
         for v in fresh:
             known[v] = 1
+            known_bits |= 1 << v
             self.covered += reach[v]
-        for v in fresh:  # a cell next to two fresh ones is set twice alike
+        for v in fresh:  # a cell next to two fresh ones is tested twice alike
             for x in (v, v - s, v - 1, v + 1, v + s):
                 if known[x]:
                     flag = (open_[x - s] > known[x - s] or open_[x - 1] > known[x - 1]
                             or open_[x + 1] > known[x + 1] or open_[x + s] > known[x + s])
-                    count += flag - frontier[x]
-                    frontier[x] = flag
+                    if flag != frontier[x]:
+                        count += flag - frontier[x]
+                        frontier[x] = flag
+                        frontier_bits ^= 1 << x
         self.frontier_count = count
+        self.known_bits, self.frontier_bits = known_bits, frontier_bits
         heap = []
         for v in fresh:
             if dist[v] < 0:
@@ -651,17 +672,24 @@ class _Kernel:
         When every frontier cell and goal is claimed it answers None at
         once: a search can only find an unclaimed one, and frontier flags
         change only in ``learn``, so ``frontier_count`` holds all tick.
-        Otherwise the search goes level by level and stops at the first
-        level that holds a target. A level is four lists, one per first
-        move in N, W, E, S order, and each cell joins the list of the
-        cell that reaches it first. The lists are expanded in order, so
-        end to end a level comes in the order of its cells' least move
-        sequences (moves ordered N, W, E, S), and the cell that first
-        reaches a cell comes before it on its least shortest path. The
-        search records that move for each cell it reaches (``came``), and
-        the way back along those moves from the target is the route: at
-        each cell, the first N, W, E, S neighbour a level closer to the
-        target, as a search back from the target would step.
+        Otherwise the search goes level by level on bit sets, ints with
+        bit i for cell ``lo + i`` of a window of whole rows: each level is
+        ``((cur >> W) | (cur >> 1) | (cur << 1) | (cur << W)) & unseen``,
+        and it stops at the first level that holds an unclaimed target,
+        taking the lowest set bit, the lowest index. The window starts at
+        about ``SEARCH_WINDOW_CELLS`` cells centred on the start's row, so
+        a short search on a large map does not pay for all of it, and it
+        grows in place, about four times as tall, before the search
+        expands a level that lies on one of its edge rows: the levels are
+        those of a search over the whole map.
+
+        The search keeps the cells it reached in three sets, by depth mod
+        3, so it holds O(window) ints however deep it goes, and ``_route``
+        lays the route from them: at each hop the first N, W, E, S
+        neighbour that lies on a shortest way to the target, the least
+        move sequence among the shortest ways, which is the route a search
+        back from the target lays. ``levels`` counts the levels searches
+        expand.
         """
         known, frontier, s = self.known, self.frontier, self.stride
         # N, W, E, S, which is also index order: the first hit is the lowest
@@ -673,53 +701,85 @@ class _Kernel:
             targets = self.frontier_count + sum(not frontier[v] for v in goals)
             if sum(1 for v in claimed if frontier[v] or v in goals) == targets:
                 return None
-        unseen = known[:]  # cleared as the search reaches each cell
-        came = bytearray(len(known))  # the move that reached a cell: 1-4 for N, W, E, S
-        unseen[start] = 0
-        level = []
-        for n in first:
-            level.append([n] if unseen[n] else [])
-            unseen[n] = 0
-        depth = 1
-        while any(level):
-            nxt = []
-            for cells in level:
-                reached = []
-                add = reached.append
-                for v in cells:
-                    n = v - s
-                    if unseen[n]:
-                        unseen[n] = 0
-                        came[n] = 1
-                        add(n)
-                    n = v - 1
-                    if unseen[n]:
-                        unseen[n] = 0
-                        came[n] = 2
-                        add(n)
-                    n = v + 1
-                    if unseen[n]:
-                        unseen[n] = 0
-                        came[n] = 3
-                        add(n)
-                    n = v + s
-                    if unseen[n]:
-                        unseen[n] = 0
-                        came[n] = 4
-                        add(n)
-                nxt.append(reached)
-            level = nxt
+        # bit i of each set is cell lo + i; the window is the start alone
+        # until the first check grows it
+        row, half = start // s, SEARCH_WINDOW_CELLS // (2 * s)
+        lo, cur, depth, targets, edge = start, 1, 0, 0, 1
+        stop = 1  # targets | edge: the cells that end a level's check
+        back = prev = 0  # reached at depths of depth - 2 and depth - 1 mod 3
+        here = 1  # reached at depths of depth mod 3
+        while cur:
+            if cur & stop:
+                hits = cur & targets
+                while hits:
+                    bit = hits & -hits
+                    if lo + bit.bit_length() - 1 not in claimed:
+                        self.levels += depth
+                        return self._route(start - lo, bit, depth, (here, prev, back), lo)
+                    hits ^= bit
+                while cur & edge:  # the level lies on an edge row: grow the window
+                    top, hi = self.window(row, half)
+                    half, up, lo, size = 4 * half + 2, lo - top, top, hi - top
+                    cur, back, prev, here = cur << up, back << up, prev << up, here << up
+                    mask = ~(-1 << size)
+                    unseen = (self.known_bits >> lo) & mask & ~(back | prev | here)
+                    targets = (self.frontier_bits >> lo) & mask
+                    for v in goals:
+                        if lo <= v < hi:
+                            targets |= 1 << v - lo
+                    edge = ~(-1 << s)  # the first row and the last
+                    edge |= edge << size - s
+                    stop = targets | edge
             depth += 1
-            hits = [v for cells in level for v in cells
-                    if (frontier[v] or v in goals) and v not in claimed]
-            if hits:
-                v = min(hits)
-                route, back = [v], (0, s, 1, -1, -s)  # back[code] undoes a move
-                for _ in range(depth - 1):
-                    v += back[came[v]]
-                    route.append(v)
-                return route
+            # the neighbours: cur shifted by W - 1, then by 0 and W + 1, is
+            # cur shifted by 0, W - 1, W + 1 and 2W, that is by W plus each move
+            cur |= cur << s - 1
+            cur = (cur | cur << s + 1) >> s & unseen
+            unseen ^= cur
+            back, prev, here = prev, here, back | cur
+        self.levels += depth
         return None
+
+    def window(self, row: int, half: int) -> tuple[int, int]:
+        """The indices [lo, hi) of rows ``row - half`` to ``row + half``
+        of the padded map, clipped to it."""
+        s = self.stride
+        return max(0, row - half) * s, min(len(self.known), (row + half + 1) * s)
+
+    def _route(self, start: int, bit: int, depth: int, seen: tuple[int, int, int],
+               lo: int) -> list[int]:
+        """The stack ``nearest`` answers for the target ``bit`` found at
+        ``depth`` from ``start``, both in the window that begins at index
+        ``lo``, where ``seen[j % 3]`` holds the cells reached at depths of
+        ``depth - j`` mod 3.
+
+        Stepping back from the target, the neighbours of the cells on a
+        shortest way ``j - 1`` hops from it that were reached at ``depth -
+        j`` are those ``j`` hops from it (a neighbour is at most one level
+        away, so the mod 3 sets keep the levels apart). The walk from
+        ``start`` then takes at each hop the first N, W, E, S neighbour on
+        those ways."""
+        s = self.stride
+        ways, cells = [0, 0, 0], bit  # ways[j % 3]: on a way, j hops from the target mod 3
+        for j in range(1, depth):
+            cells |= cells << s - 1  # the neighbours, as in nearest
+            cells = (cells | cells << s + 1) >> s & seen[j % 3]
+            ways[j % 3] |= cells
+        route, v, around = [], start, ~(-1 << 2 * s + 1)
+        for j in range(depth - 1, 0, -1):
+            near = ways[j % 3] >> v - s & around  # bit k is cell v - s + k
+            if near & 1:
+                v -= s
+            elif near >> s - 1 & 1:
+                v -= 1
+            elif near >> s + 1 & 1:
+                v += 1
+            else:
+                v += s
+            route.append(lo + v)
+        route.append(lo + bit.bit_length() - 1)
+        route.reverse()
+        return route
 
     def reuse(self, scout: _Scout, claimed: set[int],
               goals: set[int]) -> list[int] | None:

@@ -13,6 +13,7 @@ are the oracle of ``_Kernel.nearest`` and the route it answers.
 
 import random
 from collections import Counter, deque
+from itertools import chain
 from dataclasses import replace
 
 import numpy as np
@@ -663,16 +664,19 @@ def crowd_case(index):
     return grid, fleet, Station(charge_time_s=rng.choice([0.0, 5.0, 30.0])), sites
 
 
-def test_nearest_matches_the_reference_search(monkeypatch):
-    """Side by side on seeded surveys with 1-30 robots, sample sites and
-    the claims of the robots before: every ``nearest`` answer names the
-    target, first step and distance of the earlier search's, the "nothing"
-    answers given without a search included, and every route of two or
-    more hops is the one a search back from the target lays."""
-    nearest, seen, where = _Kernel.nearest, Counter(), {}
+def check_nearest(monkeypatch, where):
+    """Wrap ``_Kernel.nearest`` so that every answer is checked against
+    ``reference_nearest``, and every route of two or more hops against
+    ``reference_path``. Returns the counts of the answers and of the
+    search windows: ``grown``, windows past a search's first, and
+    ``clipped``, windows cut off by the top or the bottom padded row
+    but not by both."""
+    nearest, window, seen = _Kernel.nearest, _Kernel.window, Counter()
 
     def checking(kernel, start, claimed, goals):
+        windows = seen["windows"]
         route = nearest(kernel, start, claimed, goals)
+        seen["grown"] += max(0, seen["windows"] - windows - 1)
         found = None if route is None else (route[0], route[-1], len(route))
         assert found == reference_nearest(kernel, start, claimed, goals), (
             f"case {where['case']}, tick {kernel.ticks}")
@@ -687,7 +691,25 @@ def test_nearest_matches_the_reference_search(monkeypatch):
         seen["none"] += found is None
         return route
 
+    def counting(kernel, row, half):
+        lo, hi = window(kernel, row, half)
+        seen["windows"] += 1
+        seen["clipped"] += (lo == 0) != (hi == len(kernel.known))
+        return lo, hi
+
     monkeypatch.setattr(_Kernel, "nearest", checking)
+    monkeypatch.setattr(_Kernel, "window", counting)
+    return seen
+
+
+def test_nearest_matches_the_reference_search(monkeypatch):
+    """Side by side on seeded surveys with 1-30 robots, sample sites and
+    the claims of the robots before: every ``nearest`` answer names the
+    target, first step and distance of the earlier search's, the "nothing"
+    answers given without a search included, and every route of two or
+    more hops is the one a search back from the target lays."""
+    where = {}
+    seen = check_nearest(monkeypatch, where)
     for index in range(24):
         where["case"] = index
         kernel = _Kernel(*crowd_case(index))
@@ -697,51 +719,82 @@ def test_nearest_matches_the_reference_search(monkeypatch):
     assert min(seen["claimed"], seen["goals"], seen["none"], seen["deep"]) > 5000, seen
 
 
+def tall_case(index, width, height, robots, battery_ticks):
+    """A seeded ``width`` x ``height`` tube with ``robots`` robots of
+    ``battery_ticks`` tick batteries, a charging station and up to 6
+    sample sites."""
+    rng = random.Random(f"tall:{index}")
+    grid = generate_tube(rng.randrange(1 << 30), width, height, 0.2)
+    fleet = make_fleet(grid, robots, battery_full_s=battery_ticks / 1.7)
+    open_cells = [tuple(map(int, rc)) for rc in np.argwhere(grid.cells != OBSTACLE)]
+    sites = tuple(SampleSite(rng.choice(open_cells), round(rng.uniform(0.5, 8.0), 1))
+                  for _ in range(rng.randint(0, 6)))
+    return grid, fleet, Station(charge_time_s=rng.choice([0.0, 5.0])), sites
+
+
+@pytest.mark.parametrize("cells", [tube_explorer.SEARCH_WINDOW_CELLS, 64])
+def test_nearest_matches_the_reference_search_as_its_window_grows(monkeypatch, cells):
+    """``nearest`` searches a window of whole rows around its start and
+    grows it where a level reaches an edge row. Side by side, as above, on
+    80x20, 20x80 and 20x150 strips (width x height) and a 64x64 tube with
+    30 robots, most of them taller than the first window: once with the
+    first window as shipped and once cut to 64 cells (one to three rows).
+    Every answer and route is the reference's, hundreds of windows grow,
+    and hundreds are clipped at the top or the bottom padded row."""
+    monkeypatch.setattr(tube_explorer, "SEARCH_WINDOW_CELLS", cells)
+    where = {}
+    seen = check_nearest(monkeypatch, where)
+    for index, (width, height, robots, battery, ticks) in enumerate(
+            [(80, 20, 4, 150, 400), (20, 80, 3, 1e9, 400), (20, 150, 3, 1e9, 1000),
+             (64, 64, 30, 1e9, 240)]):
+        where["case"] = index
+        kernel = _Kernel(*tall_case(index, width, height, robots, battery))
+        for _ in survey_ticks(kernel, ticks):
+            pass
+    assert seen["deep"] > 3000 and seen["none"] > 250, seen
+    assert min(seen["grown"], seen["clipped"]) > 500, seen
+
+
+def as_bits(flags):
+    """A flag bytearray as an int with bit i set where flag i is."""
+    packed = np.packbits(np.frombuffer(flags, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
 def test_frontier_count_follows_the_flags():
     """``learn`` keeps ``frontier_count`` equal to the set frontier flags,
-    after construction and after every tick."""
+    and the bit sets ``known_bits`` and ``frontier_bits`` equal to the
+    ``known`` and ``frontier`` flags bit for bit, after construction and
+    after every tick."""
     for index in range(12):
         kernel = _Kernel(*crowd_case(index))
-        assert kernel.frontier_count == sum(kernel.frontier), f"case {index}"
-        for _ in survey_ticks(kernel, 300):
-            assert kernel.frontier_count == sum(kernel.frontier), (
-                f"case {index}, tick {kernel.ticks}")
+        for _ in chain([None], survey_ticks(kernel, 300)):  # construction, then each tick
+            where = f"case {index}, tick {kernel.ticks}"
+            assert kernel.frontier_count == sum(kernel.frontier), where
+            assert kernel.known_bits == as_bits(kernel.known), where
+            assert kernel.frontier_bits == as_bits(kernel.frontier), where
 
 
 def test_nothing_left_to_claim_is_answered_without_a_search(monkeypatch):
     """On a 1x3 tube both robots start at the entrance, and (0, 1) is the
     only frontier. scout_1 claims it; scout_2 then gets None from
-    ``nearest`` without building a map for a search, as the reference
-    search answers, and heads home, where it parks to charge. The maps a
-    search builds are counted as copies of ``known`` and as bytearrays
-    made in ``tube_explorer``, which is how a search makes them."""
-
-    class Watched(bytearray):
-        maps = 0
-
-        def __getitem__(self, i):
-            Watched.maps += isinstance(i, slice)
-            return super().__getitem__(i)
-
-    def made(*args):
-        Watched.maps += 1
-        return bytearray(*args)
-
+    ``nearest`` without a search, as the reference search answers, and
+    heads home, where it parks to charge. A search would show in
+    ``_Kernel.levels``, the count of the levels searches expanded: from
+    the entrance here it expands two, (0, 1) and an empty one."""
     nearest, answers = _Kernel.nearest, []
 
     def recording(kernel, start, claimed, goals):
-        before = Watched.maps
+        before = kernel.levels
         route = nearest(kernel, start, claimed, goals)
         found = None if route is None else (route[0], route[-1], len(route))
         assert found == reference_nearest(kernel, start, claimed, goals)
-        answers.append((set(claimed), found, Watched.maps - before))
+        answers.append((set(claimed), found, kernel.levels - before))
         return route
 
     monkeypatch.setattr(_Kernel, "nearest", recording)
     grid = grid_from_text("E..\n")
     kernel = _Kernel(grid, make_fleet(grid, 2), Station(), ())
-    kernel.known = Watched(kernel.known)
-    monkeypatch.setattr(tube_explorer, "bytearray", made, raising=False)
     x = kernel.index((0, 1))
     assert kernel.frontier_count == 1 and kernel.frontier[x]
     kernel.tick()
