@@ -109,7 +109,7 @@ def advance(state: MissionState, event: MissionEvent) -> MissionState:
 #: phase visit's ``sols_per_phase``) and the tubes they survey. A sol at
 #: 25 s steps takes 0.05-0.2 ms, from one without loads to one that
 #: sheds six loads, and 1.6-3.2 ms at 1 s steps; the shipped tubes survey
-#: in 3-6 ms, but one survey may take up to about 75 s at
+#: in 3-6 ms, but one survey may take up to about 80 s at
 #: ``MAX_SURVEY_WORK`` (CPython 3.11, numpy 2.4, 2 x86 CPUs).
 MAX_MISSION_SOLS = 10_000
 MAX_MISSION_SURVEYS = 20

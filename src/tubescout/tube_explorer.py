@@ -132,15 +132,16 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 #: map's cells plus ``SURVEY_TICK_CELLS``. A stalled survey runs all of
 #: its ``max_steps``; a robot tick then costs about 4-5 us plus about
 #: 0.3 us per map cell (a target search over the whole known map that
-#: finds nothing: from a corner of an open map 0.05, 0.09 and 0.27-0.32 us
-#: a cell at 100x100, 300x300 and 1000x1000, where its bit sets span the
-#: map), so a survey at the bound on open maps takes at most about 75 s
-#: (CPython 3.11, 2 x86 CPUs). Where a level is one cell a search costs
-#: about 2-3 us a level: on a 150x100 serpentine of one-cell corridors,
-#: with 2 robots and a sample site cut off from the entrance, the 8300
-#: ticks the bound allows take 22-27 s, but a survey there that a robot
-#: placed on the cut-off cells keeps from ending takes about 61 ms a tick
-#: with 6 robots, about 170 s at the bound.
+#: finds nothing: from a corner of an open map 0.03-0.06, 0.05-0.10 and
+#: 0.18-0.32 us a cell at 100x100, 300x300 and 1000x1000, its bit sets
+#: spanning the padded map), so a survey at the bound on open maps takes
+#: at most about 80 s (CPython 3.11, 2 x86 CPUs). Where a level is one
+#: cell a search costs about 2-3 us a level: on a 150x100 serpentine of
+#: one-cell corridors, 2 robots and a sample site cut off from the
+#: entrance cover the map in 7396 of the 8300 ticks the bound allows,
+#: taking 20-22 s, but a survey there that a robot placed on the cut-off
+#: cells keeps from ending takes 36-56 ms a tick with 6 robots, 100-155 s
+#: at the bound.
 #: ``SURVEY_TICK_CELLS`` covers the fixed cost three to four times over.
 #: Keeping a target (``_Kernel.reuse``) and the "nothing" answer of
 #: ``_Kernel.nearest`` do not lower the bound: in the worst case a target
@@ -148,14 +149,6 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 #: choice is kept.
 MAX_SURVEY_WORK = 250_000_000
 SURVEY_TICK_CELLS = 60
-
-#: Cells in the first row window of a target search (``_Kernel.nearest``).
-#: With 30 robots on a 200x200 tube the survey takes 1.5 s with a first
-#: window of 2048 cells, 1.6 s with 8192, 2.1 s with 512 and 2.5 s with
-#: the whole map; with 3 robots 0.43, 0.43, 0.47 and 0.53 s (best of 3,
-#: CPython 3.11, 2 x86 CPUs). The first window holds every shipped and
-#: benchmark tube (up to 28x28) whole.
-SEARCH_WINDOW_CELLS = 2048
 
 
 def check_survey_work(robot_count: int, max_steps: int, cells: int) -> None:
@@ -517,7 +510,8 @@ class _Kernel:
 
     ``explored`` is the live sensed mask. ``known`` (explored open cells),
     ``frontier`` with its count of set flags ``frontier_count``, the same
-    two as ints with bit i for cell i (``known_bits``, ``frontier_bits``)
+    two as ints with bit i for cell i of the whole padded map
+    (``known_bits``, ``frontier_bits``, the sets ``nearest`` searches on)
     and ``dist_home`` (hops from the entrance over ``known``, -1 where
     unreachable) are the snapshot every robot plans on within a tick;
     ``learn`` builds it from the cells sensed since its last call, all
@@ -672,20 +666,18 @@ class _Kernel:
         When every frontier cell and goal is claimed it answers None at
         once: a search can only find an unclaimed one, and frontier flags
         change only in ``learn``, so ``frontier_count`` holds all tick.
-        Otherwise the search goes level by level on bit sets, ints with
-        bit i for cell ``lo + i`` of a window of whole rows: each level is
+        Otherwise the search goes level by level over the whole padded map
+        on bit sets, ints with bit i for cell i: each level is
         ``((cur >> W) | (cur >> 1) | (cur << 1) | (cur << W)) & unseen``,
-        and it stops at the first level that holds an unclaimed target,
-        taking the lowest set bit, the lowest index. The window starts at
-        about ``SEARCH_WINDOW_CELLS`` cells centred on the start's row, so
-        a short search on a large map does not pay for all of it, and it
-        grows in place, about four times as tall, before the search
-        expands a level that lies on one of its edge rows: the levels are
-        those of a search over the whole map.
+        where ``unseen`` starts as ``known_bits`` less the start, and it
+        stops at the first level that holds an unclaimed target (a
+        frontier cell or goal other than the start), taking the lowest set
+        bit, the lowest index. An int op costs time in proportion to the
+        highest bit it holds, so a level costs up to the map's cells.
 
         The search keeps the cells it reached in three sets, by depth mod
-        3, so it holds O(window) ints however deep it goes, and ``_route``
-        lays the route from them: at each hop the first N, W, E, S
+        3, so it holds three map-sized ints however deep it goes, and
+        ``_route`` lays the route from them: at each hop the first N, W, E, S
         neighbour that lies on a shortest way to the target, the least
         move sequence among the shortest ways, which is the route a search
         back from the target lays. ``levels`` counts the levels searches
@@ -701,35 +693,23 @@ class _Kernel:
             targets = self.frontier_count + sum(not frontier[v] for v in goals)
             if sum(1 for v in claimed if frontier[v] or v in goals) == targets:
                 return None
-        # bit i of each set is cell lo + i; the window is the start alone
-        # until the first check grows it
-        row, half = start // s, SEARCH_WINDOW_CELLS // (2 * s)
-        lo, cur, depth, targets, edge = start, 1, 0, 0, 1
-        stop = 1  # targets | edge: the cells that end a level's check
+        # bit i of each set is cell i
+        cur = here = 1 << start  # here: reached at depths of depth mod 3
         back = prev = 0  # reached at depths of depth - 2 and depth - 1 mod 3
-        here = 1  # reached at depths of depth mod 3
+        unseen = self.known_bits & ~cur
+        targets = self.frontier_bits
+        for v in goals:
+            targets |= 1 << v
+        targets &= ~cur
+        depth = 0
         while cur:
-            if cur & stop:
-                hits = cur & targets
-                while hits:
-                    bit = hits & -hits
-                    if lo + bit.bit_length() - 1 not in claimed:
-                        self.levels += depth
-                        return self._route(start - lo, bit, depth, (here, prev, back), lo)
-                    hits ^= bit
-                while cur & edge:  # the level lies on an edge row: grow the window
-                    top, hi = self.window(row, half)
-                    half, up, lo, size = 4 * half + 2, lo - top, top, hi - top
-                    cur, back, prev, here = cur << up, back << up, prev << up, here << up
-                    mask = ~(-1 << size)
-                    unseen = (self.known_bits >> lo) & mask & ~(back | prev | here)
-                    targets = (self.frontier_bits >> lo) & mask
-                    for v in goals:
-                        if lo <= v < hi:
-                            targets |= 1 << v - lo
-                    edge = ~(-1 << s)  # the first row and the last
-                    edge |= edge << size - s
-                    stop = targets | edge
+            hits = cur & targets
+            while hits:
+                bit = hits & -hits
+                if bit.bit_length() - 1 not in claimed:
+                    self.levels += depth
+                    return self._route(start, bit, depth, (here, prev, back))
+                hits ^= bit
             depth += 1
             # the neighbours: cur shifted by W - 1, then by 0 and W + 1, is
             # cur shifted by 0, W - 1, W + 1 and 2W, that is by W plus each move
@@ -740,18 +720,11 @@ class _Kernel:
         self.levels += depth
         return None
 
-    def window(self, row: int, half: int) -> tuple[int, int]:
-        """The indices [lo, hi) of rows ``row - half`` to ``row + half``
-        of the padded map, clipped to it."""
-        s = self.stride
-        return max(0, row - half) * s, min(len(self.known), (row + half + 1) * s)
-
-    def _route(self, start: int, bit: int, depth: int, seen: tuple[int, int, int],
-               lo: int) -> list[int]:
+    def _route(self, start: int, bit: int, depth: int,
+               seen: tuple[int, int, int]) -> list[int]:
         """The stack ``nearest`` answers for the target ``bit`` found at
-        ``depth`` from ``start``, both in the window that begins at index
-        ``lo``, where ``seen[j % 3]`` holds the cells reached at depths of
-        ``depth - j`` mod 3.
+        ``depth`` from ``start``, where ``seen[j % 3]`` holds the cells
+        reached at depths of ``depth - j`` mod 3.
 
         Stepping back from the target, the neighbours of the cells on a
         shortest way ``j - 1`` hops from it that were reached at ``depth -
@@ -776,8 +749,8 @@ class _Kernel:
                 v += 1
             else:
                 v += s
-            route.append(lo + v)
-        route.append(lo + bit.bit_length() - 1)
+            route.append(v)
+        route.append(bit.bit_length() - 1)
         route.reverse()
         return route
 

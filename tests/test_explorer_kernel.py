@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubescout import tube_explorer
 from tubescout.tube_explorer import (
     ENTRANCE,
     OBSTACLE,
@@ -664,19 +663,15 @@ def crowd_case(index):
     return grid, fleet, Station(charge_time_s=rng.choice([0.0, 5.0, 30.0])), sites
 
 
-def check_nearest(monkeypatch, where):
+def check_nearest(monkeypatch, where, far=2048):
     """Wrap ``_Kernel.nearest`` so that every answer is checked against
     ``reference_nearest``, and every route of two or more hops against
-    ``reference_path``. Returns the counts of the answers and of the
-    search windows: ``grown``, windows past a search's first, and
-    ``clipped``, windows cut off by the top or the bottom padded row
-    but not by both."""
-    nearest, window, seen = _Kernel.nearest, _Kernel.window, Counter()
+    ``reference_path``. Returns the counts of the answers, and in ``far``
+    of the searches that start past cell index ``far``."""
+    nearest, seen = _Kernel.nearest, Counter()
 
     def checking(kernel, start, claimed, goals):
-        windows = seen["windows"]
         route = nearest(kernel, start, claimed, goals)
-        seen["grown"] += max(0, seen["windows"] - windows - 1)
         found = None if route is None else (route[0], route[-1], len(route))
         assert found == reference_nearest(kernel, start, claimed, goals), (
             f"case {where['case']}, tick {kernel.ticks}")
@@ -689,16 +684,10 @@ def check_nearest(monkeypatch, where):
         seen["claimed"] += bool(claimed)
         seen["goals"] += bool(goals)
         seen["none"] += found is None
+        seen["far"] += start > far
         return route
 
-    def counting(kernel, row, half):
-        lo, hi = window(kernel, row, half)
-        seen["windows"] += 1
-        seen["clipped"] += (lo == 0) != (hi == len(kernel.known))
-        return lo, hi
-
     monkeypatch.setattr(_Kernel, "nearest", checking)
-    monkeypatch.setattr(_Kernel, "window", counting)
     return seen
 
 
@@ -732,27 +721,28 @@ def tall_case(index, width, height, robots, battery_ticks):
     return grid, fleet, Station(charge_time_s=rng.choice([0.0, 5.0])), sites
 
 
-@pytest.mark.parametrize("cells", [tube_explorer.SEARCH_WINDOW_CELLS, 64])
+@pytest.mark.parametrize("cells", [2048, 64])
 def test_nearest_matches_the_reference_search_as_its_window_grows(monkeypatch, cells):
-    """``nearest`` searches a window of whole rows around its start and
-    grows it where a level reaches an edge row. Side by side, as above, on
-    80x20, 20x80 and 20x150 strips (width x height) and a 64x64 tube with
-    30 robots, most of them taller than the first window: once with the
-    first window as shipped and once cut to 64 cells (one to three rows).
-    Every answer and route is the reference's, hundreds of windows grow,
-    and hundreds are clipped at the top or the bottom padded row."""
-    monkeypatch.setattr(tube_explorer, "SEARCH_WINDOW_CELLS", cells)
+    """``nearest`` searches bit sets that span the whole padded map; it
+    once searched a window of whole rows, first 2048 cells (``cells`` as
+    shipped, and 64 as cut to test its growth), and grew it where a level
+    reached an edge row. Side by side, as above, on 80x20, 20x80 and
+    20x150 strips (width x height), a 64x64 tube with 30 robots and a
+    20x300 strip with 3 robots that never run flat, the bit sets running
+    to about 6600 cells: every answer and route is the reference's, and
+    thousands of searches start past cell index ``cells``, outside a first
+    window of that size laid from the top of the map."""
     where = {}
-    seen = check_nearest(monkeypatch, where)
+    seen = check_nearest(monkeypatch, where, cells)
     for index, (width, height, robots, battery, ticks) in enumerate(
             [(80, 20, 4, 150, 400), (20, 80, 3, 1e9, 400), (20, 150, 3, 1e9, 1000),
-             (64, 64, 30, 1e9, 240)]):
+             (64, 64, 30, 1e9, 240), (20, 300, 3, 1e9, 1000)]):
         where["case"] = index
         kernel = _Kernel(*tall_case(index, width, height, robots, battery))
         for _ in survey_ticks(kernel, ticks):
             pass
     assert seen["deep"] > 3000 and seen["none"] > 250, seen
-    assert min(seen["grown"], seen["clipped"]) > 500, seen
+    assert seen["far"] > 2000, seen
 
 
 def as_bits(flags):
