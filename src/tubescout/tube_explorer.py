@@ -135,13 +135,14 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 #: finds nothing: from a corner of an open map 0.03-0.06, 0.05-0.10 and
 #: 0.18-0.32 us a cell at 100x100, 300x300 and 1000x1000, its bit sets
 #: spanning the padded map), so a survey at the bound on open maps takes
-#: at most about 80 s (CPython 3.11, 2 x86 CPUs). Where a level is one
-#: cell a search costs about 2-3 us a level: on a 150x100 serpentine of
-#: one-cell corridors, 2 robots and a sample site cut off from the
-#: entrance cover the map in 7396 of the 8300 ticks the bound allows,
-#: taking 20-22 s, but a survey there that a robot placed on the cut-off
-#: cells keeps from ending takes 36-56 ms a tick with 6 robots, 100-155 s
-#: at the bound.
+#: at most about 80 s (CPython 3.11, 2 x86 CPUs). Once a tick, ``learn``
+#: and ``covered`` read the whole map: 110 us on an open 1000x1000 map.
+#: Where a level is one cell a search costs about 2-3 us a level: on a
+#: 150x100 serpentine of one-cell corridors, 2 robots and a sample site
+#: cut off from the entrance cover the map in 7396 of the 8300 ticks the
+#: bound allows, taking 20-22 s, but a survey there that a robot placed
+#: on the cut-off cells keeps from ending takes 36-56 ms a tick with 6
+#: robots, 100-155 s at the bound.
 #: ``SURVEY_TICK_CELLS`` covers the fixed cost three to four times over.
 #: Keeping a target (``_Kernel.reuse``) and the "nothing" answer of
 #: ``_Kernel.nearest`` do not lower the bound: in the worst case a target
@@ -238,6 +239,18 @@ def _padded(mask: np.ndarray) -> bytearray:
     padded = np.zeros((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = mask
     return bytearray(padded.tobytes())
+
+
+def _bits(mask: np.ndarray) -> int:
+    """A boolean grid as an int with bit i set for cell i of the padded map."""
+    import numpy as np
+    return int.from_bytes(np.packbits(np.pad(mask, 1), bitorder="little"), "little")
+
+
+def _neighbours(cells: int, stride: int) -> int:
+    """N, W, E, S neighbours of a cell bit set: shifted by ``stride`` plus each move."""
+    cells |= cells << stride - 1
+    return (cells | cells << stride + 1) >> stride
 
 
 def _flat_bfs(mask: bytearray, start: int, offsets: tuple[int, ...]) -> array:
@@ -508,19 +521,18 @@ class _Kernel:
     at ``(-W, -1, +1, +W)`` with no bounds checks, and ordering indices
     orders ``(row, col)``. A cell off the map is index 0, a border cell.
 
-    ``explored`` is the live sensed mask. ``known`` (explored open cells),
-    ``frontier`` with its count of set flags ``frontier_count``, the same
-    two as ints with bit i for cell i of the whole padded map
-    (``known_bits``, ``frontier_bits``, the sets ``nearest`` searches on)
-    and ``dist_home`` (hops from the entrance over ``known``, -1 where
-    unreachable) are the snapshot every robot plans on within a tick;
-    ``learn`` builds it from the cells sensed since its last call, all
-    explored cells at construction, and keeps them as ``fresh``.
-    ``reach`` is the entrance-connected open set, computed once, and
-    ``covered`` counts its known cells. ``ticks`` counts ticks,
-    ``searched`` and ``reused`` count the target choices made by a
-    search and kept from the tick before, and ``levels`` the levels the
-    searches expanded.
+    ``open`` and the live sensed mask ``explored`` are flag bytearrays;
+    the cell sets are ints with bit i for cell i: ``open_bits`` and
+    ``reach`` (the entrance-connected open cells) are fixed, and
+    ``known_bits`` (the explored open cells), ``frontier_bits`` with its
+    size ``frontier_count`` and ``dist_home`` (hops from the entrance
+    over the known cells, -1 where unreachable) are the snapshot every
+    robot plans on within a tick; ``learn`` builds it from the cells
+    sensed since its last call, all explored cells at construction, and
+    keeps them as ``fresh``. ``covered`` counts the known cells of
+    ``reach``. ``ticks`` counts ticks, ``searched`` and ``reused`` the
+    target choices made by a search and kept from the tick before, and
+    ``levels`` the levels the searches expanded.
 
     It holds all a survey changes: a ``_Scout`` per robot (``scouts``, in
     input order), the uncollected ``sites`` with the index of each one's
@@ -533,26 +545,22 @@ class _Kernel:
                  sites: tuple[SampleSite, ...], delivered: tuple[Sample, ...] = ()):
         import numpy as np
         self.height, self.width = grid.cells.shape
-        self.stride = stride = self.width + 2
-        self.offsets = (-stride, -1, 1, stride)
+        self.stride = self.width + 2
         self.sites = list(sites)
         self.site_cells = [self.index(site.cell) for site in self.sites]
         self.delivered = list(delivered)
         self.entrance = self.index(grid.entrance)
         traversable = grid.traversable()
         self.open = _padded(traversable)
+        self.open_bits = _bits(traversable)
         self.explored = _padded(grid.explored)  # GridMap keeps the entrance explored
-        self.known = bytearray(len(self.open))
-        self.frontier = bytearray(len(self.open))
         self.known_bits = self.frontier_bits = self.frontier_count = 0
         self.dist_home = array("i", [-1]) * len(self.open)
         self.dist_home[self.entrance] = 0
         self.pending = np.flatnonzero(np.pad(traversable & grid.explored, 1)).tolist()
-        reach = np.frombuffer(_flat_bfs(self.open, self.entrance, self.offsets),
-                              dtype=np.intc) >= 0
-        self.reach = bytearray(reach.tobytes())
-        self.reachable = int(np.count_nonzero(reach))
-        self.covered = self.ticks = self.searched = self.reused = self.levels = 0
+        self.reach = _bits(reachable_cells(grid))
+        self.reachable = self.reach.bit_count()
+        self.ticks = self.searched = self.reused = self.levels = 0
         ids = [r.id for r in robots]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate robot ids in {ids}")
@@ -583,6 +591,10 @@ class _Kernel:
         padded = np.frombuffer(self.explored, dtype=bool).reshape(-1, self.stride)
         return padded[1:-1, 1:-1].copy()
 
+    @property
+    def covered(self) -> int:
+        return (self.known_bits & self.reach).bit_count()
+
     def robots(self) -> list[ScoutRobot]:
         """The fleet as it stands, in input order."""
         return [replace(sc.robot, position=self.cell(sc.v), state=sc.state,
@@ -600,38 +612,27 @@ class _Kernel:
     def learn(self) -> None:
         """Add the cells sensed since the last call to the snapshot.
 
-        A cell's frontier flag can change only where it or a neighbour
-        was added, and ``frontier_count`` follows the flags. The known
-        map only grows, so home distances only shrink: the added cells
-        start one hop beyond their nearest neighbour known before the
-        call, and a Dijkstra pass from them lowers the rest (incremental
-        shortest paths, Ramalingam and Reps 1996). The pass is skipped
-        when no cell was added or none touches a cell with a home
-        distance, since it would lower nothing. The entrance keeps its
-        distance 0.
+        The frontier is the known cells next to an open cell not yet
+        known, one bit-set expression over the whole map. The known map
+        only grows, so home distances only shrink: the added cells start
+        one hop beyond their nearest neighbour known before the call, and
+        a Dijkstra pass from them lowers the rest (incremental shortest
+        paths, Ramalingam and Reps 1996). It takes an open explored cell
+        as known, as every one has been added by then, and is skipped when
+        no cell was added or none touches a cell with a home distance,
+        since it would lower nothing. The entrance keeps its distance 0.
         """
         fresh = self.fresh = self.pending
         self.pending = []
         if not fresh:
             return
-        s, known, open_, dist = self.stride, self.known, self.open, self.dist_home
-        frontier, reach, count = self.frontier, self.reach, self.frontier_count
-        known_bits, frontier_bits = self.known_bits, self.frontier_bits
+        s, open_, explored, dist = self.stride, self.open, self.explored, self.dist_home
+        known = self.known_bits
         for v in fresh:
-            known[v] = 1
-            known_bits |= 1 << v
-            self.covered += reach[v]
-        for v in fresh:  # a cell next to two fresh ones is tested twice alike
-            for x in (v, v - s, v - 1, v + 1, v + s):
-                if known[x]:
-                    flag = (open_[x - s] > known[x - s] or open_[x - 1] > known[x - 1]
-                            or open_[x + 1] > known[x + 1] or open_[x + s] > known[x + s])
-                    if flag != frontier[x]:
-                        count += flag - frontier[x]
-                        frontier[x] = flag
-                        frontier_bits ^= 1 << x
-        self.frontier_count = count
-        self.known_bits, self.frontier_bits = known_bits, frontier_bits
+            known |= 1 << v
+        self.known_bits = known
+        self.frontier_bits = known & _neighbours(self.open_bits & ~known, s)
+        self.frontier_count = self.frontier_bits.bit_count()
         heap = []
         for v in fresh:
             if dist[v] < 0:
@@ -652,22 +653,23 @@ class _Kernel:
                 continue
             d += 1
             for n in (v - s, v - 1, v + 1, v + s):
-                if known[n] and not 0 <= dist[n] <= d:
+                if open_[n] and explored[n] and not 0 <= dist[n] <= d:
                     dist[n] = d
                     heapq.heappush(heap, (d, n))
 
     def nearest(self, start: int, claimed: set[int],
                 goals: set[int]) -> list[int] | None:
-        """The way to the nearest unclaimed frontier or goal cell over
-        ``known`` (the lowest index among equals), as a stack of the cells
-        to walk: the target first and the next step last, so its length
-        is the target's distance.
+        """The way to the nearest unclaimed frontier or known goal cell
+        over the known cells (the lowest index among equals), as a stack
+        of the cells to walk: the target first and the next step last, so
+        its length is the target's distance.
 
         When every frontier cell and goal is claimed it answers None at
-        once: a search can only find an unclaimed one, and frontier flags
-        change only in ``learn``, so ``frontier_count`` holds all tick.
-        Otherwise the search goes level by level over the whole padded map
-        on bit sets, ints with bit i for cell i: each level is
+        once: a search can only find an unclaimed one, and the frontier
+        changes only in ``learn``, so ``frontier_count`` holds all tick.
+        Otherwise, past the first level, read from one shift of
+        ``frontier_bits``, the search goes level by level over the whole
+        padded map on bit sets: each level is
         ``((cur >> W) | (cur >> 1) | (cur << 1) | (cur << W)) & unseen``,
         where ``unseen`` starts as ``known_bits`` less the start, and it
         stops at the first level that holds an unclaimed target (a
@@ -683,21 +685,21 @@ class _Kernel:
         back from the target lays. ``levels`` counts the levels searches
         expand.
         """
-        known, frontier, s = self.known, self.frontier, self.stride
+        frontier, s = self.frontier_bits, self.stride
+        near = frontier >> start - s & ~(-1 << 2 * s + 1)  # bit k is cell start - s + k
         # N, W, E, S, which is also index order: the first hit is the lowest
-        first = (start - s, start - 1, start + 1, start + s)
-        for n in first:
-            if known[n] and (frontier[n] or n in goals) and n not in claimed:
+        for n in (start - s, start - 1, start + 1, start + s):
+            if ((near >> n - start + s & 1 or n in goals and self.known_bits >> n & 1)
+                    and n not in claimed):
                 return [n]
         if len(claimed) >= self.frontier_count:
-            targets = self.frontier_count + sum(not frontier[v] for v in goals)
-            if sum(1 for v in claimed if frontier[v] or v in goals) == targets:
+            targets = self.frontier_count + sum(not frontier >> v & 1 for v in goals)
+            if sum(1 for v in claimed if frontier >> v & 1 or v in goals) == targets:
                 return None
-        # bit i of each set is cell i
         cur = here = 1 << start  # here: reached at depths of depth mod 3
         back = prev = 0  # reached at depths of depth - 2 and depth - 1 mod 3
         unseen = self.known_bits & ~cur
-        targets = self.frontier_bits
+        targets = frontier
         for v in goals:
             targets |= 1 << v
         targets &= ~cur
@@ -711,9 +713,7 @@ class _Kernel:
                     return self._route(start, bit, depth, (here, prev, back))
                 hits ^= bit
             depth += 1
-            # the neighbours: cur shifted by W - 1, then by 0 and W + 1, is
-            # cur shifted by 0, W - 1, W + 1 and 2W, that is by W plus each move
-            cur |= cur << s - 1
+            cur |= cur << s - 1  # the neighbours, as _neighbours finds them
             cur = (cur | cur << s + 1) >> s & unseen
             unseen ^= cur
             back, prev, here = prev, here, back | cur
@@ -735,8 +735,7 @@ class _Kernel:
         s = self.stride
         ways, cells = [0, 0, 0], bit  # ways[j % 3]: on a way, j hops from the target mod 3
         for j in range(1, depth):
-            cells |= cells << s - 1  # the neighbours, as in nearest
-            cells = (cells | cells << s + 1) >> s & seen[j % 3]
+            cells = _neighbours(cells, s) & seen[j % 3]
             ways[j % 3] |= cells
         route, v, around = [], start, ~(-1 << 2 * s + 1)
         for j in range(depth - 1, 0, -1):
@@ -760,17 +759,17 @@ class _Kernel:
         when its last answer still holds: the rest of its route; else None.
 
         A robot that chose target T at distance d >= 2 last tick and
-        stepped toward it is d - 1 from T now. Distances over ``known``
-        only shrink, and only through cells learned since, and a frontier
-        flag turns on only on such a cell, so the answer stays T when:
-        its goals are unchanged; T is still an unclaimed
+        stepped toward it is d - 1 from T now. Distances over the known
+        cells only shrink, and only through cells learned since, and a
+        cell joins the frontier only when it is learned, so the answer
+        stays T when: its goals are unchanged; T is still an unclaimed
         frontier or goal; every fresh cell is more than d cells away in
-        Manhattan distance, which bounds the distance over ``known``
-        from below; every cell claimed at the choice and unclaimed now is
-        more than d - 1 away; and the cell it left, which a search skips
-        as its start, is no unclaimed frontier or goal. No fresh cell
-        then lies on a way of d - 1 hops from the robot, so the route a
-        search would lay now is the rest of the kept one.
+        Manhattan distance, which bounds the distance over the known
+        cells from below; every cell claimed at the choice and unclaimed
+        now is more than d - 1 away; and the cell it left, which a search
+        skips as its start, is no unclaimed frontier or goal. No fresh
+        cell then lies on a way of d - 1 hops from the robot, so the route
+        a search would lay now is the rest of the kept one.
         """
         if scout.plan is None:
             return None
@@ -778,10 +777,10 @@ class _Kernel:
         if tick != self.ticks - 1 or not route:
             return None
         target, d = route[0], len(route) + 1
-        frontier = self.frontier
+        frontier = self.frontier_bits
         if (goals != was_goals or target in claimed
-                or not (frontier[target] or target in goals)
-                or ((frontier[left] or left in goals) and left not in claimed)):
+                or not (frontier >> target & 1 or target in goals)
+                or ((frontier >> left & 1 or left in goals) and left not in claimed)):
             return None
         s = self.stride
         r, c = divmod(scout.v, s)
@@ -880,7 +879,7 @@ class _Kernel:
             cell = list(site.cell)
             if not self.open[v]:
                 reason = f"cell {cell} is {'an obstacle' if v else 'off the map'}"
-            elif not self.reach[v]:
+            elif not self.reach >> v & 1:
                 reason = f"cell {cell} is not connected to the entrance"
             elif site.mass_kg > capacity:
                 reason = (f"its {site.mass_kg} kg exceed every robot's "
@@ -907,7 +906,7 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
 
     Each call builds the tick kernel afresh from ``world``: ``learn``
     over every explored cell and the ``reach`` BFS over the open map.
-    On a half-explored 48x48 tube that is about 1.8 ms a call, where a
+    On a half-explored 48x48 tube that is about 2.0-2.8 ms a call, where a
     tick of ``run_exploration`` takes tens of microseconds. It stays so:
     ``world`` is the whole state, a per-grid cache of the map-only parts
     would be a second one to keep in step with it, and

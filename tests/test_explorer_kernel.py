@@ -213,6 +213,20 @@ def unpad(kernel, flat, dtype):
     return padded[1:-1, 1:-1]
 
 
+def as_bits(mask):
+    """A boolean map as an int with bit i set for cell i of the map
+    padded with a one-cell border, the layout of the kernel's bit sets."""
+    packed = np.packbits(np.pad(mask, 1), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def as_flags(kernel, bits):
+    """A kernel bit set as a bytearray with one flag per padded cell."""
+    size = len(kernel.open)
+    packed = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return bytearray(np.unpackbits(packed, count=size, bitorder="little").tobytes())
+
+
 def random_case(index):
     """A seeded tube, fleet, station and sample sites. Sizes 1-24,
     densities 0-0.4, 1-4 robots, batteries of 6-60 ticks on most cases;
@@ -243,7 +257,8 @@ def test_kernel_matches_reference_step(block):
     """20 maps per block, 200 in all, up to 80 ticks each: the public
     ``step`` and a kernel kept across ticks both match the reference on
     every robot and the whole world after every tick, and the kernel's
-    incrementally kept home distances and frontier equal fresh ones."""
+    incrementally kept home distances, and its known and frontier bit
+    sets, equal fresh ones."""
     for index in range(block * 20, block * 20 + 20):
         ref_world, ref_fleet = random_case(index)
         world, fleet = ref_world, ref_fleet
@@ -265,8 +280,8 @@ def test_kernel_matches_reference_step(block):
             known = ref_world.grid.traversable() & explored
             assert np.array_equal(unpad(kernel, kernel.dist_home, np.intc),
                                   bfs_distances(known, entrance)), where
-            assert np.array_equal(unpad(kernel, kernel.frontier, bool),
-                                  frontier_mask(ref_world.grid)), where
+            assert kernel.known_bits == as_bits(known), where
+            assert kernel.frontier_bits == as_bits(frontier_mask(ref_world.grid)), where
             if (kernel.covered == kernel.reachable
                     and all(r.state is not RobotState.EXPLORING for r in ref_fleet)):
                 break
@@ -587,7 +602,9 @@ def test_survey_counts_searches_and_reuses():
 def reference_nearest(kernel, start, claimed, goals):
     """``_Kernel.nearest`` as it was: one list per level, expanded in list
     order, and each reached cell's first move + 1 in a per-cell array."""
-    known, frontier, offsets = kernel.known, kernel.frontier, kernel.offsets
+    known = as_flags(kernel, kernel.known_bits)
+    frontier = as_flags(kernel, kernel.frontier_bits)
+    offsets = (-kernel.stride, -1, 1, kernel.stride)
     move = bytearray(len(known))  # first move + 1; 0 while unreached
     move[start] = 1
     level = []
@@ -620,7 +637,8 @@ def reference_path(kernel, start, target, length):
     hops away over ``known``: each is the first N, W, E, S neighbour of
     the one before that is a level closer to ``target`` in a search back
     from it."""
-    known, offsets, s = kernel.known, kernel.offsets, kernel.stride
+    known, s = as_flags(kernel, kernel.known_bits), kernel.stride
+    offsets = (-s, -1, 1, s)
     r0, c0 = divmod(start, s)
     dist, level = {target: 0}, [target]
     for d in range(1, length):
@@ -745,24 +763,70 @@ def test_nearest_matches_the_reference_search_as_its_window_grows(monkeypatch, c
     assert seen["far"] > 2000, seen
 
 
-def as_bits(flags):
-    """A flag bytearray as an int with bit i set where flag i is."""
-    packed = np.packbits(np.frombuffer(flags, dtype=bool), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def pocket_case():
+    """A 7x9 tube with two open pockets walled off from the entrance:
+    scout_2 is placed in the right one, which holds a sample site, and
+    nobody enters the left one. The explored mask given as input marks
+    the wall row under the entrance, obstacles included, and a cell of
+    the right pocket."""
+    grid = grid_from_text("...E.....\n"
+                          ".........\n"
+                          "######.##\n"
+                          "..#......\n"
+                          "..#.####.\n"
+                          "..#.#..#.\n"
+                          "..#.####.\n")
+    explored = np.zeros(grid.cells.shape, dtype=bool)
+    explored[2, :] = explored[5, 6] = True
+    grid = replace(grid, explored=explored)
+    fleet = make_fleet(grid, 2, battery_full_s=1e9)
+    fleet[-1] = replace(fleet[-1], position=(5, 5))
+    return grid, fleet, Station(), (SampleSite((5, 6), 1.0), SampleSite((3, 4), 1.0))
 
 
-def test_frontier_count_follows_the_flags():
-    """``learn`` keeps ``frontier_count`` equal to the set frontier flags,
-    and the bit sets ``known_bits`` and ``frontier_bits`` equal to the
-    ``known`` and ``frontier`` flags bit for bit, after construction and
-    after every tick."""
-    for index in range(12):
-        kernel = _Kernel(*crowd_case(index))
+def test_snapshot_and_coverage_match_the_flood_fill_oracle():
+    """After construction and after every tick of seeded surveys, the
+    kernel's bit sets match masks built from its explored mask:
+    ``known_bits`` is the explored open cells and ``frontier_bits`` the
+    frontier mask, with ``frontier_count`` its size; ``reachable`` counts
+    the flood fill from the entrance and ``covered`` its explored cells.
+    The surveys include robots placed off the entrance, cut-off pockets
+    and an input explored mask that marks obstacle cells."""
+    cases = [pocket_case()] + [crowd_case(index) for index in range(12)]
+    for index, (grid, fleet, station, sites) in enumerate(cases):
+        oracle = np.zeros(grid.cells.shape, dtype=bool)
+        oracle[tuple(np.array(sorted(flood_fill(grid.cells))).T)] = True
+        kernel = _Kernel(grid, fleet, station, sites)
         for _ in chain([None], survey_ticks(kernel, 300)):  # construction, then each tick
             where = f"case {index}, tick {kernel.ticks}"
-            assert kernel.frontier_count == sum(kernel.frontier), where
-            assert kernel.known_bits == as_bits(kernel.known), where
-            assert kernel.frontier_bits == as_bits(kernel.frontier), where
+            explored = kernel.explored_mask()
+            sensed = replace(grid, explored=explored)
+            assert kernel.covered == np.count_nonzero(oracle & explored), where
+            assert kernel.reachable == np.count_nonzero(oracle), where
+            assert kernel.known_bits == as_bits(grid.traversable() & explored), where
+            assert kernel.frontier_bits == as_bits(frontier_mask(sensed)), where
+            assert kernel.frontier_count == kernel.frontier_bits.bit_count(), where
+        if index == 0:  # the pocket case covers all it can reach, less the pockets
+            assert kernel.covered == kernel.reachable == np.count_nonzero(oracle) == 31
+            assert kernel.by_id[1].state is RobotState.STUCK
+            assert kernel.undeliverable(sites) == ((0, "cell [5, 6] is not connected "
+                                                       "to the entrance"),)
+
+
+def test_a_site_on_an_obstacle_beside_a_robot_is_never_a_target():
+    """The site at (0, 1) lies on an obstacle east of the entrance, ahead
+    of the frontier cell (1, 0) in N, W, E, S order. ``nearest`` takes a
+    goal only on a known cell, so the robot never aims at the site or
+    steps into the wall: it covers the open cells, and the site is
+    reported undeliverable."""
+    grid = grid_from_text("E#.\n...\n")
+    sites = (SampleSite((0, 1), 1.0),)
+    kernel = _Kernel(grid, make_fleet(grid, 1), Station(), sites)
+    for _ in survey_ticks(kernel, 50):
+        (scout,) = kernel.scouts
+        assert kernel.open[scout.v] and scout.target != (0, 1), kernel.ticks
+    assert kernel.covered == kernel.reachable == 5
+    assert kernel.undeliverable(sites) == ((0, "cell [0, 1] is an obstacle"),)
 
 
 def test_nothing_left_to_claim_is_answered_without_a_search(monkeypatch):
@@ -786,7 +850,7 @@ def test_nothing_left_to_claim_is_answered_without_a_search(monkeypatch):
     grid = grid_from_text("E..\n")
     kernel = _Kernel(grid, make_fleet(grid, 2), Station(), ())
     x = kernel.index((0, 1))
-    assert kernel.frontier_count == 1 and kernel.frontier[x]
+    assert kernel.frontier_count == 1 and kernel.frontier_bits == 1 << x
     kernel.tick()
     assert answers == [(set(), (x, x, 1), 0), ({x}, None, 0)]
     scout_1, scout_2 = kernel.by_id
