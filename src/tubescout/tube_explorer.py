@@ -136,7 +136,8 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 #: 0.18-0.32 us a cell at 100x100, 300x300 and 1000x1000, its bit sets
 #: spanning the padded map), so a survey at the bound on open maps takes
 #: at most about 80 s (CPython 3.11, 2 x86 CPUs). Once a tick, ``learn``
-#: and ``covered`` read the whole map: 110 us on an open 1000x1000 map.
+#: reads the whole map for the frontier and ``covered``: 110 us on an
+#: open 1000x1000 map.
 #: Where a level is one cell a search costs about 2-3 us a level: on a
 #: 150x100 serpentine of one-cell corridors, 2 robots and a sample site
 #: cut off from the entrance cover the map in 7396 of the 8300 ticks the
@@ -318,6 +319,13 @@ class RobotState(enum.Enum):
     RETURNING = "returning"
     CHARGING = "charging"
     STUCK = "stuck"
+
+
+# The tick reads the states as globals: each ``RobotState.X`` read is an
+# enum descriptor call, about 13 times a global read on CPython 3.11.
+_EXPLORING, _RETURNING = RobotState.EXPLORING, RobotState.RETURNING
+_CHARGING, _STUCK = RobotState.CHARGING, RobotState.STUCK
+_EMPTY: frozenset[int] = frozenset()
 
 
 class CapacityExhausted(ValueError):
@@ -528,11 +536,12 @@ class _Kernel:
     size ``frontier_count`` and ``dist_home`` (hops from the entrance
     over the known cells, -1 where unreachable) are the snapshot every
     robot plans on within a tick; ``learn`` builds it from the cells
-    sensed since its last call, all explored cells at construction, and
-    keeps them as ``fresh``. ``covered`` counts the known cells of
-    ``reach``. ``ticks`` counts ticks, ``searched`` and ``reused`` the
-    target choices made by a search and kept from the tick before, and
-    ``levels`` the levels the searches expanded.
+    sensed since its last call, all explored cells at construction, kept
+    as the list ``pending`` and the bit set ``pending_bits``, and keeps
+    them as ``fresh``. ``learn`` also sets ``covered``, the count of the
+    known cells of ``reach``. ``ticks`` counts ticks, ``searched`` and
+    ``reused`` the target choices made by a search and kept from the
+    tick before, and ``levels`` the levels the searches expanded.
 
     It holds all a survey changes: a ``_Scout`` per robot (``scouts``, in
     input order), the uncollected ``sites`` with the index of each one's
@@ -554,10 +563,11 @@ class _Kernel:
         self.open = _padded(traversable)
         self.open_bits = _bits(traversable)
         self.explored = _padded(grid.explored)  # GridMap keeps the entrance explored
-        self.known_bits = self.frontier_bits = self.frontier_count = 0
+        self.known_bits = self.frontier_bits = self.frontier_count = self.covered = 0
         self.dist_home = array("i", [-1]) * len(self.open)
         self.dist_home[self.entrance] = 0
         self.pending = np.flatnonzero(np.pad(traversable & grid.explored, 1)).tolist()
+        self.pending_bits = _bits(traversable & grid.explored)
         self.reach = _bits(reachable_cells(grid))
         self.reachable = self.reach.bit_count()
         self.ticks = self.searched = self.reused = self.levels = 0
@@ -591,10 +601,6 @@ class _Kernel:
         padded = np.frombuffer(self.explored, dtype=bool).reshape(-1, self.stride)
         return padded[1:-1, 1:-1].copy()
 
-    @property
-    def covered(self) -> int:
-        return (self.known_bits & self.reach).bit_count()
-
     def robots(self) -> list[ScoutRobot]:
         """The fleet as it stands, in input order."""
         return [replace(sc.robot, position=self.cell(sc.v), state=sc.state,
@@ -608,12 +614,15 @@ class _Kernel:
             if open_[x] and not explored[x]:
                 explored[x] = 1
                 self.pending.append(x)
+                self.pending_bits |= 1 << x
 
     def learn(self) -> None:
         """Add the cells sensed since the last call to the snapshot.
 
+        The added cells join ``known_bits`` as one OR of ``pending_bits``.
         The frontier is the known cells next to an open cell not yet
-        known, one bit-set expression over the whole map. The known map
+        known, one bit-set expression over the whole map, and ``covered``
+        the known cells of ``reach``, one popcount. The known map
         only grows, so home distances only shrink: the added cells start
         one hop beyond their nearest neighbour known before the call, and
         a Dijkstra pass from them lowers the rest (incremental shortest
@@ -627,12 +636,11 @@ class _Kernel:
         if not fresh:
             return
         s, open_, explored, dist = self.stride, self.open, self.explored, self.dist_home
-        known = self.known_bits
-        for v in fresh:
-            known |= 1 << v
-        self.known_bits = known
+        known = self.known_bits = self.known_bits | self.pending_bits
+        self.pending_bits = 0
         self.frontier_bits = known & _neighbours(self.open_bits & ~known, s)
         self.frontier_count = self.frontier_bits.bit_count()
+        self.covered = (known & self.reach).bit_count()
         heap = []
         for v in fresh:
             if dist[v] < 0:
@@ -769,10 +777,9 @@ class _Kernel:
         now is more than d - 1 away; and the cell it left, which a search
         skips as its start, is no unclaimed frontier or goal. No fresh
         cell then lies on a way of d - 1 hops from the robot, so the route
-        a search would lay now is the rest of the kept one.
+        a search would lay now is the rest of the kept one. ``scout`` has
+        a plan.
         """
-        if scout.plan is None:
-            return None
         tick, route, left, was_claimed, was_goals = scout.plan
         if tick != self.ticks - 1 or not route:
             return None
@@ -804,32 +811,32 @@ class _Kernel:
 
     def _advance(self, scout: _Scout, claimed: set[int]) -> None:
         robot, state, tick_s = scout.robot, scout.state, scout.tick_s
-        if state is RobotState.STUCK:
+        if state is _STUCK:
             return
-        if state is RobotState.CHARGING:
+        if state is _CHARGING:
             battery = min(robot.battery_full_s, scout.battery_s + scout.charge_s)
             scout.battery_s = battery
-            scout.state = RobotState.EXPLORING if battery >= robot.battery_full_s else state
+            scout.state = _EXPLORING if battery >= robot.battery_full_s else state
             return
 
         v = scout.v
         dist_home = self.dist_home
         if dist_home[v] < 0:  # cut off from the entrance
-            scout.state, scout.target = RobotState.STUCK, None
+            scout.state, scout.target = _STUCK, None
             return
-        if state is RobotState.EXPLORING and scout.battery_s <= _return_threshold_s(
+        if state is _EXPLORING and scout.battery_s <= _return_threshold_s(
                 dist_home[v], tick_s, robot.reserve_factor):
-            state = RobotState.RETURNING
+            state = _RETURNING
 
         target = move_to = None
-        if state is RobotState.EXPLORING:
+        if state is _EXPLORING:
             # the uncollected sites it can take now compete with frontiers
-            goals = frozenset()
+            goals = _EMPTY
             if self.sites and len(scout.samples) < robot.aux_slots:
                 capacity = robot.aux_capacity_kg
                 goals = {c for site, c in zip(self.sites, self.site_cells)
                          if site.mass_kg <= capacity}
-            route = self.reuse(scout, claimed, goals)
+            route = None if scout.plan is None else self.reuse(scout, claimed, goals)
             if route is None:
                 self.searched += 1
                 route = self.nearest(v, claimed, goals)
@@ -839,26 +846,35 @@ class _Kernel:
                 goal = route[0]
                 # a robot that finds a target always steps onto the next cell
                 move_to = route.pop()
-                scout.plan = (self.ticks, route, v, frozenset(claimed), goals)
+                scout.plan = (self.ticks, route, v,
+                              frozenset(claimed) if claimed else _EMPTY, goals)
                 claimed.add(goal)
                 target = self.cell(goal)
             elif v not in goals:
                 # nothing left to claim: head home to deliver and park. A
                 # site on its own cell, which ``nearest`` never tests, keeps
                 # it exploring, so the pickup below takes it this tick.
-                state = RobotState.RETURNING
-        if state is RobotState.RETURNING and move_to is None and dist_home[v] > 0:
-            closer = dist_home[v] - 1
-            move_to = next(n for n in (v - self.stride, v - 1, v + 1, v + self.stride)
-                           if dist_home[n] == closer)
+                state = _RETURNING
+        if state is _RETURNING and move_to is None and dist_home[v] > 0:
+            # the first N, W, E, S neighbour one hop closer to home
+            closer, s = dist_home[v] - 1, self.stride
+            if dist_home[v - s] == closer:
+                move_to = v - s
+            elif dist_home[v - 1] == closer:
+                move_to = v - 1
+            elif dist_home[v + 1] == closer:
+                move_to = v + 1
+            else:
+                move_to = v + s
 
-        scout.battery_s = max(0.0, scout.battery_s - tick_s)
+        battery = scout.battery_s - tick_s
+        scout.battery_s = battery if battery > 0.0 else 0.0  # max(0.0, battery)
         scout.state, scout.target = state, target
         if move_to is not None:
             self.sense(move_to)
             scout.v = v = move_to
             scout.moves += 1
-        if state is RobotState.EXPLORING:
+        if state is _EXPLORING:
             if v in goals:  # take the first listed site here it can carry
                 i = next(i for i, (site, c) in enumerate(zip(self.sites, self.site_cells))
                          if c == v and site.mass_kg <= capacity)
@@ -868,7 +884,7 @@ class _Kernel:
         elif v == self.entrance:
             scout.handed += len(scout.samples)
             self.delivered.extend(scout.samples)
-            scout.samples, scout.state, scout.target = (), RobotState.CHARGING, None
+            scout.samples, scout.state, scout.target = (), _CHARGING, None
 
     def undeliverable(self, sites: tuple[SampleSite, ...]) -> tuple[tuple[int, str], ...]:
         """(index, reason) for each site that no robot can bring home."""
@@ -906,7 +922,7 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
 
     Each call builds the tick kernel afresh from ``world``: ``learn``
     over every explored cell and the ``reach`` BFS over the open map.
-    On a half-explored 48x48 tube that is about 2.0-2.8 ms a call, where a
+    On a half-explored 48x48 tube that is about 1.8-1.9 ms a call, where a
     tick of ``run_exploration`` takes tens of microseconds. It stays so:
     ``world`` is the whole state, a per-grid cache of the map-only parts
     would be a second one to keep in step with it, and
@@ -970,7 +986,7 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
     def work_remaining() -> bool:
         if kernel.covered < kernel.reachable:
             return True
-        active = [sc for sc in kernel.scouts if sc.state is not RobotState.STUCK]
+        active = [sc for sc in kernel.scouts if sc.state is not _STUCK]
         if not active:
             return False
         if any(sc.samples for sc in active):

@@ -11,6 +11,7 @@ search back from the target that once laid a kept route; together they
 are the oracle of ``_Kernel.nearest`` and the route it answers.
 """
 
+import hashlib
 import random
 from collections import Counter, deque
 from itertools import chain
@@ -44,6 +45,7 @@ from tubescout.tube_explorer import (
     run_exploration,
     step,
 )
+from tubescout.rng import derive_seed
 
 _DIRECTIONS = ((-1, 0), (0, -1), (0, 1), (1, 0))
 
@@ -813,6 +815,21 @@ def test_snapshot_and_coverage_match_the_flood_fill_oracle():
                                                        "to the entrance"),)
 
 
+@pytest.mark.parametrize("density", [0.0, 0.3])
+def test_a_kernel_built_on_a_fully_explored_map_knows_every_open_cell(density):
+    """Built on a fully explored map, open or with obstacles, a kernel's
+    ``known_bits`` is every open cell, taken in one OR of the
+    ``pending_bits`` it was seeded with, and it covers all it reaches."""
+    grid = generate_tube(5, 30, 20, density)
+    grid.explored[:] = True
+    kernel = _Kernel(grid, make_fleet(grid, 2), Station(), ())
+    assert kernel.known_bits == as_bits(grid.traversable() & grid.explored)
+    assert kernel.pending_bits == 0
+    assert kernel.covered == kernel.reachable == len(flood_fill(grid.cells))
+    if density:
+        assert kernel.reachable < np.count_nonzero(grid.traversable())
+
+
 def test_a_site_on_an_obstacle_beside_a_robot_is_never_a_target():
     """The site at (0, 1) lies on an obstacle east of the entrance, ahead
     of the frontier cell (1, 0) in N, W, E, S order. ``nearest`` takes a
@@ -856,3 +873,59 @@ def test_nothing_left_to_claim_is_answered_without_a_search(monkeypatch):
     scout_1, scout_2 = kernel.by_id
     assert scout_1.target == (0, 1) and scout_1.v == x
     assert scout_2.state is RobotState.CHARGING and scout_2.target is None
+
+
+def pinned_survey(name):
+    """The outcome of one pinned survey as text: the ``repr`` of its
+    ``ExplorationReport``, or for ``steps`` the robots and world after
+    each of 200 ``step`` calls. The 28x28 tubes are the ones
+    ``explore --seed 7`` generates."""
+    tube = generate_tube(derive_seed(7, 0), 28, 28)
+    if name == "stall":  # stops at coverage 0.347 after 3000 steps
+        fleet = make_fleet(tube, 3, battery_full_s=23.5)
+        return repr(run_exploration(tube, fleet, Station(charge_time_s=5.0), 3000))
+    if name == "short":
+        fleet = make_fleet(tube, 3, battery_full_s=60.0)
+        sites = (SampleSite((5, 5), 1.0), SampleSite((20, 14), 2.0))
+        return repr(run_exploration(tube, fleet, Station(charge_time_s=5.0), 4000,
+                                    sample_sites=sites))
+    if name == "crowd":
+        grid = generate_tube(derive_seed(7, 0), 48, 48)
+        return repr(run_exploration(grid, make_fleet(grid, 30, battery_full_s=1e9),
+                                    max_steps=2000))
+    if name == "stuck":
+        grid, fleet, station, sites = pocket_case()
+        return repr(run_exploration(grid, fleet, station, sample_sites=sites))
+    grid = generate_tube(11, 20, 20)
+    open_cells = [tuple(map(int, rc)) for rc in np.argwhere(grid.cells != OBSTACLE)]
+    sites = (SampleSite(open_cells[40], 1.0), SampleSite(open_cells[200], 2.5),
+             SampleSite(open_cells[-1], 9.0))
+    world = TubeWorld(grid=grid, station=Station(charge_time_s=5.0), sample_sites=sites)
+    robots = make_fleet(grid, 3, battery_full_s=30 / 1.7)
+    views = []
+    for _ in range(200):
+        world, robots = step(world, robots)
+        views.append(repr((robot_view(robots), world_view(world))))
+    return "\n".join(views)
+
+
+#: SHA-256 of ``pinned_survey(name)``, computed before the tick was last
+#: rewritten: every state, route, float and count of these surveys stays.
+PINNED_SURVEYS = {
+    "crowd": "5af377129a4286dfdff92516cdd50adbc237d9468b880b6a140e0a9b8d3e4449",
+    "short": "a0979c9bedc9ed0ee045b7bd1545e39f56c8f5c63403052ee22358a3d8e4c5c6",
+    "stall": "b276c0353735300af22b744fa7088bbf3bc6e25611ac827a7f4ce59d31bd5e54",
+    "steps": "f542f4febd0c90704bbba80924d972ebb3982a703abe23b1af2b7d1227ad8cb7",
+    "stuck": "72ba27c4f3d18ffe9905eac6a91d4b4d6300d8ee4723d48f63607faabb3a36e2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SURVEYS))
+def test_pinned_surveys_keep_every_outcome(name):
+    """Five surveys keep their outcome byte for byte: a 28x28 stall whose
+    robots shuttle to charge, a short-battery 28x28 survey with two
+    sample sites, 30 robots on a 48x48 tube, a robot placed in a pocket
+    cut off from the entrance, which goes STUCK, and 200 ``step`` calls
+    on a 20x20 tube with sites."""
+    digest = hashlib.sha256(pinned_survey(name).encode()).hexdigest()
+    assert digest == PINNED_SURVEYS[name]
