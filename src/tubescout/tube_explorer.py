@@ -19,7 +19,6 @@ import enum
 import heapq
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -130,7 +129,8 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 
 #: Upper bound on the work of one survey, counted per robot tick as the
 #: map's cells plus ``SURVEY_TICK_CELLS``. A stalled survey runs all of
-#: its ``max_steps``; a robot tick then costs about 4-5 us plus about
+#: its ``max_steps``; a robot tick then costs about 2.5-4 us (a search
+#: that finds nothing on a 3x3 map, timed per tick) plus about
 #: 0.3 us per map cell (a target search over the whole known map that
 #: finds nothing: from a corner of an open map 0.03-0.06, 0.05-0.10 and
 #: 0.18-0.32 us a cell at 100x100, 300x300 and 1000x1000, its bit sets
@@ -141,10 +141,10 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 #: Where a level is one cell a search costs about 2-3 us a level: on a
 #: 150x100 serpentine of one-cell corridors, 2 robots and a sample site
 #: cut off from the entrance cover the map in 7396 of the 8300 ticks the
-#: bound allows, taking 20-22 s, but a survey there that a robot placed
-#: on the cut-off cells keeps from ending takes 36-56 ms a tick with 6
-#: robots, 100-155 s at the bound.
-#: ``SURVEY_TICK_CELLS`` covers the fixed cost three to four times over.
+#: bound allows, taking 20-22 s. A site that a robot placed on cut-off
+#: cells senses there is no work left, so such a robot no longer keeps
+#: a survey from ending once ``reach`` is covered.
+#: ``SURVEY_TICK_CELLS`` covers the fixed cost four to seven times over.
 #: Keeping a target (``_Kernel.reuse``) and the "nothing" answer of
 #: ``_Kernel.nearest`` do not lower the bound: in the worst case a target
 #: is left unclaimed out of reach, the search finds nothing, and no
@@ -233,19 +233,16 @@ def write_map_file(path, grid: GridMap) -> None:
         fh.write(grid_to_text(grid))
 
 
-def _padded(mask: np.ndarray) -> bytearray:
-    """A boolean grid as a row-major bytearray inside a one-cell clear border."""
+def _padded(mask: np.ndarray) -> np.ndarray:
+    """A grid as a boolean array inside a one-cell clear border."""
     import numpy as np
-    h, w = mask.shape
-    padded = np.zeros((h + 2, w + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    return bytearray(padded.tobytes())
+    return np.pad(np.asarray(mask, dtype=bool), 1)
 
 
-def _bits(mask: np.ndarray) -> int:
-    """A boolean grid as an int with bit i set for cell i of the padded map."""
+def _packed(padded: np.ndarray) -> int:
+    """A padded boolean array as an int with bit i set for its flat cell i."""
     import numpy as np
-    return int.from_bytes(np.packbits(np.pad(mask, 1), bitorder="little"), "little")
+    return int.from_bytes(np.packbits(padded, bitorder="little"), "little")
 
 
 def _neighbours(cells: int, stride: int) -> int:
@@ -256,20 +253,27 @@ def _neighbours(cells: int, stride: int) -> int:
 
 def _flat_bfs(mask: bytearray, start: int, offsets: tuple[int, ...]) -> array:
     """Hop counts from ``start`` over the set cells of a padded flat mask,
-    -1 where unreachable. The clear border makes bounds checks needless."""
+    -1 where unreachable. The clear border makes bounds checks needless.
+
+    It expands level by level, and ``left``, a copy of the mask cleared
+    as cells are reached, is the one flag it tests per neighbour."""
     dist = array("i", [-1]) * len(mask)
     if not mask[start]:
         return dist
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for off in offsets:
-            n = v + off
-            if mask[n] and dist[n] < 0:
-                dist[n] = d
-                queue.append(n)
+    left = bytearray(mask)
+    left[start] = dist[start] = 0
+    level, d = [start], 0
+    while level:
+        d += 1
+        reached = []
+        for v in level:
+            for off in offsets:
+                n = v + off
+                if left[n]:
+                    left[n] = 0
+                    dist[n] = d
+                    reached.append(n)
+        level = reached
     return dist
 
 
@@ -280,7 +284,7 @@ def bfs_distances(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
     if not (0 <= start[0] < h and 0 <= start[1] < w):
         raise IndexError(f"start {start} is outside the {h}x{w} mask")
     stride = w + 2
-    flat = _flat_bfs(_padded(mask), (start[0] + 1) * stride + start[1] + 1,
+    flat = _flat_bfs(bytearray(_padded(mask)), (start[0] + 1) * stride + start[1] + 1,
                      (-stride, -1, 1, stride))
     return np.frombuffer(flat, dtype=np.intc).reshape(h + 2, stride)[
         1:-1, 1:-1].astype(np.int32)
@@ -495,19 +499,22 @@ class _Scout:
     """A robot's changing state in a survey; ``robot`` keeps the rest.
 
     ``tick_s`` is the time a tick takes it and ``charge_s`` the battery
-    one charging tick adds (infinite for an instant charge). ``plan``
+    one charging tick adds (infinite for an instant charge); ``aux_slots``
+    is read from ``robot`` once. ``target`` is the index of the cell it
+    chose last, or the target it was handed in with until a tick sets
+    one; ``_Kernel.robots`` turns an index back into ``(row, col)``. ``plan``
     records its last choice of target, as (tick, the route still to walk
     to it, the cell it left, the claims and goals it chose under); the
     route is the stack ``_Kernel.nearest`` answered, target first, less
     the cell it stepped onto, and ``_Kernel.reuse`` keeps it.
     """
 
-    __slots__ = ("robot", "v", "tick_s", "charge_s", "state", "battery_s",
-                 "samples", "target", "moves", "handed", "plan")
+    __slots__ = ("robot", "v", "aux_slots", "tick_s", "charge_s", "state",
+                 "battery_s", "samples", "target", "moves", "handed", "plan")
 
     def __init__(self, robot: ScoutRobot, v: int, resolution_m: float,
                  station: Station):
-        self.robot, self.v = robot, v
+        self.robot, self.v, self.aux_slots = robot, v, robot.aux_slots
         self.tick_s = tick_s = resolution_m / robot.speed_mps
         if station.charge_time_s == 0:
             self.charge_s = math.inf
@@ -529,9 +536,12 @@ class _Kernel:
     at ``(-W, -1, +1, +W)`` with no bounds checks, and ordering indices
     orders ``(row, col)``. A cell off the map is index 0, a border cell.
 
-    ``open`` and the live sensed mask ``explored`` are flag bytearrays;
-    the cell sets are ints with bit i for cell i: ``open_bits`` and
-    ``reach`` (the entrance-connected open cells) are fixed, and
+    Construction pads the open map and the explored mask once each, and
+    takes every other map from those two arrays. ``open``, the live
+    sensed mask ``explored`` and ``unseen`` (the open cells not yet
+    explored, the one flag ``sense`` tests) are flag bytearrays; the cell
+    sets are ints with bit i for cell i: ``open_bits`` and ``reach`` (the
+    entrance-connected open cells, from a BFS over ``open``) are fixed, and
     ``known_bits`` (the explored open cells), ``frontier_bits`` with its
     size ``frontier_count`` and ``dist_home`` (hops from the entrance
     over the known cells, -1 where unreachable) are the snapshot every
@@ -545,9 +555,12 @@ class _Kernel:
 
     It holds all a survey changes: a ``_Scout`` per robot (``scouts``, in
     input order), the uncollected ``sites`` with the index of each one's
-    cell in ``site_cells``, and the ``delivered`` samples. It checks the
-    robots' ids and cells as ``step`` describes: each robot senses its
-    cell at construction, and afterwards only the cells it moves to.
+    cell in ``site_cells``, and the ``delivered`` samples. ``goals`` maps
+    a module capacity to the cells of the sites a robot of that capacity
+    can lift; it is built as robots ask and emptied when a site is taken.
+    It checks the robots' ids and cells as ``step`` describes: each robot
+    senses its cell at construction, and afterwards only the cells it
+    moves to.
     """
 
     def __init__(self, grid: GridMap, robots: list[ScoutRobot], station: Station,
@@ -559,17 +572,21 @@ class _Kernel:
         self.site_cells = [self.index(site.cell) for site in self.sites]
         self.delivered = list(delivered)
         self.entrance = self.index(grid.entrance)
-        traversable = grid.traversable()
-        self.open = _padded(traversable)
-        self.open_bits = _bits(traversable)
-        self.explored = _padded(grid.explored)  # GridMap keeps the entrance explored
+        open_ = _padded(grid.cells != OBSTACLE)
+        explored = _padded(grid.explored)  # GridMap keeps the entrance explored
+        known = open_ & explored
+        self.open, self.explored = bytearray(open_), bytearray(explored)
+        self.unseen = bytearray(open_ & ~explored)
+        self.open_bits, self.pending_bits = _packed(open_), _packed(known)
+        self.pending = np.flatnonzero(known).tolist()
         self.known_bits = self.frontier_bits = self.frontier_count = self.covered = 0
         self.dist_home = array("i", [-1]) * len(self.open)
         self.dist_home[self.entrance] = 0
-        self.pending = np.flatnonzero(np.pad(traversable & grid.explored, 1)).tolist()
-        self.pending_bits = _bits(traversable & grid.explored)
-        self.reach = _bits(reachable_cells(grid))
+        s = self.stride
+        reach = _flat_bfs(self.open, self.entrance, (-s, -1, 1, s))
+        self.reach = _packed(np.frombuffer(reach, dtype=np.intc) >= 0)
         self.reachable = self.reach.bit_count()
+        self.goals: dict[float, set[int]] = {}
         self.ticks = self.searched = self.reused = self.levels = 0
         ids = [r.id for r in robots]
         if len(set(ids)) != len(ids):
@@ -602,17 +619,24 @@ class _Kernel:
         return padded[1:-1, 1:-1].copy()
 
     def robots(self) -> list[ScoutRobot]:
-        """The fleet as it stands, in input order."""
+        """The fleet as it stands, in input order. A target chosen in a
+        tick is a cell index; one handed in with a robot is kept as given."""
         return [replace(sc.robot, position=self.cell(sc.v), state=sc.state,
-                        battery_s=sc.battery_s, samples=sc.samples, target=sc.target)
+                        battery_s=sc.battery_s, samples=sc.samples,
+                        target=self.cell(sc.target) if isinstance(sc.target, int)
+                        else sc.target)
                 for sc in self.scouts]
 
     def sense(self, v: int) -> None:
-        """Mark cell ``v`` and its open neighbours explored."""
-        s, explored, open_ = self.stride, self.explored, self.open
+        """Mark cell ``v`` and its open neighbours explored.
+
+        One flag per cell, ``unseen``, tells an open cell not yet explored;
+        it is cleared as the cell is marked, so each cell is sensed once."""
+        s, unseen = self.stride, self.unseen
         for x in (v, v - s, v - 1, v + 1, v + s):
-            if open_[x] and not explored[x]:
-                explored[x] = 1
+            if unseen[x]:
+                unseen[x] = 0
+                self.explored[x] = 1
                 self.pending.append(x)
                 self.pending_bits |= 1 << x
 
@@ -777,12 +801,10 @@ class _Kernel:
         now is more than d - 1 away; and the cell it left, which a search
         skips as its start, is no unclaimed frontier or goal. No fresh
         cell then lies on a way of d - 1 hops from the robot, so the route
-        a search would lay now is the rest of the kept one. ``scout`` has
-        a plan.
+        a search would lay now is the rest of the kept one. ``scout``'s
+        plan is live: made last tick, with a route left to walk.
         """
-        tick, route, left, was_claimed, was_goals = scout.plan
-        if tick != self.ticks - 1 or not route:
-            return None
+        _, route, left, was_claimed, was_goals = scout.plan
         target, d = route[0], len(route) + 1
         frontier = self.frontier_bits
         if (goals != was_goals or target in claimed
@@ -832,11 +854,17 @@ class _Kernel:
         if state is _EXPLORING:
             # the uncollected sites it can take now compete with frontiers
             goals = _EMPTY
-            if self.sites and len(scout.samples) < robot.aux_slots:
+            if self.sites and len(scout.samples) < scout.aux_slots:
                 capacity = robot.aux_capacity_kg
-                goals = {c for site, c in zip(self.sites, self.site_cells)
-                         if site.mass_kg <= capacity}
-            route = None if scout.plan is None else self.reuse(scout, claimed, goals)
+                goals = self.goals.get(capacity)
+                if goals is None:  # kept per capacity until a site is taken
+                    goals = self.goals[capacity] = {
+                        c for site, c in zip(self.sites, self.site_cells)
+                        if site.mass_kg <= capacity}
+            plan = scout.plan
+            route = None
+            if plan is not None and plan[0] == self.ticks - 1 and plan[1]:
+                route = self.reuse(scout, claimed, goals)
             if route is None:
                 self.searched += 1
                 route = self.nearest(v, claimed, goals)
@@ -849,7 +877,7 @@ class _Kernel:
                 scout.plan = (self.ticks, route, v,
                               frozenset(claimed) if claimed else _EMPTY, goals)
                 claimed.add(goal)
-                target = self.cell(goal)
+                target = goal
             elif v not in goals:
                 # nothing left to claim: head home to deliver and park. A
                 # site on its own cell, which ``nearest`` never tests, keeps
@@ -880,6 +908,7 @@ class _Kernel:
                          if c == v and site.mass_kg <= capacity)
                 site = self.sites.pop(i)
                 del self.site_cells[i]
+                self.goals.clear()
                 scout.samples += (_seal(robot, scout.samples, site.mass_kg, site.cell),)
         elif v == self.entrance:
             scout.handed += len(scout.samples)
@@ -922,8 +951,9 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
 
     Each call builds the tick kernel afresh from ``world``: ``learn``
     over every explored cell and the ``reach`` BFS over the open map.
-    On a half-explored 48x48 tube that is about 1.8-1.9 ms a call, where a
-    tick of ``run_exploration`` takes tens of microseconds. It stays so:
+    On a 48x48 tube 246 ticks into a 3-robot survey (39% explored) that
+    is about 1.55-1.6 ms a call, where a tick of ``run_exploration``
+    takes tens of microseconds. It stays so:
     ``world`` is the whole state, a per-grid cache of the map-only parts
     would be a second one to keep in step with it, and
     ``run_exploration`` keeps one kernel for a whole survey. For the same
@@ -984,8 +1014,9 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
     steps = 0
 
     def work_remaining() -> bool:
-        if kernel.covered < kernel.reachable:
-            return True
+        """At full coverage: samples still carried, or a site left in
+        ``reach`` that a robot can lift. Every cell of ``reach`` is known
+        by then, and a site off it can never be brought home."""
         active = [sc for sc in kernel.scouts if sc.state is not _STUCK]
         if not active:
             return False
@@ -993,10 +1024,10 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
             return True
         max_capacity = max(sc.robot.aux_capacity_kg for sc in active)
         return any(
-            kernel.explored[v] and site.mass_kg <= max_capacity
+            kernel.reach >> v & 1 and site.mass_kg <= max_capacity
             for site, v in zip(kernel.sites, kernel.site_cells))
 
-    while work_remaining() and steps < max_steps:
+    while (kernel.covered < kernel.reachable or work_remaining()) and steps < max_steps:
         kernel.tick()
         steps += 1
 

@@ -289,15 +289,50 @@ def test_kernel_matches_reference_step(block):
                 break
 
 
-def test_bfs_distances_matches_reference():
+def serpentine(height, width):
+    """One-cell corridors joined at alternate ends: a single path through
+    every open cell, so each BFS level holds one cell."""
+    mask = np.zeros((height, width), dtype=bool)
+    mask[::2, :] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def bfs_cases():
+    """(mask, start) pairs: drawn masks up to 64x64 at open shares of
+    0.3-1.0, serpentines, 1xN and Nx1 strips with and without gaps, and
+    starts on obstacles."""
     rng = random.Random(7)
-    for _ in range(50):
-        h, w = rng.randint(1, 15), rng.randint(1, 15)
-        mask = np.array([[rng.random() < 0.7 for _ in range(w)] for _ in range(h)])
-        start = (rng.randrange(h), rng.randrange(w))
+    for _ in range(80):
+        h, w = rng.randint(1, 64), rng.randint(1, 64)
+        mask = np.array([[rng.random() < rng.choice([0.3, 0.6, 0.7, 0.9, 1.0])
+                          for _ in range(w)] for _ in range(h)])
+        yield mask, (rng.randrange(h), rng.randrange(w))
+    for h, w in ((1, 1), (3, 5), (9, 9), (21, 40), (64, 64), (63, 7)):
+        mask = serpentine(h, w)
+        yield mask, (0, 0)
+        yield mask, (h - 1, rng.randrange(w))
+    for n in (1, 2, 17, 64, 1000):
+        strip = np.ones(n, dtype=bool)
+        if n > 2:
+            strip[n // 3] = False
+        for start in {0, n // 2, n - 1}:
+            yield strip[None, :], (0, start)
+            yield strip[:, None], (start, 0)
+    mask = serpentine(9, 9)
+    yield mask, (1, 3)  # an obstacle inside the serpentine
+    yield np.zeros((4, 6), dtype=bool), (2, 2)
+
+
+def test_bfs_distances_matches_reference():
+    """The level-by-level flat BFS gives the reference's hop counts."""
+    for mask, start in bfs_cases():
         got = bfs_distances(mask, start)
         assert got.dtype == np.int32
-        assert np.array_equal(got, reference_bfs(mask, start))
+        assert np.array_equal(got, reference_bfs(mask, start)), (mask.shape, start)
+        if not mask[start]:
+            assert (got == -1).all()
 
 
 def flood_fill(cells):
@@ -452,6 +487,51 @@ def test_robot_takes_the_light_site_listed_after_a_heavy_one():
     assert report.samples_delivered == 1 and report.steps < 20
 
 
+def mixed_capacity_case(index):
+    """A seeded tube with 2-4 robots whose modules alternate between 2 kg
+    and 6 kg, and 3-8 sites of 1, 4 or 7 kg: a 1 kg pickup changes the
+    sites both capacities can lift, a 4 kg one only the 6 kg robots'."""
+    rng = random.Random(f"goals:{index}")
+    grid = generate_tube(rng.randrange(1 << 30), rng.randint(6, 20), rng.randint(6, 20),
+                         rng.choice([0.0, 0.1, 0.2]))
+    fleet = [replace(robot, aux_capacity_kg=(2.0, 6.0)[i % 2])
+             for i, robot in enumerate(make_fleet(grid, rng.randint(2, 4),
+                                                  module_count=rng.randint(2, 4),
+                                                  battery_full_s=40 / 1.7))]
+    open_cells = [tuple(map(int, rc)) for rc in np.argwhere(grid.cells != OBSTACLE)]
+    sites = tuple(SampleSite(rng.choice(open_cells), rng.choice([1.0, 4.0, 7.0]))
+                  for _ in range(rng.randint(3, 8)))
+    for robot in fleet:
+        reference_sense(grid.explored, grid.cells, robot.position)
+    return TubeWorld(grid=grid, station=Station(charge_time_s=5.0), sample_sites=sites), fleet
+
+
+def test_goals_kept_per_capacity_follow_every_pickup():
+    """Side by side with the reference tick on a kernel kept across
+    ticks: robots of 2 kg and 6 kg modules keep their goals per capacity
+    while no site is taken. After every tick each kept set is the sites a
+    robot of its capacity can lift, and the robots and sites match the
+    reference, through pickups that change the goals of one capacity and
+    of both."""
+    pickups = Counter()
+    for index in range(24):
+        world, fleet = mixed_capacity_case(index)
+        kernel = _Kernel(world.grid, fleet, world.station, world.sample_sites)
+        for tick in range(120):
+            before = world.sample_sites
+            world, fleet = reference_step(world, fleet)
+            kernel.tick()
+            where = f"case {index}, tick {tick}"
+            assert robot_view(kernel.robots()) == robot_view(fleet), where
+            assert tuple(kernel.sites) == world.sample_sites, where
+            for capacity, goals in kernel.goals.items():
+                assert goals == {c for site, c in zip(kernel.sites, kernel.site_cells)
+                                 if site.mass_kg <= capacity}, where
+            taken = Counter(before) - Counter(world.sample_sites)
+            pickups.update("one" if site.mass_kg > 2.0 else "both" for site in taken)
+    assert pickups["one"] >= 20 and pickups["both"] >= 20, pickups
+
+
 def test_a_robot_takes_the_site_on_the_entrance_where_it_stands():
     """``nearest`` never tests its start cell. A robot standing on a site
     it can carry, with nothing else to claim, takes it there instead of
@@ -556,7 +636,7 @@ def test_a_reuse_follows_a_pickup_that_leaves_the_goals_equal(monkeypatch):
     kernel = _Kernel(grid, fleet, Station(), sites)
     kernel.tick()
     scout_2 = kernel.by_id[1]
-    assert scout_2.target == (0, 6) and scout_2.v == kernel.index((0, 3))
+    assert scout_2.target == kernel.index((0, 6)) and scout_2.v == kernel.index((0, 3))
     assert len(scout_2.samples) == 1
     kernel.tick()
     x, t = kernel.index((0, 3)), kernel.index((0, 6))
@@ -579,7 +659,7 @@ def test_kept_kernel_keeps_claims_exclusive_and_batteries_up_at_scale(
     fleet = make_fleet(grid, robots, battery_full_s=battery_ticks / 1.7)
     kernel = _Kernel(grid, fleet, Station(charge_time_s=5.0), ())
     for _ in survey_ticks(kernel, 1000):
-        targets = [sc.target for sc in kernel.scouts if sc.target is not None]
+        targets = [r.target for r in kernel.robots() if r.target is not None]
         assert len(targets) == len(set(targets))
         for sc in kernel.scouts:
             if sc.v != kernel.entrance and sc.state is not RobotState.STUCK:
@@ -792,6 +872,8 @@ def test_snapshot_and_coverage_match_the_flood_fill_oracle():
     ``known_bits`` is the explored open cells and ``frontier_bits`` the
     frontier mask, with ``frontier_count`` its size; ``reachable`` counts
     the flood fill from the entrance and ``covered`` its explored cells.
+    The ``unseen`` flags are the open cells not yet explored, so no cell
+    is learned twice.
     The surveys include robots placed off the entrance, cut-off pockets
     and an input explored mask that marks obstacle cells."""
     cases = [pocket_case()] + [crowd_case(index) for index in range(12)]
@@ -808,6 +890,9 @@ def test_snapshot_and_coverage_match_the_flood_fill_oracle():
             assert kernel.known_bits == as_bits(grid.traversable() & explored), where
             assert kernel.frontier_bits == as_bits(frontier_mask(sensed)), where
             assert kernel.frontier_count == kernel.frontier_bits.bit_count(), where
+            assert np.array_equal(unpad(kernel, kernel.unseen, bool),
+                                  grid.traversable() & ~explored), where
+            assert len(set(kernel.fresh)) == len(kernel.fresh), where
         if index == 0:  # the pocket case covers all it can reach, less the pockets
             assert kernel.covered == kernel.reachable == np.count_nonzero(oracle) == 31
             assert kernel.by_id[1].state is RobotState.STUCK
@@ -841,7 +926,8 @@ def test_a_site_on_an_obstacle_beside_a_robot_is_never_a_target():
     kernel = _Kernel(grid, make_fleet(grid, 1), Station(), sites)
     for _ in survey_ticks(kernel, 50):
         (scout,) = kernel.scouts
-        assert kernel.open[scout.v] and scout.target != (0, 1), kernel.ticks
+        assert kernel.open[scout.v] and scout.target != kernel.index((0, 1)), kernel.ticks
+        assert kernel.robots()[0].target != (0, 1), kernel.ticks
     assert kernel.covered == kernel.reachable == 5
     assert kernel.undeliverable(sites) == ((0, "cell [0, 1] is an obstacle"),)
 
@@ -871,7 +957,8 @@ def test_nothing_left_to_claim_is_answered_without_a_search(monkeypatch):
     kernel.tick()
     assert answers == [(set(), (x, x, 1), 0), ({x}, None, 0)]
     scout_1, scout_2 = kernel.by_id
-    assert scout_1.target == (0, 1) and scout_1.v == x
+    assert scout_1.target == x and scout_1.v == x
+    assert [r.target for r in kernel.robots()] == [(0, 1), None]
     assert scout_2.state is RobotState.CHARGING and scout_2.target is None
 
 
@@ -911,12 +998,14 @@ def pinned_survey(name):
 
 #: SHA-256 of ``pinned_survey(name)``, computed before the tick was last
 #: rewritten: every state, route, float and count of these surveys stays.
+#: ``stuck`` was pinned again when a site off ``reach`` stopped counting as
+#: work left (see the test after this one); its survey now ends at step 40.
 PINNED_SURVEYS = {
     "crowd": "5af377129a4286dfdff92516cdd50adbc237d9468b880b6a140e0a9b8d3e4449",
     "short": "a0979c9bedc9ed0ee045b7bd1545e39f56c8f5c63403052ee22358a3d8e4c5c6",
     "stall": "b276c0353735300af22b744fa7088bbf3bc6e25611ac827a7f4ce59d31bd5e54",
     "steps": "f542f4febd0c90704bbba80924d972ebb3982a703abe23b1af2b7d1227ad8cb7",
-    "stuck": "72ba27c4f3d18ffe9905eac6a91d4b4d6300d8ee4723d48f63607faabb3a36e2",
+    "stuck": "f9a32b7ce8411ec094ab371c19e402bfedc6ae82a360cbca8d975cf18729329e",
 }
 
 
@@ -929,3 +1018,17 @@ def test_pinned_surveys_keep_every_outcome(name):
     on a 20x20 tube with sites."""
     digest = hashlib.sha256(pinned_survey(name).encode()).hexdigest()
     assert digest == PINNED_SURVEYS[name]
+
+
+def test_a_site_sensed_in_a_cut_off_pocket_keeps_no_survey_running():
+    """In ``pocket_case`` the STUCK robot placed in the walled-off pocket
+    has sensed the site there, which no robot can bring home. The other
+    robot covers every reachable cell and delivers the reachable site by
+    step 40, and the survey ends then rather than at ``max_steps``."""
+    grid, fleet, station, sites = pocket_case()
+    report = run_exploration(grid, fleet, station, max_steps=10_000, sample_sites=sites)
+    assert report.steps == 40
+    assert report.coverage_fraction == 1.0
+    assert report.samples_delivered == 1
+    assert [s.samples_delivered for s in report.per_robot_stats] == [1, 0]
+    assert [s.final_state for s in report.per_robot_stats] == ["charging", "stuck"]
