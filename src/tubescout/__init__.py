@@ -104,11 +104,9 @@ from tubescout.tube_explorer import (
     ENTRANCE,
     FREE,
     OBSTACLE,
-    CapacityExhausted,
     ExplorationReport,
     GridMap,
     MapError,
-    OverMass,
     RobotState,
     Sample,
     SampleSite,
@@ -116,10 +114,8 @@ from tubescout.tube_explorer import (
     Station,
     TubeWorld,
     bfs_distances,
-    collect_sample,
     coverage_fraction,
     fresh_map,
-    frontier_mask,
     generate_tube,
     grid_from_text,
     grid_to_text,

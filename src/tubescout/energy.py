@@ -194,13 +194,12 @@ class SocTrace:
     step and ``first_supply_w`` at step 0, which adds any regeneration
     credit.
 
-    It derives the rest, as a new array on every read. ``supply_w`` is
-    ``first_supply_w`` at step 0 and ``base_supply_w`` after it.
-    ``charged_wh``/``discharged_wh`` are the two signs of
-    ``np.diff(soc_wh)``: the actual per-step battery deltas, at most one
-    of them nonzero per step, and SoC stays within [0, capacity_wh]. SoC
-    closure,
-    soc[i+1] = soc[i] + charged_wh[i] - discharged_wh[i],
+    It derives ``supply_w`` as a new array on every read:
+    ``first_supply_w`` at step 0 and ``base_supply_w`` after it. The
+    per-step battery deltas are ``np.diff(soc_wh)``, a charge where
+    positive and a discharge where negative, and SoC stays within
+    [0, capacity_wh]. SoC closure,
+    soc[i+1] = soc[i] + np.diff(soc_wh)[i],
     holds exactly at every step where some float64 charge can close it.
     A step clamped at capacity may have none: when soc[i] is an odd
     multiple of half the capacity's unit in the last place, capacity
@@ -229,18 +228,6 @@ class SocTrace:
         supply_w = np.full(len(self.demand_w), self.base_supply_w, dtype=float)
         supply_w[0] = self.first_supply_w
         return supply_w
-
-    @property
-    def charged_wh(self) -> np.ndarray:
-        import numpy as np
-        return np.maximum(np.diff(self.soc_wh), 0.0)
-
-    @property
-    def discharged_wh(self) -> np.ndarray:
-        import numpy as np
-        delta = np.diff(self.soc_wh)
-        # charged - delta is -delta exactly where SoC fell and +0.0 elsewhere.
-        return np.subtract(np.maximum(delta, 0.0), delta, out=delta)
 
     @property
     def final_soc_wh(self) -> float:
@@ -295,9 +282,6 @@ class SocTrace:
     def violations(self) -> tuple[Violation, ...]:
         return tuple(Violation(time_s, name, deficit_w)
                      for time_s, name, _, deficit_w in self.cuts())
-
-    def violated_load_names(self) -> set[str]:
-        return {name for _, _, name, _, _ in self.cut_runs()}
 
 
 def sol_problems(sources: list[PowerSource], loads: list[PowerLoad],

@@ -304,20 +304,6 @@ def coverage_fraction(grid: GridMap) -> float:
     return done / total
 
 
-def frontier_mask(grid: GridMap) -> np.ndarray:
-    """Explored traversable cells with >= 1 unexplored traversable neighbor."""
-    import numpy as np
-    traversable, explored = grid.traversable(), grid.explored
-    open_unexplored = traversable & ~explored
-    h, w = open_unexplored.shape
-    has_unexplored_neighbor = np.zeros((h, w), dtype=bool)
-    has_unexplored_neighbor[1:, :] |= open_unexplored[:-1, :]
-    has_unexplored_neighbor[:-1, :] |= open_unexplored[1:, :]
-    has_unexplored_neighbor[:, 1:] |= open_unexplored[:, :-1]
-    has_unexplored_neighbor[:, :-1] |= open_unexplored[:, 1:]
-    return traversable & explored & has_unexplored_neighbor
-
-
 class RobotState(enum.Enum):
     EXPLORING = "exploring"
     RETURNING = "returning"
@@ -330,14 +316,6 @@ class RobotState(enum.Enum):
 _EXPLORING, _RETURNING = RobotState.EXPLORING, RobotState.RETURNING
 _CHARGING, _STUCK = RobotState.CHARGING, RobotState.STUCK
 _EMPTY: frozenset[int] = frozenset()
-
-
-class CapacityExhausted(ValueError):
-    """All aux module slots already hold a sample."""
-
-
-class OverMass(ValueError):
-    """Sample mass exceeds the per-module payload limit."""
 
 
 @dataclass(frozen=True)
@@ -419,34 +397,6 @@ def make_fleet(grid: GridMap, count: int, **overrides) -> list[ScoutRobot]:
         raise ValueError(f"count must be positive, got {count}")
     return [ScoutRobot(id=f"scout_{i + 1}", position=grid.entrance, **overrides)
             for i in range(count)]
-
-
-def collect_sample(robot: ScoutRobot, mass_kg: float,
-                   origin: tuple[int, int] | None = None) -> ScoutRobot:
-    """Seal a sample into the lowest free aux slot.
-
-    Raises:
-        OverMass: if the sample exceeds the per-module mass limit.
-        CapacityExhausted: if every aux slot already holds a sample.
-    """
-    sample = _seal(robot, robot.samples, mass_kg,
-                   robot.position if origin is None else origin)
-    return replace(robot, samples=robot.samples + (sample,))
-
-
-def _seal(robot: ScoutRobot, samples: tuple[Sample, ...], mass_kg: float,
-          origin: tuple[int, int]) -> Sample:
-    """The sample ``collect_sample`` seals when ``robot`` holds ``samples``."""
-    if mass_kg > robot.aux_capacity_kg:
-        raise OverMass(
-            f"sample mass {mass_kg} kg exceeds the {robot.aux_capacity_kg} kg "
-            f"module limit")
-    used = {s.module_slot for s in samples}
-    free = [slot for slot in range(1, robot.aux_slots + 1) if slot not in used]
-    if not free:
-        raise CapacityExhausted(
-            f"robot {robot.id} has no free aux slot ({robot.aux_slots} in use)")
-    return Sample(mass_kg=mass_kg, origin=origin, module_slot=free[0])
 
 
 @dataclass(frozen=True)
@@ -909,7 +859,12 @@ class _Kernel:
                 site = self.sites.pop(i)
                 del self.site_cells[i]
                 self.goals.clear()
-                scout.samples += (_seal(robot, scout.samples, site.mass_kg, site.cell),)
+                # sealed in its lowest free slot: goals hold only sites it
+                # can lift, and only while it has a free slot
+                used = {s.module_slot for s in scout.samples}
+                slot = next(k for k in range(1, scout.aux_slots + 1) if k not in used)
+                scout.samples += (Sample(mass_kg=site.mass_kg, origin=site.cell,
+                                         module_slot=slot),)
         elif v == self.entrance:
             scout.handed += len(scout.samples)
             self.delivered.extend(scout.samples)

@@ -63,7 +63,7 @@ def assert_runs_expand_to_per_step_cuts(trace):
         per_step.setdefault(round(time_s / trace.timestep_s), []).append(
             (name, sheddable, deficit_w))
     assert covered == per_step
-    assert trace.violated_load_names() == {name for _, name, _, _ in expected}
+    assert {name for _, _, name, _, _ in runs} == {name for _, name, _, _ in expected}
     assert [(v.time_s, v.unmet_load_name, v.deficit_w) for v in trace.violations] \
         == [(t, name, d) for t, name, _, d in expected]
     return runs

@@ -22,6 +22,8 @@ from tubescout.energy import (
 )
 from tubescout.env import MarsEnvironment
 
+from test_energy_kernel import battery_deltas
+
 ENV = MarsEnvironment()
 RTG = PowerSource("rtg", SourceKind.CONSTANT, rating_w=110.0)
 NIGHT_HEATER = PowerLoad("greenhouse_heater", 511.5, (44375.0, 88775.0),
@@ -123,7 +125,7 @@ class TestSimulateSol:
         load = PowerLoad("bus", 100.0)
         trace = simulate_sol([], [load], battery, ENV)
         # battery stores 1000 Wh but can deliver only 800 Wh to the load
-        delivered = float(np.sum(trace.discharged_wh)) * 0.8
+        delivered = float(np.sum(battery_deltas(trace)[1])) * 0.8
         assert delivered == pytest.approx(800.0, rel=1e-6)
         assert trace.final_soc_wh == pytest.approx(0.0, abs=1e-6)
         assert len(trace.violations) > 0
@@ -138,12 +140,13 @@ class TestSimulateSol:
         load = PowerLoad("bus", 300.0, (40000.0, 80000.0))
         trace = simulate_sol([RTG], [load], Battery(200.0, 100.0), ENV)
         deltas = np.diff(trace.soc_wh)
-        np.testing.assert_allclose(deltas, trace.charged_wh - trace.discharged_wh,
+        charged_wh, discharged_wh = battery_deltas(trace)
+        np.testing.assert_allclose(deltas, charged_wh - discharged_wh,
                                    atol=1e-12)
         n = len(trace.supply_w)
         assert trace.final_soc_wh == pytest.approx(
-            trace.soc_wh[0] + float(np.sum(trace.charged_wh))
-            - float(np.sum(trace.discharged_wh)), abs=1e-6 * n)
+            trace.soc_wh[0] + float(np.sum(charged_wh))
+            - float(np.sum(discharged_wh)), abs=1e-6 * n)
 
     def test_deterministic_bit_identical(self):
         load = PowerLoad("bus", 300.0, (40000.0, 80000.0))
@@ -163,7 +166,7 @@ class TestSimulateSol:
         first_step = [v for v in trace.violations if v.time_s == 0.0]
         assert [(v.unmet_load_name, v.deficit_w) for v in first_step] == [
             ("lamp", 50.0), ("tool", 10.0)]
-        assert "critical" not in trace.violated_load_names()
+        assert "critical" not in {name for _, _, name, _, _ in trace.cut_runs()}
 
     def test_nonsheddable_violated_only_after_sheddable_exhausted(self):
         sources = [PowerSource("src", rating_w=10.0)]
@@ -340,7 +343,7 @@ class TestScheduleLoads:
         ]
         result = schedule_loads([RTG], loads, Battery(), ENV)
         hard = {l.name for l in result.admitted if not l.sheddable}
-        assert not (result.trace.violated_load_names() & hard)
+        assert not ({name for _, _, name, _, _ in result.trace.cut_runs()} & hard)
 
 
 def test_write_soc_csv(tmp_path):

@@ -51,6 +51,23 @@ SOL_S = ENV.sol_length_s
 ARRAYS = ("soc_wh", "supply_w", "demand_w", "shed_w", "charged_wh", "discharged_wh")
 
 
+def battery_deltas(trace):
+    """(charged_wh, discharged_wh): the two signs of ``np.diff(soc_wh)``,
+    the actual per-step battery deltas, at most one of them nonzero per
+    step."""
+    delta = np.diff(trace.soc_wh)
+    charged = np.maximum(delta, 0.0)
+    # charged - delta is -delta exactly where SoC fell and +0.0 elsewhere.
+    return charged, np.subtract(charged, delta, out=delta)
+
+
+def trace_arrays(trace) -> dict:
+    """The arrays ``ARRAYS`` names: the trace's own and its battery deltas."""
+    arrays = {name: getattr(trace, name) for name in ARRAYS[:4]}
+    arrays["charged_wh"], arrays["discharged_wh"] = battery_deltas(trace)
+    return arrays
+
+
 def reference_simulate_sol(sources, loads, battery, env, timestep_s):
     n_steps = round(env.sol_length_s / timestep_s)
     dt_h = timestep_s / 3600.0
@@ -134,8 +151,9 @@ def reference_schedule_loads(sources, loads, battery, env, timestep_s):
 
 
 def assert_same_trace(trace, expected):
+    arrays = trace_arrays(trace)
     for name in ARRAYS:
-        assert np.array_equal(getattr(trace, name), expected[name]), name
+        assert np.array_equal(arrays[name], expected[name]), name
     assert trace.violations == expected["violations"]
     assert all(type(v.time_s) is float and type(v.deficit_w) is float
                for v in trace.violations)
@@ -211,8 +229,9 @@ def test_kernel_matches_reference_on_seeded_cases(chunk):
 
 
 def assert_same_sol(trace, expected):
+    arrays, expected_arrays = trace_arrays(trace), trace_arrays(expected)
     for name in ARRAYS:
-        assert np.array_equal(getattr(trace, name), getattr(expected, name)), name
+        assert np.array_equal(arrays[name], expected_arrays[name]), name
     assert trace.shed_order == expected.shed_order
 
 
@@ -258,7 +277,7 @@ def test_the_report_is_the_schedule_and_the_full_sol_on_seeded_cases():
 
 def trace_fields(trace) -> dict:
     """``trace`` in the form ``assert_same_trace`` expects."""
-    return {name: getattr(trace, name) for name in ARRAYS + ("violations",)}
+    return {**trace_arrays(trace), "violations": trace.violations}
 
 
 def test_a_sol_keeps_no_run_state_between_calls():
@@ -878,8 +897,9 @@ def test_soc_bounds_and_closure(case):
     soc = trace.soc_wh
     assert np.all(soc >= 0.0)
     assert np.all(soc <= battery.capacity_wh)
-    assert not np.any((trace.charged_wh > 0) & (trace.discharged_wh > 0))
-    closed = soc[:-1] + trace.charged_wh - trace.discharged_wh
+    charged_wh, discharged_wh = battery_deltas(trace)
+    assert not np.any((charged_wh > 0) & (discharged_wh > 0))
+    closed = soc[:-1] + charged_wh - discharged_wh
     for i in np.flatnonzero(closed != soc[1:]):
         before, after = float(soc[i]), float(soc[i + 1])
         assert after == battery.capacity_wh
@@ -962,7 +982,7 @@ def test_closure_is_inexact_only_where_the_charge_is_clamped():
     sources, loads, battery, timestep_s = FILL_IN_ONE_STEP
     trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
     before, after = (float(x) for x in trace.soc_wh[:2])
-    charged = float(trace.charged_wh[0])
+    charged = float(battery_deltas(trace)[0][0])
     assert after == battery.capacity_wh
     assert charged == after - before
     assert before + charged == math.nextafter(after, math.inf)

@@ -4,9 +4,13 @@ it replaced, plus property tests on generated maps.
 ``reference_step`` is the earlier tick, kept here only as an oracle: it
 runs a full BFS from home, from every exploring robot and from its
 target on every tick, scans every frontier cell, and steps toward the
-target by the first N/W/E/S neighbour one hop closer to it.
-``reference_nearest`` is the kernel's earlier target search, with one
-level list and a first move stored per cell, and ``reference_path`` the
+target by the first N/W/E/S neighbour one hop closer to it. It reads
+the frontier from ``frontier_mask``, a neighbour test over whole
+arrays, and seals a pickup with ``collect_sample``, which takes the
+lowest free slot and raises where the mass or the slots refuse it;
+neither shares code with the kernel. ``reference_nearest`` is the
+kernel's earlier target search, with one level list and a first move
+stored per cell, and ``reference_path`` the
 search back from the target that once laid a kept route; together they
 are the oracle of ``_Kernel.nearest`` and the route it answers.
 """
@@ -25,8 +29,6 @@ from hypothesis import strategies as st
 from tubescout.tube_explorer import (
     ENTRANCE,
     OBSTACLE,
-    CapacityExhausted,
-    OverMass,
     RobotState,
     Sample,
     SampleSite,
@@ -35,10 +37,8 @@ from tubescout.tube_explorer import (
     TubeWorld,
     _Kernel,
     bfs_distances,
-    collect_sample,
     coverage_fraction,
     fresh_map,
-    frontier_mask,
     generate_tube,
     grid_from_text,
     make_fleet,
@@ -87,6 +87,48 @@ def reference_sense(explored, cells, position):
         nr, nc = position[0] + dr, position[1] + dc
         if 0 <= nr < h and 0 <= nc < w and cells[nr, nc] != OBSTACLE:
             explored[nr, nc] = True
+
+
+def frontier_mask(grid):
+    """Explored traversable cells with >= 1 unexplored traversable neighbor."""
+    traversable, explored = grid.traversable(), grid.explored
+    open_unexplored = traversable & ~explored
+    h, w = open_unexplored.shape
+    has_unexplored_neighbor = np.zeros((h, w), dtype=bool)
+    has_unexplored_neighbor[1:, :] |= open_unexplored[:-1, :]
+    has_unexplored_neighbor[:-1, :] |= open_unexplored[1:, :]
+    has_unexplored_neighbor[:, 1:] |= open_unexplored[:, :-1]
+    has_unexplored_neighbor[:, :-1] |= open_unexplored[:, 1:]
+    return traversable & explored & has_unexplored_neighbor
+
+
+class CapacityExhausted(ValueError):
+    """All aux module slots already hold a sample."""
+
+
+class OverMass(ValueError):
+    """Sample mass exceeds the per-module payload limit."""
+
+
+def collect_sample(robot, mass_kg, origin=None):
+    """Seal a sample into the lowest free aux slot.
+
+    Raises:
+        OverMass: if the sample exceeds the per-module mass limit.
+        CapacityExhausted: if every aux slot already holds a sample.
+    """
+    if mass_kg > robot.aux_capacity_kg:
+        raise OverMass(
+            f"sample mass {mass_kg} kg exceeds the {robot.aux_capacity_kg} kg "
+            f"module limit")
+    used = {s.module_slot for s in robot.samples}
+    free = [slot for slot in range(1, robot.aux_slots + 1) if slot not in used]
+    if not free:
+        raise CapacityExhausted(
+            f"robot {robot.id} has no free aux slot ({robot.aux_slots} in use)")
+    sample = Sample(mass_kg=mass_kg, origin=robot.position if origin is None else origin,
+                    module_slot=free[0])
+    return replace(robot, samples=robot.samples + (sample,))
 
 
 def reference_collect(robot, sites):

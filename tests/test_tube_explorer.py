@@ -17,10 +17,8 @@ from tubescout.tube_explorer import (
     ENTRANCE,
     FREE,
     OBSTACLE,
-    CapacityExhausted,
     GridMap,
     MapError,
-    OverMass,
     RobotState,
     Sample,
     SampleSite,
@@ -29,10 +27,8 @@ from tubescout.tube_explorer import (
     TubeWorld,
     bfs_distances,
     check_survey_work,
-    collect_sample,
     coverage_fraction,
     fresh_map,
-    frontier_mask,
     generate_tube,
     grid_from_text,
     grid_to_text,
@@ -42,6 +38,8 @@ from tubescout.tube_explorer import (
     step,
     write_map_file,
 )
+
+from test_explorer_kernel import CapacityExhausted, OverMass, collect_sample
 
 
 def flood_fill_oracle(cells: np.ndarray) -> set[tuple[int, int]]:
@@ -266,6 +264,54 @@ class TestRobotAndSamples:
         for mass in (1.0, 2.0, 3.0):
             robot = collect_sample(robot, mass)
         assert [s.mass_kg for s in robot.samples] == [1.0, 2.0, 3.0]
+
+    # The robot's first move is onto the site, so it passes over it either way.
+    def test_survey_lifts_a_site_of_exactly_the_module_limit(self):
+        grid = grid_from_text("E...\n")
+        report = run_exploration(grid, make_fleet(grid, 1),
+                                 sample_sites=(SampleSite((0, 1), 6.0),))
+        assert report.samples_delivered == 1
+        assert report.undeliverable_sites == ()
+
+    def test_survey_reports_a_site_over_the_module_limit(self):
+        grid = grid_from_text("E...\n")
+        report = run_exploration(grid, make_fleet(grid, 1),
+                                 sample_sites=(SampleSite((0, 1), 6.1),))
+        assert report.samples_delivered == 0
+        assert report.undeliverable_sites == (
+            (0, "its 6.1 kg exceed every robot's 6.0 kg module limit"),)
+
+    def test_full_robot_takes_no_site_until_it_has_delivered(self):
+        """It explores over the site with its one slot full, and comes
+        back for it after handing its sample over."""
+        held = Sample(mass_kg=1.0, origin=(9, 9), module_slot=1)
+        world = TubeWorld(grid=grid_from_text("E...\n"),
+                          sample_sites=(SampleSite((0, 2), 1.0),))
+        robots = [ScoutRobot(id="s1", module_count=2, position=(0, 0),
+                             samples=(held,))]
+        stood_full = False
+        for _ in range(40):
+            world, robots = step(world, robots)
+            if held in robots[0].samples and robots[0].position == (0, 2):
+                stood_full = True
+                assert world.sample_sites
+            if not world.sample_sites:
+                assert held in world.delivered
+        assert stood_full
+        assert [s.origin for s in world.delivered] == [(9, 9), (0, 2)]
+
+    def test_first_sample_after_a_delivery_gets_slot_one(self):
+        held = Sample(mass_kg=1.0, origin=(0, 1), module_slot=1)
+        world = TubeWorld(grid=grid_from_text("E..\n"),
+                          sample_sites=(SampleSite((0, 1), 1.0),))
+        robots = [ScoutRobot(id="s1", position=(0, 0), samples=(held,),
+                             state=RobotState.RETURNING)]
+        world, robots = step(world, robots)
+        assert world.delivered == (held,) and robots[0].samples == ()
+        for _ in range(40):
+            world, robots = step(world, robots)
+        assert world.sample_sites == ()
+        assert [s.module_slot for s in world.delivered] == [1, 1]
 
     @pytest.mark.parametrize("kwargs", [
         dict(module_count=1),
