@@ -251,12 +251,12 @@ def _neighbours(cells: int, stride: int) -> int:
     return (cells | cells << stride + 1) >> stride
 
 
-def _flat_bfs(mask: bytearray, start: int, offsets: tuple[int, ...]) -> array:
-    """Hop counts from ``start`` over the set cells of a padded flat mask,
-    -1 where unreachable. The clear border makes bounds checks needless.
+def _flat_bfs(mask: bytearray, start: int, stride: int) -> array:
+    """Hop counts from ``start`` over the set cells of a flat mask padded
+    with a clear border, rows ``stride`` apart; -1 where unreachable.
 
-    It expands level by level, and ``left``, a copy of the mask cleared
-    as cells are reached, is the one flag it tests per neighbour."""
+    It expands level by level with no bounds checks; ``left``, a copy of
+    the mask cleared as cells are reached, is the one flag it tests."""
     dist = array("i", [-1]) * len(mask)
     if not mask[start]:
         return dist
@@ -267,8 +267,7 @@ def _flat_bfs(mask: bytearray, start: int, offsets: tuple[int, ...]) -> array:
         d += 1
         reached = []
         for v in level:
-            for off in offsets:
-                n = v + off
+            for n in (v - stride, v - 1, v + 1, v + stride):
                 if left[n]:
                     left[n] = 0
                     dist[n] = d
@@ -285,7 +284,7 @@ def bfs_distances(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
         raise IndexError(f"start {start} is outside the {h}x{w} mask")
     stride = w + 2
     flat = _flat_bfs(bytearray(_padded(mask)), (start[0] + 1) * stride + start[1] + 1,
-                     (-stride, -1, 1, stride))
+                     stride)
     return np.frombuffer(flat, dtype=np.intc).reshape(h + 2, stride)[
         1:-1, 1:-1].astype(np.int32)
 
@@ -495,13 +494,14 @@ class _Kernel:
     ``known_bits`` (the explored open cells), ``frontier_bits`` with its
     size ``frontier_count`` and ``dist_home`` (hops from the entrance
     over the known cells, -1 where unreachable) are the snapshot every
-    robot plans on within a tick; ``learn`` builds it from the cells
-    sensed since its last call, all explored cells at construction, kept
-    as the list ``pending`` and the bit set ``pending_bits``, and keeps
-    them as ``fresh``. ``learn`` also sets ``covered``, the count of the
-    known cells of ``reach``. ``ticks`` counts ticks, ``searched`` and
-    ``reused`` the target choices made by a search and kept from the
-    tick before, and ``levels`` the levels the searches expanded.
+    robot plans on within a tick. Construction takes ``dist_home`` from a
+    BFS over the known cells and seeds ``pending_bits`` with them; ``learn``
+    adds the cells sensed since its last call, the list ``pending`` and
+    the bit set ``pending_bits``, keeps the list as ``fresh``, and sets
+    ``covered``, the count of the known cells of ``reach``. ``ticks``
+    counts ticks, ``searched`` and ``reused`` the target choices made by
+    a search and kept from the tick before, and ``levels`` the levels
+    the searches expanded.
 
     It holds all a survey changes: a ``_Scout`` per robot (``scouts``, in
     input order), the uncollected ``sites`` with the index of each one's
@@ -528,12 +528,10 @@ class _Kernel:
         self.open, self.explored = bytearray(open_), bytearray(explored)
         self.unseen = bytearray(open_ & ~explored)
         self.open_bits, self.pending_bits = _packed(open_), _packed(known)
-        self.pending = np.flatnonzero(known).tolist()
+        self.pending = []
         self.known_bits = self.frontier_bits = self.frontier_count = self.covered = 0
-        self.dist_home = array("i", [-1]) * len(self.open)
-        self.dist_home[self.entrance] = 0
-        s = self.stride
-        reach = _flat_bfs(self.open, self.entrance, (-s, -1, 1, s))
+        self.dist_home = _flat_bfs(bytearray(known), self.entrance, self.stride)
+        reach = _flat_bfs(self.open, self.entrance, self.stride)
         self.reach = _packed(np.frombuffer(reach, dtype=np.intc) >= 0)
         self.reachable = self.reach.bit_count()
         self.goals: dict[float, set[int]] = {}
@@ -597,17 +595,19 @@ class _Kernel:
         The frontier is the known cells next to an open cell not yet
         known, one bit-set expression over the whole map, and ``covered``
         the known cells of ``reach``, one popcount. The known map
-        only grows, so home distances only shrink: the added cells start
-        one hop beyond their nearest neighbour known before the call, and
-        a Dijkstra pass from them lowers the rest (incremental shortest
+        only grows, so home distances only shrink: the cells of ``pending``
+        start one hop beyond their nearest neighbour known before the call,
+        and a Dijkstra pass from them lowers the rest (incremental shortest
         paths, Ramalingam and Reps 1996). It takes an open explored cell
-        as known, as every one has been added by then, and is skipped when
-        no cell was added or none touches a cell with a home distance,
-        since it would lower nothing. The entrance keeps its distance 0.
+        as known, as every one has been added by then, and skips the pass
+        when none touches a cell with a home distance, since it would lower
+        nothing. At construction ``pending`` holds only the cells the robots
+        sensed, as the BFS gave the others their distances, so the call
+        tests ``pending_bits`` for cells to add.
         """
         fresh = self.fresh = self.pending
         self.pending = []
-        if not fresh:
+        if not self.pending_bits:
             return
         s, open_, explored, dist = self.stride, self.open, self.explored, self.dist_home
         known = self.known_bits = self.known_bits | self.pending_bits
@@ -904,11 +904,11 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
     one tick of time per tick whether moving or waiting. Robots plan on
     the map as sensed at the start of the tick.
 
-    Each call builds the tick kernel afresh from ``world``: ``learn``
-    over every explored cell and the ``reach`` BFS over the open map.
-    On a 48x48 tube 246 ticks into a 3-robot survey (39% explored) that
-    is about 1.55-1.6 ms a call, where a tick of ``run_exploration``
-    takes tens of microseconds. It stays so:
+    Each call builds the tick kernel afresh from ``world``: a BFS over
+    the known cells for the home distances and one over the open map for
+    ``reach``. On a 48x48 tube 246 ticks into a 3-robot survey (39%
+    explored) that is about 1.1-1.2 ms a call, where a tick of
+    ``run_exploration`` takes tens of microseconds. It stays so:
     ``world`` is the whole state, a per-grid cache of the map-only parts
     would be a second one to keep in step with it, and
     ``run_exploration`` keeps one kernel for a whole survey. For the same

@@ -915,7 +915,8 @@ def test_snapshot_and_coverage_match_the_flood_fill_oracle():
     frontier mask, with ``frontier_count`` its size; ``reachable`` counts
     the flood fill from the entrance and ``covered`` its explored cells.
     The ``unseen`` flags are the open cells not yet explored, so no cell
-    is learned twice.
+    is learned twice, and ``dist_home`` is the BFS over the known cells
+    from the entrance, built whole at construction and kept since.
     The surveys include robots placed off the entrance, cut-off pockets
     and an input explored mask that marks obstacle cells."""
     cases = [pocket_case()] + [crowd_case(index) for index in range(12)]
@@ -934,6 +935,9 @@ def test_snapshot_and_coverage_match_the_flood_fill_oracle():
             assert kernel.frontier_count == kernel.frontier_bits.bit_count(), where
             assert np.array_equal(unpad(kernel, kernel.unseen, bool),
                                   grid.traversable() & ~explored), where
+            assert np.array_equal(unpad(kernel, kernel.dist_home, np.intc),
+                                  bfs_distances(grid.traversable() & explored,
+                                                grid.entrance)), where
             assert len(set(kernel.fresh)) == len(kernel.fresh), where
         if index == 0:  # the pocket case covers all it can reach, less the pockets
             assert kernel.covered == kernel.reachable == np.count_nonzero(oracle) == 31
@@ -946,11 +950,14 @@ def test_snapshot_and_coverage_match_the_flood_fill_oracle():
 def test_a_kernel_built_on_a_fully_explored_map_knows_every_open_cell(density):
     """Built on a fully explored map, open or with obstacles, a kernel's
     ``known_bits`` is every open cell, taken in one OR of the
-    ``pending_bits`` it was seeded with, and it covers all it reaches."""
+    ``pending_bits`` it was seeded with, its home distances are the BFS
+    over them, and it covers all it reaches."""
     grid = generate_tube(5, 30, 20, density)
     grid.explored[:] = True
     kernel = _Kernel(grid, make_fleet(grid, 2), Station(), ())
     assert kernel.known_bits == as_bits(grid.traversable() & grid.explored)
+    assert np.array_equal(unpad(kernel, kernel.dist_home, np.intc),
+                          bfs_distances(grid.traversable(), grid.entrance))
     assert kernel.pending_bits == 0
     assert kernel.covered == kernel.reachable == len(flood_fill(grid.cells))
     if density:
