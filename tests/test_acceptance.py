@@ -7,7 +7,6 @@ exact-match criteria use integer equality, physical quantities use the
 stated relative tolerances.
 """
 
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,6 @@ from tubescout.program import (
     DEFAULT_WBS,
     BudgetLimits,
     LifecyclePhase,
-    WbsNode,
     fte_estimate,
     rollup_budget,
     rollup_cost,
@@ -38,8 +36,6 @@ from tubescout.program import (
 from tubescout.report import aerostat_section, dump_json, exploration_section, power_section
 from tubescout.thermal import REFERENCE_GREENHOUSE, heat_loss, night_heating_energy
 from tubescout.tube_explorer import (
-    ENTRANCE,
-    OBSTACLE,
     TubeWorld,
     coverage_fraction,
     generate_tube,
@@ -48,21 +44,14 @@ from tubescout.tube_explorer import (
     step,
 )
 
+from test_explorer_kernel import flood_fill
+from test_program import find_node
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def rel_err(value: float, expected: float) -> float:
     return abs(value - expected) / abs(expected)
-
-
-def find_node(node: WbsNode, name: str) -> WbsNode | None:
-    if node.name == name:
-        return node
-    for child in node.children:
-        found = find_node(child, name)
-        if found is not None:
-            return found
-    return None
 
 
 def test_criterion_01_winch_power_and_regen(record_criterion):
@@ -188,26 +177,11 @@ def test_criterion_07_baseline_night_power_infeasible(record_criterion):
     assert ok
 
 
-def flood_fill_oracle(cells: np.ndarray) -> set:
-    h, w = cells.shape
-    start = tuple(int(x) for x in np.argwhere(cells == ENTRANCE)[0])
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        r, c = queue.popleft()
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if (0 <= nr < h and 0 <= nc < w and cells[nr, nc] != OBSTACLE
-                    and (nr, nc) not in seen):
-                seen.add((nr, nc))
-                queue.append((nr, nc))
-    return seen
-
-
 def test_criterion_08_exploration_properties_on_random_maps(record_criterion):
     checked = 0
     for seed in range(100):
         grid = generate_tube(seed, 8, 8, 0.25)
-        oracle = flood_fill_oracle(grid.cells)
+        oracle = flood_fill(grid.cells)
         world = TubeWorld(grid=grid.copy())
         fleet = make_fleet(grid, 2, battery_full_s=36000.0)
         for robot in fleet:

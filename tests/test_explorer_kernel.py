@@ -378,6 +378,7 @@ def test_bfs_distances_matches_reference():
 
 
 def flood_fill(cells):
+    """Reachable non-obstacle cells from the entrance, 4-connected."""
     (start,) = [tuple(map(int, rc)) for rc in np.argwhere(cells == ENTRANCE)]
     h, w = cells.shape
     seen, queue = {start}, deque([start])

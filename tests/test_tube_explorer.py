@@ -1,11 +1,11 @@
 """Map generation, frontier coverage, battery safety and sample handling.
 
-The reachability oracle used throughout is an independent deque-based
-flood fill, deliberately separate from the library implementation.
+The reachability oracle used throughout is ``flood_fill`` from
+``test_explorer_kernel``, an independent deque-based flood fill,
+deliberately separate from the library implementation.
 """
 
 import random
-from collections import deque
 
 import numpy as np
 import pytest
@@ -39,23 +39,7 @@ from tubescout.tube_explorer import (
     write_map_file,
 )
 
-from test_explorer_kernel import CapacityExhausted, OverMass, collect_sample
-
-
-def flood_fill_oracle(cells: np.ndarray) -> set[tuple[int, int]]:
-    """Reachable non-obstacle cells from the entrance, 4-connected."""
-    h, w = cells.shape
-    (er, ec) = [tuple(x) for x in np.argwhere(cells == ENTRANCE)][0]
-    seen = {(er, ec)}
-    queue = deque([(er, ec)])
-    while queue:
-        r, c = queue.popleft()
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= nr < h and 0 <= nc < w and cells[nr, nc] != OBSTACLE \
-                    and (nr, nc) not in seen:
-                seen.add((nr, nc))
-                queue.append((nr, nc))
-    return seen
+from test_explorer_kernel import CapacityExhausted, OverMass, collect_sample, flood_fill
 
 
 def explored_set(grid: GridMap) -> set[tuple[int, int]]:
@@ -140,7 +124,7 @@ class TestGenerateTube:
     def test_entrance_component_nonempty(self):
         for seed in range(10):
             grid = generate_tube(seed, 8, 8, 0.6)
-            assert grid.entrance in flood_fill_oracle(grid.cells)
+            assert grid.entrance in flood_fill(grid.cells)
 
     @pytest.mark.parametrize("kwargs", [
         dict(width=0, height=5),
@@ -171,7 +155,7 @@ class TestGenerateTube:
         golden = read_map_file("scenarios/tube_20x20_seed42.map")
         assert grid_to_text(generate_tube(42, 20, 20, 0.2)) == grid_to_text(golden)
         # reachable count pinned via the independent oracle at freeze time
-        assert len(flood_fill_oracle(golden.cells)) == 319
+        assert len(flood_fill(golden.cells)) == 319
 
 
 class TestMapText:
@@ -471,7 +455,7 @@ class TestRunExploration:
             world.grid.explored[robot.position] = True
         while coverage_fraction(world.grid) < 1.0:
             world, fleet = step(world, fleet)
-        assert explored_set(world.grid) == flood_fill_oracle(cells)
+        assert explored_set(world.grid) == flood_fill(cells)
 
     def test_walled_off_region_excluded(self):
         text = ("E....\n"
@@ -490,7 +474,7 @@ class TestRunExploration:
             world, fleet = step(world, fleet)
             if coverage_fraction(world.grid) == 1.0:
                 break
-        assert explored_set(world.grid) == flood_fill_oracle(grid2.cells)
+        assert explored_set(world.grid) == flood_fill(grid2.cells)
         assert not world.grid.explored[3:, :].any()
 
     def test_max_steps_caps_run(self):
@@ -556,7 +540,7 @@ class TestProperties:
             for robot in fleet:
                 world.grid.explored[robot.position] = True
             previous = coverage_fraction(world.grid)
-            oracle = flood_fill_oracle(cells)
+            oracle = flood_fill(cells)
             for _ in range(600):
                 world, fleet = step(world, fleet)
                 current = coverage_fraction(world.grid)
