@@ -103,9 +103,7 @@ _RUNS["explore"] = (("exploration",),
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.seed is not None and args.seed < 0:
-        print(f"error: --seed must be nonnegative, got {args.seed}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     config = load_config(args.config) if args.config else MissionConfig()
     seed = args.seed if args.seed is not None else config.mission.seed
     out_dir = Path(args.out)

@@ -136,8 +136,8 @@ def check_tube_parameters(width: int, height: int, obstacle_density: float,
 #: 0.18-0.32 us a cell at 100x100, 300x300 and 1000x1000, its bit sets
 #: spanning the padded map), so a survey at the bound on open maps takes
 #: at most about 80 s (CPython 3.11, 2 x86 CPUs). Once a tick, ``learn``
-#: reads the whole map for the frontier and ``covered``: 110 us on an
-#: open 1000x1000 map.
+#: reads the whole map for the frontier and ``run_exploration`` for its
+#: coverage count: 110 us on an open 1000x1000 map.
 #: Where a level is one cell a search costs about 2-3 us a level: on a
 #: 150x100 serpentine of one-cell corridors, 2 robots and a sample site
 #: cut off from the entrance cover the map in 7396 of the 8300 ticks the
@@ -489,19 +489,17 @@ class _Kernel:
     takes every other map from those two arrays. ``open``, the live
     sensed mask ``explored`` and ``unseen`` (the open cells not yet
     explored, the one flag ``sense`` tests) are flag bytearrays; the cell
-    sets are ints with bit i for cell i: ``open_bits`` and ``reach`` (the
-    entrance-connected open cells, from a BFS over ``open``) are fixed, and
+    sets are ints with bit i for cell i: ``open_bits`` is fixed, and
     ``known_bits`` (the explored open cells), ``frontier_bits`` with its
     size ``frontier_count`` and ``dist_home`` (hops from the entrance
     over the known cells, -1 where unreachable) are the snapshot every
     robot plans on within a tick. Construction takes ``dist_home`` from a
     BFS over the known cells and seeds ``pending_bits`` with them; ``learn``
     adds the cells sensed since its last call, the list ``pending`` and
-    the bit set ``pending_bits``, keeps the list as ``fresh``, and sets
-    ``covered``, the count of the known cells of ``reach``. ``ticks``
-    counts ticks, ``searched`` and ``reused`` the target choices made by
-    a search and kept from the tick before, and ``levels`` the levels
-    the searches expanded.
+    the bit set ``pending_bits``, and keeps the list as ``fresh``.
+    ``ticks`` counts ticks, ``searched`` and ``reused`` the target choices
+    made by a search and kept from the tick before, and ``levels`` the
+    levels the searches expanded.
 
     It holds all a survey changes: a ``_Scout`` per robot (``scouts``, in
     input order), the uncollected ``sites`` with the index of each one's
@@ -510,12 +508,12 @@ class _Kernel:
     can lift; it is built as robots ask and emptied when a site is taken.
     It checks the robots' ids and cells as ``step`` describes: each robot
     senses its cell at construction, and afterwards only the cells it
-    moves to.
+    moves to. It holds only what a tick reads: the entrance component,
+    coverage and undeliverable sites are ``run_exploration``'s.
     """
 
     def __init__(self, grid: GridMap, robots: list[ScoutRobot], station: Station,
                  sites: tuple[SampleSite, ...], delivered: tuple[Sample, ...] = ()):
-        import numpy as np
         self.height, self.width = grid.cells.shape
         self.stride = self.width + 2
         self.sites = list(sites)
@@ -529,11 +527,8 @@ class _Kernel:
         self.unseen = bytearray(open_ & ~explored)
         self.open_bits, self.pending_bits = _packed(open_), _packed(known)
         self.pending = []
-        self.known_bits = self.frontier_bits = self.frontier_count = self.covered = 0
+        self.known_bits = self.frontier_bits = self.frontier_count = 0
         self.dist_home = _flat_bfs(bytearray(known), self.entrance, self.stride)
-        reach = _flat_bfs(self.open, self.entrance, self.stride)
-        self.reach = _packed(np.frombuffer(reach, dtype=np.intc) >= 0)
-        self.reachable = self.reach.bit_count()
         self.goals: dict[float, set[int]] = {}
         self.ticks = self.searched = self.reused = self.levels = 0
         ids = [r.id for r in robots]
@@ -593,8 +588,7 @@ class _Kernel:
 
         The added cells join ``known_bits`` as one OR of ``pending_bits``.
         The frontier is the known cells next to an open cell not yet
-        known, one bit-set expression over the whole map, and ``covered``
-        the known cells of ``reach``, one popcount. The known map
+        known, one bit-set expression over the whole map. The known map
         only grows, so home distances only shrink: the cells of ``pending``
         start one hop beyond their nearest neighbour known before the call,
         and a Dijkstra pass from them lowers the rest (incremental shortest
@@ -614,7 +608,6 @@ class _Kernel:
         self.pending_bits = 0
         self.frontier_bits = known & _neighbours(self.open_bits & ~known, s)
         self.frontier_count = self.frontier_bits.bit_count()
-        self.covered = (known & self.reach).bit_count()
         heap = []
         for v in fresh:
             if dist[v] < 0:
@@ -870,25 +863,6 @@ class _Kernel:
             self.delivered.extend(scout.samples)
             scout.samples, scout.state, scout.target = (), _CHARGING, None
 
-    def undeliverable(self, sites: tuple[SampleSite, ...]) -> tuple[tuple[int, str], ...]:
-        """(index, reason) for each site that no robot can bring home."""
-        capacity = max((sc.robot.aux_capacity_kg for sc in self.scouts), default=0.0)
-        found = []
-        for i, site in enumerate(sites):
-            v = self.index(site.cell)
-            cell = list(site.cell)
-            if not self.open[v]:
-                reason = f"cell {cell} is {'an obstacle' if v else 'off the map'}"
-            elif not self.reach >> v & 1:
-                reason = f"cell {cell} is not connected to the entrance"
-            elif site.mass_kg > capacity:
-                reason = (f"its {site.mass_kg} kg exceed every robot's "
-                          f"{capacity} kg module limit")
-            else:
-                continue
-            found.append((i, reason))
-        return tuple(found)
-
 
 def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[ScoutRobot]]:
     """Advance the simulation one tick; pure, returns new values.
@@ -904,11 +878,12 @@ def step(world: TubeWorld, robots: list[ScoutRobot]) -> tuple[TubeWorld, list[Sc
     one tick of time per tick whether moving or waiting. Robots plan on
     the map as sensed at the start of the tick.
 
-    Each call builds the tick kernel afresh from ``world``: a BFS over
-    the known cells for the home distances and one over the open map for
-    ``reach``. On a 48x48 tube 246 ticks into a 3-robot survey (39%
-    explored) that is about 1.1-1.2 ms a call, where a tick of
-    ``run_exploration`` takes tens of microseconds. It stays so:
+    Each call builds the tick kernel afresh from ``world``, with one BFS,
+    over the known cells for the home distances; the entrance component
+    and coverage, which no tick reads, are ``run_exploration``'s. On a
+    48x48 tube 246 ticks into a 3-robot survey (39% explored) that is
+    about 0.45-0.55 ms a call, where a tick of ``run_exploration`` takes
+    tens of microseconds. It stays so:
     ``world`` is the whole state, a per-grid cache of the map-only parts
     would be a second one to keep in step with it, and
     ``run_exploration`` keeps one kernel for a whole survey. For the same
@@ -965,7 +940,11 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
     """
     if max_steps <= 0:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
+    import numpy as np
     kernel = _Kernel(grid, robots, station, sample_sites)
+    hops = _flat_bfs(kernel.open, kernel.entrance, kernel.stride)
+    reach = _packed(np.frombuffer(hops, dtype=np.intc) >= 0)
+    reachable, covered = reach.bit_count(), (kernel.known_bits & reach).bit_count()
     steps = 0
 
     def work_remaining() -> bool:
@@ -979,12 +958,33 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
             return True
         max_capacity = max(sc.robot.aux_capacity_kg for sc in active)
         return any(
-            kernel.reach >> v & 1 and site.mass_kg <= max_capacity
+            reach >> v & 1 and site.mass_kg <= max_capacity
             for site, v in zip(kernel.sites, kernel.site_cells))
 
-    while (kernel.covered < kernel.reachable or work_remaining()) and steps < max_steps:
+    def undeliverable() -> tuple[tuple[int, str], ...]:
+        """(index, reason) for each site that no robot can bring home."""
+        capacity = max((sc.robot.aux_capacity_kg for sc in kernel.scouts), default=0.0)
+        found = []
+        for i, site in enumerate(sample_sites):
+            v = kernel.index(site.cell)
+            cell = list(site.cell)
+            if not kernel.open[v]:
+                reason = f"cell {cell} is {'an obstacle' if v else 'off the map'}"
+            elif not reach >> v & 1:
+                reason = f"cell {cell} is not connected to the entrance"
+            elif site.mass_kg > capacity:
+                reason = (f"its {site.mass_kg} kg exceed every robot's "
+                          f"{capacity} kg module limit")
+            else:
+                continue
+            found.append((i, reason))
+        return tuple(found)
+
+    while (covered < reachable or work_remaining()) and steps < max_steps:
         kernel.tick()
         steps += 1
+        if kernel.fresh:  # the tick learned cells
+            covered = (kernel.known_bits & reach).bit_count()
 
     regen = 0.0
     if station.winch is not None:
@@ -1002,9 +1002,9 @@ def run_exploration(grid: GridMap, robots: list[ScoutRobot],
     )
     return ExplorationReport(
         steps=steps,
-        coverage_fraction=kernel.covered / kernel.reachable,
+        coverage_fraction=covered / reachable,
         samples_delivered=len(kernel.delivered),
         energy_regen_wh=regen,
         per_robot_stats=stats,
-        undeliverable_sites=kernel.undeliverable(sample_sites),
+        undeliverable_sites=undeliverable(),
     )

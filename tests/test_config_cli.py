@@ -291,6 +291,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="obstacle_density"):
             parse_config({"exploration": {"generator": {"obstacle_density": 2.0}}})
 
+    @pytest.mark.parametrize("exploration, path, message", [
+        ({"generator": {"resolution_m": 0}}, "config.exploration.generator",
+         "resolution_m must be positive, got 0.0"),
+        ({"robots": {"module_count": 1}}, "config.exploration.robots",
+         "module_count must be in 2..5, got 1"),
+        ({"robots": {"module_count": 6}}, "config.exploration.robots",
+         "module_count must be in 2..5, got 6"),
+    ])
+    def test_model_refusals_at_their_config_path(self, exploration, path, message):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config({"exploration": exploration})
+        assert exc_info.value.errors == [(path, message)]
+
     def test_echo_is_json_serializable_and_normalized(self):
         config = load_config(SCENARIOS / "paper_baseline.json")
         echo = to_echo_dict(config)
@@ -640,7 +653,15 @@ class TestCli:
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert run_cli("explore", "--out", str(tmp_path / "out"),
                        "--seed", "-4") == 2
-        assert "nonnegative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -4\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert run_cli("winch", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 20] Not a directory: '{out}'\n")
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit) as exc_info:

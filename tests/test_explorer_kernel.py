@@ -42,6 +42,7 @@ from tubescout.tube_explorer import (
     generate_tube,
     grid_from_text,
     make_fleet,
+    reachable_cells,
     run_exploration,
     step,
 )
@@ -309,6 +310,7 @@ def test_kernel_matches_reference_step(block):
         kernel = _Kernel(ref_world.grid, ref_fleet, ref_world.station,
                          ref_world.sample_sites)
         entrance = ref_world.grid.entrance
+        reach = reachable_cells(ref_world.grid)
         for tick in range(80):
             ref_world, ref_fleet = reference_step(ref_world, ref_fleet)
             world, fleet = step(world, fleet)
@@ -326,7 +328,7 @@ def test_kernel_matches_reference_step(block):
                                   bfs_distances(known, entrance)), where
             assert kernel.known_bits == as_bits(known), where
             assert kernel.frontier_bits == as_bits(frontier_mask(ref_world.grid)), where
-            if (kernel.covered == kernel.reachable
+            if (explored[reach].all()
                     and all(r.state is not RobotState.EXPLORING for r in ref_fleet)):
                 break
 
@@ -619,14 +621,16 @@ def scale_case(index):
     return grid, fleet, Station(charge_time_s=rng.choice([0.0, 5.0, 30.0])), sites
 
 
-def survey_ticks(kernel, limit):
-    """Tick ``kernel`` until the map is covered and no robot holds a
-    target, at most ``limit`` times, yielding after every tick."""
+def survey_ticks(kernel, grid, limit):
+    """Tick ``kernel``, built on ``grid``, until every cell of
+    ``reachable_cells(grid)`` is explored and no robot holds a target, at
+    most ``limit`` times, yielding after every tick."""
+    reach = reachable_cells(grid)
     for _ in range(limit):
         kernel.tick()
         yield
-        if (kernel.covered == kernel.reachable
-                and all(sc.target is None for sc in kernel.scouts)):
+        if (all(sc.target is None for sc in kernel.scouts)
+                and kernel.explored_mask()[reach].all()):
             return
 
 
@@ -648,8 +652,9 @@ def test_reused_choices_match_a_search(monkeypatch):
     reused = 0
     for index in range(16):
         where["case"] = index
-        kernel = _Kernel(*scale_case(index))
-        for _ in survey_ticks(kernel, 1500):
+        case = scale_case(index)
+        kernel = _Kernel(*case)
+        for _ in survey_ticks(kernel, case[0], 1500):
             pass
         reused += kernel.reused
     assert reused > 10_000
@@ -701,7 +706,7 @@ def test_kept_kernel_keeps_claims_exclusive_and_batteries_up_at_scale(
     grid = generate_tube(*tube)
     fleet = make_fleet(grid, robots, battery_full_s=battery_ticks / 1.7)
     kernel = _Kernel(grid, fleet, Station(charge_time_s=5.0), ())
-    for _ in survey_ticks(kernel, 1000):
+    for _ in survey_ticks(kernel, grid, 1000):
         targets = [r.target for r in kernel.robots() if r.target is not None]
         assert len(targets) == len(set(targets))
         for sc in kernel.scouts:
@@ -718,9 +723,10 @@ def test_survey_counts_searches_and_reuses():
     sites = (SampleSite((5, 5), 1.0), SampleSite((12, 8), 2.0),
              SampleSite((17, 15), 3.0))
     kernel = _Kernel(grid, fleet, Station(charge_time_s=5.0), sites)
-    for _ in survey_ticks(kernel, 2000):
+    for _ in survey_ticks(kernel, grid, 2000):
         pass
-    assert kernel.covered == kernel.reachable and len(kernel.delivered) == 2
+    assert kernel.explored_mask()[reachable_cells(grid)].all()
+    assert len(kernel.delivered) == 2
     assert (kernel.ticks, kernel.searched, kernel.reused) == (514, 512, 454)
 
 
@@ -844,8 +850,9 @@ def test_nearest_matches_the_reference_search(monkeypatch):
     seen = check_nearest(monkeypatch, where)
     for index in range(24):
         where["case"] = index
-        kernel = _Kernel(*crowd_case(index))
-        for _ in survey_ticks(kernel, 600):
+        case = crowd_case(index)
+        kernel = _Kernel(*case)
+        for _ in survey_ticks(kernel, case[0], 600):
             pass
     assert seen["searches"] > 20_000
     assert min(seen["claimed"], seen["goals"], seen["none"], seen["deep"]) > 5000, seen
@@ -881,8 +888,9 @@ def test_nearest_matches_the_reference_search_as_its_window_grows(monkeypatch, c
             [(80, 20, 4, 150, 400), (20, 80, 3, 1e9, 400), (20, 150, 3, 1e9, 1000),
              (64, 64, 30, 1e9, 240), (20, 300, 3, 1e9, 1000)]):
         where["case"] = index
-        kernel = _Kernel(*tall_case(index, width, height, robots, battery))
-        for _ in survey_ticks(kernel, ticks):
+        case = tall_case(index, width, height, robots, battery)
+        kernel = _Kernel(*case)
+        for _ in survey_ticks(kernel, case[0], ticks):
             pass
     assert seen["deep"] > 3000 and seen["none"] > 250, seen
     assert seen["far"] > 2000, seen
@@ -913,24 +921,27 @@ def test_snapshot_and_coverage_match_the_flood_fill_oracle():
     """After construction and after every tick of seeded surveys, the
     kernel's bit sets match masks built from its explored mask:
     ``known_bits`` is the explored open cells and ``frontier_bits`` the
-    frontier mask, with ``frontier_count`` its size; ``reachable`` counts
-    the flood fill from the entrance and ``covered`` its explored cells.
-    The ``unseen`` flags are the open cells not yet explored, so no cell
-    is learned twice, and ``dist_home`` is the BFS over the known cells
-    from the entrance, built whole at construction and kept since.
+    frontier mask, with ``frontier_count`` its size. The ``unseen`` flags
+    are the open cells not yet explored, so no cell is learned twice, and
+    ``dist_home`` is the BFS over the known cells from the entrance, built
+    whole at construction and kept since. ``run_exploration`` cut at
+    ticks along the same survey reports the share of the flood fill from
+    the entrance explored by then, and lists as undeliverable the sites
+    off the flood fill or heavier than every module limit.
     The surveys include robots placed off the entrance, cut-off pockets
     and an input explored mask that marks obstacle cells."""
     cases = [pocket_case()] + [crowd_case(index) for index in range(12)]
     for index, (grid, fleet, station, sites) in enumerate(cases):
+        reach = flood_fill(grid.cells)
         oracle = np.zeros(grid.cells.shape, dtype=bool)
-        oracle[tuple(np.array(sorted(flood_fill(grid.cells))).T)] = True
+        oracle[tuple(np.array(sorted(reach)).T)] = True
         kernel = _Kernel(grid, fleet, station, sites)
-        for _ in chain([None], survey_ticks(kernel, 300)):  # construction, then each tick
+        covered = {}  # by tick: the explored cells of the flood fill
+        for _ in chain([None], survey_ticks(kernel, grid, 300)):  # construction, then each tick
             where = f"case {index}, tick {kernel.ticks}"
             explored = kernel.explored_mask()
             sensed = replace(grid, explored=explored)
-            assert kernel.covered == np.count_nonzero(oracle & explored), where
-            assert kernel.reachable == np.count_nonzero(oracle), where
+            covered[kernel.ticks] = np.count_nonzero(oracle & explored)
             assert kernel.known_bits == as_bits(grid.traversable() & explored), where
             assert kernel.frontier_bits == as_bits(frontier_mask(sensed)), where
             assert kernel.frontier_count == kernel.frontier_bits.bit_count(), where
@@ -940,11 +951,20 @@ def test_snapshot_and_coverage_match_the_flood_fill_oracle():
                                   bfs_distances(grid.traversable() & explored,
                                                 grid.entrance)), where
             assert len(set(kernel.fresh)) == len(kernel.fresh), where
+        capacity = max(robot.aux_capacity_kg for robot in fleet)
+        for cap in sorted({1, 3, 10, 30, kernel.ticks} & set(covered)):
+            report = run_exploration(grid, fleet, station, cap, sample_sites=sites)
+            where = f"case {index}, max_steps {cap}"
+            assert report.coverage_fraction == covered[report.steps] / len(reach), where
+            assert [i for i, _ in report.undeliverable_sites] == [
+                i for i, site in enumerate(sites)
+                if site.cell not in reach or site.mass_kg > capacity], where
         if index == 0:  # the pocket case covers all it can reach, less the pockets
-            assert kernel.covered == kernel.reachable == np.count_nonzero(oracle) == 31
+            assert covered[kernel.ticks] == len(reach) == 31
             assert kernel.by_id[1].state is RobotState.STUCK
-            assert kernel.undeliverable(sites) == ((0, "cell [5, 6] is not connected "
-                                                       "to the entrance"),)
+            assert report.coverage_fraction == 1.0
+            assert report.undeliverable_sites == ((0, "cell [5, 6] is not connected "
+                                                      "to the entrance"),)
 
 
 @pytest.mark.parametrize("density", [0.0, 0.3])
@@ -952,7 +972,8 @@ def test_a_kernel_built_on_a_fully_explored_map_knows_every_open_cell(density):
     """Built on a fully explored map, open or with obstacles, a kernel's
     ``known_bits`` is every open cell, taken in one OR of the
     ``pending_bits`` it was seeded with, its home distances are the BFS
-    over them, and it covers all it reaches."""
+    over them. A survey counts only the cells the flood fill from the
+    entrance reaches: explored over those alone, it has nothing to do."""
     grid = generate_tube(5, 30, 20, density)
     grid.explored[:] = True
     kernel = _Kernel(grid, make_fleet(grid, 2), Station(), ())
@@ -960,9 +981,13 @@ def test_a_kernel_built_on_a_fully_explored_map_knows_every_open_cell(density):
     assert np.array_equal(unpad(kernel, kernel.dist_home, np.intc),
                           bfs_distances(grid.traversable(), grid.entrance))
     assert kernel.pending_bits == 0
-    assert kernel.covered == kernel.reachable == len(flood_fill(grid.cells))
+    reach = flood_fill(grid.cells)
+    grid.explored[:] = False
+    grid.explored[tuple(np.array(sorted(reach)).T)] = True
+    report = run_exploration(grid, make_fleet(grid, 2))
+    assert (report.steps, report.coverage_fraction) == (0, 1.0)
     if density:
-        assert kernel.reachable < np.count_nonzero(grid.traversable())
+        assert len(reach) < np.count_nonzero(grid.traversable())
 
 
 def test_a_site_on_an_obstacle_beside_a_robot_is_never_a_target():
@@ -974,12 +999,14 @@ def test_a_site_on_an_obstacle_beside_a_robot_is_never_a_target():
     grid = grid_from_text("E#.\n...\n")
     sites = (SampleSite((0, 1), 1.0),)
     kernel = _Kernel(grid, make_fleet(grid, 1), Station(), sites)
-    for _ in survey_ticks(kernel, 50):
+    for _ in survey_ticks(kernel, grid, 50):
         (scout,) = kernel.scouts
         assert kernel.open[scout.v] and scout.target != kernel.index((0, 1)), kernel.ticks
         assert kernel.robots()[0].target != (0, 1), kernel.ticks
-    assert kernel.covered == kernel.reachable == 5
-    assert kernel.undeliverable(sites) == ((0, "cell [0, 1] is an obstacle"),)
+    assert np.count_nonzero(kernel.explored_mask() & grid.traversable()) == 5
+    report = run_exploration(grid, make_fleet(grid, 1), sample_sites=sites)
+    assert report.coverage_fraction == 1.0
+    assert report.undeliverable_sites == ((0, "cell [0, 1] is an obstacle"),)
 
 
 def test_nothing_left_to_claim_is_answered_without_a_search(monkeypatch):

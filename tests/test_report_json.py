@@ -187,6 +187,18 @@ def test_non_finite_number_in_a_tuple_names_its_path():
             ("config.power", "energy.x[0]: nan is not a finite number")]
 
 
+@pytest.mark.parametrize("kind, module, message, refusal", [
+    ("bogus", "power", "m", "finding kind must be one of ('infeasible', "
+     "'discrepancy_vs_paper', 'limit_violation'), got 'bogus'"),
+    ("infeasible", "", "m", "finding module and message must be nonempty"),
+    ("infeasible", "power", "", "finding module and message must be nonempty"),
+])
+def test_finding_refusals(kind, module, message, refusal):
+    with pytest.raises(ValueError) as exc_info:
+        report.Finding(kind, module, message)
+    assert str(exc_info.value) == refusal
+
+
 def test_dump_json_refuses_a_cycle_with_jsons_error():
     """A cycle is walked once, not forever: with no number to name,
     ``json``'s ValueError stands; with one, it is named at its path."""

@@ -17,15 +17,18 @@ from tubescout.tube_explorer import (
     ENTRANCE,
     FREE,
     OBSTACLE,
+    ExplorationReport,
     GridMap,
     MapError,
     RobotState,
+    RobotStats,
     Sample,
     SampleSite,
     ScoutRobot,
     Station,
     TubeWorld,
     bfs_distances,
+    check_resolution,
     check_survey_work,
     coverage_fraction,
     fresh_map,
@@ -33,6 +36,7 @@ from tubescout.tube_explorer import (
     grid_from_text,
     grid_to_text,
     make_fleet,
+    reachable_cells,
     read_map_file,
     run_exploration,
     step,
@@ -311,6 +315,29 @@ class TestRobotAndSamples:
         with pytest.raises(ValueError):
             ScoutRobot(**args)
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: GridMap(cells=np.zeros(3, dtype=np.int8), explored=np.zeros(3, dtype=bool)),
+         MapError, "cells must be a 2D grid, got shape (3,)"),
+        (lambda: GridMap(cells=open_map().cells, explored=np.zeros((2, 1), dtype=bool)),
+         MapError, "explored mask shape must match cells"),
+        (lambda: check_resolution(0.0), MapError, "resolution_m must be positive, got 0.0"),
+        (lambda: Sample(1.0, (0, 0), module_slot=0), ValueError,
+         "module_slot must be >= 1, got 0"),
+        (lambda: ScoutRobot(id="s1", module_count=1), ValueError,
+         "module_count must be in 2..5, got 1"),
+        (lambda: ScoutRobot(id="s1", module_count=6), ValueError,
+         "module_count must be in 2..5, got 6"),
+        (lambda: ScoutRobot(id="s1", module_count=2, samples=(Sample(1.0, (0, 0), 2),)),
+         ValueError, "module_slot 2 exceeds aux slot count 1"),
+        (lambda: ScoutRobot(id="s1", samples=(Sample(7.0, (0, 0), 1),)), ValueError,
+         "sample mass 7.0 exceeds 6.0 kg slot limit"),
+        (lambda: make_fleet(open_map(), 0), ValueError, "count must be positive, got 0"),
+    ])
+    def test_model_refusals(self, build, error, message):
+        with pytest.raises(error) as exc_info:
+            build()
+        assert str(exc_info.value) == message
+
     def test_too_many_samples_rejected(self):
         samples = (Sample(1.0, (0, 0), 1), Sample(1.0, (0, 0), 2))
         with pytest.raises(ValueError):
@@ -476,6 +503,23 @@ class TestRunExploration:
                 break
         assert explored_set(world.grid) == flood_fill(grid2.cells)
         assert not world.grid.explored[3:, :].any()
+
+    def test_a_fleet_cut_off_from_the_entrance_ends_the_survey(self):
+        """The only robot starts in a pocket walled off from the explored
+        entrance component, with a site left at (0, 0). It is stuck after
+        one tick, and a survey with no robot left to move ends there. The
+        site is not listed as undeliverable, although no robot can reach
+        it: only the Python API can place a robot off the entrance."""
+        grid = grid_from_text("...E..\n......\n####.#\n..#...\n..#...\n")
+        grid.explored[:] = reachable_cells(grid)
+        report = run_exploration(grid, [ScoutRobot(id="s1", position=(3, 0))],
+                                 sample_sites=(SampleSite((0, 0), 1.0),))
+        assert report == ExplorationReport(
+            steps=1, coverage_fraction=1.0, samples_delivered=0,
+            energy_regen_wh=0.0, per_robot_stats=(RobotStats(
+                "s1", distance_cells=0, samples_delivered=0,
+                final_state="stuck", battery_s=18000.0),),
+            undeliverable_sites=())
 
     def test_max_steps_caps_run(self):
         grid = generate_tube(11, 15, 15, 0.1)
