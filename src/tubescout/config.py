@@ -227,6 +227,9 @@ class MissionConfig:
 #: Marks a value whose problem is already recorded.
 _INVALID = object()
 
+#: Marks a key that an object does not hold.
+_ABSENT = object()
+
 #: How fixed-length arrays are described in errors, by JSON key.
 _SHAPES = {"window_s": "[start_s, end_s]", "cell": "[row, col]"}
 
@@ -264,8 +267,8 @@ def _converter(hint, nullable: bool = False):
             if not isinstance(raw, list) or (fixed and len(raw) != len(items)):
                 return fail(raw, path, errors,
                             _SHAPES.get(path.rpartition(".")[2], "an array"))
-            values = [items[i if fixed else 0](v, f"{path}[{i}]", errors)
-                      for i, v in enumerate(raw)]
+            values = [item(v, f"{path}[{i}]", errors) for i, (item, v) in
+                      enumerate(zip(items if fixed else items * len(raw), raw))]
             for v in values:
                 if v is _INVALID:
                     return _INVALID
@@ -273,7 +276,7 @@ def _converter(hint, nullable: bool = False):
     elif dataclasses.is_dataclass(hint):
         def convert(raw, path, errors):
             if isinstance(raw, dict):
-                return _parse_dataclass(_Block(raw, path, errors), hint)
+                return _parse_dataclass(raw, path, errors, hint)
             return fail(raw, path, errors, "an object")
     elif isinstance(hint, type) and issubclass(hint, enum.Enum):
         label = re.sub(r"(?<!^)(?=[A-Z])", " ", hint.__name__).lower()
@@ -308,8 +311,11 @@ def _converter(hint, nullable: bool = False):
 
 
 class _Block:
-    """One JSON object under validation. Keys are popped as they are
-    read; any left when the block closes are unknown."""
+    """One JSON object read by hand: a copy of it, from which keys are
+    popped as they are read; any left when the block closes are unknown.
+    A block that also holds model fields hands what is left of ``data``
+    to ``_parse_dataclass`` instead, which reads those fields and reports
+    any other key as unknown."""
 
     def __init__(self, data: dict, path: str, errors: list):
         self.data = dict(data)
@@ -317,9 +323,7 @@ class _Block:
         self.errors = errors
 
     def err(self, message: str, key: str | None = None) -> None:
-        if key and not key.isprintable():
-            key = repr(key)  # an unknown key must not break the error line
-        self.errors.append((f"{self.path}.{key}" if key else self.path, message))
+        _error(self.errors, self.path, message, key)
 
     def read(self, key: str, hint, default=None):
         """The value at ``key`` as ``hint``; ``default`` if absent or invalid."""
@@ -338,9 +342,20 @@ class _Block:
                       self.errors)
 
     def close(self) -> None:
-        for key in sorted(self.data):
-            self.err(f"unknown key {key!r}", key)
+        _unknown(self.errors, self.path, self.data)
         self.data.clear()
+
+
+def _error(errors: list, path: str, message: str, key: str | None = None) -> None:
+    if key and not key.isprintable():
+        key = repr(key)  # an unknown key must not break the error line
+    errors.append((f"{path}.{key}" if key else path, message))
+
+
+def _unknown(errors: list, path: str, keys) -> None:
+    """Record each of ``keys``, in sorted order, as unknown at ``path``."""
+    for key in sorted(keys):
+        _error(errors, path, f"unknown key {key!r}", key)
 
 
 @functools.cache
@@ -365,48 +380,65 @@ def _schema(cls) -> tuple:
     return tuple(rows)
 
 
-def _parse_dataclass(block: _Block, cls, given: dict | None = None):
-    """Build ``cls`` from a JSON object, one key per field. Fields named
-    in ``given`` were read by hand and are not looked up. Returns
-    ``_INVALID`` once the problems are recorded."""
-    given = given or {}
-    kwargs = {k: v for k, v in given.items() if v is not _INVALID} if given else {}
+def _parse_dataclass(data: dict, path: str, errors: list, cls,
+                     given: dict | None = None):
+    """Build ``cls`` from the JSON object ``data`` at ``path``, reading it
+    in place: ``data`` is not changed. Each field's key is looked up in
+    field order, a grouped field's in its group's object, so problems are
+    recorded in field order. Fields named in ``given`` were read by hand
+    and are not looked up. The keys taken are counted, and only when the
+    objects hold more are the others found against the fields' keys and
+    recorded as unknown. Returns ``_INVALID`` once the problems are
+    recorded in ``errors``."""
+    rows = _schema(cls)
+    kwargs: dict = {}
+    if given:
+        rows = [row for row in rows if row[0] not in given]
+        kwargs = {k: v for k, v in given.items() if v is not _INVALID}
     groups: dict = {}
+    taken, held = 0, len(data)
     complete = True
-    for name, group, key, _, convert, required, plain, nullable in _schema(cls):
-        if name in given:
-            continue
+    for name, group, key, _, convert, required, plain, nullable in rows:
+        source = data
         if group:
             if group not in groups:
-                groups[group] = block.obj(group)
+                raw = data.get(group)
+                taken += group in data
+                if raw is not None and not isinstance(raw, dict):
+                    _error(errors, path, f"expected an object, got {raw!r}", group)
+                groups[group] = raw if isinstance(raw, dict) else {}
+                held += len(groups[group])
             source = groups[group]
-        else:
-            source = block
-        if key in source.data:
-            raw = source.data.pop(key)
-            if (type(raw) is plain and (plain is not float
-                                        or -_FLOAT_MAX <= raw <= _FLOAT_MAX)
-                    or raw is None and nullable):
-                kwargs[name] = raw
-                continue
-            value = convert(raw, f"{source.path}.{key}", block.errors)
-            if value is not _INVALID:
-                kwargs[name] = value
-                continue
+        raw = source.get(key, _ABSENT)
+        if raw is _ABSENT:
+            if required:
+                errors.append((path, f"missing required key {key!r}"))
+                complete = False
+            continue
+        taken += 1
+        # a float is finite where ``raw - raw`` is 0, not NaN
+        if (type(raw) is plain and (plain is not float or raw - raw == 0.0)
+                or raw is None and nullable):
+            kwargs[name] = raw
+            continue
+        value = convert(raw, f"{path}.{group}.{key}" if group else f"{path}.{key}",
+                        errors)
+        if value is not _INVALID:
+            kwargs[name] = value
         elif required:
-            block.err(f"missing required key {key!r}")
-        complete = complete and not required
-    for sub in groups.values():
-        if sub.data:
-            sub.close()
-    if block.data:
-        block.close()
+            complete = False
+    if taken < held:
+        known = {(group, key) for _, group, key, *_ in rows}
+        known.update(("", group) for group in groups)
+        for group, source in (*groups.items(), ("", data)):
+            _unknown(errors, f"{path}.{group}" if group else path,
+                     [k for k in source if (group, k) not in known])
     if not complete:
         return _INVALID
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
-        block.err(str(exc))
+        errors.append((path, str(exc)))
         return _INVALID
 
 
@@ -459,7 +491,8 @@ def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
     if final_drop < 0:
         station_block.err(f"final_drop_m must be nonnegative, got {final_drop}",
                           "final_drop_m")
-    station = _parse_dataclass(station_block, Station,
+    station = _parse_dataclass(station_block.data, station_block.path,
+                               station_block.errors, Station,
                                {"winch": winch if use_winch else None})
     # A robot lowered by the winch still free-falls the last stretch;
     # that drop must be survivable for the whole fleet.
@@ -467,7 +500,8 @@ def _parse_exploration(block: _Block, winch: WinchSpec, base_dir: Path | None):
         block.err(f"station final drop {final_drop} m exceeds the robot drop "
                   f"tolerance {prototype.drop_tolerance_m} m")
 
-    return _parse_dataclass(block, ExplorationSettings, {
+    return _parse_dataclass(block.data, block.path, block.errors,
+                            ExplorationSettings, {
         "map_file": map_file, "robot_count": count, "robot_overrides": overrides,
         "station": station, "final_drop_m": final_drop})
 
@@ -514,13 +548,14 @@ def parse_config(raw: dict, base_dir: Path | None = None) -> MissionConfig:
     given["exploration"] = _parse_exploration(top.obj("exploration"),
                                               given["winch"], base_dir)
     mission = top.obj("mission")
-    given["mission"] = _parse_dataclass(mission, MissionSettings, {
+    given["mission"] = _parse_dataclass(mission.data, mission.path, errors,
+                                        MissionSettings, {
         "sols_per_phase": _parse_phase_map(mission, "sols_per_phase",
                                            _default_sols(), int,
                                            MAX_SOLS_PER_PHASE),
         "cave_fraction": _parse_phase_map(mission, "cave_fraction",
                                           _default_cave_fraction(), float, 1)})
-    config = _parse_dataclass(top, MissionConfig, given)
+    config = _parse_dataclass(top.data, top.path, errors, MissionConfig, given)
     for argument, i, name, message in sol_problems(
             config.sources, config.loads, config.env, config.timestep_s,
             {REGEN_SOURCE_NAME: "the mission's winch regeneration source"}):

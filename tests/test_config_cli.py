@@ -1,5 +1,6 @@
 """Tests for scenario-config loading/validation and the command line."""
 
+import copy
 import json
 import os
 import re
@@ -126,7 +127,65 @@ class TestParseConfig:
                 "mission": {"seed": -1},
                 "unknown_block": {},
             })
-        assert len(exc_info.value.errors) >= 4
+        assert exc_info.value.errors == [
+            ("config.winch", "payload_mass_kg must be positive, got -5.0"),
+            ("config.mission", "seed must be nonnegative, got -1"),
+            ("config.enclosure", "glazed_area_m2 must be positive, got 0.0"),
+            ("config.unknown_block", "unknown key 'unknown_block'")]
+
+    @pytest.mark.parametrize("payload, errors", [
+        # a grouped field's problems come in field order, before the
+        # fields after it; unknown keys come last, group by group
+        ({"zz": 1, "power": {"qq": 1, "battery": {"capacity_wh": -1, "yy": 2}},
+          "program": {"limits": {"volume_limit_m3": 0}}},
+         [("config.power.battery.yy", "unknown key 'yy'"),
+          ("config.power.battery", "capacity_wh must be nonnegative, got -1.0"),
+          ("config.program.limits", "volume_limit_m3 must be positive, got 0.0"),
+          ("config.power.qq", "unknown key 'qq'"),
+          ("config.zz", "unknown key 'zz'")]),
+        ({"program": {"fte": {"people": "a", "zz": 1}, "qq": 2}},
+         [("config.program.fte.people", "expected an integer, got 'a'"),
+          ("config.program.fte.zz", "unknown key 'zz'"),
+          ("config.program.qq", "unknown key 'qq'")]),
+        ({"program": {"wbs": {"name": "root", "level": 1,
+                              "children": [[], {"level": 2, "bad": 1}]}}},
+         [("config.program.wbs.children[0]", "expected an object, got []"),
+          ("config.program.wbs.children[1]", "missing required key 'name'"),
+          ("config.program.wbs.children[1].bad", "unknown key 'bad'")]),
+        # a field read by hand is not looked up again: ``use_winch`` sets it
+        ({"exploration": {"station": {"winch": 1}}},
+         [("config.exploration.station.winch", "unknown key 'winch'")]),
+        ({"power": {"battery": 5, "x\x01": 1}},
+         [("config.power.battery", "expected an object, got 5"),
+          ("config.power.'x\\x01'", "unknown key 'x\\x01'")]),
+        ({"power": []}, [("config.power", "expected an object, got []")]),
+    ], ids=("grouped", "fte", "wbs-children", "read-by-hand", "unprintable",
+            "group-not-object"))
+    def test_errors_listed_in_field_order(self, payload, errors):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(payload)
+        assert exc_info.value.errors == errors
+
+    @pytest.mark.parametrize("payload", [
+        json.loads((SCENARIOS / "two_tube_mission.json").read_text(encoding="utf-8")),
+        {"zz": 1, "power": {"qq": 1, "battery": {"capacity_wh": -1}},
+         "program": {"fte": {"people": "a"}, "wbs": {"name": "w", "level": 1,
+                                                     "children": [{"bad": 1}]}},
+         "exploration": {"station": {"winch": 1}, "robots": {"count": 0}},
+         "mission": {"sols_per_phase": {"Nowhere": 1}}},
+    ], ids=("two_tube_mission", "invalid"))
+    def test_input_left_unchanged(self, payload):
+        """Objects are read in place: parsing changes no part of its
+        argument, and parsing the same dict twice gives the same result."""
+        before = copy.deepcopy(payload)
+        outcomes = []
+        for _ in range(2):
+            try:
+                outcomes.append(repr(parse_config(payload)))
+            except ConfigError as exc:
+                outcomes.append(exc.errors)
+            assert payload == before
+        assert outcomes[0] == outcomes[1]
 
     def test_parse_error_reports_line_and_column(self, tmp_path):
         path = tmp_path / "broken.json"
