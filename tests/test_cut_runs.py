@@ -29,6 +29,8 @@ from tubescout.energy import (
 from tubescout.env import MarsEnvironment
 from tubescout.report import power_section
 
+from test_mission_sols import logged_sol_traces
+
 ENV = MarsEnvironment()
 SOL_S = ENV.sol_length_s
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -271,23 +273,19 @@ def test_power_section_counts_match_the_per_step_cuts(seed, timestep_s):
         assert findings == []
 
 
-def mission_traces(monkeypatch, config):
-    """Run a mission and return its sol log and every sol's trace."""
-    traces = []
-
-    def recorded(*args):
-        traces.append(simulate_sol(*args))
-        return traces[-1]
-
-    monkeypatch.setattr(mission, "simulate_sol", recorded)
-    return mission.run_mission(config)["mission"]["sol_log"], traces
+def mission_traces(config):
+    """Run a mission and return its sol log and each logged sol's trace,
+    simulated afresh from the inputs the entry names: a repeated sol
+    takes an earlier sol's numbers, so the mission's own calls do not
+    give one trace per sol."""
+    sol_log = mission.run_mission(config)["mission"]["sol_log"]
+    return sol_log, list(logged_sol_traces(config, sol_log))
 
 
 @pytest.mark.parametrize("scenario", ["paper_baseline", "cold_extreme",
                                       "two_tube_mission"])
-def test_mission_sol_log_counts_match_the_per_step_cuts(monkeypatch, scenario):
-    sol_log, traces = mission_traces(monkeypatch,
-                                     load_config(SCENARIOS / f"{scenario}.json"))
+def test_mission_sol_log_counts_match_the_per_step_cuts(scenario):
+    sol_log, traces = mission_traces(load_config(SCENARIOS / f"{scenario}.json"))
     assert len(sol_log) == len(traces)
     for sol, trace in zip(sol_log, traces):
         cuts = list(trace.cuts())
@@ -297,7 +295,7 @@ def test_mission_sol_log_counts_match_the_per_step_cuts(monkeypatch, scenario):
                                              for _, _, sheddable, _ in cuts)
 
 
-def test_mission_counts_sheddable_and_hard_cuts_apart(monkeypatch):
+def test_mission_counts_sheddable_and_hard_cuts_apart():
     heater = TaggedLoad("heater", 511.5, (44375.0, 88775.0), sheddable=False)
     lamp = TaggedLoad("lamp", 50.0, sheddable=True)
     config = MissionConfig(
@@ -305,7 +303,7 @@ def test_mission_counts_sheddable_and_hard_cuts_apart(monkeypatch):
         sources=(PowerSource("rtg", rating_w=110.0),),
         loads=(heater, lamp),
         mission=MissionSettings(events=(), germination=None))
-    [sol], [trace] = mission_traces(monkeypatch, config)
+    [sol], [trace] = mission_traces(config)
     cuts = per_step_cuts(trace)
     assert sol["violations"] == len(cuts) == 2 * 1776
     assert sol["hard_violations"] == 1776

@@ -4,8 +4,10 @@ Set and dict iteration over strings follows the hash seed, so a set of
 names written into a report unsorted would differ between runs. Two
 processes, under ``PYTHONHASHSEED`` 0 and 4242, run each command line of
 ``RUNS``: ``mission`` on every shipped scenario and with ``--seed 123``,
-``thermal``, ``power`` plain, ``--strict`` and ``--format csv``, and
-``explore --seed 7`` on ``two_tube_mission`` and on each of ``SURVEYS``.
+``thermal``, ``power`` plain, ``--strict`` and ``--format csv``,
+``explore --seed 7`` on ``two_tube_mission`` and on each of ``SURVEYS``,
+and ``mission`` on the long mission, whose repeated sols are looked up
+in a dict keyed on their inputs.
 Each run must exit 0, and each file written must be byte-identical
 across the two processes.
 """
@@ -17,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from test_mission_sols import long_mission
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT, SOC, ROBOTS = "report.json", "soc_trace.csv", "exploration_robots.csv"
@@ -75,6 +79,7 @@ RUNS = [
                       "--format", "csv"], [REPORT, SOC]),
     ("seed123", ["mission", "--config", shipped("two_tube_mission"),
                  "--seed", "123"], [REPORT]),
+    ("long", ["mission", "--config", "long.json"], [REPORT]),
     ("cold_extreme", ["thermal", "--config", shipped("cold_extreme")], [REPORT]),
     ("two_tube_mission", ["explore", "--config", shipped("two_tube_mission"),
                           "--seed", "7", "--format", "csv"], [REPORT, ROBOTS]),
@@ -112,6 +117,7 @@ def files(tmp_path_factory):
     for name, payload in SURVEYS.items():
         (cwd / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
     (cwd / "pocket.map").write_text(POCKET_MAP, encoding="utf-8")
+    (cwd / "long.json").write_text(json.dumps(long_mission()), encoding="utf-8")
     return run_files("0", cwd), run_files("4242", cwd)
 
 

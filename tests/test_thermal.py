@@ -422,3 +422,60 @@ def test_last_sample_matches_the_walk(monkeypatch, sol_s):
         avionics_envelope_check(env, AvionicsEnvelope())
         assert max(times) == ENVELOPE_SAMPLE_STEP_S * loop_last_sample(env), (
             sol_s, env.night_start_s)
+
+
+def half_sample_envs():
+    """Environments whose mid-day falls on a half-sample, 0.5 * day =
+    60 k + 30 s, or a few ulps of the sol length off one, so that two
+    samples are (nearly) equally far from it and the rounded guess of the
+    peak search may start on either."""
+    for k, night_s in itertools.product((0, 1, 2, 5, 36, 369), (30.0, 1000.0)):
+        sol_s = ENVELOPE_SAMPLE_STEP_S * (2 * k + 1) + night_s
+        for offset in range(-3, 4):
+            sol = sol_s
+            for _ in range(abs(offset)):
+                sol = math.nextafter(sol, math.copysign(math.inf, offset))
+            for low, high in ((-73.0, 20.0), (-1e-3, 1e-3), (0.0, 1e6)):
+                yield MarsEnvironment(sol_length_s=sol, night_duration_s=night_s,
+                                      night_low_c=low, day_high_c=high)
+
+
+def peak_envelopes(env):
+    """Envelopes whose answer turns on the peak sample: hot only around
+    it, with and without a heater that lifts the arc to its setpoint."""
+    low, high = env.night_low_c, env.day_high_c
+    mid = 0.5 * low + 0.5 * high
+    yield AvionicsEnvelope(min_ok_c=low - 1.0, max_ok_c=mid)
+    yield AvionicsEnvelope(min_ok_c=mid, max_ok_c=high - 0.25 * (high - low))
+    yield AvionicsEnvelope(min_ok_c=2 * low - mid, max_ok_c=mid,
+                           heater_power_w=100.0, heater_delta_c_per_100w=high - low)
+
+
+def test_peak_search_on_half_sample_days():
+    """Brute force over every 60 s sample. The search's guess, the sample
+    nearest mid-day, already holds the greatest effective temperature, so
+    its step-up and step-down loops never move on these days."""
+    step = ENVELOPE_SAMPLE_STEP_S
+    for env in half_sample_envs():
+        guess = round(0.5 * env.day_duration_s / step)
+        for envelope in peak_envelopes(env):
+            assert same_check(avionics_envelope_check(env, envelope),
+                              full_sweep_check(env, envelope)), (env, envelope)
+            samples = [_effective_temp(diurnal_temperature(env, step * k), envelope)
+                       for k in range(math.ceil(env.sol_length_s / step))]
+            assert samples[guess] == max(samples), (env, envelope)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_peak_search_steps_to_the_peak_from_a_neighbour(monkeypatch, shift):
+    """Start the search one sample off its guess, by shadowing ``round``
+    in the thermal module: the step loops must walk to the peak, and the
+    answer must still equal the full sweep's bit for bit."""
+    cases = [(env, envelope) for env in half_sample_envs()
+             for envelope in peak_envelopes(env)]
+    cases += [random_envelope_case(random.Random(seed)) for seed in range(200)]
+    monkeypatch.setattr(thermal, "round", lambda x: max(0, round(x) + shift),
+                        raising=False)
+    for env, envelope in cases:
+        assert same_check(avionics_envelope_check(env, envelope),
+                          full_sweep_check(env, envelope)), (env, envelope)
