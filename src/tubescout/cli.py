@@ -121,6 +121,8 @@ def _dispatch(args: argparse.Namespace) -> int:
                 config.program, wbs=parse_wbs_file(args.wbs)))
         path, run, csv_name, write_csv = _RUNS[args.command]
         section, findings, source = guard(path, run)(config, seed)
+        if args.format != "csv":
+            source = None  # free a power trace before dump_json
         place(report, path, section)
         report["findings"] = [f.to_dict() for f in findings]
 

@@ -19,7 +19,8 @@ import enum
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .env import MarsEnvironment
@@ -41,8 +42,9 @@ DEFAULT_TIMESTEP_S = 25.0
 #: step the scalar rule takes costs 0.25 to 0.4 us (CPython 3.11, 2 x86
 #: CPUs), a step of a ramp about 9 ns (a 1 s sol whose SoC never settles
 #: runs in 0.8 ms), a step filled by slice after a fixed point next to
-#: nothing, and each step 24 bytes of trace arrays (SoC, demand and
-#: shed power; the trace derives the rest when read).
+#: nothing, and each step 16 bytes of trace arrays (SoC and shed power;
+#: the trace keeps demand once per stretch and derives the rest when
+#: read).
 MAX_SOL_STEPS = 100_000
 
 #: Upper bound on the work of one power report, counted as (loads + 2)
@@ -55,8 +57,8 @@ MAX_SOL_STEPS = 100_000
 #: trial walks ``_cuts`` about once a stretch, and the report reads the
 #: trace's cuts once per run of equal shed power. At the bound
 #: (20 loads at 1 s steps, 1.78M cuts in one run) the report takes
-#: 20-22 ms, 12-15 ms of it the scheduler and 1.5-1.8 ms the full trace
-#: (CPython 3.11, 2 x86 CPUs, medians of 15 calls).
+#: 4.6-5.0 ms, 2.2-2.3 ms of it the scheduler and 0.5-0.55 ms the full
+#: trace (CPython 3.11, 2 x86 CPUs, medians of 15 calls).
 MAX_SOL_WORK = 42_000_000
 
 
@@ -188,13 +190,17 @@ class SocTrace:
 
     The trace stores what the kernel measured: ``soc_wh``, which has one
     more sample than the step arrays (entry i is the state of charge at
-    time i*timestep_s, entry [-1] at the end of the sol), each step's
-    ``demand_w`` and ``shed_w``, the shed order, and the sol's two
-    supply figures: ``base_supply_w`` from the constant sources at every
-    step and ``first_supply_w`` at step 0, which adds any regeneration
-    credit.
+    time i*timestep_s, entry [-1] at the end of the sol), the demand once
+    per stretch (see ``_Sol.run``), each step's ``shed_w``, the shed
+    order, and the sol's two supply figures: ``base_supply_w`` from the
+    constant sources at every step and ``first_supply_w`` at step 0,
+    which adds any regeneration credit. Stretch k is the steps
+    [stretch_bounds[k], stretch_bounds[k + 1]), and ``stretch_demand_w[k]``
+    its demand. A scheduler trial keeps only its SoC and demand: its
+    ``shed_w`` is None.
 
-    It derives ``supply_w`` as a new array on every read:
+    It derives two arrays as new ones on every read: ``demand_w``, each
+    stretch's demand at each of its steps, and ``supply_w``,
     ``first_supply_w`` at step 0 and ``base_supply_w`` after it. The
     per-step battery deltas are ``np.diff(soc_wh)``, a charge where
     positive and a discharge where negative, and SoC stays within
@@ -215,17 +221,28 @@ class SocTrace:
 
     timestep_s: float
     soc_wh: np.ndarray
-    demand_w: np.ndarray
-    shed_w: np.ndarray
+    stretch_bounds: tuple[int, ...]
+    stretch_demand_w: array
+    shed_w: np.ndarray | None
     base_supply_w: float
     first_supply_w: float
     shed_order: tuple[PowerLoad, ...] = ()
 
     @property
+    def demand_w(self) -> np.ndarray:
+        import numpy as np
+        bounds = self.stretch_bounds
+        demand_w = np.empty(bounds[-1])
+        for k, demand in enumerate(self.stretch_demand_w):
+            demand_w[bounds[k]:bounds[k + 1]] = demand
+        return demand_w
+
+    @property
     def supply_w(self) -> np.ndarray:
         import numpy as np
         # dtype=float: a sol without constant sources has the integer 0.
-        supply_w = np.full(len(self.demand_w), self.base_supply_w, dtype=float)
+        supply_w = np.full(self.stretch_bounds[-1], self.base_supply_w,
+                           dtype=float)
         supply_w[0] = self.first_supply_w
         return supply_w
 
@@ -365,12 +382,12 @@ class _Sol:
     ``run``, which returns a run's ``SocTrace``, and ``schedule``, the
     greedy scheduler over ``run``; between calls it keeps only counters.
 
-    A run's demand is a numpy array built by adding each load's power
-    over its step range in list order, which repeats the float additions
-    of summing the active loads step by step. The SoC recurrence runs on
-    Python floats, and each stretch's ramp in one numpy running sum.
-    ``simulate_sol``, every ``schedule`` trial and each mission sol run
-    this same code.
+    A run keeps its demand once per stretch in an ``array('d')``: each
+    load adds its power to the stretches it is active on, in list order,
+    which repeats the float additions of summing the active loads step
+    by step. The SoC recurrence runs on Python floats, and each
+    stretch's ramp in one numpy running sum. ``simulate_sol``, every
+    ``schedule`` trial and each mission sol run this same code.
     """
 
     def __init__(self, sources: list[PowerSource], loads: list[PowerLoad],
@@ -410,18 +427,18 @@ class _Sol:
         ``loads`` and return the trace of the run, or None for a rejected
         trial; no cuts are kept.
 
-        The run walks the sol one stretch at a time. The stretches are cut
-        at step 1, at ``n_steps`` and at each load's ``lo`` and ``hi``
-        (see ``_entry``), and nowhere else, so the active loads, and so
-        the demand, are the same at every step of a stretch, and so is
-        the supply: only step 0 has the winch regeneration credit, and it
-        is a stretch of its own. A step then depends only on the SoC it
-        starts from. Once a step leaves the SoC unchanged, it is a fixed
-        point, and every later step of its stretch repeats it bit for
-        bit: the same SoC, the same shed power and, in a trial, the same
-        verdict. The run fills the rest of the stretch's SoC and shed
-        power by slice, counts those steps in ``skipped``, and goes on at
-        the next stretch.
+        The run walks the sol one stretch at a time, by index into its
+        stretch bounds and demands. The stretches are cut at step 1, at ``n_steps`` and
+        at each load's ``lo`` and ``hi`` (see ``_entry``), and nowhere
+        else, so the active loads, and so the demand, are the same at
+        every step of a stretch, and so is the supply: only step 0 has the
+        winch regeneration credit, and it is a stretch of its own. A step
+        then depends only on the SoC it starts from. Once a step leaves
+        the SoC unchanged, it is a fixed point, and every later step of
+        its stretch repeats it bit for bit: the same SoC, the same shed
+        power and, in a trial, the same verdict. The run fills the rest of
+        the stretch's SoC, and a full run its shed power, by slice, counts
+        those steps in ``skipped``, and goes on at the next stretch.
 
         Until a clamp, each step of a stretch adds the same d to the SoC:
         its charge, or minus its full discharge. So after a stretch's first
@@ -437,20 +454,24 @@ class _Sol:
         ignores float overflow throughout.
 
         A run is full or a trial. A full run, with no ``base``, steps the
-        whole sol. A trial is given ``base``, the trace of the run of
-        ``loads[:-1]``, which cut no non-sheddable load, and tries the
-        candidate ``loads[-1]``, active over steps [lo, hi). Its demand,
-        that of ``base`` plus the candidate's, is the array the full run of
-        ``loads`` builds, bit for bit. Before ``lo`` its demand and active
-        loads are those of ``base``, so it copies the SoC and shed power of
-        those steps from ``base`` and steps from ``lo`` to the end of the
-        sol; an admitted trial's trace is the full run's, bit for bit.
+        whole sol; each of its loads adds its power to the demand of the
+        stretches it is active on, in list order, the additions that
+        ``demand[lo:hi] += power_w`` made on a per-step array. A trial is
+        given ``base``, the trace of the run of ``loads[:-1]``, which cut
+        no non-sheddable load, and tries the candidate ``loads[-1]``,
+        active over steps [lo, hi). A stretch's demand is that of the
+        stretch of ``base`` it lies in, plus the candidate's power on
+        [lo, hi): the sum the full run of ``loads`` makes, bit for bit.
+        Before ``lo`` its demand and active loads are those of ``base``,
+        so it copies the SoC of those steps from ``base`` and steps from
+        ``lo`` to the end of the sol.
 
-        A trial returns None at the first step whose shed power reaches a
-        non-sheddable load. A repeated step cannot be that step, since the
-        step it repeats was not, so a trial checks the cuts of a stepped
-        step only, and the steps it copies from ``base`` change no
-        verdict.
+        A trial records only its SoC: it writes no shed power. It returns
+        None at the first step whose shed power reaches a non-sheddable
+        load. A repeated step cannot be that step, since the step it
+        repeats was not, so a trial checks the cuts of a stepped step
+        only, and the steps it copies from ``base`` change no verdict. An
+        admitted trial's SoC is the full run's, bit for bit.
         """
         import numpy as np
         battery = self.battery
@@ -462,32 +483,37 @@ class _Sol:
         names = {l.name for l in loads}
         shed_order = [l for l in self.shed_order if l.name in names]
         order = [self.entries[l.name] for l in shed_order]
-        edges = sorted({1, n_steps}.union(*(entry[:2] for entry in order)))
-        shed_w = np.zeros(n_steps)
-        shed_view = memoryview(shed_w)
+        bounds = {0, 1, n_steps}
+        for lo, hi, _, _, _ in order:
+            bounds.update((lo, hi))
+        bounds = tuple(sorted(bounds))
         soc = array("d", [battery.initial_soc_wh]) * (n_steps + 1)
         soc_wh = np.frombuffer(soc)
-        start = 0
-        # An infinite demand is shed in full, and a ramp may overflow (see above).
+        demands = array("d", [0.0]) * (len(bounds) - 1)
+        if base is None:
+            first = 0
+            shed_w = np.zeros(n_steps)
+            shed_view = memoryview(shed_w)
+            for load in loads:
+                lo, hi, power_w, _, _ = self.entries[load.name]
+                for k in range(bounds.index(lo), bounds.index(hi)):
+                    demands[k] += power_w
+        else:
+            first, hi, power_w, _, _ = self.entries[loads[-1].name]
+            shed_w = None
+            j = 0
+            for k, start in enumerate(bounds[:-1]):
+                while base.stretch_bounds[j + 1] <= start:
+                    j += 1
+                demands[k] = base.stretch_demand_w[j]
+                if first <= start < hi:
+                    demands[k] += power_w
+            soc_wh[:first + 1] = base.soc_wh[:first + 1]
+        before = soc[first]
+        # A ramp's discarded sums may overflow (see above).
         with np.errstate(over="ignore"):
-            if base is None:
-                demand_w = np.zeros(n_steps)
-                for load in loads:
-                    lo, hi, power_w, _, _ = self.entries[load.name]
-                    demand_w[lo:hi] += power_w
-            else:
-                lo, hi, power_w, _, _ = self.entries[loads[-1].name]
-                demand_w = base.demand_w.copy()
-                demand_w[lo:hi] += power_w
-                soc_wh[:lo + 1] = base.soc_wh[:lo + 1]
-                shed_w[:lo] = base.shed_w[:lo]
-                start = lo
-            before = soc[start]
-            demand_view = memoryview(demand_w)
-            first = start
-            while start < n_steps:
-                end = edges[bisect.bisect_right(edges, start)]
-                demand = demand_view[start]
+            for k in range(bounds.index(first), len(bounds) - 1):
+                start, end, demand = bounds[k], bounds[k + 1], demands[k]
                 supply = self.first_supply_w if start == 0 else self.base_supply_w
                 # min(a, b) and max(a, b) are spelled out as conditionals (same
                 # result, same operand on ties) because the calls cost most of
@@ -511,8 +537,9 @@ class _Sol:
                             after = 0.0
                         unmet_w = (need_wh - delivered) / dt_h
                         if unmet_w > POWER_EPSILON_W:
-                            shed_view[i] = unmet_w
-                            if base is not None:  # a trial
+                            if base is None:
+                                shed_view[i] = unmet_w
+                            else:  # a trial
                                 for _, _, sheddable, _ in _cuts(order, ((i, unmet_w),)):
                                     if not sheddable:
                                         self.stepped += i + 1 - first
@@ -521,7 +548,7 @@ class _Sol:
                         # A fixed point: every later step of the stretch repeats
                         # this one, its SoC, its shed power and its verdict.
                         soc_wh[i + 1:end + 1] = after
-                        if shed_view[i]:
+                        if base is None and shed_view[i]:
                             shed_w[i + 1:end] = shed_view[i]
                         self.skipped += end - i - 1
                         break
@@ -547,12 +574,12 @@ class _Sol:
                         continue
                     soc[i + 1] = before = after
                     i += 1
-                start = end
-        self.stepped += start - first
+        self.stepped += n_steps - first
         return SocTrace(
             timestep_s=self.timestep_s,
             soc_wh=soc_wh,
-            demand_w=demand_w,
+            stretch_bounds=bounds,
+            stretch_demand_w=demands,
             shed_w=shed_w,
             base_supply_w=self.base_supply_w,
             first_supply_w=self.first_supply_w,
@@ -560,9 +587,13 @@ class _Sol:
         )
 
     def schedule(self, loads: list[PowerLoad]) -> ScheduleResult:
-        """``schedule_loads`` on this fresh sol; ``stepped`` is its counter."""
+        """``schedule_loads`` on this fresh sol; ``stepped`` is its counter.
+        The bare sol is a full run and each candidate a trial; the bare
+        sol's shed power, all zero, is dropped at once, so the admitted
+        trace, like a trial, keeps only its SoC and demand. The result
+        builds its trace when first read."""
         admitted: list[PowerLoad] = []
-        trace = self.run(admitted)
+        trace = replace(self.run(admitted), shed_w=None)
         verdicts: dict[str, bool] = {}
         for load in sorted(loads, key=lambda l: (l.priority, l.name)):
             trial = self.run(admitted + [load], trace)
@@ -571,7 +602,7 @@ class _Sol:
                 admitted.append(load)
                 trace = trial
         return ScheduleResult(admitted=tuple(admitted), verdicts=verdicts,
-                              trace=trace, stepped=self.stepped)
+                              stepped=self.stepped, _sol=self)
 
 
 def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
@@ -595,12 +626,20 @@ def simulate_sol(sources: list[PowerSource], loads: list[PowerLoad],
 
 @dataclass(frozen=True)
 class ScheduleResult:
+    """The scheduler's verdicts. ``trace``, the sol of the admitted loads,
+    is built on first read: one full run of them in admission order, on
+    the sol the scheduler ran."""
+
     admitted: tuple[PowerLoad, ...]
     verdicts: dict[str, bool]
-    trace: SocTrace
     #: Steps covered by the bare sol and the trials together, those
     #: filled by slice after a fixed point included.
     stepped: int
+    _sol: _Sol = field(repr=False, compare=False)
+
+    @cached_property
+    def trace(self) -> SocTrace:
+        return self._sol.run(list(self.admitted))
 
     @property
     def feasible(self) -> bool:
@@ -616,15 +655,19 @@ def schedule_loads(sources: list[PowerSource], loads: list[PowerLoad],
     A candidate is admitted iff simulating the already admitted set plus
     the candidate cuts no non-sheddable load; a trial stops at the first
     such cut. ``feasible`` is true iff every input load is admitted. The
-    returned trace is that of the final admitted set.
+    result's trace is that of the final admitted set, built when first
+    read.
 
     ``_Sol.schedule`` keeps one admitted trace, which starts as the bare
     sol without loads. Each candidate's trial is ``_Sol.run`` on the admitted
     loads plus the candidate, given that trace: it differs from the
     admitted run only from the candidate's first active step ``lo`` on,
-    so it copies the admitted run before ``lo`` and steps from there to
-    the end of the sol or to its first hard cut. An admitted trial's
-    trace becomes the admitted trace.
+    so it copies the admitted SoC before ``lo`` and steps from there to
+    the end of the sol or to its first hard cut. A trial keeps its SoC
+    and per-stretch demand but no shed power, and an admitted trial
+    becomes the admitted trace. The trace the result builds on read is
+    the full run of the admitted loads, whose SoC is the last admitted
+    trial's, bit for bit.
     """
     return _Sol(sources, loads, battery, env, timestep_s).schedule(loads)
 
@@ -643,12 +686,12 @@ def write_soc_csv(path, trace: SocTrace) -> None:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "soc_wh", "supply_w", "demand_w", "shed_w"])
         # Each property builds its array on every read: read it once.
-        supply_w = trace.supply_w
+        supply_w, demand_w = trace.supply_w, trace.demand_w
         for i in range(len(supply_w)):
             writer.writerow([
                 _time_text(i * trace.timestep_s),
                 f"{trace.soc_wh[i + 1]:.6f}",
                 f"{supply_w[i]:.6f}",
-                f"{trace.demand_w[i]:.6f}",
+                f"{demand_w[i]:.6f}",
                 f"{trace.shed_w[i]:.6f}",
             ])

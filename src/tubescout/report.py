@@ -389,7 +389,8 @@ def power_section(sources: tuple[PowerSource, ...], loads: tuple[PowerLoad, ...]
                   timestep_s: float) -> tuple[dict, list[Finding], SocTrace]:
     """One sol kernel gives both answers: which loads its greedy scheduler
     admits (``schedule_loads``), and the trace of the sol with every load
-    attached (``simulate_sol``), returned too for callers that emit CSV."""
+    attached (``simulate_sol``), returned too for callers that emit CSV.
+    The schedule's own trace is never built."""
     sol = _Sol(list(sources), list(loads), battery, env, timestep_s)
     schedule = sol.schedule(list(loads))
     plan = {"admitted": [l.name for l in schedule.admitted],

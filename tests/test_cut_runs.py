@@ -9,6 +9,7 @@ and each mission sol must count the same cuts.
 """
 
 import random
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +173,8 @@ def test_a_gap_in_equal_shed_within_a_stretch_starts_a_new_run():
     edges, but a run is still only ever consecutive steps."""
     shed_w = np.array([5.0, 5.0, 0.0, 5.0, 5.0, 0.0])
     trace = SocTrace(timestep_s=25.0, soc_wh=np.zeros(len(shed_w) + 1),
-                     demand_w=np.zeros(len(shed_w)), shed_w=shed_w,
+                     stretch_bounds=(0, len(shed_w)),
+                     stretch_demand_w=array("d", [0.0]), shed_w=shed_w,
                      base_supply_w=0.0, first_supply_w=0.0,
                      shed_order=(PowerLoad("lamp", 10.0),))
     runs = assert_runs_expand_to_per_step_cuts(trace)

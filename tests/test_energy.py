@@ -1,9 +1,14 @@
 """Winch mechanics, SoC simulation, shedding and the load scheduler."""
 
 import csv
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from tubescout.cli import main
 
 from tubescout.energy import (
     DEFAULT_TIMESTEP_S,
@@ -11,6 +16,7 @@ from tubescout.energy import (
     Battery,
     PowerLoad,
     PowerSource,
+    SocTrace,
     SourceKind,
     WinchSpec,
     schedule_loads,
@@ -25,6 +31,7 @@ from tubescout.env import MarsEnvironment
 from test_energy_kernel import battery_deltas
 
 ENV = MarsEnvironment()
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RTG = PowerSource("rtg", SourceKind.CONSTANT, rating_w=110.0)
 NIGHT_HEATER = PowerLoad("greenhouse_heater", 511.5, (44375.0, 88775.0),
                          priority=2, sheddable=False)
@@ -374,3 +381,61 @@ def test_write_soc_csv_times_are_exact(tmp_path, timestep_s):
     assert [float(t) for t in times] == [i * timestep_s for i in range(len(times))]
     # Rows that 6 significant digits give exactly keep that text.
     assert times[:3] == ["0", f"{timestep_s:g}", f"{2 * timestep_s:g}"]
+
+
+def test_write_soc_csv_reads_each_derived_array_once(tmp_path, monkeypatch):
+    """``supply_w`` and ``demand_w`` build a new array on every read: the
+    writer reads each once, not once a row."""
+    trace = simulate_sol([RTG], [PowerLoad("bus", 50.0), NIGHT_HEATER],
+                         Battery(), ENV)
+    reads = []
+    for name in ("supply_w", "demand_w"):
+        derive = getattr(SocTrace, name).fget
+        monkeypatch.setattr(SocTrace, name, property(
+            lambda self, name=name, derive=derive:
+                reads.append(name) or derive(self)))
+    write_soc_csv(tmp_path / "soc.csv", trace)
+    assert sorted(reads) == ["demand_w", "supply_w"]
+
+
+#: A ``power_sweep`` benchmark input that sheds and rejects ``load_01``.
+SHEDDING_POWER_CONFIG = {"power": {
+    "battery": {"capacity_wh": 1279.8, "initial_soc_wh": 1023.8},
+    "loads": [
+        {"name": "load_00", "power_w": 69.5, "priority": 9, "sheddable": False,
+         "window_s": [56777.8, 71607.8]},
+        {"name": "load_01", "power_w": 294.3, "priority": 0, "sheddable": False,
+         "window_s": [64784.8, 88775.0]},
+        {"name": "load_02", "power_w": 59.9, "priority": 4, "sheddable": False,
+         "window_s": [15000.0, 23552.7]},
+        {"name": "load_03", "power_w": 116.7, "priority": 2, "sheddable": True,
+         "window_s": [41103.1, 56558.7]}],
+    "sources": [
+        {"kind": "constant", "name": "rtg", "rating_w": 43.3},
+        {"kind": "wind_turbine", "name": "balloon_turbine", "rating_w": 28.8}],
+    "timestep_s": 25.0}}
+
+
+@pytest.mark.parametrize("config, digest", [
+    ("paper_baseline",
+     "207a0acbd0a83b4d611a3268da7aef62622587f3fbed43b8df76880860d5ec8d"),
+    ("cold_extreme",
+     "54823bfaf6b7abdfab14955c40a37d265fc4907bb3f15c50b169a69fa80236c3"),
+    ("two_tube_mission",
+     "a2d15fc08cdf5d1d449c75e8689f4a0ae4b9d984740c1da0442936ec25bf2c62"),
+    (SHEDDING_POWER_CONFIG,
+     "c1348034c6ea0a0e49ce87618da7514b818855332f7f462973d7448fd0e35552"),
+])
+def test_soc_trace_csv_bytes_are_pinned(config, digest, tmp_path):
+    """``power --format csv`` writes these ``soc_trace.csv`` bytes, as the
+    kernel wrote them when it stored a demand array per step."""
+    if isinstance(config, str):
+        path = SCENARIOS / f"{config}.json"
+    else:
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["power", "--config", str(path), "--format", "csv",
+                 "--out", str(out)]) == 0
+    data = (out / "soc_trace.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -13,8 +13,8 @@ import bisect
 import itertools
 import math
 import random
-import tracemalloc
 from array import array
+from contextlib import contextmanager
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from tubescout import energy
 from tubescout.cli import main
-from tubescout.config import MissionConfig, MissionSettings, TaggedLoad
+from tubescout.config import MissionConfig, MissionSettings, TaggedLoad, load_config
 from tubescout.energy import (
     POWER_EPSILON_W,
     Battery,
@@ -44,6 +44,9 @@ from tubescout.energy import (
 from tubescout.env import MarsEnvironment
 from tubescout.mission import run_mission
 from tubescout.report import power_section
+
+import test_mission_sols
+from peak_memory import peak_bytes
 
 ENV = MarsEnvironment()
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -210,22 +213,59 @@ def random_case(rng: random.Random):
     return sources, loads, battery, timestep_s
 
 
+@contextmanager
+def admitted_trials():
+    """Spy on ``_Sol.run``: yield a list that gets (loads, trace) for each
+    trial run inside the block that returns a trace."""
+    trials = []
+    run = _Sol.run
+
+    def observed(sol, loads, base=None):
+        trace = run(sol, loads, base)
+        if base is not None and trace is not None:
+            trials.append((list(loads), trace))
+        return trace
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Sol, "run", observed)
+        yield trials
+
+
+def assert_trial_is_the_run(trial, loads, expected):
+    """An admitted trial, which resumed at its candidate's ``lo`` from its
+    base and copied its base's demand per stretch, holds the SoC and the
+    demand of ``expected``, the run of the same loads from step 0, bit for
+    bit; its demand is also the old per-step array. It keeps no shed
+    power, yet derives its supply."""
+    assert trial.shed_w is None
+    for name in ("soc_wh", "supply_w", "demand_w"):
+        assert getattr(trial, name).tobytes() == expected[name].tobytes(), name
+    assert_demand_is_the_old_array(trial, loads)
+
+
 @pytest.mark.parametrize("chunk", range(8))
 def test_kernel_matches_reference_on_seeded_cases(chunk):
     """200 seeded cases: the trace, the scheduler's verdicts and its trace
-    are bit-for-bit those of the per-step simulator."""
+    are bit-for-bit those of the per-step simulator, and so are the SoC
+    and demand of each trial it admits."""
     for seed in range(chunk * 25, chunk * 25 + 25):
         sources, loads, battery, timestep_s = random_case(random.Random(seed))
         trace = simulate_sol(sources, loads, battery, ENV, timestep_s)
         assert_same_trace(trace, reference_simulate_sol(sources, loads, battery,
                                                         ENV, timestep_s))
-        result = schedule_loads(sources, loads, battery, ENV, timestep_s)
+        with admitted_trials() as trials:
+            result = schedule_loads(sources, loads, battery, ENV, timestep_s)
         admitted, feasible, verdicts, expected = reference_schedule_loads(
             sources, loads, battery, ENV, timestep_s)
         assert result.admitted == admitted
         assert result.feasible == feasible
         assert result.verdicts == verdicts
         assert_same_trace(result.trace, expected)
+        assert [t_loads for t_loads, _ in trials] == [
+            list(admitted[:k]) for k in range(1, len(admitted) + 1)]
+        for t_loads, trial in trials:
+            assert_trial_is_the_run(trial, t_loads, reference_simulate_sol(
+                sources, t_loads, battery, ENV, timestep_s))
 
 
 def assert_same_sol(trace, expected):
@@ -284,18 +324,26 @@ def test_a_sol_keeps_no_run_state_between_calls():
     """The power report's one kernel rests on this: on the 200 seeded
     cases, ``schedule`` then ``run`` on one fresh ``_Sol`` give the
     verdicts, admitted loads and traces that ``run`` then ``schedule``
-    give on another, bit for bit."""
+    give on another, bit for bit. So do the admitted trials of the two
+    schedules, whose SoC and demand are the full runs' of their loads."""
     for seed in range(200):
         sources, loads, battery, timestep_s = random_case(random.Random(seed))
         sol = _Sol(sources, loads, battery, ENV, timestep_s)
-        schedule, full = sol.schedule(loads), sol.run(loads)
+        with admitted_trials() as trials:
+            schedule, full = sol.schedule(loads), sol.run(loads)
         sol = _Sol(sources, loads, battery, ENV, timestep_s)
-        full_first = sol.run(loads)
-        schedule_last = sol.schedule(loads)
+        with admitted_trials() as trials_last:
+            full_first = sol.run(loads)
+            schedule_last = sol.schedule(loads)
         assert schedule.verdicts == schedule_last.verdicts
         assert schedule.admitted == schedule_last.admitted
         assert_same_trace(schedule.trace, trace_fields(schedule_last.trace))
         assert_same_trace(full, trace_fields(full_first))
+        assert len(trials) == len(trials_last) == len(schedule.admitted)
+        for (t_loads, trial), (_, trial_last) in zip(trials, trials_last):
+            expected = trace_arrays(sol.run(t_loads))
+            assert_trial_is_the_run(trial, t_loads, expected)
+            assert_trial_is_the_run(trial_last, t_loads, expected)
 
 
 def test_the_report_trace_goes_on_through_hard_cuts():
@@ -370,7 +418,9 @@ def test_seeded_schedules_reach_every_resumed_trial_edge(monkeypatch):
                 seen.add("admitted_from_mid_sol")
         if result is None and end > lo + 1:
             seen.add("rejected_after_start")
-        if result is not None and base.shed_w[:lo].any():
+        # A trial keeps no shed power: the full run of its loads sheds
+        # what it would have before ``lo``.
+        if result is not None and run(sol, loads).shed_w[:lo].any():
             seen.add("kept_violation_before_start")
         if lo == hi:
             seen.add("empty_span")
@@ -602,8 +652,9 @@ def test_a_trial_steps_on_to_the_sols_end_after_its_battery_fills():
     window ends. The trial steps one step past the clamp, the fixed
     point, and fills the rest of the stretch by slice. Each later stretch
     has a surplus on the full battery, so its first step is a fixed point
-    and the trial fills the rest, to the sol's end. Its trace is the full
-    run's, and from the lamp's edge on the admitted run's."""
+    and the trial fills the rest, to the sol's end. Its SoC is the full
+    run's, and from the lamp's edge on the admitted run's, as is the full
+    run's shed power."""
     lamp = PowerLoad("lamp", 50.0, (2000 * 25.0, 3000 * 25.0))
     drill = PowerLoad("drill", 300.0, (1000 * 25.0, 1100 * 25.0))
     battery = Battery(1000.0, 1000.0)
@@ -612,7 +663,7 @@ def test_a_trial_steps_on_to_the_sols_end_after_its_battery_fills():
     admitted = sol.run([lamp])
     stepped, skipped = sol.stepped, sol.skipped
     trial = sol.run([lamp, drill], admitted)
-    soc, shed_w = trial.soc_wh, trial.shed_w
+    soc = trial.soc_wh
     clamp = next(i for i in range(1100, 2000) if soc[i + 1] == battery.capacity_wh)
     assert 1100 < clamp < 2000 - 2 and soc[1100] < battery.capacity_wh
     assert sol.stepped - stepped == sol.n_steps - 1000
@@ -620,7 +671,8 @@ def test_a_trial_steps_on_to_the_sols_end_after_its_battery_fills():
                                      + (sol.n_steps - 3000 - 1))
     assert np.array_equal(soc[2000:], admitted.soc_wh[2000:])
     full = sol.run([lamp, drill])
-    assert np.array_equal(soc, full.soc_wh) and np.array_equal(shed_w, full.shed_w)
+    assert soc.tobytes() == full.soc_wh.tobytes()
+    assert np.array_equal(full.shed_w[2000:], admitted.shed_w[2000:])
 
 
 def power_sweep_case(rng: random.Random, n_loads: int):
@@ -787,10 +839,13 @@ def test_a_trial_steps_from_its_load_start(rating_w, battery, ends_full):
     the battery full alike."""
     n_steps = round(SOL_S / 25.0)
     load = PowerLoad("drill", 100.0, (1000 * 25.0, 2000 * 25.0))
-    result = schedule_loads([PowerSource("rtg", rating_w=rating_w)], [load],
-                            battery, ENV, 25.0)
-    assert result.feasible
-    assert (result.trace.soc_wh[-1] == battery.capacity_wh) == ends_full
+    with admitted_trials() as trials:
+        result = schedule_loads([PowerSource("rtg", rating_w=rating_w)], [load],
+                                battery, ENV, 25.0)
+    assert result.feasible and [t_loads for t_loads, _ in trials] == [[load]]
+    trial = trials[0][1]
+    assert (trial.soc_wh[-1] == battery.capacity_wh) == ends_full
+    assert_trial_is_the_run(trial, [load], trace_arrays(result.trace))
     assert result.stepped - n_steps == n_steps - 1000
 
 
@@ -961,6 +1016,112 @@ def test_a_power_report_covers_at_most_loads_plus_two_sols(case):
     assert sol.stepped + walked <= (len(loads) + 2) * sol.n_steps * (len(loads) + 1)
 
 
+def old_demand_w(loads, timestep_s: float, n_steps: int):
+    """The demand array the kernel stored before it kept one value a
+    stretch: zeros plus each load's power over its steps, in list order."""
+    demand_w = np.zeros(n_steps)
+    for load in loads:
+        lo, hi, power_w, _, _ = energy._entry(load, timestep_s, n_steps)
+        demand_w[lo:hi] += power_w
+    return demand_w
+
+
+def assert_demand_is_the_old_array(trace, loads):
+    n_steps = len(trace.soc_wh) - 1
+    assert trace.stretch_bounds[0] == 0 and trace.stretch_bounds[-1] == n_steps
+    expected = old_demand_w(loads, trace.timestep_s, n_steps)
+    assert trace.demand_w.tobytes() == expected.tobytes()
+
+
+def test_the_derived_demand_is_the_old_array_on_seeded_cases():
+    """On the 200 seeded cases, the demand a trace derives from its
+    stretches is the old array, bit for bit: for ``simulate_sol`` over
+    the loads in list order, and for the schedule's trace over the
+    admitted loads in admission order."""
+    for seed in range(200):
+        sources, loads, battery, timestep_s = random_case(random.Random(seed))
+        assert_demand_is_the_old_array(
+            simulate_sol(sources, loads, battery, ENV, timestep_s), loads)
+        result = schedule_loads(sources, loads, battery, ENV, timestep_s)
+        assert_demand_is_the_old_array(result.trace, result.admitted)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(sols())
+@example(FILL_IN_ONE_STEP)
+@example(RAMP_CASES[2])
+def test_the_derived_demand_is_the_old_array_on_drawn_sols(case):
+    """Also each admitted trial's: its SoC and demand are the full run's
+    of its loads, bit for bit."""
+    sources, loads, battery, timestep_s = case
+    assert_demand_is_the_old_array(
+        simulate_sol(sources, loads, battery, ENV, timestep_s), loads)
+    with admitted_trials() as trials:
+        result = schedule_loads(sources, loads, battery, ENV, timestep_s)
+    assert_demand_is_the_old_array(result.trace, result.admitted)
+    for t_loads, trial in trials:
+        assert_trial_is_the_run(trial, t_loads, trace_arrays(
+            simulate_sol(sources, t_loads, battery, ENV, timestep_s)))
+
+
+@pytest.mark.parametrize("scenario", ["paper_baseline", "cold_extreme",
+                                      "two_tube_mission"])
+def test_the_derived_demand_is_the_old_array_on_mission_sols(scenario,
+                                                             monkeypatch):
+    """Every logged sol of each shipped scenario, simulated afresh from
+    its phase's loads."""
+    checked = []
+
+    def simulate(sources, loads, battery, env, timestep_s):
+        trace = simulate_sol(sources, loads, battery, env, timestep_s)
+        assert_demand_is_the_old_array(trace, loads)
+        checked.append(trace.demand_w.any())
+        return trace
+
+    monkeypatch.setattr(test_mission_sols, "simulate_sol", simulate)
+    config = load_config(SCENARIOS / f"{scenario}.json")
+    sol_log = run_mission(config)["mission"]["sol_log"]
+    for _ in test_mission_sols.logged_sol_traces(config, sol_log):
+        pass
+    assert len(checked) == len(sol_log) and any(checked)
+
+
+def test_the_schedule_trace_is_the_full_run_of_the_admitted_loads():
+    """On the 200 seeded cases, ``ScheduleResult.trace``, built on read,
+    is ``simulate_sol`` over the admitted loads in admission order: SoC,
+    shed power, demand and shed order, bit for bit."""
+    for seed in range(200):
+        sources, loads, battery, timestep_s = random_case(random.Random(seed))
+        result = schedule_loads(sources, loads, battery, ENV, timestep_s)
+        expected = simulate_sol(sources, list(result.admitted), battery, ENV,
+                                timestep_s)
+        trace = result.trace
+        assert trace is result.trace
+        for name in ("soc_wh", "shed_w", "demand_w"):
+            assert getattr(trace, name).tobytes() == \
+                getattr(expected, name).tobytes(), name
+        assert trace.shed_order == expected.shed_order
+
+
+def test_a_power_report_never_builds_the_schedule_trace(monkeypatch):
+    """``power_section`` runs the bare sol, one trial per load and the
+    full sol: 1 + trials + 1 runs, none of them the schedule's trace."""
+    runs = []
+    run = _Sol.run
+
+    def counted(sol, loads, base=None):
+        runs.append(base is None)
+        return run(sol, loads, base)
+
+    monkeypatch.setattr(_Sol, "run", counted)
+    cases = [random_case(random.Random(seed)) for seed in range(20)]
+    cases.append((*power_sweep_case(random.Random(24), 24), 25.0))
+    for sources, loads, battery, timestep_s in cases:
+        runs.clear()
+        power_section(tuple(sources), tuple(loads), battery, ENV, timestep_s)
+        assert runs == [True] + [False] * len(loads) + [True]
+
+
 def no_charge_closes(before: float, after: float) -> bool:
     """Whether no float64 ``c`` has ``before + c == after`` (0 <= before
     < after). It holds when ``after`` has an odd last digit, ``before``
@@ -998,26 +1159,52 @@ def test_closure_is_inexact_only_where_the_charge_is_clamped():
     assert lower + (after - lower) == after
 
 
+#: A 1 s sol with a regeneration credit and a sheddable night heater that
+#: the sol sheds, and a drill at night that the scheduler rejects: the
+#: heater's shed power reaches it.
+NIGHT_SOURCES = [PowerSource("rtg", rating_w=110.0),
+                 PowerSource("regen", SourceKind.WINCH_REGEN, 0.0, 50.0)]
+NIGHT_LOADS = [PowerLoad("lamp", 90.0, (0.0, 30000.0)),
+               PowerLoad("heater", 200.0, (44375.0, 80000.0), sheddable=True),
+               PowerLoad("drill", 400.0, (60000.0, 70000.0), priority=1)]
+NIGHT_BATTERY = Battery(1000.0, 200.0)
+
+
+def night_trace_peak():
+    """The trace of the night sol without its drill, and the peak heap of
+    ``simulate_sol`` building it."""
+    return peak_bytes(lambda: simulate_sol(NIGHT_SOURCES, NIGHT_LOADS[:2],
+                                           NIGHT_BATTERY, ENV, 1.0))
+
+
 def test_trace_stores_under_32_bytes_a_step():
-    """A trace stores SoC, demand and shed power, 24 bytes a step; supply,
-    charge and discharge it derives when read. A 1 s sol with a
-    regeneration credit and a shedding night heater peaks under 32 bytes
-    a step, where three more stored arrays would take 48."""
-    sources = [PowerSource("rtg", rating_w=110.0),
-               PowerSource("regen", SourceKind.WINCH_REGEN, 0.0, 50.0)]
-    loads = [PowerLoad("lamp", 90.0, (0.0, 30000.0)),
-             PowerLoad("heater", 200.0, (44375.0, 80000.0), sheddable=True)]
-    battery = Battery(1000.0, 200.0)
-
-    def run():
-        return simulate_sol(sources, loads, battery, ENV, 1.0)
-
-    run()  # warm: imports and caches
-    tracemalloc.start()
-    try:
-        trace = run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """A trace derives supply, charge and discharge when read. A 1 s sol
+    with a regeneration credit and a shedding night heater peaks under 32
+    bytes a step, where storing those three arrays as well would add 24
+    to what the trace stores."""
+    trace, peak = night_trace_peak()
     assert np.any(trace.shed_w) and trace.supply_w[0] > trace.supply_w[1]
     assert peak < 32 * len(trace.demand_w)
+
+
+def test_trace_stores_under_24_bytes_a_step():
+    """A trace stores SoC and shed power, 16 bytes a step, and its demand
+    once per stretch: the night sol peaks under 24 bytes a step, where a
+    stored demand array would take 24."""
+    trace, peak = night_trace_peak()
+    assert len(trace.stretch_demand_w) < 10 and trace.demand_w.any()
+    assert peak < 24 * len(trace.shed_w)
+
+
+def test_a_power_report_peaks_under_32_bytes_a_step():
+    """A power report holds one trace at a time: the scheduler's admitted
+    run and its trial keep only their SoC, and the report never builds
+    the schedule's trace. On the 1 s night sol, whose full trace sheds
+    the heater and the drill, it peaks under 32 bytes a step, where two
+    traces of 24 bytes a step alive at once would take 48."""
+    (section, findings, trace), peak = peak_bytes(lambda: power_section(
+        tuple(NIGHT_SOURCES), tuple(NIGHT_LOADS), NIGHT_BATTERY, ENV, 1.0))
+    assert section["schedule"]["verdicts"] == {"heater": True, "lamp": True,
+                                               "drill": False}
+    assert {"heater", "drill"} <= set(section["unmet_loads"]) and findings
+    assert peak < 32 * len(trace.shed_w)

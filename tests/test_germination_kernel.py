@@ -7,7 +7,6 @@ allowed trial, a memory bound that does not grow with the number of
 draws and a window no larger than a small draw needs."""
 
 import math
-import tracemalloc
 
 import pytest
 
@@ -16,6 +15,8 @@ from tubescout.mission import MAX_GERMINATION_SEEDS, germination_trial
 from tubescout.rng import (_CHAR_POLY, _HEAD, _WINDOW, GERMINATION_STREAM,
                            TUBE_STREAM, Rng, _jump_plan, _jump_taps,
                            chance_count)
+
+from peak_memory import peak_bytes
 
 #: The lengths of the known prefix: ``Rng`` steps the first, and each
 #: jump as long as the prefix adds that length less 255 words, until the
@@ -164,13 +165,7 @@ def test_the_largest_trial_matches_the_scalar_loop():
 
 def test_memory_does_not_grow_with_the_draws():
     def peak(n):
-        germination_trial(n, 0.7, 1)  # warm: the taps are cached
-        tracemalloc.start()
-        try:
-            germination_trial(n, 0.7, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_bytes(lambda: germination_trial(n, 0.7, 1))[1]
 
     assert peak(10_000) == peak(MAX_GERMINATION_SEEDS)
 
@@ -178,11 +173,5 @@ def test_memory_does_not_grow_with_the_draws():
 def test_a_small_draw_sizes_its_window_to_the_draws():
     """100 draws keep a window of ``_HEAD`` words, not of
     ``2 * _WINDOW - 255``."""
-    chance_count(1, GERMINATION_STREAM, 100, 0.7)  # warm
-    tracemalloc.start()
-    try:
-        chance_count(1, GERMINATION_STREAM, 100, 0.7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: chance_count(1, GERMINATION_STREAM, 100, 0.7))
     assert peak < 24 * 1024
