@@ -164,8 +164,8 @@ def phase_visits(config: "MissionConfig") -> list[tuple]:
 
 
 #: Upper bound on the seeds of a germination trial: counted by jumps in
-#: numpy (``rng.chance_count``), a million draws take 0.04-0.05 s and
-#: 10,000 draws 1.1-1.7 ms (CPython 3.11, numpy 2.4, 2 x86 CPUs).
+#: numpy (``rng.chance_count``), a million draws take 0.045-0.05 s and
+#: 10,000 draws 0.8-0.9 ms (CPython 3.11, numpy 2.4, 2 x86 CPUs).
 MAX_GERMINATION_SEEDS = 1_000_000
 
 

@@ -11,6 +11,7 @@ with each other use distinct stream ids on top of the same user seed.
 from __future__ import annotations
 
 import functools
+import math
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -59,11 +60,16 @@ class Rng:
     def words(self, k: int) -> list[int]:
         """Step the generator ``k`` times and return the ``s[1]`` word
         before each step, the word the ``**`` output scrambles."""
+        out = [0] * k
+        self._fill(out)
+        return out
+
+    def _fill(self, out) -> None:
+        """Step the generator once per item of ``out``, a list or a
+        numpy ``uint64`` array, and write ``s[1]`` before each step."""
         s0, s1, s2, s3 = self._s
-        out = []
-        append = out.append
-        for _ in range(k):
-            append(s1)
+        for i in range(len(out)):
+            out[i] = s1
             t = (s1 << 17) & _MASK64
             s2 ^= s0
             s3 ^= s1
@@ -72,7 +78,6 @@ class Rng:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
         self._s[:] = s0, s1, s2, s3
-        return out
 
     def next_u64(self) -> int:
         (word,) = self.words(1)
@@ -148,17 +153,25 @@ def chance_blocks(rng: Rng, n: int, p: float):
     """Yield the next ``n`` ``rng.chance(p)`` draws as boolean numpy
     blocks, in order, bit for bit as the scalar loop would draw them.
 
-    The ``**`` output reads only ``s[1]``. ``Rng.words`` steps the first
-    ``_HEAD`` draws and returns ``s[1]`` before each. Every later word
-    comes in numpy ``uint64`` XORs from a jump as long as the known
-    words, up to ``_WINDOW``, so the prefix grows 384 -> 513 -> 771 ->
-    1287 -> 2319 words; from there each jump of ``_WINDOW`` adds
-    ``_WINDOW - 255`` words to a window of the last ``_WINDOW``: jump
-    ahead for F2-linear generators (Haramoto et al., INFORMS J. Computing
-    2008), with its taps paired as ``_jump_plan`` gives them. The window
-    holds no more words than the draws need. The words are scrambled and
-    compared with ``p`` as float64, as ``Rng.random`` and ``Rng.chance``
-    do, and each block is a fresh array.
+    The ``**`` output reads only ``s[1]``. ``Rng`` steps the first
+    ``_HEAD`` draws and writes ``s[1]`` before each straight into the
+    window. Every later word comes in numpy ``uint64`` XORs from a jump
+    as long as the known words, up to ``_WINDOW``, so the prefix grows
+    384 -> 513 -> 771 -> 1287 -> 2319 words; from there each jump of
+    ``_WINDOW`` adds ``_WINDOW - 255`` words to a window of the last
+    ``_WINDOW``: jump ahead for F2-linear generators (Haramoto et al.,
+    INFORMS J. Computing 2008). A jump XORs the taps ``_jump_plan``
+    gives it one slice at a time, its pairs from the sums. The window
+    holds no more words than the draws need.
+
+    A block's words are scrambled in place in one scratch buffer, with
+    the sums as the rotation's temporary, and compared with an integer
+    bound. ``Rng.chance`` is ``(x >> 11) * 2**-53 < p`` for the scrambled
+    word x. For 0 < p < 1, ``p * 2**53`` is exact, so that holds iff the
+    integer ``x >> 11`` is below ``ceil(p * 2**53)``, that is iff
+    ``x < ceil(p * 2**53) << 11``, which fits in 64 bits. A p of 1 or
+    more draws all true, and a p of 0 or less, or NaN, all false. Each
+    block is a fresh array.
 
     ``rng`` is left past its head draws only, not past all ``n``, so a
     caller must not draw from it afterwards.
@@ -168,31 +181,34 @@ def chance_blocks(rng: Rng, n: int, p: float):
     size = min(2 * _WINDOW - 255, max(n, _HEAD))
     window = np.empty(size, dtype=np.uint64)
     sums = np.empty(min(size, _WINDOW), dtype=np.uint64)  # window[j] ^ window[j + d]
-    window[:known] = rng.words(known)
+    scratch = np.empty(min(n, _WINDOW - 255), dtype=np.uint64)
+    rng._fill(window[:known])
+    bound = np.uint64(math.ceil(p * 2.0**53) << 11) if 0 < p < 1 else None
 
-    def chances(w: np.ndarray) -> np.ndarray:
-        out = w * np.uint64(5)
-        out = (out << np.uint64(7)) | (out >> np.uint64(57))
-        out *= np.uint64(9)
-        out >>= np.uint64(11)
-        return out.astype(np.float64) * 2.0 ** -53 < p
+    def chances(start: int, stop: int) -> np.ndarray:
+        if bound is None:  # all true for p >= 1, all false for p <= 0 or NaN
+            return np.full(stop - start, p >= 1)
+        x, t = scratch[:stop - start], sums[:stop - start]
+        np.multiply(window[start:stop], np.uint64(5), out=x)
+        np.left_shift(x, np.uint64(7), out=t)
+        x >>= np.uint64(57)
+        x |= t
+        x *= np.uint64(9)
+        return x < bound
 
-    yield chances(window[:known])
-    done, jump = known, None
+    yield chances(0, known)
+    done = known
     while done < n:
         block = min(known - 255, n - done)
-        if jump != (known, block):  # views for a new jump or the last words
-            jump = known, block
-            d, paired, single = _jump_plan(known)
-            pair = window[:known - d], window[d:known], sums[:known - d]
-            new = window[known:known + block]
-            first, *rest = ([sums[i:i + block] for i in paired]
-                            + [window[i:i + block] for i in single])
-        np.bitwise_xor(*pair)
-        np.copyto(new, first)
-        for source in rest:
-            new ^= source
-        yield chances(new)
+        d, paired, single = _jump_plan(known)
+        np.bitwise_xor(window[:known - d], window[d:known], out=sums[:known - d])
+        new = window[known:known + block]
+        np.copyto(new, sums[paired[0]:paired[0] + block])
+        for i in paired[1:]:
+            new ^= sums[i:i + block]
+        for i in single:
+            new ^= window[i:i + block]
+        yield chances(known, known + block)
         done += block
         known += block
         if known > _WINDOW:

@@ -102,7 +102,7 @@ def check_resolution(resolution_m: float) -> None:
 
 
 #: Upper bound on the cells of a tube map, drawn or read: a 1000x1000
-#: map takes 0.05 to 0.07 s to draw at obstacle densities 0 to 0.5
+#: map takes 0.05 to 0.06 s to draw at obstacle densities 0 to 0.5
 #: (CPython 3.11, numpy 2.4, 2 x86 CPUs).
 MAX_TUBE_CELLS = 1_000_000
 

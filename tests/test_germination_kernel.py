@@ -2,21 +2,23 @@
 ``Rng``: the pinned characteristic polynomial re-derived from the
 generator's own output, the word recurrences it gives, the chain of
 jumps that grows the known prefix and the pairing of their taps, a
-differential grid around every growth and block edge, the largest
+differential grid around every growth and block edge, the blocks of
+``rng.chance_blocks`` draw for draw on both streams, the largest
 allowed trial, a memory bound that does not grow with the number of
 draws and a window no larger than a small draw needs."""
 
 import math
 
+import numpy as np
 import pytest
 
 from tubescout import rng as rng_module
 from tubescout.mission import MAX_GERMINATION_SEEDS, germination_trial
 from tubescout.rng import (_CHAR_POLY, _HEAD, _WINDOW, GERMINATION_STREAM,
                            TUBE_STREAM, Rng, _jump_plan, _jump_taps,
-                           chance_count)
+                           chance_blocks, chance_count)
 
-from peak_memory import peak_bytes
+from peak_memory import peak_bytes, settled_peaks
 
 #: The lengths of the known prefix: ``Rng`` steps the first, and each
 #: jump as long as the prefix adds that length less 255 words, until the
@@ -146,6 +148,46 @@ def test_chance_count_matches_the_scalar_loop(seed, p):
         assert chance_count(seed, GERMINATION_STREAM, n, p) == prefix[n], n
 
 
+#: Draw counts within one of no draws, of the 256 words a jump reads, of
+#: every prefix length (the first is the scalar head) and of the end of
+#: the first rolling block.
+EDGE_NS = sorted({max(0, edge + d) for edge in (0, 256, *GROWTH, GROWTH[-1] + BLOCK)
+                  for d in (-1, 0, 1)})
+
+
+def drawn_p(seed: int, stream: int, which: str) -> float:
+    """A p at which the integer bound must be exact: ``"at"`` a draw whose
+    scrambled word has its low 11 bits clear, so that the word is the
+    bound itself, or ``"above"`` a draw below 0.5, by one ulp, which is
+    not a multiple of 2**-53."""
+    rng = Rng(seed, stream)
+    for _ in range(EDGE_NS[-1]):
+        x = rng.next_u64()
+        draw = (x >> 11) * 2.0**-53
+        if which == "at" and x & 2047 == 0:
+            return draw
+        if which == "above" and 0.0 < draw < 0.5:
+            return math.nextafter(draw, 1.0)
+    raise AssertionError(f"no draw of seed {seed} suits {which!r}")
+
+
+@pytest.mark.parametrize("stream", [TUBE_STREAM, GERMINATION_STREAM])
+@pytest.mark.parametrize("seed", [2, 9])
+@pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-53, 0.5, 0.7, 1.0 - 2.0**-53,
+                               1.0, "at", "above"])
+def test_chance_blocks_are_the_scalar_draws(stream, seed, p):
+    """The concatenated blocks are ``Rng.chance`` draw for draw, at every
+    draw count one either side of a head or jump edge."""
+    if isinstance(p, str):
+        p = drawn_p(seed, stream, p)
+    rng = Rng(seed, stream)
+    expect = np.array([rng.chance(p) for _ in range(EDGE_NS[-1])])
+    for n in EDGE_NS:
+        blocks = list(chance_blocks(Rng(seed, stream), n, p))
+        assert all(block.dtype == bool for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), expect[:n]), (n, p)
+
+
 @pytest.mark.parametrize("index", [3, GROWTH[2] + 5, GROWTH[-1] + BLOCK + 5])
 def test_a_draw_equal_to_p_does_not_count(index):
     """``chance`` is ``random() < p``: a draw equal to ``p`` is a miss,
@@ -164,10 +206,13 @@ def test_the_largest_trial_matches_the_scalar_loop():
 
 
 def test_memory_does_not_grow_with_the_draws():
-    def peak(n):
-        return peak_bytes(lambda: germination_trial(n, 0.7, 1))[1]
-
-    assert peak(10_000) == peak(MAX_GERMINATION_SEEDS)
+    """Both sizes are drawn until their peaks settle before either is
+    compared, so the peaks do not depend on what an earlier test left
+    warm: the test passes alone and in file order."""
+    small, large = settled_peaks(
+        *(lambda n=n: germination_trial(n, 0.7, 1)
+          for n in (10_000, MAX_GERMINATION_SEEDS)))
+    assert small == large
 
 
 def test_a_small_draw_sizes_its_window_to_the_draws():

@@ -160,9 +160,9 @@ class TestGerminationTrial:
         (MAX_GERMINATION_SEEDS + 1, 0.7), (10, 1.5)])
     def test_bounds_checked_before_any_draw(self, monkeypatch, n_seeds, p_germinate):
         draws = []  # one entry per stepped word
-        words = Rng.words
-        monkeypatch.setattr(Rng, "words",
-                            lambda rng, k: draws.extend([rng] * k) or words(rng, k))
+        fill = Rng._fill  # the one step loop, under words and the kernel's head
+        monkeypatch.setattr(Rng, "_fill", lambda rng, out:
+                            draws.extend([rng] * len(out)) or fill(rng, out))
         assert germination_trial(3, 0.5, 1).n_seeds == len(draws) == 3
         draws.clear()
         with pytest.raises(ValueError):

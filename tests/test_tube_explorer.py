@@ -43,6 +43,7 @@ from tubescout.tube_explorer import (
     write_map_file,
 )
 
+from peak_memory import peak_bytes
 from test_explorer_kernel import CapacityExhausted, OverMass, collect_sample, flood_fill
 
 
@@ -98,6 +99,14 @@ class TestGenerateTube:
             density = cases.choice([0.0, 0.999, cases.uniform(0.0, 0.999)])
             assert_per_cell_map(cases.randrange(1 << 64), cases.randint(1, 60),
                                 cases.randint(1, 60), density)
+
+    def test_a_28_by_28_tube_peaks_under_30_kb(self):
+        """The draw holds its uint64 window, the pair sums and one scratch
+        buffer, 6 KB each here: about 22 KB with the cells, against about
+        36 KB when each jump kept a list of views per tap and the scramble
+        made float64 temporaries."""
+        _, peak = peak_bytes(lambda: generate_tube(42, 28, 28, 0.2))
+        assert peak < 30 * 1024
 
     def test_same_seed_bit_identical(self):
         a = generate_tube(42, 20, 20, 0.2)
